@@ -6,8 +6,9 @@ tables), ``map`` (apply a bijection), ``verify`` (the full oracle suite),
 (arc-diagram SVG).  Every command is deterministic given its flags; Monte
 Carlo is deterministic given ``--seed``.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input or unknown name,
-3 cap exceeded.  ``CUDLAB_CAP`` overrides the default enumeration cap.
+Exit codes: 0 success, 1 verification failure, 2 bad input or unknown name
+(a ``--samples`` below 1 included) or an ``--out`` path that cannot be
+written, 3 cap exceeded.  ``CUDLAB_CAP`` overrides the default enumeration cap.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from math import sqrt
 from pathlib import Path
 
@@ -28,8 +31,8 @@ from .catalog import (
     SEQUENCE_IDS,
     catalog_markers,
     catalog_offset,
-    catalog_series,
     expected_ud_cycles,
+    sequence_terms,
 )
 from .perms import (
     CycleDecomposition,
@@ -89,31 +92,21 @@ def _poly_map(poly: MPoly) -> dict[str, int]:
 
 def cmd_seq(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    ser = catalog_series(args.id, args.n, cap=cfg.order_cap)
+    values = sequence_terms(args.id, args.n, cap=cfg.order_cap)
     offset = catalog_offset(args.id)
     marked = bool(catalog_markers(args.id))
-    simple_values: list[int] = []
-    poly_values: list[dict[str, int]] = []
-    for n in range(offset, args.n + 1):
-        if marked:
-            poly_values.append(_poly_map(ser.egf_term(n)))
-        else:
-            simple_values.append(ser.egf_int(n))
+    if marked:
+        values = [_poly_map(poly) for poly in values]
     if cfg.fmt == "json":
-        payload = {
-            "id": args.id,
-            "offset": offset,
-            "n_max": args.n,
-            "values": poly_values if marked else simple_values,
-        }
+        payload = {"id": args.id, "offset": offset, "n_max": args.n, "values": values}
         _emit(cfg, json.dumps(payload, sort_keys=True) + "\n")
     else:
         lines = []
-        for i, n in enumerate(range(offset, args.n + 1)):
+        for n, value in enumerate(values, offset):
             if marked:
-                body = " ".join(f"{k}:{v}" for k, v in sorted(poly_values[i].items()))
+                body = " ".join(f"{k}:{v}" for k, v in sorted(value.items()))
             else:
-                body = str(simple_values[i])
+                body = str(value)
             lines.append(f"{n} {body}")
         _emit(cfg, "\n".join(lines) + "\n")
     return 0
@@ -161,41 +154,38 @@ def _as_cycles(value) -> CycleDecomposition:
     return to_cycles(value) if isinstance(value, Permutation) else value
 
 
+def _ell(value, args: argparse.Namespace):
+    if args.bits is None:
+        raise MalformedInput("ell requires --bits")
+    return bijections.ell_map(_as_permutation(value), _parse_bits(args.bits))
+
+
+# map name -> function of (parsed input, arguments); the order is the one
+# ``--help`` and argparse errors list
+_MAPS = {
+    "g": lambda value, args: bijections.g_even(_as_permutation(value)),
+    "g-inv": lambda value, args: bijections.g_even_inverse(_as_cycles(value)),
+    "f": lambda value, args: bijections.f_odd(_as_permutation(value)),
+    "f-inv": lambda value, args: bijections.f_odd_inverse(_as_cycles(value)),
+    "phi": lambda value, args: bijections.phi(_as_permutation(value)),
+    "phi-inv": lambda value, args: bijections.phi_inverse(_as_cycles(value)),
+    "jbij": lambda value, args: bijections.jbij(_as_permutation(value)),
+    "jbij-inv": lambda value, args: bijections.jbij_inverse(_as_cycles(value)),
+    "h": lambda value, args: bijections.h_map(
+        _as_permutation(value), MinMaxPattern.parse(args.pattern)
+    ),
+    "ell": _ell,
+    "ell-inv": lambda value, args: bijections.ell_inverse(_as_permutation(value)),
+    "foata": lambda value, args: bijections.foata_word(
+        _as_cycles(value), descending=args.order == "desc"
+    ),
+}
+
+
 def cmd_map(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    value = parse_any(args.input)
     name = args.name
-    if name == "g":
-        result = bijections.g_even(_as_permutation(value))
-    elif name == "g-inv":
-        result = bijections.g_even_inverse(_as_cycles(value))
-    elif name == "f":
-        result = bijections.f_odd(_as_permutation(value))
-    elif name == "f-inv":
-        result = bijections.f_odd_inverse(_as_cycles(value))
-    elif name == "phi":
-        result = bijections.phi(_as_permutation(value))
-    elif name == "phi-inv":
-        result = bijections.phi_inverse(_as_cycles(value))
-    elif name == "jbij":
-        result = bijections.jbij(_as_permutation(value))
-    elif name == "jbij-inv":
-        result = bijections.jbij_inverse(_as_cycles(value))
-    elif name == "foata":
-        result = bijections.foata_word(_as_cycles(value), descending=args.order == "desc")
-    elif name == "h":
-        pattern = MinMaxPattern.parse(args.pattern)
-        result = bijections.h_map(_as_permutation(value), pattern)
-    elif name == "ell":
-        if args.bits is None:
-            raise MalformedInput("ell requires --bits")
-        bits = _parse_bits(args.bits)
-        result = bijections.ell_map(_as_permutation(value), bits)
-    elif name == "ell-inv":
-        result = bijections.ell_inverse(_as_permutation(value))
-    else:
-        raise MalformedInput(f"unknown map {name!r}")
-
+    result = _MAPS[name](parse_any(args.input), args)
     if isinstance(result, tuple):  # ell-inv: (permutation, bit word)
         perm, bits = result
         text = f"{format_permutation(perm)} / {''.join(str(b) for b in bits)}"
@@ -249,6 +239,8 @@ def cmd_expect(args: argparse.Namespace) -> int:
         raise MalformedInput(f"unknown expectation target {args.target!r}")
     exact = expected_ud_cycles(args.n)
     if args.montecarlo:
+        if args.samples < 1:
+            raise MalformedInput(f"--samples must be positive, got {args.samples}")
         rng = random.Random(cfg.seed)
         total = 0
         total_sq = 0
@@ -267,7 +259,7 @@ def cmd_expect(args: argparse.Namespace) -> int:
                 "seed": cfg.seed,
                 "estimate": mean,
                 "stderr": stderr,
-                "exact": str(exact),
+                "exact": _fraction_text(exact),
             }
             _emit(cfg, json.dumps(payload, sort_keys=True) + "\n")
         else:
@@ -277,15 +269,24 @@ def cmd_expect(args: argparse.Namespace) -> int:
         payload = {
             "n": args.n,
             "mode": "exact",
-            "value": str(exact),
+            "value": _fraction_text(exact),
             "float": float(exact),
         }
         _emit(cfg, json.dumps(payload, sort_keys=True) + "\n")
     elif args.float:
         _emit(cfg, f"{float(exact)!r}\n")
     else:
-        _emit(cfg, f"{exact} = {float(exact)!r}\n")
+        _emit(cfg, f"{_fraction_text(exact)} = {float(exact)!r}\n")
     return 0
+
+
+def _fraction_text(value: Fraction) -> str:
+    """``str(value)``, also past the interpreter's limit on the digits of an
+    int-to-text conversion: ``Decimal`` prints an integer without that limit."""
+    text = str(Decimal(value.numerator))
+    if value.denominator != 1:
+        text += f"/{Decimal(value.denominator)}"
+    return text
 
 
 def _random_permutation(n: int, rng: random.Random) -> Permutation:
@@ -342,20 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", parents=[shared], help="apply a bijection")
     p_map.add_argument(
         "name",
-        choices=(
-            "g",
-            "g-inv",
-            "f",
-            "f-inv",
-            "phi",
-            "phi-inv",
-            "jbij",
-            "jbij-inv",
-            "h",
-            "ell",
-            "ell-inv",
-            "foata",
-        ),
+        choices=tuple(_MAPS),
         metavar="NAME",
     )
     p_map.add_argument("input", help="one-line word or (cycle)(notation)")
@@ -405,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (MalformedInput, DomainError, ValueError) as exc:
+    except (MalformedInput, DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

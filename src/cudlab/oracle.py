@@ -51,6 +51,13 @@ DEFAULT_CAPS = {family: 11 if family in WORD_FAMILIES else 9 for family in Famil
 
 VERIFY_CAP = 9
 
+# the min/max patterns whose m_s and h_map the verification suite checks
+_PATTERNS = (
+    MinMaxPattern.alternating(),
+    MinMaxPattern.repeat(MIN),
+    MinMaxPattern((), (MAX, MIN)),
+)
+
 
 @dataclass
 class DistributionTable:
@@ -102,6 +109,11 @@ def enumerate_family(
                 continue
             yield Permutation(word)
         return
+    yield from _filter_s_n(family, n)
+
+
+def _filter_s_n(family: Family, n: int) -> Iterator[Permutation]:
+    """The members of S_n, by testing every word in lexicographic order."""
     for word in itertools.permutations(range(1, n + 1)):
         p = Permutation(word)
         if is_member(p, family):
@@ -138,10 +150,7 @@ def _alternating_words(
 
 def iter_ud_by_filter(n: int) -> Iterator[Permutation]:
     """Second route to UD_n, for cross-checking the backtracker."""
-    for word in itertools.permutations(range(1, n + 1)):
-        p = Permutation(word)
-        if is_member(p, Family.UD):
-            yield p
+    return _filter_s_n(Family.UD, n)
 
 
 def iter_cud_direct(n: int) -> Iterator[Permutation]:
@@ -259,10 +268,9 @@ def _verify_counts(rep: _Report, n_cap: int, eul: list[int]) -> None:
     for n in range(n_cap + 1):
         rep.add("ud-count", n, eul[n], count_family(Family.UD, n))
         rep.add("downup-count", n, eul[n], count_family(Family.DOWNUP, n))
-        rep.add("cud-count", n, eul[n + 1], count_family(Family.CUD, n))
-        rep.add(
-            "cud-count-series", n, series_of["cud"].egf_int(n), count_family(Family.CUD, n)
-        )
+        cud_count = count_family(Family.CUD, n)
+        rep.add("cud-count", n, eul[n + 1], cud_count)
+        rep.add("cud-count-series", n, series_of["cud"].egf_int(n), cud_count)
         rep.add(
             "cud-odd-only-count", n, eul[n], count_family(Family.CUD_ODD_ONLY, n)
         )
@@ -311,17 +319,13 @@ def _verify_counts(rep: _Report, n_cap: int, eul: list[int]) -> None:
         )
         if n >= 2 and n % 2 == 0:
             k = n // 2
-            rep.add(
-                "ud-last-gt-first-count",
-                n,
-                k * eul[n - 1],
-                count_family(Family.UD_LAST_GT_FIRST, n),
-            )
+            last_gt_first_count = count_family(Family.UD_LAST_GT_FIRST, n)
+            rep.add("ud-last-gt-first-count", n, k * eul[n - 1], last_gt_first_count)
             rep.add(
                 "ud-last-gt-first-series",
                 n,
                 series_of["k-euler-odd"].egf_int(n),
-                count_family(Family.UD_LAST_GT_FIRST, n),
+                last_gt_first_count,
             )
             rep.add(
                 "gcud-even-cyclic-lemma",
@@ -453,11 +457,6 @@ def _verify_distributions(rep: _Report, n_cap: int, eul: list[int]) -> None:
                 series.egf_term(n),
                 table.to_poly(markers),
             )
-    patterns = (
-        MinMaxPattern.alternating(),
-        MinMaxPattern.repeat(MIN),
-        MinMaxPattern((), (MAX, MIN)),
-    )
     for n in range(1, n_cap + 1):
         stirling_row = {k: stirling_c(n, k) for k in range(1, n + 1) if stirling_c(n, k)}
         for stat in ("st", "lrm", "c"):
@@ -468,7 +467,7 @@ def _verify_distributions(rep: _Report, n_cap: int, eul: list[int]) -> None:
                 stirling_row,
                 {k: v for (k,), v in sorted(table.rows.items())},
             )
-        for pattern in patterns:
+        for pattern in _PATTERNS:
             counts: dict[int, int] = {}
             for p in enumerate_family(Family.ALL, n):
                 k = m_s(p, pattern)
@@ -493,17 +492,16 @@ def _verify_distributions(rep: _Report, n_cap: int, eul: list[int]) -> None:
             sum(v for (k,), v in table.rows.items() if k == 0),
         )
     for n in range(n_cap + 1):
-        cud = list(enumerate_family(Family.CUD, n))
+        cud_stats = [stats(p) for p in enumerate_family(Family.CUD, n)]
         rep.add(
             "exc-parity-relation",
             n,
-            [n] * len(cud),
-            [stats(p).c_o + 2 * stats(p).exc for p in cud],
+            [n] * len(cud_stats),
+            [sv.c_o + 2 * sv.exc for sv in cud_stats],
         )
         exc_counts: dict[int, int] = {}
-        for p in cud:
-            e = stats(p).exc
-            exc_counts[e] = exc_counts.get(e, 0) + 1
+        for sv in cud_stats:
+            exc_counts[sv.exc] = exc_counts.get(sv.exc, 0) + 1
         poly = exc_polynomial(n)
         rep.add(
             "exc-poly-vs-oracle",
@@ -580,12 +578,12 @@ def _verify_bijections(rep: _Report, n_cap: int) -> None:
             "bij-jbij-image", n, cud_words, sorted(from_cycles(c).word for c in jbij_images)
         )
     for n in range(1, n_cap + 1):
-        ud_words = list(enumerate_family(Family.UD, n))
+        ud_stats = [stats(p) for p in enumerate_family(Family.UD, n)]
         rep.add(
             "equidist-extr-vs-lrm-st",
             n,
-            sorted(stats(p).extr for p in ud_words),
-            sorted(stats(p).lrm + stats(p).st - 2 for p in ud_words),
+            sorted(sv.extr for sv in ud_stats),
+            sorted(sv.lrm + sv.st - 2 for sv in ud_stats),
         )
     for n in range(2, n_cap + 1, 2):
         k = n // 2
@@ -600,21 +598,15 @@ def _verify_bijections(rep: _Report, n_cap: int) -> None:
         expected = sorted(q.word for q in enumerate_family(Family.UD_LAST_GT_FIRST, n))
         rep.add("rotation-bijection", n, expected, sorted(produced))
         rep.add("rotation-count", n, k * len(starts_low), len(produced))
-    patterns = (
-        MinMaxPattern.alternating(),
-        MinMaxPattern.repeat(MIN),
-        MinMaxPattern((), (MAX, MIN)),
-    )
     for n in range(1, min(n_cap, 6) + 1):
         perms = list(enumerate_family(Family.ALL, n))
-        for pattern in patterns:
-            images = {bijections.h_map(p, pattern).word for p in perms}
-            ok = all(
-                stats(bijections.h_map(p, pattern)).lrm == m_s(p, pattern)
-                for p in perms
-            )
+        for pattern in _PATTERNS:
+            images = [bijections.h_map(p, pattern) for p in perms]
+            ok = all(stats(q).lrm == m_s(p, pattern) for p, q in zip(perms, images))
             rep.add(f"bij-h-transport[{pattern}]", n, True, ok)
-            rep.add(f"bij-h-bijective[{pattern}]", n, factorial(n), len(images))
+            rep.add(
+                f"bij-h-bijective[{pattern}]", n, factorial(n), len({q.word for q in images})
+            )
     for n in range(1, min(n_cap, 6) + 1):
         produced = set()
         ok = True

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class DomainError(ValueError):
@@ -242,6 +242,38 @@ def switch(p: Permutation) -> Permutation:
     return Permutation(switched_word(p.word))
 
 
+# A word family is a test of the one-line word.
+_WORD_TESTS: dict[Family, Callable[[Sequence[int]], bool]] = {
+    Family.ALL: lambda w: True,
+    Family.UD: is_up_down_word,
+    Family.DOWNUP: is_down_up_word,
+    Family.UD_LAST_GT_FIRST: lambda w: (
+        len(w) >= 2 and len(w) % 2 == 0 and is_up_down_word(w) and w[-1] > w[0]
+    ),
+}
+
+# A cycle family is a set of admissible cycles: the test every canonical cycle
+# must pass, and whether only a single cycle is allowed.  Canonical cycles
+# start at their minimum, so ``is_up_down_word`` reads them as CUD requires.
+_CYCLE_FAMILIES: dict[Family, tuple[Callable[[Sequence[int]], bool], bool]] = {
+    Family.CUD: (is_up_down_word, False),
+    Family.CUD_EVEN_ONLY: (lambda c: len(c) % 2 == 0 and is_up_down_word(c), False),
+    Family.CUD_ODD_ONLY: (lambda c: len(c) % 2 == 1 and is_up_down_word(c), False),
+    Family.CUD_DERANGEMENT: (lambda c: len(c) > 1 and is_up_down_word(c), False),
+    Family.CUD_CYCLIC: (is_up_down_word, True),
+    Family.GCUD: (is_gen_up_down_cycle, False),
+    Family.GCUD_ODD_ONLY: (lambda c: len(c) % 2 == 1 and is_gen_up_down_cycle(c), False),
+    Family.GCUD_EVEN_ONLY: (lambda c: len(c) % 2 == 0 and is_gen_up_down_cycle(c), False),
+    Family.GCUD_CYCLIC: (is_gen_up_down_cycle, True),
+    # fixed points, or even cycles that alternate fully, so that images of
+    # excedances are deficiencies and vice versa
+    Family.EXC_DEF_SWAP: (
+        lambda c: len(c) == 1 or (len(c) % 2 == 0 and is_up_down_word(c)),
+        False,
+    ),
+}
+
+
 def is_member(p: Permutation, family: Family) -> bool:
     """Membership test for every supported family.
 
@@ -249,49 +281,12 @@ def is_member(p: Permutation, family: Family) -> bool:
     map for excedance-flavored ones), so arbitrary ground sets are accepted
     throughout.
     """
-    word = p.word
-    if family is Family.ALL:
-        return True
-    if family is Family.UD:
-        return is_up_down_word(word)
-    if family is Family.DOWNUP:
-        return is_down_up_word(word)
-    if family is Family.UD_LAST_GT_FIRST:
-        return (
-            len(word) >= 2
-            and len(word) % 2 == 0
-            and is_up_down_word(word)
-            and word[-1] > word[0]
-        )
-
+    word_test = _WORD_TESTS.get(family)
+    if word_test is not None:
+        return word_test(p.word)
+    admissible, single = _CYCLE_FAMILIES[family]
     cycles = to_cycles(p).cycles
-    if family is Family.CUD:
-        return all(is_up_down_word(cyc) for cyc in cycles)
-    if family is Family.CUD_EVEN_ONLY:
-        return all(len(cyc) % 2 == 0 and is_up_down_word(cyc) for cyc in cycles)
-    if family is Family.CUD_ODD_ONLY:
-        return all(len(cyc) % 2 == 1 and is_up_down_word(cyc) for cyc in cycles)
-    if family is Family.CUD_DERANGEMENT:
-        return all(len(cyc) > 1 and is_up_down_word(cyc) for cyc in cycles)
-    if family is Family.CUD_CYCLIC:
-        return len(cycles) == 1 and is_up_down_word(cycles[0])
-    if family is Family.GCUD:
-        return all(is_gen_up_down_cycle(cyc) for cyc in cycles)
-    if family is Family.GCUD_ODD_ONLY:
-        return all(len(cyc) % 2 == 1 and is_gen_up_down_cycle(cyc) for cyc in cycles)
-    if family is Family.GCUD_EVEN_ONLY:
-        return all(len(cyc) % 2 == 0 and is_gen_up_down_cycle(cyc) for cyc in cycles)
-    if family is Family.GCUD_CYCLIC:
-        return len(cycles) == 1 and is_gen_up_down_cycle(cycles[0])
-    if family is Family.EXC_DEF_SWAP:
-        # fixed points allowed; every longer cycle must alternate fully, i.e.
-        # be an even up-down cycle, so images of excedances are deficiencies
-        # and vice versa
-        return all(
-            len(cyc) == 1 or (len(cyc) % 2 == 0 and is_up_down_word(cyc))
-            for cyc in cycles
-        )
-    raise MalformedInput(f"unknown family {family!r}")
+    return (not single or len(cycles) == 1) and all(map(admissible, cycles))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -78,15 +78,6 @@ class MPoly:
             raise DomainError(f"{self} is not constant")
         return self._terms.get((), Fraction(0))
 
-    def markers(self) -> tuple[str, ...]:
-        return tuple(sorted({name for mono in self._terms for name, _ in mono}))
-
-    def degree(self, name: str) -> int:
-        return max(
-            (exp for mono in self._terms for mark, exp in mono if mark == name),
-            default=0,
-        )
-
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(tuple(sorted(mono)), Fraction(0))
 
@@ -156,6 +147,9 @@ class MPoly:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant compares equal to its scalar, so it hashes like it
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(tuple(sorted(self._terms.items())))
 
     def __bool__(self):
@@ -341,10 +335,6 @@ class Series:
         return Series(tuple(c.substitute(assign) for c in self.coeffs))
 
 
-def zero_series(order: int) -> Series:
-    return Series((Fraction(0),) * (order + 1))
-
-
 def one_series(order: int) -> Series:
     return Series((Fraction(1),) + (Fraction(0),) * order)
 
@@ -419,10 +409,6 @@ def euler_numbers(n_max: int) -> list[int]:
         row = new
         out.append(row[-1])
     return out
-
-
-def euler_number(n: int) -> int:
-    return euler_numbers(n)[n]
 
 
 @lru_cache(maxsize=None)

@@ -108,16 +108,6 @@ def lr_min_positions(word: Sequence[int]) -> list[int]:
     return out
 
 
-def lr_max_positions(word: Sequence[int]) -> list[int]:
-    out = []
-    cur = None
-    for i, x in enumerate(word):
-        if cur is None or x > cur:
-            out.append(i)
-            cur = x
-    return out
-
-
 def extreme_positions(word: Sequence[int]) -> list[int]:
     """0-based positions >= 1 holding a running minimum or maximum."""
     lo = hi = None

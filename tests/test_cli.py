@@ -1,10 +1,12 @@
 import json
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from cudlab import cli
 from cudlab import oracle
+from cudlab.catalog import expected_ud_cycles
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -169,6 +171,11 @@ class TestVerify:
     def test_cap_exceeded_exits_3(self, capsys):
         assert cli.main(["verify", "--n", "12"]) == 3
 
+    def test_json_report_matches_golden(self, capsys):
+        code, out = run(capsys, "verify", "--n", "5", "--json")
+        assert code == 0
+        assert out.encode("ascii") == (GOLDEN / "verify_n5.json").read_bytes()
+
 
 class TestExpect:
     def test_exact(self, capsys):
@@ -219,6 +226,30 @@ class TestExpect:
     def test_unknown_target(self, capsys):
         assert cli.main(["expect", "nope", "--n", "3"]) == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_exit_2(self, capsys, samples):
+        argv = ["expect", "ud-cycles", "--n", "5", "--montecarlo", "--samples", samples]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--samples" in captured.err
+
+    def test_exact_past_the_int_text_limit(self, capsys):
+        # numerator and denominator have over 5,700 digits at n = 2000
+        exact = expected_ud_cycles(2000)
+        code, out = run(capsys, "expect", "ud-cycles", "--n", "2000", "--exact")
+        assert code == 0
+        fraction, value = out.split(" = ")
+        code, out = run(
+            capsys, "expect", "ud-cycles", "--n", "2000", "--exact", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == fraction
+        numerator, denominator = fraction.split("/")
+        assert Decimal(numerator) == exact.numerator
+        assert Decimal(denominator) == exact.denominator
+        assert float(value) == float(exact)
+
 
 class TestDiagram:
     def test_golden_output(self, capsys, tmp_path):
@@ -251,3 +282,11 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text(encoding="utf-8").splitlines()[0] == "0 1"
+
+    @pytest.mark.parametrize("argv", [["seq", "euler", "--n", "5"], ["diagram", "(1,2)"]])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing_dir" / "x"
+        assert cli.main(argv + ["--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -126,9 +126,11 @@ class TestFamilies:
         assert sorted(bad) == sorted(expected)
 
     def test_empty_permutation_memberships(self):
+        # every family but those that need one cycle or two entries
         empty = Permutation(())
-        for family in (Family.ALL, Family.UD, Family.CUD, Family.GCUD):
-            assert is_member(empty, family)
+        outside = {Family.CUD_CYCLIC, Family.GCUD_CYCLIC, Family.UD_LAST_GT_FIRST}
+        for family in Family:
+            assert is_member(empty, family) == (family not in outside)
 
     def test_cud_subset_of_gcud(self):
         for n in range(8):

@@ -47,6 +47,13 @@ class TestMPoly:
         with pytest.raises(DomainError):
             t.constant_value()
 
+    @pytest.mark.parametrize("value", [0, 1, -4, Fraction(1), Fraction(3, 7)])
+    def test_constant_hashes_like_its_value(self, value):
+        poly = MPoly.constant(value)
+        assert poly == value
+        assert hash(poly) == hash(value)
+        assert len({poly, value}) == 1
+
 
 class TestArithmetic:
     def test_product_of_binomials(self):
