@@ -7,8 +7,12 @@ tables), ``map`` (apply a bijection), ``verify`` (the full oracle suite),
 Carlo is deterministic given ``--seed``.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input or unknown name
-(a ``--samples`` below 1 included) or an ``--out`` path that cannot be
-written, 3 cap exceeded.  ``CUDLAB_CAP`` overrides the default enumeration cap.
+(a ``--samples`` below 1 included), an ``--out`` path that cannot be
+written, or a shared flag the subcommand would ignore (``--format csv``
+outside ``enumerate``, ``--format json`` on ``diagram``, ``--cap`` on
+``map``, ``verify`` or ``diagram``), 3 cap exceeded (``expect --n`` above
+``EXPECT_CAP`` without a ``--cap`` that allows it included).  ``CUDLAB_CAP``
+overrides the default enumeration cap.
 """
 
 from __future__ import annotations
@@ -50,6 +54,22 @@ from .series import MPoly, monomial_key
 from .statistics import STAT_NAMES, MinMaxPattern, stats
 
 
+# the largest n that ``expect`` accepts unless --cap says otherwise: the time
+# of the exact sum grows about as n^3 (some 2 s at n = 2000, 20 s at 4000)
+EXPECT_CAP = 3000
+
+# by subcommand, the output formats it prints and whether it reads --cap; any
+# other value of these shared flags is refused rather than ignored
+_SHARED_FLAGS = {
+    "seq": (("text", "json"), True),
+    "enumerate": (("text", "json", "csv"), True),
+    "map": (("text", "json"), False),
+    "verify": (("text", "json"), False),
+    "expect": (("text", "json"), True),
+    "diagram": (("text",), False),
+}
+
+
 @dataclass
 class Config:
     """Resolved global options."""
@@ -62,6 +82,13 @@ class Config:
 
 
 def _config_from(args: argparse.Namespace) -> Config:
+    formats, reads_cap = _SHARED_FLAGS[args.command]
+    if args.format not in formats:
+        raise MalformedInput(
+            f"{args.command} has no {args.format} output (formats: {', '.join(formats)})"
+        )
+    if args.cap is not None and not reads_cap:
+        raise MalformedInput(f"{args.command} takes no --cap")
     enum_cap = args.cap
     if enum_cap is None and os.environ.get("CUDLAB_CAP"):
         enum_cap = int(os.environ["CUDLAB_CAP"])
@@ -237,6 +264,9 @@ def cmd_expect(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     if args.target != "ud-cycles":
         raise MalformedInput(f"unknown expectation target {args.target!r}")
+    limit = args.cap if args.cap is not None else EXPECT_CAP
+    if args.n > limit:
+        raise CapExceeded(f"n={args.n} exceeds the expectation cap {limit}")
     exact = expected_ud_cycles(args.n)
     if args.montecarlo:
         if args.samples < 1:

@@ -5,19 +5,21 @@ and bijection property at desk scale.
 Enumeration is deliberately dumb: filter all of S_n, in lexicographic order.
 Up-down words (and cycle-up-down permutations) additionally have direct
 backtracking constructions, and the two routes are compared rather than
-trusted.  ``verify_all`` returns a machine-readable report; any failing row
-is a bug somewhere, by design with no tolerance.
+trusted.  ``verify_all`` walks each S_n once, through ``census``, and
+returns a machine-readable report; any failing row is a bug somewhere, by
+design with no tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence
 
-from . import bijections, matchings
+from . import bijections, matchings, perms
 from .catalog import (
     CapExceeded,
     catalog_series,
@@ -43,7 +45,7 @@ from .series import (
     tan_series,
     zigzag_egf_series,
 )
-from .statistics import MAX, MIN, MinMaxPattern, m_s, stats
+from .statistics import MAX, MIN, MinMaxPattern, StatVector, _stats_of, m_s, stats
 
 WORD_FAMILIES = (Family.UD, Family.DOWNUP, Family.UD_LAST_GT_FIRST)
 
@@ -102,12 +104,12 @@ def enumerate_family(
     _check_cap(family, n, cap)
     if family in WORD_FAMILIES:
         down_up = family is Family.DOWNUP
+        # every alternating word is up-down or down-up; only ud-last-gt-first
+        # has a further condition
+        keep = perms._WORD_TESTS[family] if family is Family.UD_LAST_GT_FIRST else None
         for word in _alternating_words(tuple(range(1, n + 1)), down_up=down_up):
-            if family is Family.UD_LAST_GT_FIRST and (
-                len(word) < 2 or word[-1] <= word[0]
-            ):
-                continue
-            yield Permutation(word)
+            if keep is None or keep(word):
+                yield Permutation(word)
         return
     yield from _filter_s_n(family, n)
 
@@ -193,6 +195,82 @@ def distribution_csv(table: DistributionTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+# families whose members a verify check visits one by one, not only as counts
+_ROW_FAMILIES = (
+    Family.UD,
+    Family.CUD,
+    Family.CUD_EVEN_ONLY,
+    Family.CUD_ODD_ONLY,
+    Family.UD_LAST_GT_FIRST,
+)
+
+# the h_map and ell_map checks visit every permutation of S_n up to this size
+_MAP_CHECK_N = 6
+
+
+@dataclass
+class Census:
+    """One walk of S_n, in lexicographic order.
+
+    ``stat_counts[family]`` counts the stat vectors of the family's members,
+    keyed in order of first appearance, so a table built from it lists its
+    rows in the order ``distribution`` does.  ``ms_counts`` counts the values
+    of ``m_s`` over S_n, one counter per pattern of ``_PATTERNS``.  ``rows``
+    keeps the members themselves, in lexicographic order, as (permutation,
+    stat vector, m_s values), only for the families whose checks need them
+    one by one.
+    """
+
+    n: int
+    stat_counts: dict[Family, Counter]
+    ms_counts: tuple[Counter, ...]
+    rows: dict[Family, list[tuple[Permutation, StatVector, tuple[int, ...]]]]
+
+    def count(self, family: Family) -> int:
+        return sum(self.stat_counts[family].values())
+
+    def distribution(
+        self, family: Family, stat_names: Sequence[str]
+    ) -> DistributionTable:
+        """The table ``distribution(family, n, stat_names)`` gives."""
+        rows: dict[tuple[int, ...], int] = {}
+        for sv, count in self.stat_counts[family].items():
+            key = tuple(getattr(sv, name) for name in stat_names)
+            rows[key] = rows.get(key, 0) + count
+        return DistributionTable(family, self.n, tuple(stat_names), rows)
+
+    def words(self, family: Family) -> list[tuple[int, ...]]:
+        return [p.word for p, _, _ in self.rows[family]]
+
+
+def census(n: int) -> Census:
+    """Walk S_n once: decompose each permutation once, and from that one
+    decomposition take its stat vector, its ``m_s`` values and its families."""
+    _check_cap(Family.ALL, n, None)
+    row_families = _ROW_FAMILIES + ((Family.ALL,) if n <= _MAP_CHECK_N else ())
+    stat_counts: dict[Family, Counter] = {family: Counter() for family in Family}
+    ms_counts = tuple(Counter() for _ in _PATTERNS)
+    rows: dict[Family, list] = {family: [] for family in row_families}
+    # the rows share one object per distinct stat vector and m_s triple
+    shared: dict = {}
+    for word in itertools.permutations(range(1, n + 1)):
+        p = Permutation(word)
+        # looked up on the module, so that a wrapper set there sees the call
+        cycles = perms.to_cycles(p).cycles
+        sv = _stats_of(p, cycles)
+        sv = shared.setdefault(sv, sv)
+        ms = tuple(m_s(p, pattern) for pattern in _PATTERNS)
+        ms = shared.setdefault(ms, ms)
+        for counter, value in zip(ms_counts, ms):
+            counter[value] += 1
+        row = (p, sv, ms)
+        for family in perms._families_of(p, cycles):
+            stat_counts[family][sv] += 1
+            if family in rows:
+                rows[family].append(row)
+    return Census(n, stat_counts, ms_counts, rows)
+
+
 # ---------------------------------------------------------------------------
 # the verification suite
 
@@ -240,17 +318,20 @@ def verify_all(n_cap: int = 7, euler_fn=euler_numbers) -> list[dict]:
     eul = euler_fn(max(21, 2 * n_cap + 8))
     order = max(20, n_cap + 2)
 
-    _verify_counts(rep, n_cap, eul)
+    # one walk of each S_n feeds every check; the censuses go when this returns
+    censuses = [census(n) for n in range(n_cap + 1)]
+    _verify_counts(rep, censuses, eul)
     _verify_series_identities(rep, eul, order)
     _verify_specializations(rep, order)
-    _verify_distributions(rep, n_cap, eul)
-    _verify_bijections(rep, n_cap)
-    _verify_matchings(rep, n_cap, eul)
-    _verify_expectations(rep, n_cap, eul)
+    _verify_distributions(rep, censuses, eul)
+    _verify_bijections(rep, censuses)
+    _verify_matchings(rep, censuses, eul)
+    _verify_expectations(rep, censuses, eul)
     return rep.entries
 
 
-def _verify_counts(rep: _Report, n_cap: int, eul: list[int]) -> None:
+def _verify_counts(rep: _Report, censuses: list[Census], eul: list[int]) -> None:
+    n_cap = len(censuses) - 1
     series_of = {
         seq_id: catalog_series(seq_id, n_cap)
         for seq_id in (
@@ -265,43 +346,43 @@ def _verify_counts(rep: _Report, n_cap: int, eul: list[int]) -> None:
             "cud-cyclic",
         )
     }
-    for n in range(n_cap + 1):
-        rep.add("ud-count", n, eul[n], count_family(Family.UD, n))
-        rep.add("downup-count", n, eul[n], count_family(Family.DOWNUP, n))
-        cud_count = count_family(Family.CUD, n)
+    for n, cen in enumerate(censuses):
+        rep.add("ud-count", n, eul[n], cen.count(Family.UD))
+        rep.add("downup-count", n, eul[n], cen.count(Family.DOWNUP))
+        cud_count = cen.count(Family.CUD)
         rep.add("cud-count", n, eul[n + 1], cud_count)
         rep.add("cud-count-series", n, series_of["cud"].egf_int(n), cud_count)
         rep.add(
-            "cud-odd-only-count", n, eul[n], count_family(Family.CUD_ODD_ONLY, n)
+            "cud-odd-only-count", n, eul[n], cen.count(Family.CUD_ODD_ONLY)
         )
         if n % 2 == 0:
             rep.add(
-                "cud-even-only-count", n, eul[n], count_family(Family.CUD_EVEN_ONLY, n)
+                "cud-even-only-count", n, eul[n], cen.count(Family.CUD_EVEN_ONLY)
             )
         if n >= 1:
             rep.add(
-                "cud-cyclic-count", n, eul[n - 1], count_family(Family.CUD_CYCLIC, n)
+                "cud-cyclic-count", n, eul[n - 1], cen.count(Family.CUD_CYCLIC)
             )
             rep.add(
                 "cud-derangement-count",
                 n,
                 series_of["cud-derangements"].egf_int(n),
-                count_family(Family.CUD_DERANGEMENT, n),
+                cen.count(Family.CUD_DERANGEMENT),
             )
             rep.add(
-                "gcud-count", n, series_of["gcud"].egf_int(n), count_family(Family.GCUD, n)
+                "gcud-count", n, series_of["gcud"].egf_int(n), cen.count(Family.GCUD)
             )
             rep.add(
                 "gcud-even-only-count",
                 n,
                 series_of["gcud-even-only"].egf_int(n),
-                count_family(Family.GCUD_EVEN_ONLY, n),
+                cen.count(Family.GCUD_EVEN_ONLY),
             )
             rep.add(
                 "gcud-odd-only-count",
                 n,
                 series_of["gcud-odd-only"].egf_int(n),
-                count_family(Family.GCUD_ODD_ONLY, n),
+                cen.count(Family.GCUD_ODD_ONLY),
             )
             # odd generalized up-down cycles have a unique up-down
             # representation, so odd cyclic counts are E_n (EGF tan z)
@@ -309,17 +390,17 @@ def _verify_counts(rep: _Report, n_cap: int, eul: list[int]) -> None:
                 "gcud-cyclic-count",
                 n,
                 series_of["gcud-even-cyclic"].egf_int(n) + (eul[n] if n % 2 else 0),
-                count_family(Family.GCUD_CYCLIC, n),
+                cen.count(Family.GCUD_CYCLIC),
             )
         rep.add(
             "exc-def-swap-count",
             n,
             series_of["exc-def-swap"].egf_int(n),
-            count_family(Family.EXC_DEF_SWAP, n),
+            cen.count(Family.EXC_DEF_SWAP),
         )
         if n >= 2 and n % 2 == 0:
             k = n // 2
-            last_gt_first_count = count_family(Family.UD_LAST_GT_FIRST, n)
+            last_gt_first_count = cen.count(Family.UD_LAST_GT_FIRST)
             rep.add("ud-last-gt-first-count", n, k * eul[n - 1], last_gt_first_count)
             rep.add(
                 "ud-last-gt-first-series",
@@ -333,17 +414,19 @@ def _verify_counts(rep: _Report, n_cap: int, eul: list[int]) -> None:
                 eul[n] - (k - 1) * eul[n - 1],
                 series_of["gcud-even-cyclic"].egf_int(n),
             )
-    for n in range(min(n_cap, 8) + 1):
+    # up to n = 8: the census filters S_n, while the backtracker and
+    # iter_cud_direct build the members directly
+    for n, cen in enumerate(censuses[:9]):
         rep.add(
             "ud-dual-generation",
             n,
-            [p.word for p in iter_ud_by_filter(n)],
+            cen.words(Family.UD),
             [p.word for p in enumerate_family(Family.UD, n)],
         )
         rep.add(
             "cud-dual-generation",
             n,
-            sorted(p.word for p in enumerate_family(Family.CUD, n)),
+            sorted(cen.words(Family.CUD)),
             sorted(p.word for p in iter_cud_direct(n)),
         )
 
@@ -446,39 +529,36 @@ _MARKED_TABLES = (
 )
 
 
-def _verify_distributions(rep: _Report, n_cap: int, eul: list[int]) -> None:
+def _verify_distributions(rep: _Report, censuses: list[Census], eul: list[int]) -> None:
+    n_cap = len(censuses) - 1
     for name, seq_id, family, stat_names, markers, start in _MARKED_TABLES:
         series = catalog_series(seq_id, n_cap)
-        for n in range(start, n_cap + 1):
-            table = distribution(family, n, stat_names)
+        for cen in censuses[start:]:
             rep.add(
                 name,
-                n,
-                series.egf_term(n),
-                table.to_poly(markers),
+                cen.n,
+                series.egf_term(cen.n),
+                cen.distribution(family, stat_names).to_poly(markers),
             )
-    for n in range(1, n_cap + 1):
+    for cen in censuses[1:]:
+        n = cen.n
         stirling_row = {k: stirling_c(n, k) for k in range(1, n + 1) if stirling_c(n, k)}
         for stat in ("st", "lrm", "c"):
-            table = distribution(Family.ALL, n, (stat,))
+            table = cen.distribution(Family.ALL, (stat,))
             rep.add(
                 f"dist-{stat}-stirling",
                 n,
                 stirling_row,
                 {k: v for (k,), v in sorted(table.rows.items())},
             )
-        for pattern in _PATTERNS:
-            counts: dict[int, int] = {}
-            for p in enumerate_family(Family.ALL, n):
-                k = m_s(p, pattern)
-                counts[k] = counts.get(k, 0) + 1
+        for pattern, counts in zip(_PATTERNS, cen.ms_counts):
             rep.add(f"dist-ms-stirling[{pattern}]", n, stirling_row, dict(sorted(counts.items())))
         extr_expected = {
             k: (2**k) * stirling_c(n - 1, k)
             for k in range(1, n)
             if stirling_c(n - 1, k)
         }
-        table = distribution(Family.ALL, n, ("extr",))
+        table = cen.distribution(Family.ALL, ("extr",))
         rep.add(
             "dist-extr-stirling",
             n,
@@ -491,8 +571,8 @@ def _verify_distributions(rep: _Report, n_cap: int, eul: list[int]) -> None:
             0 if n > 1 else 1,
             sum(v for (k,), v in table.rows.items() if k == 0),
         )
-    for n in range(n_cap + 1):
-        cud_stats = [stats(p) for p in enumerate_family(Family.CUD, n)]
+    for n, cen in enumerate(censuses):
+        cud_stats = [sv for _, sv, _ in cen.rows[Family.CUD]]
         rep.add(
             "exc-parity-relation",
             n,
@@ -517,40 +597,43 @@ def _verify_distributions(rep: _Report, n_cap: int, eul: list[int]) -> None:
         )
 
 
-def _verify_bijections(rep: _Report, n_cap: int) -> None:
-    for n in range(n_cap + 1):
-        ud_words = list(enumerate_family(Family.UD, n))
+def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
+    for n, cen in enumerate(censuses):
+        ud_rows = cen.rows[Family.UD]
         if n % 2 == 0:
             images = []
             ok_stats = True
-            for p in ud_words:
+            for p, sv, _ in ud_rows:
                 c = bijections.g_even(p)
                 images.append(c)
-                ok_stats = ok_stats and len(c) == stats(p).lrm
+                ok_stats = ok_stats and len(c) == sv.lrm
                 ok_stats = ok_stats and bijections.g_even_inverse(c) == p
-            even_only = {q.word for q in enumerate_family(Family.CUD_EVEN_ONLY, n)}
             rep.add("bij-g-roundtrip", n, True, ok_stats)
             rep.add(
                 "bij-g-image",
                 n,
-                sorted(even_only),
+                sorted(cen.words(Family.CUD_EVEN_ONLY)),
                 sorted(from_cycles(c).word for c in images),
             )
         images = []
         ok = True
-        for p in ud_words:
+        for p, sv, _ in ud_rows:
             c = bijections.f_odd(p)
             images.append(c)
-            ok = ok and len(c) == stats(p).st
+            ok = ok and len(c) == sv.st
             ok = ok and bijections.f_odd_inverse(c) == p
-        odd_only = {q.word for q in enumerate_family(Family.CUD_ODD_ONLY, n)}
         rep.add("bij-f-roundtrip", n, True, ok)
         rep.add(
-            "bij-f-image", n, sorted(odd_only), sorted(from_cycles(c).word for c in images)
+            "bij-f-image",
+            n,
+            sorted(cen.words(Family.CUD_ODD_ONLY)),
+            sorted(from_cycles(c).word for c in images),
         )
-    for n in range(n_cap + 1):
+    for n, cen in enumerate(censuses):
+        # UD_{n+1} lies past the last census at n = n_cap, so the backtracker
+        # builds it
         ud_next = list(enumerate_family(Family.UD, n + 1))
-        cud_words = sorted(q.word for q in enumerate_family(Family.CUD, n))
+        cud_words = sorted(cen.words(Family.CUD))
         phi_images = []
         jbij_images = []
         ok_phi = ok_phi_stats = ok_jbij = ok_jbij_stats = True
@@ -558,7 +641,7 @@ def _verify_bijections(rep: _Report, n_cap: int) -> None:
             sv = stats(p)
             c = bijections.phi(p)
             phi_images.append(c)
-            sc = stats(from_cycles(c))
+            sc = _stats_of(from_cycles(c), c.cycles)
             ok_phi_stats = ok_phi_stats and (
                 sc.c_e == sv.lrm - 1 and sc.c_o == sv.st - 1 and sc.c == sv.lrm + sv.st - 2
             )
@@ -577,17 +660,17 @@ def _verify_bijections(rep: _Report, n_cap: int) -> None:
         rep.add(
             "bij-jbij-image", n, cud_words, sorted(from_cycles(c).word for c in jbij_images)
         )
-    for n in range(1, n_cap + 1):
-        ud_stats = [stats(p) for p in enumerate_family(Family.UD, n)]
+    for cen in censuses[1:]:
+        ud_stats = [sv for _, sv, _ in cen.rows[Family.UD]]
         rep.add(
             "equidist-extr-vs-lrm-st",
-            n,
+            cen.n,
             sorted(sv.extr for sv in ud_stats),
             sorted(sv.lrm + sv.st - 2 for sv in ud_stats),
         )
-    for n in range(2, n_cap + 1, 2):
-        k = n // 2
-        starts_low = [p for p in enumerate_family(Family.UD, n) if p.word[0] == 1]
+    for cen in censuses[2::2]:
+        n, k = cen.n, cen.n // 2
+        starts_low = [p for p, _, _ in cen.rows[Family.UD] if p.word[0] == 1]
         produced = set()
         ok = True
         for p in starts_low:
@@ -595,46 +678,45 @@ def _verify_bijections(rep: _Report, n_cap: int) -> None:
                 q = bijections.rotate_ud(p, i)
                 ok = ok and is_member(q, Family.UD_LAST_GT_FIRST)
                 produced.add(q.word)
-        expected = sorted(q.word for q in enumerate_family(Family.UD_LAST_GT_FIRST, n))
+        expected = sorted(cen.words(Family.UD_LAST_GT_FIRST))
         rep.add("rotation-bijection", n, expected, sorted(produced))
         rep.add("rotation-count", n, k * len(starts_low), len(produced))
-    for n in range(1, min(n_cap, 6) + 1):
-        perms = list(enumerate_family(Family.ALL, n))
-        for pattern in _PATTERNS:
-            images = [bijections.h_map(p, pattern) for p in perms]
-            ok = all(stats(q).lrm == m_s(p, pattern) for p, q in zip(perms, images))
+    for cen in censuses[1 : _MAP_CHECK_N + 1]:
+        n, s_n = cen.n, cen.rows[Family.ALL]
+        for i, pattern in enumerate(_PATTERNS):
+            images = [bijections.h_map(p, pattern) for p, _, _ in s_n]
+            ok = all(stats(q).lrm == ms[i] for (_, _, ms), q in zip(s_n, images))
             rep.add(f"bij-h-transport[{pattern}]", n, True, ok)
             rep.add(
                 f"bij-h-bijective[{pattern}]", n, factorial(n), len({q.word for q in images})
             )
-    for n in range(1, min(n_cap, 6) + 1):
+    for cen in censuses[1 : _MAP_CHECK_N + 1]:
         produced = set()
         ok = True
-        for p in enumerate_family(Family.ALL, n):
-            k = stats(p).lrm
+        for p, sv, _ in cen.rows[Family.ALL]:
+            k = sv.lrm
             for bits in itertools.product((0, 1), repeat=k):
                 q = bijections.ell_map(p, bits)
                 produced.add(q.word)
                 ok = ok and stats(q).extr == k
                 ok = ok and bijections.ell_inverse(q) == (p, bits)
-        rep.add("bij-ell-roundtrip", n, True, ok)
-        rep.add("bij-ell-image", n, factorial(n + 1), len(produced))
+        rep.add("bij-ell-roundtrip", cen.n, True, ok)
+        rep.add("bij-ell-image", cen.n, factorial(cen.n + 1), len(produced))
 
 
-def _verify_matchings(rep: _Report, n_cap: int, eul: list[int]) -> None:
-    for n in range(2, n_cap + 1, 2):
-        members = list(enumerate_family(Family.CUD_EVEN_ONLY, n))
+def _verify_matchings(rep: _Report, censuses: list[Census], eul: list[int]) -> None:
+    for cen in censuses[2::2]:
         pairs = set()
         ok = True
-        for p in members:
+        for p, _, _ in cen.rows[Family.CUD_EVEN_ONLY]:
             mp = matchings.to_matching_pair(p)
             pairs.add((mp.red, mp.blue))
             ok = ok and matchings.from_matching_pair(mp) == p
-        rep.add("matching-roundtrip", n, True, ok)
-        rep.add("matching-count", n, eul[n], len(pairs))
+        rep.add("matching-roundtrip", cen.n, True, ok)
+        rep.add("matching-count", cen.n, eul[cen.n], len(pairs))
 
 
-def _verify_expectations(rep: _Report, n_cap: int, eul: list[int]) -> None:
+def _verify_expectations(rep: _Report, censuses: list[Census], eul: list[int]) -> None:
     avg = catalog_series("avg-ud-cycles", 12)
     for n in range(1, 13):
         rep.add(
@@ -646,13 +728,10 @@ def _verify_expectations(rep: _Report, n_cap: int, eul: list[int]) -> None:
             no_ud_fraction_formula(n) * factorial(n),
             no_ud_cycles_count(n),
         )
-    for n in range(1, n_cap + 1):
-        total = 0
-        no_ud = 0
-        for p in enumerate_family(Family.ALL, n):
-            u = stats(p).ud
-            total += u
-            no_ud += u == 0
+    for cen in censuses[1:]:
+        n, counts = cen.n, cen.stat_counts[Family.ALL]
+        total = sum(sv.ud * count for sv, count in counts.items())
+        no_ud = sum(count for sv, count in counts.items() if sv.ud == 0)
         rep.add(
             "expected-ud-vs-oracle",
             n,

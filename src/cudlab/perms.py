@@ -284,9 +284,21 @@ def is_member(p: Permutation, family: Family) -> bool:
     word_test = _WORD_TESTS.get(family)
     if word_test is not None:
         return word_test(p.word)
+    return _admits(family, to_cycles(p).cycles)
+
+
+def _admits(family: Family, cycles: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether the canonical cycles make a member of the cycle family."""
     admissible, single = _CYCLE_FAMILIES[family]
-    cycles = to_cycles(p).cycles
     return (not single or len(cycles) == 1) and all(map(admissible, cycles))
+
+
+def _families_of(p: Permutation, cycles: tuple[tuple[int, ...], ...]) -> list[Family]:
+    """Every family ``p`` belongs to, given its canonical cycles: exactly
+    those ``f`` for which ``is_member(p, f)`` holds."""
+    return [family for family, test in _WORD_TESTS.items() if test(p.word)] + [
+        family for family in _CYCLE_FAMILIES if _admits(family, cycles)
+    ]
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

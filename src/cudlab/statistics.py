@@ -162,8 +162,12 @@ def stats(p: Permutation) -> StatVector:
     >>> stats(Permutation((4, 8, 1, 2, 7, 6, 3, 5))).st
     4
     """
+    return _stats_of(p, to_cycles(p).cycles)
+
+
+def _stats_of(p: Permutation, cycles: tuple[tuple[int, ...], ...]) -> StatVector:
+    """``stats(p)``, given the canonical cycles of ``p``."""
     word = p.word
-    cycles = to_cycles(p).cycles
     c = len(cycles)
     c_o = sum(1 for cyc in cycles if len(cyc) % 2 == 1)
     ud = sum(1 for cyc in cycles if is_up_down_word(cyc))

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -176,6 +178,12 @@ class TestVerify:
         assert code == 0
         assert out.encode("ascii") == (GOLDEN / "verify_n5.json").read_bytes()
 
+    def test_json_report_at_7_matches_golden_digest(self, capsys):
+        code, out = run(capsys, "verify", "--n", "7", "--json")
+        assert code == 0
+        digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+        assert digest == (GOLDEN / "verify_n7.sha256").read_text(encoding="ascii").strip()
+
 
 class TestExpect:
     def test_exact(self, capsys):
@@ -234,6 +242,19 @@ class TestExpect:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "--samples" in captured.err
 
+    def test_n_cap(self, capsys, monkeypatch):
+        # the sum itself is patched out: only the limit is under test
+        monkeypatch.setattr(cli, "expected_ud_cycles", lambda n: Fraction(n, 3))
+        at_cap = str(cli.EXPECT_CAP)
+        over_cap = str(cli.EXPECT_CAP + 1)
+        assert cli.main(["expect", "ud-cycles", "--n", at_cap, "--float"]) == 0
+        assert cli.main(["expect", "ud-cycles", "--n", over_cap, "--float"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        argv = ["expect", "ud-cycles", "--n", over_cap, "--float", "--cap", over_cap]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == f"{float(Fraction(int(over_cap), 3))!r}\n"
+
     def test_exact_past_the_int_text_limit(self, capsys):
         # numerator and denominator have over 5,700 digits at n = 2000
         exact = expected_ud_cycles(2000)
@@ -290,3 +311,28 @@ class TestOutputFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestIgnoredFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["seq", "euler", "--n", "5", "--format", "csv"],
+            ["map", "phi", "1 3 2", "--format", "csv"],
+            ["expect", "ud-cycles", "--n", "3", "--format", "csv"],
+            ["verify", "--n", "1", "--format", "csv"],
+            ["diagram", "(1,2)", "--format", "csv"],
+            ["diagram", "(1,2)", "--format", "json"],
+            ["verify", "--n", "3", "--cap", "1"],
+            ["map", "phi", "1 3 2", "--cap", "3"],
+            ["diagram", "(1,2)", "--cap", "3"],
+        ],
+    )
+    def test_exit_2(self, capsys, tmp_path, argv):
+        if argv[0] == "diagram":
+            argv = argv + ["--out", str(tmp_path / "fig.svg")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "fig.svg").exists()

@@ -1,10 +1,14 @@
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
+from cudlab import oracle
 from cudlab.catalog import CapExceeded
 from cudlab.oracle import (
+    WORD_FAMILIES,
+    census,
     count_family,
     distribution,
     distribution_csv,
@@ -14,8 +18,9 @@ from cudlab.oracle import (
     report_passed,
     verify_all,
 )
-from cudlab.perms import Family
+from cudlab.perms import Family, Permutation, is_member
 from cudlab.series import MPoly, euler_numbers, stirling_c
+from cudlab.statistics import STAT_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +51,16 @@ class TestCounts:
             assert sorted(p.word for p in iter_cud_direct(n)) == [
                 p.word for p in enumerate_family(Family.CUD, n)
             ]
+
+    @pytest.mark.parametrize("family", WORD_FAMILIES)
+    def test_word_families_match_the_s_n_filter(self, family):
+        for n in range(9):
+            filtered = [
+                word
+                for word in itertools.permutations(range(1, n + 1))
+                if is_member(Permutation(word), family)
+            ]
+            assert [p.word for p in enumerate_family(family, n)] == filtered, n
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceeded):
@@ -85,6 +100,43 @@ class TestDistribution:
         table = distribution(Family.CUD, 4, ("c_o", "c_e"))
         want = (GOLDEN / "cud4_odd_even.csv").read_text(encoding="ascii")
         assert distribution_csv(table) == want
+
+
+class _CountingItertools:
+    """Stands in for ``itertools`` in the oracle and records the size of
+    every S_n walked."""
+
+    def __init__(self):
+        self.walked = []
+
+    def __getattr__(self, name):
+        return getattr(itertools, name)
+
+    def permutations(self, iterable):
+        values = tuple(iterable)
+        self.walked.append(len(values))
+        return itertools.permutations(values)
+
+
+class TestCensus:
+    def test_verify_walks_each_s_n_once(self, monkeypatch):
+        counting = _CountingItertools()
+        monkeypatch.setattr(oracle, "itertools", counting)
+        assert report_passed(verify_all(5))
+        assert sorted(counting.walked) == [0, 1, 2, 3, 4, 5]
+
+    def test_agrees_with_the_enumeration(self):
+        for n in range(7):
+            cen = census(n)
+            for family in Family:
+                assert cen.count(family) == count_family(family, n), (family, n)
+                assert cen.distribution(family, STAT_NAMES) == distribution(
+                    family, n, STAT_NAMES
+                ), (family, n)
+
+    def test_keeps_every_permutation_only_where_the_maps_are_checked(self):
+        assert len(census(6).rows[Family.ALL]) == 720
+        assert Family.ALL not in census(7).rows
 
 
 class TestVerifyAll:
