@@ -8,11 +8,13 @@ Carlo is deterministic given ``--seed``.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input or unknown name
 (a ``--samples`` below 1 included), an ``--out`` path that cannot be
-written, or a shared flag the subcommand would ignore (``--format csv``
-outside ``enumerate``, ``--format json`` on ``diagram``, ``--cap`` on
-``map``, ``verify`` or ``diagram``), 3 cap exceeded (``expect --n`` above
-``EXPECT_CAP`` without a ``--cap`` that allows it included).  ``CUDLAB_CAP``
-overrides the default enumeration cap.
+written, or a flag the command would ignore (``--format csv`` outside
+``enumerate``, ``--format json`` on ``diagram``, ``--cap`` on ``map``,
+``verify`` or ``diagram``, ``--seed`` anywhere but ``expect --montecarlo``,
+``--samples`` without ``--montecarlo``, and ``map --bits``, ``--pattern``
+or ``--order`` on any map but ``ell``, ``h`` or ``foata`` in turn), 3 cap
+exceeded (``expect --n`` above ``EXPECT_CAP`` without a ``--cap`` that
+allows it included).  ``CUDLAB_CAP`` overrides the default enumeration cap.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ from .statistics import STAT_NAMES, MinMaxPattern, stats
 # of the exact sum grows about as n^3 (some 2 s at n = 2000, 20 s at 4000)
 EXPECT_CAP = 3000
 
+# the values of --samples and map --pattern when they are not given; the
+# parser's own defaults stay None, so that a flag given where nothing reads it
+# is refused rather than ignored
+DEFAULT_SAMPLES = 100000
+DEFAULT_PATTERN = "min,max,..."
+
 # by subcommand, the output formats it prints and whether it reads --cap; any
 # other value of these shared flags is refused rather than ignored
 _SHARED_FLAGS = {
@@ -89,6 +97,8 @@ def _config_from(args: argparse.Namespace) -> Config:
         )
     if args.cap is not None and not reads_cap:
         raise MalformedInput(f"{args.command} takes no --cap")
+    if args.seed is not None and not getattr(args, "montecarlo", False):
+        raise MalformedInput("only expect --montecarlo takes --seed")
     enum_cap = args.cap
     if enum_cap is None and os.environ.get("CUDLAB_CAP"):
         enum_cap = int(os.environ["CUDLAB_CAP"])
@@ -96,7 +106,7 @@ def _config_from(args: argparse.Namespace) -> Config:
         order_cap=args.cap if args.cap is not None else DEFAULT_ORDER_CAP,
         enum_cap=enum_cap,
         fmt="json" if getattr(args, "json", False) else args.format,
-        seed=args.seed,
+        seed=args.seed if args.seed is not None else 0,
         out=args.out,
     )
 
@@ -199,19 +209,27 @@ _MAPS = {
     "jbij": lambda value, args: bijections.jbij(_as_permutation(value)),
     "jbij-inv": lambda value, args: bijections.jbij_inverse(_as_cycles(value)),
     "h": lambda value, args: bijections.h_map(
-        _as_permutation(value), MinMaxPattern.parse(args.pattern)
+        _as_permutation(value), MinMaxPattern.parse(
+            args.pattern if args.pattern is not None else DEFAULT_PATTERN
+        )
     ),
     "ell": _ell,
     "ell-inv": lambda value, args: bijections.ell_inverse(_as_permutation(value)),
     "foata": lambda value, args: bijections.foata_word(
-        _as_cycles(value), descending=args.order == "desc"
+        _as_cycles(value), descending=args.order != "asc"
     ),
 }
+
+# the map flags, each with the one map that reads it
+_MAP_FLAGS = {"bits": "ell", "pattern": "h", "order": "foata"}
 
 
 def cmd_map(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     name = args.name
+    for flag, reader in _MAP_FLAGS.items():
+        if getattr(args, flag) is not None and name != reader:
+            raise MalformedInput(f"only map {reader} takes --{flag}")
     result = _MAPS[name](parse_any(args.input), args)
     if isinstance(result, tuple):  # ell-inv: (permutation, bit word)
         perm, bits = result
@@ -262,6 +280,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_expect(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
+    if args.samples is not None and not args.montecarlo:
+        raise MalformedInput("only expect --montecarlo takes --samples")
     if args.target != "ud-cycles":
         raise MalformedInput(f"unknown expectation target {args.target!r}")
     limit = args.cap if args.cap is not None else EXPECT_CAP
@@ -269,23 +289,24 @@ def cmd_expect(args: argparse.Namespace) -> int:
         raise CapExceeded(f"n={args.n} exceeds the expectation cap {limit}")
     exact = expected_ud_cycles(args.n)
     if args.montecarlo:
-        if args.samples < 1:
-            raise MalformedInput(f"--samples must be positive, got {args.samples}")
+        samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
+        if samples < 1:
+            raise MalformedInput(f"--samples must be positive, got {samples}")
         rng = random.Random(cfg.seed)
         total = 0
         total_sq = 0
-        for _ in range(args.samples):
+        for _ in range(samples):
             u = stats(_random_permutation(args.n, rng)).ud
             total += u
             total_sq += u * u
-        mean = total / args.samples
-        variance = total_sq / args.samples - mean * mean
-        stderr = sqrt(max(variance, 0.0) / args.samples)
+        mean = total / samples
+        variance = total_sq / samples - mean * mean
+        stderr = sqrt(max(variance, 0.0) / samples)
         if cfg.fmt == "json":
             payload = {
                 "n": args.n,
                 "mode": "montecarlo",
-                "samples": args.samples,
+                "samples": samples,
                 "seed": cfg.seed,
                 "estimate": mean,
                 "stderr": stderr,
@@ -345,7 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "csv"), default="text", help="output format"
     )
     shared.add_argument("--out", default=None, help="write output to this file")
-    shared.add_argument("--seed", type=int, default=0, help="RNG seed (Monte Carlo)")
+    shared.add_argument(
+        "--seed", type=int, default=None, help="RNG seed of expect --montecarlo (default 0)"
+    )
     shared.add_argument(
         "--cap", type=int, default=None, help="raise/lower the enumeration or order cap"
     )
@@ -379,9 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("input", help="one-line word or (cycle)(notation)")
     p_map.add_argument("--bits", default=None, help="bit word for ell, e.g. 10011")
     p_map.add_argument(
-        "--pattern", default="min,max,...", help="min/max pattern for h"
+        "--pattern", default=None, help=f"min/max pattern for h (default {DEFAULT_PATTERN})"
     )
-    p_map.add_argument("--order", choices=("asc", "desc"), default="desc")
+    p_map.add_argument(
+        "--order", choices=("asc", "desc"), default=None, help="foata order (default desc)"
+    )
     p_map.set_defaults(func=cmd_map)
 
     p_verify = sub.add_parser(
@@ -399,7 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p_expect.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", default=True)
     mode.add_argument("--montecarlo", action="store_true")
-    p_expect.add_argument("--samples", type=int, default=100000)
+    p_expect.add_argument(
+        "--samples",
+        type=int,
+        default=None,
+        help=f"Monte Carlo sample count (default {DEFAULT_SAMPLES})",
+    )
     p_expect.add_argument("--float", action="store_true", help="print only the float")
     p_expect.set_defaults(func=cmd_expect)
 

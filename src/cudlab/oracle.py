@@ -2,12 +2,14 @@
 verification of every counting claim, series identity, distribution formula,
 and bijection property at desk scale.
 
-Enumeration is deliberately dumb: filter all of S_n, in lexicographic order.
-Up-down words (and cycle-up-down permutations) additionally have direct
-backtracking constructions, and the two routes are compared rather than
-trusted.  ``verify_all`` walks each S_n once, through ``census``, and
-returns a machine-readable report; any failing row is a bug somewhere, by
-design with no tolerance.
+``enumerate_family`` is deliberately dumb: it filters all of S_n, in
+lexicographic order, except for the up-down words, which a backtracker
+builds.  ``distribution`` builds the cycle families directly, as sets of
+admissible cycles (``iter_cycle_family``); the S_n filter stays the
+reference that the direct routes are compared with rather than trusted.
+``verify_all`` walks each S_n once, through ``census``, and returns a
+machine-readable report; any failing row is a bug somewhere, by design with
+no tolerance.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .catalog import (
     secant_cf_convergent,
 )
 from .perms import (
-    CycleDecomposition,
     Family,
     Permutation,
     from_cycles,
@@ -155,33 +156,71 @@ def iter_ud_by_filter(n: int) -> Iterator[Permutation]:
     return _filter_s_n(Family.UD, n)
 
 
-def iter_cud_direct(n: int) -> Iterator[Permutation]:
-    """Second route to CUD_n: pick the cycle of the smallest remaining
-    element directly as (min, then a down-up word of a subset)."""
+def iter_cycle_family(
+    family: Family, n: int
+) -> Iterator[tuple[Permutation, tuple[tuple[int, ...], ...]]]:
+    """Every member of the cycle family in S_n exactly once, with its
+    canonical cycles, built as a set of admissible cycles.
 
-    def build(remaining: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    The cycle through the smallest remaining element takes that element and
+    a subset of the rest, and is one of the family's admissible patterns
+    (``perms.admissible_patterns``) relabelled onto those points; the rest
+    is built the same way.  A single-cycle family takes the whole set at
+    once, so it has no member at n = 0.  The order is not lexicographic.
+    """
+    _, single = perms._CYCLE_FAMILIES[family]
+    if single and n == 0:
+        return
+    tables = [
+        (k, table)
+        for k in ((n,) if single else range(1, n + 1))
+        if (table := perms.admissible_patterns(family, k))
+    ]
+    # word[a - 1] is the image of a; each cycle sets the images of its points
+    word = [0] * n
+    cycles: list[tuple[int, ...]] = []
+
+    def build(remaining: tuple[int, ...]) -> Iterator:
         if not remaining:
-            yield ()
+            yield Permutation(tuple(word)), tuple(cycles)
             return
         head, rest = remaining[0], remaining[1:]
-        for size in range(len(rest) + 1):
-            for subset in itertools.combinations(rest, size):
-                left = tuple(x for x in rest if x not in subset)
-                for tail_word in _alternating_words(subset, down_up=True):
-                    for more in build(left):
-                        yield ((head,) + tail_word,) + more
+        for k, table in tables:
+            if k > len(remaining):
+                break
+            for subset in itertools.combinations(rest, k - 1):
+                points = (head,) + subset
+                chosen = set(subset)
+                left = tuple(x for x in rest if x not in chosen)
+                for pattern in table:
+                    cycle = tuple(points[i] for i in pattern)
+                    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                        word[a - 1] = b
+                    cycles.append(cycle)
+                    yield from build(left)
+                    cycles.pop()
 
-    for cycles in build(tuple(range(1, n + 1))):
-        yield from_cycles(CycleDecomposition.from_raw(cycles))
+    yield from build(tuple(range(1, n + 1)))
+
+
+def iter_cud_direct(n: int) -> Iterator[Permutation]:
+    """Second route to CUD_n, built cycle by cycle: see ``iter_cycle_family``."""
+    return (p for p, _ in iter_cycle_family(Family.CUD, n))
 
 
 def distribution(
     family: Family, n: int, stat_names: Sequence[str], cap: int | None = None
 ) -> DistributionTable:
-    """Exact joint distribution of the named statistics."""
+    """Exact joint distribution of the named statistics.  Cycle families are
+    built directly by ``iter_cycle_family``; the others come from
+    ``enumerate_family``."""
+    _check_cap(family, n, cap)
+    if family in perms._CYCLE_FAMILIES:
+        vectors = (_stats_of(p, cycles) for p, cycles in iter_cycle_family(family, n))
+    else:
+        vectors = map(stats, enumerate_family(family, n, cap))
     rows: dict[tuple[int, ...], int] = {}
-    for p in enumerate_family(family, n, cap):
-        sv = stats(p)
+    for sv in vectors:
         key = tuple(getattr(sv, name) for name in stat_names)
         rows[key] = rows.get(key, 0) + 1
     return DistributionTable(family, n, tuple(stat_names), rows)
@@ -213,18 +252,18 @@ class Census:
     """One walk of S_n, in lexicographic order.
 
     ``stat_counts[family]`` counts the stat vectors of the family's members,
-    keyed in order of first appearance, so a table built from it lists its
-    rows in the order ``distribution`` does.  ``ms_counts`` counts the values
-    of ``m_s`` over S_n, one counter per pattern of ``_PATTERNS``.  ``rows``
-    keeps the members themselves, in lexicographic order, as (permutation,
-    stat vector, m_s values), only for the families whose checks need them
-    one by one.
+    keyed in order of first appearance.  ``ms_counts`` counts the values of
+    ``m_s`` over S_n, one counter per pattern of ``_PATTERNS``.  ``rows``
+    keeps the members themselves, in lexicographic order, as (word, stat
+    vector, m_s values), only for the families whose checks need them one by
+    one; a check that hands a member to a bijection builds its
+    ``Permutation`` there.
     """
 
     n: int
     stat_counts: dict[Family, Counter]
     ms_counts: tuple[Counter, ...]
-    rows: dict[Family, list[tuple[Permutation, StatVector, tuple[int, ...]]]]
+    rows: dict[Family, list[tuple[tuple[int, ...], StatVector, tuple[int, ...]]]]
 
     def count(self, family: Family) -> int:
         return sum(self.stat_counts[family].values())
@@ -240,7 +279,7 @@ class Census:
         return DistributionTable(family, self.n, tuple(stat_names), rows)
 
     def words(self, family: Family) -> list[tuple[int, ...]]:
-        return [p.word for p, _, _ in self.rows[family]]
+        return [word for word, _, _ in self.rows[family]]
 
 
 def census(n: int) -> Census:
@@ -263,7 +302,7 @@ def census(n: int) -> Census:
         ms = shared.setdefault(ms, ms)
         for counter, value in zip(ms_counts, ms):
             counter[value] += 1
-        row = (p, sv, ms)
+        row = (word, sv, ms)
         for family in perms._families_of(p, cycles):
             stat_counts[family][sv] += 1
             if family in rows:
@@ -599,13 +638,13 @@ def _verify_distributions(rep: _Report, censuses: list[Census], eul: list[int]) 
 
 def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
     for n, cen in enumerate(censuses):
-        ud_rows = cen.rows[Family.UD]
+        ud_rows = [(Permutation(word), sv) for word, sv, _ in cen.rows[Family.UD]]
         if n % 2 == 0:
             images = []
             ok_stats = True
-            for p, sv, _ in ud_rows:
+            for p, sv in ud_rows:
                 c = bijections.g_even(p)
-                images.append(c)
+                images.append(from_cycles(c).word)
                 ok_stats = ok_stats and len(c) == sv.lrm
                 ok_stats = ok_stats and bijections.g_even_inverse(c) == p
             rep.add("bij-g-roundtrip", n, True, ok_stats)
@@ -613,13 +652,13 @@ def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
                 "bij-g-image",
                 n,
                 sorted(cen.words(Family.CUD_EVEN_ONLY)),
-                sorted(from_cycles(c).word for c in images),
+                sorted(images),
             )
         images = []
         ok = True
-        for p, sv, _ in ud_rows:
+        for p, sv in ud_rows:
             c = bijections.f_odd(p)
-            images.append(c)
+            images.append(from_cycles(c).word)
             ok = ok and len(c) == sv.st
             ok = ok and bijections.f_odd_inverse(c) == p
         rep.add("bij-f-roundtrip", n, True, ok)
@@ -627,39 +666,35 @@ def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
             "bij-f-image",
             n,
             sorted(cen.words(Family.CUD_ODD_ONLY)),
-            sorted(from_cycles(c).word for c in images),
+            sorted(images),
         )
     for n, cen in enumerate(censuses):
-        # UD_{n+1} lies past the last census at n = n_cap, so the backtracker
-        # builds it
-        ud_next = list(enumerate_family(Family.UD, n + 1))
         cud_words = sorted(cen.words(Family.CUD))
         phi_images = []
         jbij_images = []
         ok_phi = ok_phi_stats = ok_jbij = ok_jbij_stats = True
-        for p in ud_next:
+        # UD_{n+1} lies past the last census at n = n_cap, so the backtracker
+        # builds it
+        for p in enumerate_family(Family.UD, n + 1):
             sv = stats(p)
             c = bijections.phi(p)
-            phi_images.append(c)
-            sc = _stats_of(from_cycles(c), c.cycles)
+            q = from_cycles(c)
+            phi_images.append(q.word)
+            sc = _stats_of(q, c.cycles)
             ok_phi_stats = ok_phi_stats and (
                 sc.c_e == sv.lrm - 1 and sc.c_o == sv.st - 1 and sc.c == sv.lrm + sv.st - 2
             )
             ok_phi = ok_phi and bijections.phi_inverse(c) == p
             c2 = bijections.jbij(p)
-            jbij_images.append(c2)
+            jbij_images.append(from_cycles(c2).word)
             ok_jbij_stats = ok_jbij_stats and len(c2) == sv.extr
             ok_jbij = ok_jbij and bijections.jbij_inverse(c2) == p
         rep.add("bij-phi-roundtrip", n, True, ok_phi)
         rep.add("bij-phi-stats", n, True, ok_phi_stats)
-        rep.add(
-            "bij-phi-image", n, cud_words, sorted(from_cycles(c).word for c in phi_images)
-        )
+        rep.add("bij-phi-image", n, cud_words, sorted(phi_images))
         rep.add("bij-jbij-roundtrip", n, True, ok_jbij)
         rep.add("bij-jbij-stat", n, True, ok_jbij_stats)
-        rep.add(
-            "bij-jbij-image", n, cud_words, sorted(from_cycles(c).word for c in jbij_images)
-        )
+        rep.add("bij-jbij-image", n, cud_words, sorted(jbij_images))
     for cen in censuses[1:]:
         ud_stats = [sv for _, sv, _ in cen.rows[Family.UD]]
         rep.add(
@@ -670,7 +705,7 @@ def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
         )
     for cen in censuses[2::2]:
         n, k = cen.n, cen.n // 2
-        starts_low = [p for p, _, _ in cen.rows[Family.UD] if p.word[0] == 1]
+        starts_low = [Permutation(w) for w, _, _ in cen.rows[Family.UD] if w[0] == 1]
         produced = set()
         ok = True
         for p in starts_low:
@@ -684,7 +719,7 @@ def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
     for cen in censuses[1 : _MAP_CHECK_N + 1]:
         n, s_n = cen.n, cen.rows[Family.ALL]
         for i, pattern in enumerate(_PATTERNS):
-            images = [bijections.h_map(p, pattern) for p, _, _ in s_n]
+            images = [bijections.h_map(Permutation(w), pattern) for w, _, _ in s_n]
             ok = all(stats(q).lrm == ms[i] for (_, _, ms), q in zip(s_n, images))
             rep.add(f"bij-h-transport[{pattern}]", n, True, ok)
             rep.add(
@@ -693,7 +728,8 @@ def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
     for cen in censuses[1 : _MAP_CHECK_N + 1]:
         produced = set()
         ok = True
-        for p, sv, _ in cen.rows[Family.ALL]:
+        for word, sv, _ in cen.rows[Family.ALL]:
+            p = Permutation(word)
             k = sv.lrm
             for bits in itertools.product((0, 1), repeat=k):
                 q = bijections.ell_map(p, bits)
@@ -708,7 +744,8 @@ def _verify_matchings(rep: _Report, censuses: list[Census], eul: list[int]) -> N
     for cen in censuses[2::2]:
         pairs = set()
         ok = True
-        for p, _, _ in cen.rows[Family.CUD_EVEN_ONLY]:
+        for word, _, _ in cen.rows[Family.CUD_EVEN_ONLY]:
+            p = Permutation(word)
             mp = matchings.to_matching_pair(p)
             pairs.add((mp.red, mp.blue))
             ok = ok and matchings.from_matching_pair(mp) == p

@@ -16,6 +16,7 @@ excedance/deficiency-swapping).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -272,6 +273,28 @@ _CYCLE_FAMILIES: dict[Family, tuple[Callable[[Sequence[int]], bool], bool]] = {
         False,
     ),
 }
+
+
+def admissible_patterns(family: Family, k: int) -> list[bytes]:
+    """The cycle family's admissible canonical cycles on ``k >= 1`` points,
+    as rank patterns: 0, then an arrangement of 1, ..., k-1.
+
+    The patterns are the (k-1)! arrangements that pass the family's own test
+    in ``_CYCLE_FAMILIES``.  Every one of those tests reads only the relative
+    order and the length of a cycle, so ``tuple(points[i] for i in pattern)``
+    over any increasing ``points`` of length k is an admissible cycle, and
+    every admissible cycle on those points arises once this way.  The table
+    is built anew on each call and kept by no one.
+
+    >>> [tuple(p) for p in admissible_patterns(Family.CUD, 4)]
+    [(0, 2, 1, 3), (0, 3, 1, 2)]
+    """
+    admissible, _ = _CYCLE_FAMILIES[family]
+    return [
+        bytes(cycle)
+        for cycle in ((0,) + rest for rest in itertools.permutations(range(1, k)))
+        if admissible(cycle)
+    ]
 
 
 def is_member(p: Permutation, family: Family) -> bool:

@@ -5,10 +5,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cudlab import cli
 from cudlab import oracle
-from cudlab.catalog import expected_ud_cycles
+from cudlab.catalog import SEQUENCE_IDS, expected_ud_cycles
+from cudlab.perms import Family
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -326,6 +329,12 @@ class TestIgnoredFlags:
             ["verify", "--n", "3", "--cap", "1"],
             ["map", "phi", "1 3 2", "--cap", "3"],
             ["diagram", "(1,2)", "--cap", "3"],
+            ["expect", "ud-cycles", "--n", "3", "--seed", "5"],
+            ["seq", "euler", "--n", "5", "--seed", "5"],
+            ["expect", "ud-cycles", "--n", "3", "--samples", "10"],
+            ["map", "phi", "1 3 2", "--bits", "101"],
+            ["map", "ell", "2 1", "--bits", "1", "--pattern", "min,..."],
+            ["map", "h", "2 1", "--order", "asc"],
         ],
     )
     def test_exit_2(self, capsys, tmp_path, argv):
@@ -336,3 +345,68 @@ class TestIgnoredFlags:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "fig.svg").exists()
+
+
+# the argv of the exit-code fuzz test: a subcommand with its usual names,
+# inputs and --n, then flags with good and bad values, other names and junk;
+# every --n is small, so that no request takes long
+
+
+def _one_of(tokens):
+    return st.sampled_from(tokens).map(lambda token: [token])
+
+
+_INPUTS = ("2 1 3", "(1,2)(3)", "1 3 2 4", "(1,4,2,3)", "0 1", "1 1", "(1,2", "", "x")
+_SMALL = ("-1", "0", "1", "2", "3", "4", "x")
+_N = _one_of(_SMALL).map(lambda value: ["--n"] + value)
+_HEADS = {
+    "seq": st.tuples(_one_of(SEQUENCE_IDS), _N),
+    "enumerate": st.tuples(_one_of([f.value for f in Family]), _N),
+    "map": st.tuples(_one_of(tuple(cli._MAPS)), _one_of(_INPUTS)),
+    "verify": st.tuples(_N),
+    "expect": st.tuples(_one_of(("ud-cycles",)), _N),
+    "diagram": st.tuples(_one_of(_INPUTS)),
+    "nope": st.tuples(),
+}
+_VALUED = {
+    "--n": _SMALL,
+    "--cap": _SMALL,
+    "--seed": _SMALL,
+    "--samples": _SMALL,
+    "--format": ("text", "json", "csv", "xml"),
+    "--stats": ("c", "c,ud,nud", "fp,exc", "bogus", ""),
+    "--bits": ("101", "1", "", "12"),
+    "--pattern": ("min,...", "min,max,...", "max", "min,x,..."),
+    "--order": ("asc", "desc", "up"),
+    "--out": ("OUT", "MISSING"),
+}
+_PIECES = st.one_of(
+    st.sampled_from(sorted(_VALUED)).flatmap(
+        lambda flag: _one_of(_VALUED[flag]).map(lambda value: [flag] + value)
+    ),
+    _one_of(("--json", "--exact", "--montecarlo", "--float", "-h", "--bogus", "--")),
+    _one_of(_INPUTS + ("nope", "cud", "phi", "euler")),
+)
+_ARGV = st.sampled_from(sorted(_HEADS)).flatmap(
+    lambda command: st.tuples(_HEADS[command], st.lists(_PIECES, max_size=3)).map(
+        lambda parts: [command] + sum(parts[0] + tuple(parts[1]), [])
+    )
+)
+
+
+class TestExitCodeFuzz:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(argv=_ARGV)
+    def test_exit_code_contract(self, capsys, tmp_path, monkeypatch, argv):
+        # a smaller default sample count keeps Monte Carlo requests quick
+        monkeypatch.setattr(cli, "DEFAULT_SAMPLES", 20)
+        outs = {"OUT": str(tmp_path / "out"), "MISSING": str(tmp_path / "no" / "out")}
+        argv = [outs.get(token, token) for token in argv]
+        code = cli.main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        assert code != 1 or argv[0] == "verify", argv

@@ -3,8 +3,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cudlab import oracle
+from cudlab import oracle, perms
 from cudlab.catalog import CapExceeded
 from cudlab.oracle import (
     WORD_FAMILIES,
@@ -14,6 +16,7 @@ from cudlab.oracle import (
     distribution_csv,
     enumerate_family,
     iter_cud_direct,
+    iter_cycle_family,
     iter_ud_by_filter,
     report_passed,
     verify_all,
@@ -71,6 +74,50 @@ class TestCounts:
         assert count_family(Family.ALL, 4, cap=4) == 24
         with pytest.raises(CapExceeded):
             count_family(Family.ALL, 4, cap=3)
+
+
+CYCLE_FAMILIES = tuple(perms._CYCLE_FAMILIES)
+
+
+@pytest.fixture(scope="module")
+def census_8():
+    return census(8)
+
+
+class TestCycleFamilies:
+    """The direct route of every cycle family against the S_n filter."""
+
+    @pytest.mark.parametrize("family", CYCLE_FAMILIES)
+    def test_direct_route_matches_the_s_n_filter(self, family):
+        for n in range(8):
+            built = list(iter_cycle_family(family, n))
+            assert sorted(p.word for p, _ in built) == [
+                p.word for p in oracle._filter_s_n(family, n)
+            ], n
+            assert all(perms.to_cycles(p).cycles == cycles for p, cycles in built), n
+
+    @pytest.mark.parametrize("family", CYCLE_FAMILIES)
+    def test_distribution_at_8_matches_the_census(self, family, census_8):
+        assert distribution(family, 8, STAT_NAMES) == census_8.distribution(
+            family, STAT_NAMES
+        )
+
+    @pytest.mark.parametrize(
+        "family", [f for f in CYCLE_FAMILIES if perms._CYCLE_FAMILIES[f][1]]
+    )
+    def test_single_cycle_family_is_empty_at_0(self, family):
+        assert list(iter_cycle_family(family, 0)) == []
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=9, unique=True))
+    def test_predicates_read_only_relative_order(self, values):
+        # the admissible patterns are rank patterns, relabelled onto any points
+        i = values.index(min(values))
+        cycle = tuple(values[i:] + values[:i])
+        ranks = {x: r for r, x in enumerate(sorted(cycle))}
+        standard = tuple(ranks[x] for x in cycle)
+        for family in CYCLE_FAMILIES:
+            admissible, _ = perms._CYCLE_FAMILIES[family]
+            assert admissible(cycle) == admissible(standard), family
 
 
 class TestDistribution:
