@@ -10,7 +10,7 @@ small sizes, so the two routes check each other.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, log, sin
 from typing import Callable
 
 from .perms import DomainError, MalformedInput
@@ -41,52 +41,27 @@ def _t() -> MPoly:
 
 
 def _half_z_tan(order: int) -> Series:
-    return z_series(order).scale(Fraction(1, 2)) * tan_series(order)
+    # EGF of the counts k*E_{2k-1} of even up-down words with last > first
+    doubled = (z_series(order) * tan_series(order)).terms
+    assert all(term % 2 == 0 for term in doubled), "z tan z has an odd EGF term"
+    return Series.from_egf(term // 2 for term in doubled)
+
+
+def _marked_exp(*parts: tuple[MPoly, Series]) -> Series:
+    """exp(sum of marker * series): one exp over marker-scaled scalar series."""
+    scaled = [ser.lift().scale(marker) for marker, ser in parts]
+    return sum(scaled[1:], scaled[0]).exp()
 
 
 def _gcud_exponent(order: int) -> Series:
     # sec z - 1 + (1 - z/2) tan z
-    return (
-        sec_series(order)
-        - one_series(order)
-        + tan_series(order)
-        - _half_z_tan(order)
-    )
-
-
-def _build_euler(order: int) -> Series:
-    return zigzag_egf_series(order)
-
-
-def _build_cud(order: int) -> Series:
-    return one_minus_sin_series(order).reciprocal()
+    return sec_series(order) - one_series(order) + tan_series(order) - _half_z_tan(order)
 
 
 def _build_cud_cyclic(order: int) -> Series:
     if order == 0:
-        return Series((Fraction(0),))
+        return Series.from_egf((0,))
     return zigzag_egf_series(order - 1).integrate()
-
-
-def _build_cud_even_only(order: int) -> Series:
-    return sec_series(order)
-
-
-def _build_cud_odd_only(order: int) -> Series:
-    return zigzag_egf_series(order)
-
-
-def _build_exc_def_swap(order: int) -> Series:
-    return exp_series(order) * sec_series(order)
-
-
-def _build_gcud_odd_only(order: int) -> Series:
-    return tan_series(order).exp()
-
-
-def _build_k_euler_odd(order: int) -> Series:
-    # EGF of the counts k*E_{2k-1} of even up-down words with last > first
-    return _half_z_tan(order)
 
 
 def _build_gcud_even_cyclic(order: int) -> Series:
@@ -104,31 +79,24 @@ def _build_gcud_even_only(order: int) -> Series:
     return sec_series(order) * inner.exp()
 
 
-def _build_gcud(order: int) -> Series:
-    return sec_series(order) * _gcud_exponent(order).exp()
-
-
 def _build_cud_derangements(order: int) -> Series:
     return exp_series(order, -1) * one_minus_sin_series(order).reciprocal()
 
 
 def _build_cud_fp_cycles(order: int) -> Series:
+    # exp((x-1)t z) (1 - sin z)^(-t)
     t, x = _t(), MPoly.marker("x")
-    linear = z_series(order).lift().scale((x - 1) * t)
-    return linear.exp() * one_minus_sin_series(order).pow_marker(-t)
-
-
-def _build_cud_cycles(order: int) -> Series:
-    return one_minus_sin_series(order).pow_marker(-_t())
+    return _marked_exp(
+        ((x - 1) * t, z_series(order)), (-t, one_minus_sin_series(order).log())
+    )
 
 
 def _build_cud_odd_even(order: int) -> Series:
+    # (sec z + tan z)^(t_o) (sec z)^(t_e)
     t_o, t_e = MPoly.marker("t_o"), MPoly.marker("t_e")
-    return zigzag_egf_series(order).pow_marker(t_o) * sec_series(order).pow_marker(t_e)
-
-
-def _build_ud_st(order: int) -> Series:
-    return zigzag_egf_series(order).pow_marker(_t())
+    return _marked_exp(
+        (t_o, zigzag_egf_series(order).log()), (t_e, sec_series(order).log())
+    )
 
 
 def _build_ud_lrm(order: int) -> Series:
@@ -142,43 +110,50 @@ def _build_ud_extr(order: int) -> Series:
 
 
 def _build_gcud_fp_cycles(order: int) -> Series:
+    # (sec z)^t exp(t((x-1)z + sec z - 1 + (1 - z/2) tan z))
     t, x = _t(), MPoly.marker("x")
-    inner = z_series(order).lift().scale(x - 1) + _gcud_exponent(order).lift()
-    return sec_series(order).pow_marker(t) * inner.scale(t).exp()
+    return _marked_exp(
+        (t, sec_series(order).log() + _gcud_exponent(order)),
+        ((x - 1) * t, z_series(order)),
+    )
 
 
 def _build_perm_ud_nud(order: int) -> Series:
+    # (1 - z)^(-w) (1 - sin z)^(w - v)
     v, w = MPoly.marker("v"), MPoly.marker("w")
-    one_minus_z = one_series(order) - z_series(order)
-    return one_minus_z.pow_marker(-w) * one_minus_sin_series(order).pow_marker(w - v)
+    return _marked_exp(
+        (-w, (one_series(order) - z_series(order)).log()),
+        (w - v, one_minus_sin_series(order).log()),
+    )
 
 
 def _build_avg_ud_cycles(order: int) -> Series:
-    return (-one_minus_sin_series(order).log()) * geometric_series(order)
+    return -one_minus_sin_series(order).log() * geometric_series(order)
 
 
 def _build_no_ud_cycles(order: int) -> Series:
     return one_minus_sin_series(order) * geometric_series(order)
 
 
-# id -> (builder, marker names, first n shown by the CLI)
+# id -> (builder of the series truncated at an order, marker names, first n
+# shown by the CLI)
 _CATALOG: dict[str, tuple[Callable[[int], Series], tuple[str, ...], int]] = {
-    "euler": (_build_euler, (), 0),
-    "cud": (_build_cud, (), 0),
+    "euler": (zigzag_egf_series, (), 0),
+    "cud": (lambda order: one_minus_sin_series(order).reciprocal(), (), 0),
     "cud-cyclic": (_build_cud_cyclic, (), 1),
-    "cud-even-only": (_build_cud_even_only, (), 0),
-    "cud-odd-only": (_build_cud_odd_only, (), 0),
-    "exc-def-swap": (_build_exc_def_swap, (), 0),
-    "gcud-odd-only": (_build_gcud_odd_only, (), 0),
-    "k-euler-odd": (_build_k_euler_odd, (), 1),
+    "cud-even-only": (sec_series, (), 0),
+    "cud-odd-only": (zigzag_egf_series, (), 0),
+    "exc-def-swap": (lambda order: exp_series(order) * sec_series(order), (), 0),
+    "gcud-odd-only": (lambda order: tan_series(order).exp(), (), 0),
+    "k-euler-odd": (_half_z_tan, (), 1),
     "gcud-even-cyclic": (_build_gcud_even_cyclic, (), 1),
     "gcud-even-only": (_build_gcud_even_only, (), 1),
-    "gcud": (_build_gcud, (), 1),
+    "gcud": (lambda order: sec_series(order) * _gcud_exponent(order).exp(), (), 1),
     "cud-derangements": (_build_cud_derangements, (), 1),
     "cud-fp-cycles": (_build_cud_fp_cycles, ("x", "t"), 0),
-    "cud-cycles": (_build_cud_cycles, ("t",), 0),
+    "cud-cycles": (lambda order: one_minus_sin_series(order).pow_marker(-_t()), ("t",), 0),
     "cud-odd-even": (_build_cud_odd_even, ("t_o", "t_e"), 0),
-    "ud-st": (_build_ud_st, ("t",), 0),
+    "ud-st": (lambda order: zigzag_egf_series(order).pow_marker(_t()), ("t",), 0),
     "ud-lrm": (_build_ud_lrm, ("t",), 1),
     "ud-extr": (_build_ud_extr, ("t",), 1),
     "gcud-fp-cycles": (_build_gcud_fp_cycles, ("x", "t"), 0),
@@ -260,22 +235,21 @@ def expected_ud_cycles(n: int) -> Fraction:
     E_0/1! + E_1/2! + ... + E_{n-1}/n!.  Approaches -ln(1 - sin 1)."""
     if n < 1:
         raise DomainError("n must be at least 1")
+    # one integer numerator sum_k E_{k-1} n!/k! over the denominator n!
     eul = euler_numbers(n - 1)
-    return sum(
-        (Fraction(eul[k - 1], factorial(k)) for k in range(1, n + 1)), Fraction(0)
-    )
+    numerator, scale = 0, 1
+    for k in range(n, 0, -1):
+        numerator += eul[k - 1] * scale
+        scale *= k
+    return Fraction(numerator, scale)
 
 
 def expected_ud_cycles_limit() -> float:
-    import math
-
-    return -math.log(1 - math.sin(1))
+    return -log(1 - sin(1))
 
 
 def no_ud_fraction_limit() -> float:
-    import math
-
-    return 1 - math.sin(1)
+    return 1 - sin(1)
 
 
 def no_ud_cycles_count(n: int, cap: int = DEFAULT_ORDER_CAP) -> int:
@@ -291,8 +265,5 @@ def no_ud_fraction_formula(n: int) -> Fraction:
     1/3! - 1/5! + ... +- 1/(2m-1)!  (empty for n <= 2)."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    m = (n + 1) // 2
-    total = Fraction(0)
-    for j in range(2, m + 1):
-        total += Fraction((-1) ** j, factorial(2 * j - 1))
-    return total
+    terms = (Fraction((-1) ** j, factorial(2 * j - 1)) for j in range(2, (n + 3) // 2))
+    return sum(terms, Fraction(0))

@@ -78,13 +78,12 @@ class DistributionTable:
         """Encode the table as sum count * prod marker^value."""
         if len(markers) != len(self.stats):
             raise ValueError("one marker per statistic required")
-        total = MPoly.zero()
-        for values, count in self.rows.items():
-            mono = MPoly.constant(count)
-            for name, value in zip(markers, values):
-                mono = mono * MPoly.marker(name) ** value
-            total = total + mono
-        return total
+        return MPoly(
+            {
+                tuple((name, value) for name, value in zip(markers, values) if value): count
+                for values, count in self.rows.items()
+            }
+        )
 
 
 def _check_cap(family: Family, n: int, cap: int | None) -> None:

@@ -68,8 +68,8 @@ def is_up_down_cycle(cycle: Sequence[int]) -> bool:
 def is_gen_up_down_cycle(cycle: Sequence[int]) -> bool:
     """True iff some rotation of the cycle is an up-down word.
 
-    Tries all rotations; cycles here are short enough that the quadratic
-    scan is irrelevant.
+    Tests every rotation as a slice of the doubled cycle; cycles here are
+    short enough that the quadratic scan is irrelevant.
 
     >>> is_gen_up_down_cycle((2, 3, 4, 6))
     True
@@ -77,9 +77,8 @@ def is_gen_up_down_cycle(cycle: Sequence[int]) -> bool:
     False
     """
     k = len(cycle)
-    return any(
-        is_up_down_word(tuple(cycle[(i + j) % k] for j in range(k))) for i in range(k)
-    )
+    doubled = tuple(cycle) * 2
+    return any(is_up_down_word(doubled[i : i + k]) for i in range(k))
 
 
 def _rotate_min_first(cycle: Sequence[int]) -> tuple[int, ...]:
@@ -119,12 +118,6 @@ class Permutation:
     def mapping(self) -> dict[int, int]:
         """Ground element -> image."""
         return dict(zip(self.ground, self.word))
-
-    def apply(self, a: int) -> int:
-        try:
-            return self.word[self.ground.index(a)]
-        except ValueError:
-            raise DomainError(f"{a} is not in the ground set") from None
 
     def is_natural(self) -> bool:
         """True iff the ground set is [n] = {1, ..., n}."""

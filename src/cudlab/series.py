@@ -1,10 +1,13 @@
-"""Exact truncated power series over the rationals and over polynomial rings
-in named markers.
+"""Exact truncated power series over the integers, the rationals and
+polynomial rings in named markers.
 
-``Series`` stores ordinary coefficients c_0..c_N of sum c_k z^k with either
-``Fraction`` or ``MPoly`` entries; exponential-generating-function terms come
-out of :meth:`Series.egf_term`, which multiplies by k!.  Everything is exact:
-identities are checked with equality, never with tolerances.
+``Series`` stores the EGF terms n!*[z^n], n = 0..N, as ``int``, ``Fraction``
+or ``MPoly`` entries.  A product is then the binomial convolution, ``exp`` the
+recurrence of the exponential formula and ``log`` its inverse, and
+``integrate`` and ``differentiate`` are index shifts, so the terms stay
+integral unless an input brings a ``Fraction``.  :attr:`Series.coeffs` is the
+ordinary view.  Everything is exact: identities are checked with equality,
+never with tolerances.
 
 Also here: the boustrophedon recurrence for the zigzag (Euler) numbers and
 the recurrence for the signless Stirling numbers of the first kind, both of
@@ -13,11 +16,10 @@ which serve as series-independent cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
-from typing import Mapping, Union
+from itertools import accumulate
+from math import comb, factorial
+from typing import Iterable, Mapping, Union
 
 from .perms import DomainError
 
@@ -27,26 +29,36 @@ Monomial = tuple[tuple[str, int], ...]
 Scalar = Union[int, Fraction]
 
 
+def _norm(value):
+    """An integral ``Fraction`` as an ``int``; anything else unchanged."""
+    integral = isinstance(value, Fraction) and value.denominator == 1
+    return value.numerator if integral else value
+
+
 class MPoly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial with exact integer or rational
+    coefficients."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[tuple(sorted(mono))] = coeff
-        self._terms = clean
+        items = (terms or {}).items()
+        self._terms = {tuple(sorted(m)): _norm(c) for m, c in items if c}
+
+    @classmethod
+    def _of(cls, terms: dict[Monomial, Scalar]) -> "MPoly":
+        """Wrap a dict keyed by sorted monomials, dropping zero coefficients."""
+        poly = cls.__new__(cls)
+        poly._terms = {mono: _norm(coeff) for mono, coeff in terms.items() if coeff}
+        return poly
 
     @classmethod
     def constant(cls, value: Scalar) -> "MPoly":
-        return cls({(): Fraction(value)})
+        return cls._of({(): value})
 
     @classmethod
     def marker(cls, name: str) -> "MPoly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls._of({((name, 1),): 1})
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -64,22 +76,19 @@ class MPoly:
             return MPoly.constant(value)
         return NotImplemented
 
-    def items(self) -> list[tuple[Monomial, Fraction]]:
+    def items(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self._terms.items())
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def is_constant(self) -> bool:
         return all(mono == () for mono in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise DomainError(f"{self} is not constant")
-        return self._terms.get((), Fraction(0))
+        return self._terms.get((), 0)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(sorted(mono)), Fraction(0))
+    def coefficient(self, mono: Monomial) -> Scalar:
+        return self._terms.get(tuple(sorted(mono)), 0)
 
     def substitute(self, assign: Mapping[str, Union["MPoly", Scalar]]) -> "MPoly":
         """Replace markers by polynomials or scalars; unmentioned markers stay."""
@@ -99,13 +108,13 @@ class MPoly:
             return NotImplemented
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return MPoly(terms)
+            terms[mono] = terms.get(mono, 0) + coeff
+        return MPoly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly({mono: -coeff for mono, coeff in self._terms.items()})
+        return MPoly._of({mono: -coeff for mono, coeff in self._terms.items()})
 
     def __sub__(self, other):
         other = MPoly._coerce(other)
@@ -120,15 +129,7 @@ class MPoly:
         other = MPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
-        for mono_a, ca in self._terms.items():
-            for mono_b, cb in other._terms.items():
-                merged = dict(mono_a)
-                for name, exp in mono_b:
-                    merged[name] = merged.get(name, 0) + exp
-                key = tuple(sorted(merged.items()))
-                terms[key] = terms.get(key, Fraction(0)) + ca * cb
-        return MPoly(terms)
+        return _poly_dot([(1, self, other)])
 
     __rmul__ = __mul__
 
@@ -180,148 +181,203 @@ def monomial_key(mono: Monomial) -> str:
     return "*".join(f"{name}^{exp}" for name, exp in sorted(mono))
 
 
-def _zero_like(x):
-    return MPoly.zero() if isinstance(x, MPoly) else Fraction(0)
+def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a or not b:
+        return a or b
+    exps = dict(a)
+    for name, exp in b:
+        exps[name] = exps.get(name, 0) + exp
+    return tuple(sorted(exps.items()))
 
 
-def _one_like(x):
-    return MPoly.one() if isinstance(x, MPoly) else Fraction(1)
+def _poly_dot(triples: Iterable[tuple[Scalar, MPoly, MPoly]]) -> MPoly:
+    """sum of w*x*y over (scalar w, polynomial x, polynomial y), added into
+    one dict."""
+    acc: dict[Monomial, Scalar] = {}
+    for w, x, y in triples:
+        if not w:
+            continue
+        for mono_a, ca in x._terms.items():
+            ca *= w
+            for mono_b, cb in y._terms.items():
+                key = _mono_mul(mono_a, mono_b)
+                acc[key] = acc.get(key, 0) + ca * cb
+    return MPoly._of(acc)
 
 
-@dataclass(frozen=True)
 class Series:
-    """Truncated power series: ordinary coefficients c_0..c_N, one ring."""
+    """Truncated power series in one ring, stored as its EGF terms n!*[z^n].
 
-    coeffs: tuple
+    ``Series(coeffs)`` takes ordinary coefficients c_0..c_N;
+    :meth:`from_egf` takes the terms themselves.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, coeffs: Iterable):
+        self.terms = tuple(_norm(c * factorial(n)) for n, c in enumerate(coeffs))
+
+    @classmethod
+    def from_egf(cls, terms: Iterable) -> "Series":
+        ser = cls.__new__(cls)
+        ser.terms = tuple(terms)
+        return ser
+
+    @property
+    def coeffs(self) -> tuple:
+        """Ordinary coefficients: each term over n!, with ``Fraction`` values."""
+        return tuple(
+            MPoly._of({m: Fraction(c, factorial(n)) for m, c in term._terms.items()})
+            if isinstance(term, MPoly)
+            else Fraction(term, factorial(n))
+            for n, term in enumerate(self.terms)
+        )
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.terms) - 1
+
+    @property
+    def _marked(self) -> bool:
+        return isinstance(self.terms[0], MPoly)
+
+    def _const(self, value: Scalar):
+        """A scalar as a term of this series' ring."""
+        return MPoly.constant(value) if self._marked else value
+
+    def _dot(self, triples):
+        """One term of a convolution: sum of w*x*y over (scalar, term, term)."""
+        if self._marked:
+            return _poly_dot(triples)
+        return sum(w * x * y for w, x, y in triples)
+
+    def __eq__(self, other):
+        if not isinstance(other, Series):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
+
+    def __repr__(self):
+        return f"Series(coeffs={self.coeffs!r})"
 
     def _check_compatible(self, other: "Series") -> None:
         if self.order != other.order:
             raise DomainError(
                 f"order mismatch: {self.order} vs {other.order}; truncate first"
             )
-        if isinstance(self.coeffs[0], MPoly) != isinstance(other.coeffs[0], MPoly):
+        if self._marked != other._marked:
             raise DomainError("coefficient ring mismatch; lift first")
 
     def __add__(self, other: "Series") -> "Series":
         self._check_compatible(other)
-        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Series.from_egf(a + b for a, b in zip(self.terms, other.terms))
 
     def __sub__(self, other: "Series") -> "Series":
         self._check_compatible(other)
-        return Series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Series.from_egf(a - b for a, b in zip(self.terms, other.terms))
 
     def __neg__(self) -> "Series":
-        return Series(tuple(-a for a in self.coeffs))
+        return Series.from_egf(-a for a in self.terms)
 
     def __mul__(self, other: "Series") -> "Series":
         self._check_compatible(other)
-        a, b = self.coeffs, other.coeffs
-        return Series(
-            tuple(
-                sum((a[i] * b[k - i] for i in range(k + 1)), _zero_like(a[0]))
-                for k in range(len(a))
-            )
+        a, b = self.terms, other.terms
+        return Series.from_egf(
+            self._dot((comb(n, k), a[k], b[n - k]) for k in range(n + 1))
+            for n in range(len(a))
         )
 
     def __truediv__(self, other: "Series") -> "Series":
         return self * other.reciprocal()
 
     def scale(self, factor) -> "Series":
-        """Multiply every coefficient by a scalar (or, on a lifted series, a
+        """Multiply every term by a scalar (or, on a lifted series, a
         polynomial)."""
-        if isinstance(factor, MPoly) and not isinstance(self.coeffs[0], MPoly):
+        if isinstance(factor, MPoly) and not self._marked:
             raise DomainError("lift the series before scaling by a polynomial")
-        return Series(tuple(c * factor for c in self.coeffs))
+        return Series.from_egf(_norm(c * factor) for c in self.terms)
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise DomainError(f"cannot extend truncation {self.order} to {order}")
-        return Series(self.coeffs[: order + 1])
+        return Series.from_egf(self.terms[: order + 1])
 
     def lift(self) -> "Series":
-        """Coerce rational coefficients into the polynomial ring."""
-        if isinstance(self.coeffs[0], MPoly):
+        """Coerce scalar terms into the polynomial ring."""
+        if self._marked:
             return self
-        return Series(tuple(MPoly.constant(c) for c in self.coeffs))
+        return Series.from_egf(MPoly.constant(c) for c in self.terms)
 
     def constants(self) -> "Series":
-        """Inverse of :meth:`lift`; fails on non-constant coefficients."""
-        if not isinstance(self.coeffs[0], MPoly):
+        """Inverse of :meth:`lift`; fails on non-constant terms."""
+        if not self._marked:
             return self
-        return Series(tuple(c.constant_value() for c in self.coeffs))
+        return Series.from_egf(c.constant_value() for c in self.terms)
 
     def coefficient(self, n: int):
         return self.coeffs[n]
 
     def egf_term(self, n: int):
         """n! times the z^n coefficient."""
-        return self.coeffs[n] * factorial(n)
+        return self.terms[n]
 
     def egf_int(self, n: int) -> int:
         """Integer EGF term; fails if it is not an integer."""
-        value = self.egf_term(n)
+        value = self.terms[n]
         if isinstance(value, MPoly):
             value = value.constant_value()
-        if value.denominator != 1:
+        if isinstance(value, Fraction) and value.denominator != 1:
             raise DomainError(f"EGF term {value} at n={n} is not an integer")
-        return value.numerator
+        return int(value)
 
     def reciprocal(self) -> "Series":
-        """Multiplicative inverse; the constant term must be a unit."""
-        c0 = self.coeffs[0]
-        if isinstance(c0, MPoly):
-            if not c0.is_constant() or not c0:
-                raise DomainError("constant term must be an invertible constant")
-            inv0 = MPoly.constant(1 / c0.constant_value())
-        else:
-            if c0 == 0:
-                raise DomainError("constant term must be nonzero")
-            inv0 = 1 / Fraction(c0)
-        out = [inv0]
-        for n in range(1, len(self.coeffs)):
-            acc = _zero_like(c0)
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-(acc * inv0))
-        return Series(tuple(out))
+        """Multiplicative inverse; the constant term must be a unit:
+        c_n = -sum_{k>=1} C(n,k) b_k c_{n-k} / b_0."""
+        b = self.terms
+        b0 = b[0].constant_value() if self._marked and b[0].is_constant() else b[0]
+        if isinstance(b0, MPoly) or not b0:
+            raise DomainError("constant term must be a nonzero constant")
+        inv0 = _norm(1 / Fraction(b0))
+        out = [self._const(inv0)]
+        for n in range(1, len(b)):
+            terms = ((-inv0 * comb(n, k), b[k], out[n - k]) for k in range(1, n + 1))
+            out.append(self._dot(terms))
+        return Series.from_egf(out)
 
     def differentiate(self) -> "Series":
         """Formal derivative; drops one order of truncation."""
         if self.order < 1:
             raise DomainError("cannot differentiate an order-0 truncation")
-        return Series(tuple(self.coeffs[k] * k for k in range(1, len(self.coeffs))))
+        return Series.from_egf(self.terms[1:])
 
     def integrate(self) -> "Series":
         """Formal integral with constant term 0; gains one order."""
-        return Series(
-            (_zero_like(self.coeffs[0]),)
-            + tuple(self.coeffs[k] * Fraction(1, k + 1) for k in range(len(self.coeffs)))
-        )
+        return Series.from_egf((self._const(0),) + self.terms)
 
     def exp(self) -> "Series":
-        """exp of a series with zero constant term."""
-        if self.coeffs[0] != _zero_like(self.coeffs[0]):
+        """exp of a series with zero constant term:
+        b_n = sum_{k>=1} C(n-1,k-1) a_k b_{n-k}."""
+        a = self.terms
+        if a[0]:
             raise DomainError("exp needs a zero constant term")
-        out = [_one_like(self.coeffs[0])]
-        for n in range(1, len(self.coeffs)):
-            acc = _zero_like(self.coeffs[0])
-            for k in range(1, n + 1):
-                acc = acc + (self.coeffs[k] * k) * out[n - k]
-            out.append(acc * Fraction(1, n))
-        return Series(tuple(out))
+        out = [self._const(1)]
+        for n in range(1, len(a)):
+            terms = ((comb(n - 1, k - 1), a[k], out[n - k]) for k in range(1, n + 1))
+            out.append(self._dot(terms))
+        return Series.from_egf(out)
 
     def log(self) -> "Series":
-        """log of a series with constant term 1; exp(log(a)) == a."""
-        if self.coeffs[0] != _one_like(self.coeffs[0]):
+        """log of a series with constant term 1; exp(log(b)) == b."""
+        b = self.terms
+        if b[0] != 1:
             raise DomainError("log needs constant term 1")
-        if self.order == 0:
-            return Series((_zero_like(self.coeffs[0]),))
-        quotient = self.differentiate() * self.reciprocal().truncate(self.order - 1)
-        return quotient.integrate()
+        out = [self._const(0)]
+        for n in range(1, len(b)):
+            rest = self._dot((comb(n - 1, k - 1), out[k], b[n - k]) for k in range(1, n))
+            out.append(b[n] - rest)
+        return Series.from_egf(out)
 
     def pow_scalar(self, exponent: Scalar) -> "Series":
         """a^e for a rational e, via exp(e*log(a)); constant term must be 1."""
@@ -329,39 +385,26 @@ class Series:
 
     def pow_marker(self, exponent: MPoly) -> "Series":
         """a^e for a polynomial exponent e; lifts into the polynomial ring."""
-        return self.lift().log().scale(exponent).exp()
+        return self.log().lift().scale(exponent).exp()
 
     def substitute(self, assign: Mapping[str, Union[MPoly, Scalar]]) -> "Series":
-        return Series(tuple(c.substitute(assign) for c in self.coeffs))
+        return Series.from_egf(c.substitute(assign) for c in self.terms)
 
 
 def one_series(order: int) -> Series:
-    return Series((Fraction(1),) + (Fraction(0),) * order)
+    return Series.from_egf((1,) + (0,) * order)
 
 
 def z_series(order: int) -> Series:
-    coeffs = [Fraction(0)] * (order + 1)
-    if order >= 1:
-        coeffs[1] = Fraction(1)
-    return Series(tuple(coeffs))
+    return Series.from_egf(int(k == 1) for k in range(order + 1))
 
 
 def sin_series(order: int) -> Series:
-    return Series(
-        tuple(
-            Fraction((-1) ** ((k - 1) // 2), factorial(k)) if k % 2 else Fraction(0)
-            for k in range(order + 1)
-        )
-    )
+    return Series.from_egf((0, 1, 0, -1)[k % 4] for k in range(order + 1))
 
 
 def cos_series(order: int) -> Series:
-    return Series(
-        tuple(
-            Fraction((-1) ** (k // 2), factorial(k)) if k % 2 == 0 else Fraction(0)
-            for k in range(order + 1)
-        )
-    )
+    return Series.from_egf((1, 0, -1, 0)[k % 4] for k in range(order + 1))
 
 
 def sec_series(order: int) -> Series:
@@ -379,13 +422,12 @@ def zigzag_egf_series(order: int) -> Series:
 
 def exp_series(order: int, rate: Scalar = 1) -> Series:
     """e^(rate*z)."""
-    rate = Fraction(rate)
-    return Series(tuple(rate**k / factorial(k) for k in range(order + 1)))
+    return Series.from_egf(_norm(Fraction(rate) ** k) for k in range(order + 1))
 
 
 def geometric_series(order: int) -> Series:
     """1/(1-z)."""
-    return Series((Fraction(1),) * (order + 1))
+    return Series.from_egf(factorial(k) for k in range(order + 1))
 
 
 def one_minus_sin_series(order: int) -> Series:
@@ -400,28 +442,11 @@ def euler_numbers(n_max: int) -> list[int]:
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    out = [1]
-    row = [1]
+    out, row = [1], [1]
     for _ in range(n_max):
-        new = [0]
-        for x in reversed(row):
-            new.append(new[-1] + x)
-        row = new
+        row = list(accumulate(reversed(row), initial=0))
         out.append(row[-1])
     return out
-
-
-@lru_cache(maxsize=None)
-def _stirling_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(n + 1):
-        row[k] = (prev[k - 1] if k >= 1 else 0) + (n - 1) * (
-            prev[k] if k < len(prev) else 0
-        )
-    return tuple(row)
 
 
 def stirling_c(n: int, k: int) -> int:
@@ -433,6 +458,7 @@ def stirling_c(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise DomainError("indices must be nonnegative")
-    if k > n:
-        return 0
-    return _stirling_row(n)[k]
+    row = [1]  # c(m, j) = c(m-1, j-1) + (m-1) c(m-1, j)
+    for m in range(n):
+        row = [a + m * b for a, b in zip([0] + row, row + [0])]
+    return row[k] if k <= n else 0

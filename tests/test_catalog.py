@@ -1,10 +1,15 @@
+import json
 from fractions import Fraction
 from math import factorial, log, sin
+from pathlib import Path
 
 import pytest
 
 from cudlab.catalog import (
+    SEQUENCE_IDS,
     CapExceeded,
+    catalog_markers,
+    catalog_offset,
     catalog_series,
     exc_polynomial,
     expected_ud_cycles,
@@ -22,13 +27,33 @@ from cudlab.series import (
     cos_series,
     euler_numbers,
     geometric_series,
+    monomial_key,
     zigzag_egf_series,
 )
 
 E = euler_numbers(24)
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _seq_json(seq_id: str, n: int) -> str:
+    """The text of ``cudlab seq ID --n N --cap N --format json``, rebuilt from
+    ``sequence_terms``."""
+    values = sequence_terms(seq_id, n, cap=n)
+    if catalog_markers(seq_id):
+        values = [{monomial_key(m): c for m, c in poly.items()} for poly in values]
+    payload = {"id": seq_id, "offset": catalog_offset(seq_id), "n_max": n, "values": values}
+    return json.dumps(payload, sort_keys=True)
+
 
 class TestSequences:
+    def test_every_entry_matches_golden(self):
+        # every entry at order 24 and perm-ud-nud at 28, as the ordinary-
+        # coefficient engine printed them; json refuses a Fraction term
+        requests = [(seq_id, 24) for seq_id in SEQUENCE_IDS] + [("perm-ud-nud", 28)]
+        text = "[\n" + ",\n".join(_seq_json(*r) for r in requests) + "\n]\n"
+        assert text == (GOLDEN / "catalog_n24.json").read_text(encoding="ascii")
+
     def test_gcud(self):
         assert sequence_terms("gcud", 9) == [1, 2, 6, 21, 97, 491, 2989, 19756, 148444]
 

@@ -156,6 +156,18 @@ class TestFamilies:
                 else:
                     assert ups == 0
 
+    def test_gen_up_down_cycle_is_the_rotation_definition(self):
+        # every pattern on k <= 8 points, starting at its minimum: some
+        # rotation, built element by element, reads up-down
+        from cudlab.perms import is_up_down_word
+
+        for k in range(1, 9):
+            for rest in itertools.permutations(range(1, k)):
+                cycle = (0,) + rest
+                rotations = (tuple(cycle[(i + j) % k] for j in range(k)) for i in range(k))
+                expected = any(is_up_down_word(rot) for rot in rotations)
+                assert is_gen_up_down_cycle(cycle) == expected, cycle
+
     def test_even_only_cud_excedance_characterization(self):
         for n in range(8):
             for p in perms_of(n):

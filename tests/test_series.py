@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cudlab.perms import DomainError
@@ -23,6 +23,81 @@ from cudlab.series import (
 )
 
 t = MPoly.marker("t")
+
+
+# an ordinary-coefficient reference for the EGF engine: each function takes and
+# returns lists of coefficients c_0..c_N (scalars or polynomials in t)
+def _one_like(c):
+    return MPoly.one() if isinstance(c, MPoly) else 1
+
+
+def _ref_mul(a, b):
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), 0) for n in range(len(a))]
+
+
+def _ref_reciprocal(b):
+    inv0 = 1 / Fraction(b[0].constant_value() if isinstance(b[0], MPoly) else b[0])
+    out = [inv0 * _one_like(b[0])]
+    for n in range(1, len(b)):
+        out.append(-inv0 * sum((b[k] * out[n - k] for k in range(1, n + 1)), 0))
+    return out
+
+
+def _ref_integrate(a):
+    return [0 * a[0]] + [a[k] * Fraction(1, k + 1) for k in range(len(a))]
+
+
+def _ref_differentiate(a):
+    return [a[k] * k for k in range(1, len(a))]
+
+
+def _ref_exp(a):  # n b_n = sum_k k a_k b_{n-k}, from b' = a' b
+    out = [_one_like(a[0])]
+    for n in range(1, len(a)):
+        out.append(sum((a[k] * k * out[n - k] for k in range(1, n + 1)), 0) * Fraction(1, n))
+    return out
+
+
+def _ref_log(b):  # the integral of b'/b
+    if len(b) == 1:
+        return [0 * b[0]]
+    return _ref_integrate(_ref_mul(_ref_differentiate(b), _ref_reciprocal(b[:-1])))
+
+
+_scalars = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
+_polys = st.lists(_scalars, min_size=1, max_size=3).map(
+    lambda cs: sum((c * t**i for i, c in enumerate(cs)), MPoly.zero())
+)
+
+
+@st.composite
+def _operands(draw):
+    """Two ordinary-coefficient lists of one length in one ring (int or
+    Fraction scalars, or polynomials in t), and a unit of that ring for
+    ``reciprocal``'s constant term."""
+    ring = draw(st.sampled_from([_scalars, _polys]))
+    n = draw(st.integers(1, 6))
+    a, b = (draw(st.lists(ring, min_size=n, max_size=n)) for _ in range(2))
+    unit = draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)]))
+    return a, b, unit * _one_like(a[0])
+
+
+_REFERENCE_OPS = {
+    # op name -> (constant term it needs, series op, reference op)
+    "mul": (None, lambda a, b: a * b, _ref_mul),
+    "reciprocal": ("unit", lambda a, b: a.reciprocal(), lambda a, b: _ref_reciprocal(a)),
+    "exp": (0, lambda a, b: a.exp(), lambda a, b: _ref_exp(a)),
+    "log": (1, lambda a, b: a.log(), lambda a, b: _ref_log(a)),
+    "integrate": (None, lambda a, b: a.integrate(), lambda a, b: _ref_integrate(a)),
+    "differentiate": (
+        None, lambda a, b: a.differentiate(), lambda a, b: _ref_differentiate(a)
+    ),
+    "sqrt": (
+        1,
+        lambda a, b: a.pow_scalar(Fraction(1, 2)),
+        lambda a, b: _ref_exp([c * Fraction(1, 2) for c in _ref_log(a)]),
+    ),
+}
 
 
 class TestMPoly:
@@ -74,6 +149,28 @@ class TestArithmetic:
     def test_ring_mismatch_rejected(self):
         with pytest.raises(DomainError):
             one_series(3) + one_series(3).lift()
+
+
+class TestAgainstOrdinaryReference:
+    @pytest.mark.parametrize("op", sorted(_REFERENCE_OPS))
+    @given(operands=_operands())
+    def test_op_matches_reference(self, op, operands):
+        a, b, unit = operands
+        head, series_op, reference_op = _REFERENCE_OPS[op]
+        assume(op != "differentiate" or len(a) > 1)
+        if head is not None:
+            a[0] = unit if head == "unit" else head * _one_like(a[0])
+        result = series_op(Series(a), Series(b))
+        assert list(result.coeffs) == reference_op(a, b)
+
+    @given(st.lists(st.integers(-9, 9), min_size=2, max_size=8))
+    def test_integral_inputs_keep_int_terms(self, tail):
+        for head in (0, 1):
+            a = Series((head, *tail))
+            results = [a * a, a.integrate(), a.differentiate()]
+            results += [a.exp()] if head == 0 else [a.reciprocal(), a.log()]
+            for ser in results:
+                assert all(type(term) is int for term in ser.terms)
 
 
 class TestCalculus:

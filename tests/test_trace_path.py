@@ -1,0 +1,40 @@
+"""The benchmark's per-layer trace patches cudlab by attribute name; a rename
+in cudlab must fail here, not only in ``perfbench/run.py --trace 1``."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TRACED_RUN = """
+import contextlib, io, json
+import tracer
+from cudlab import cli
+
+t = tracer.Tracer()
+tracer.install(t)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["seq", "perm-ud-nud", "--n", "8"]), cli.main(["verify", "--n", "3"])]
+metrics = tracer.per_layer_metrics(t)
+print(json.dumps({"codes": codes, "catalog_series": t.calls["catalog.catalog_series"],
+                  "metrics": len(metrics)}))
+"""
+
+
+def test_traced_seq_and_verify_run():
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout.splitlines()[-1])
+    assert payload["codes"] == [0, 0]
+    assert payload["catalog_series"] > 0
+    assert payload["metrics"] > 0
