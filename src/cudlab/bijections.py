@@ -58,6 +58,12 @@ def _require_natural(p: Permutation, what: str) -> None:
         raise DomainError(f"{what} must be a permutation of [n], got ground {p.ground}")
 
 
+def _canonical(cycles: list[tuple[int, ...]]) -> CycleDecomposition:
+    """Cycles built here, each already starting at its minimum, in canonical
+    order; the maps' outputs are not validated again."""
+    return CycleDecomposition._trusted(tuple(sorted(cycles)))
+
+
 def g_even(p: Permutation) -> CycleDecomposition:
     """Cut an even-length up-down word before each left-to-right minimum.
 
@@ -69,9 +75,14 @@ def g_even(p: Permutation) -> CycleDecomposition:
     _require_up_down(word)
     if len(word) % 2 != 0:
         raise DomainError("word must have even length")
+    return _canonical(_g_even_cycles(word))
+
+
+def _g_even_cycles(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The chunks of the word that start at its left-to-right minima; each
+    starts at its own minimum."""
     cuts = lr_min_positions(word) + [len(word)]
-    cycles = [tuple(word[cuts[i] : cuts[i + 1]]) for i in range(len(cuts) - 1)]
-    return CycleDecomposition.from_raw(cycles)
+    return [tuple(word[cuts[i] : cuts[i + 1]]) for i in range(len(cuts) - 1)]
 
 
 def g_even_inverse(c: CycleDecomposition) -> Permutation:
@@ -81,9 +92,9 @@ def g_even_inverse(c: CycleDecomposition) -> Permutation:
             raise DomainError(f"odd cycle {cyc} present")
         if not is_up_down_word(cyc):
             raise DomainError(f"cycle {cyc} is not up-down")
-    word = foata_word(c, descending=True).word
+    word = foata_word(c).word
     _require_up_down(word)
-    return Permutation(word)
+    return Permutation._trusted(word)
 
 
 def f_odd(p: Permutation) -> CycleDecomposition:
@@ -93,14 +104,20 @@ def f_odd(p: Permutation) -> CycleDecomposition:
     >>> format_cycles(f_odd(parse_permutation("4 7 1 9 3 8 5 6 2")))
     '(1,7,4)(2)(3,8,6,9,5)'
     """
-    word = p.word
+    _require_up_down(p.word)
+    return _canonical(_f_odd_cycles(p.word))
+
+
+def _f_odd_cycles(word: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The cycles :func:`f_odd` peels from an up-down word.  The minimum of
+    an up-down word sits at an even 0-based position, so the switched rest
+    is up-down again."""
     cycles = []
     while word:
-        _require_up_down(word)
         k = word.index(min(word))
         cycles.append((word[k],) + tuple(reversed(word[:k])))
         word = switched_word(word[k + 1 :])
-    return CycleDecomposition.from_raw(cycles)
+    return cycles
 
 
 def f_odd_inverse(c: CycleDecomposition) -> Permutation:
@@ -110,11 +127,17 @@ def f_odd_inverse(c: CycleDecomposition) -> Permutation:
             raise DomainError(f"even cycle {cyc} present")
         if not is_up_down_word(cyc):
             raise DomainError(f"cycle {cyc} is not up-down")
-    word: tuple[int, ...] = ()
-    for cyc in reversed(c.cycles):
-        word = tuple(reversed(cyc)) + switched_word(word)
+    word = _f_odd_word(c.cycles)
     _require_up_down(word)
-    return Permutation(word)
+    return Permutation._trusted(word)
+
+
+def _f_odd_word(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The word :func:`f_odd_inverse` rebuilds from canonical odd cycles."""
+    word: tuple[int, ...] = ()
+    for cyc in reversed(cycles):
+        word = tuple(reversed(cyc)) + switched_word(word)
+    return word
 
 
 def phi(p: Permutation) -> CycleDecomposition:
@@ -129,14 +152,12 @@ def phi(p: Permutation) -> CycleDecomposition:
     _require_up_down(word)
     if not word:
         raise DomainError("input must contain the entry 1")
+    # the 1 sits at an even 0-based position, so the prefix is an even
+    # up-down word and the switched suffix an up-down word
     k = word.index(1)
     prefix = tuple(x - 1 for x in word[:k])
     suffix = tuple(x - 1 for x in word[k + 1 :])
-    cycles = (
-        g_even(Permutation(prefix)).cycles
-        + f_odd(Permutation(switched_word(suffix))).cycles
-    )
-    return CycleDecomposition.from_raw(cycles)
+    return _canonical(_g_even_cycles(prefix) + _f_odd_cycles(switched_word(suffix)))
 
 
 def phi_inverse(c: CycleDecomposition) -> Permutation:
@@ -144,11 +165,11 @@ def phi_inverse(c: CycleDecomposition) -> Permutation:
     _require_cud(c)
     evens = [cyc for cyc in c.cycles if len(cyc) % 2 == 0]
     odds = [cyc for cyc in c.cycles if len(cyc) % 2 == 1]
-    prefix = g_even_inverse(CycleDecomposition.from_raw(evens)).word if evens else ()
-    suffix = switched_word(f_odd_inverse(CycleDecomposition.from_raw(odds)).word)
+    prefix = tuple(x for cyc in reversed(evens) for x in cyc)
+    suffix = switched_word(_f_odd_word(odds))
     word = tuple(x + 1 for x in prefix) + (1,) + tuple(x + 1 for x in suffix)
     _require_up_down(word)
-    return Permutation(word)
+    return Permutation._trusted(word)
 
 
 def _require_cud(c: CycleDecomposition) -> None:
@@ -186,15 +207,16 @@ def jbij(p: Permutation) -> CycleDecomposition:
         tau = tau[:j]
     if tau[0] != len(word):
         raise DomainError("input is not in the map's domain")
-    return CycleDecomposition.from_raw(cycles)
+    # each cut starts at a running minimum that no later entry undercuts
+    return _canonical(cycles)
 
 
 def jbij_inverse(c: CycleDecomposition) -> Permutation:
     """Foata word by decreasing first entries, n+1 in front, then repeatedly
     switch the longest alternating prefix until the whole word alternates."""
     _require_cud(c)
-    n = len(c.ground)
-    tau = (n + 1,) + foata_word(c, descending=True).word
+    tau = foata_word(c).word
+    tau = (len(tau) + 1,) + tau
     prev = 0
     while not (is_up_down_word(tau) or is_down_up_word(tau)):
         k = _alternating_prefix_len(tau)
@@ -203,8 +225,8 @@ def jbij_inverse(c: CycleDecomposition) -> Permutation:
         prev = k
         tau = switched_word(tau[:k]) + tau[k:]
     if is_up_down_word(tau):
-        return Permutation(tau)
-    return Permutation(switched_word(tau))
+        return Permutation._trusted(tau)
+    return Permutation._trusted(switched_word(tau))
 
 
 def _alternating_prefix_len(word: tuple[int, ...]) -> int:
@@ -223,8 +245,9 @@ def foata_word(c: CycleDecomposition, descending: bool = True) -> Permutation:
     >>> format_permutation(foata_word(parse_cycles("(1,4)(2,8,3,6)(5)(7)")))
     '7 5 2 8 3 6 1 4'
     """
-    cycles = sorted(c.cycles, key=lambda cyc: cyc[0], reverse=descending)
-    return Permutation(tuple(x for cyc in cycles for x in cyc))
+    # canonical cycles are listed by increasing first entry
+    cycles = reversed(c.cycles) if descending else c.cycles
+    return Permutation._trusted(tuple(x for cyc in cycles for x in cyc))
 
 
 def rotate_ud(p: Permutation, i: int) -> Permutation:
@@ -240,7 +263,7 @@ def rotate_ud(p: Permutation, i: int) -> Permutation:
     if not 1 <= i <= k:
         raise DomainError(f"rotation index must be in 1..{k}")
     cut = 2 * i - 2
-    return Permutation(word[cut:] + word[:cut])
+    return Permutation._trusted(word[cut:] + word[:cut])
 
 
 def h_map(p: Permutation, pattern: MinMaxPattern | None = None) -> Permutation:
@@ -260,7 +283,7 @@ def h_map(p: Permutation, pattern: MinMaxPattern | None = None) -> Permutation:
         if pattern.at(j) != pattern.at(j + 1):
             cut = positions[j - 1] + 1
             tau = tau[:cut] + switched_word(tau[cut:])
-    return Permutation(tuple(reversed(tau)))
+    return Permutation._trusted(tuple(reversed(tau)))
 
 
 def ell_map(p: Permutation, bits: BitWord) -> Permutation:
@@ -286,7 +309,7 @@ def ell_map(p: Permutation, bits: BitWord) -> Permutation:
         if s[j - 1] != s[j]:
             cut = minima[j - 1] + 2  # prefix through position i_j of p
             tau[:cut] = switched_word(tau[:cut])
-    return Permutation(tuple(tau))
+    return Permutation._trusted(tuple(tau))
 
 
 def ell_inverse(q: Permutation) -> tuple[Permutation, BitWord]:
@@ -313,4 +336,4 @@ def ell_inverse(q: Permutation) -> tuple[Permutation, BitWord]:
             tau[:cut] = switched_word(tau[:cut])
     if tau[0] != len(q.word):
         raise DomainError("input is not in the map's range")
-    return Permutation(tuple(tau[1:])), tuple(bits)
+    return Permutation._trusted(tuple(tau[1:])), tuple(bits)

@@ -77,7 +77,7 @@ def from_matching_pair(mp: MatchingPair) -> Permutation:
         red_partner[i] if i in openers else blue_partner[i]
         for i in range(1, mp.n + 1)
     )
-    return Permutation(word)
+    return Permutation._trusted(word)
 
 
 def matching_pair_text(mp: MatchingPair) -> str:

@@ -9,7 +9,11 @@ admissible cycles (``iter_cycle_family``); the S_n filter stays the
 reference that the direct routes are compared with rather than trusted.
 ``verify_all`` walks each S_n once, through ``census``, and returns a
 machine-readable report; any failing row is a bug somewhere, by design with
-no tolerance.
+no tolerance.  ``census`` is a flat kernel over plain words: it decomposes
+each word in place, tests each distinct cycle once against the cycle
+families, and takes the word statistics and ``m_s`` values from one pass
+(``statistics._scan``); the tests check it against ``is_member``, ``stats``
+and ``m_s`` over every permutation up to n = 7.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import bijections, matchings, perms
 from .catalog import (
@@ -46,7 +50,18 @@ from .series import (
     tan_series,
     zigzag_egf_series,
 )
-from .statistics import MAX, MIN, MinMaxPattern, StatVector, _stats_of, m_s, stats
+from .statistics import (
+    MAX,
+    MIN,
+    MinMaxPattern,
+    StatVector,
+    _letters,
+    _scan,
+    _stats_of,
+    extreme_positions,
+    lr_min_positions,
+    stats,
+)
 
 WORD_FAMILIES = (Family.UD, Family.DOWNUP, Family.UD_LAST_GT_FIRST)
 
@@ -109,7 +124,7 @@ def enumerate_family(
         keep = perms._WORD_TESTS[family] if family is Family.UD_LAST_GT_FIRST else None
         for word in _alternating_words(tuple(range(1, n + 1)), down_up=down_up):
             if keep is None or keep(word):
-                yield Permutation(word)
+                yield Permutation._trusted(word)
         return
     yield from _filter_s_n(family, n)
 
@@ -117,7 +132,7 @@ def enumerate_family(
 def _filter_s_n(family: Family, n: int) -> Iterator[Permutation]:
     """The members of S_n, by testing every word in lexicographic order."""
     for word in itertools.permutations(range(1, n + 1)):
-        p = Permutation(word)
+        p = Permutation._trusted(word)
         if is_member(p, family):
             yield p
 
@@ -181,7 +196,7 @@ def iter_cycle_family(
 
     def build(remaining: tuple[int, ...]) -> Iterator:
         if not remaining:
-            yield Permutation(tuple(word)), tuple(cycles)
+            yield Permutation._trusted(tuple(word)), tuple(cycles)
             return
         head, rest = remaining[0], remaining[1:]
         for k, table in tables:
@@ -218,10 +233,17 @@ def distribution(
         vectors = (_stats_of(p, cycles) for p, cycles in iter_cycle_family(family, n))
     else:
         vectors = map(stats, enumerate_family(family, n, cap))
+    return _table(family, n, stat_names, ((sv, 1) for sv in vectors))
+
+
+def _table(
+    family: Family, n: int, stat_names: Sequence[str], counted: Iterable[tuple[StatVector, int]]
+) -> DistributionTable:
+    """The table of the named statistics over (stat vector, count) pairs."""
     rows: dict[tuple[int, ...], int] = {}
-    for sv in vectors:
+    for sv, count in counted:
         key = tuple(getattr(sv, name) for name in stat_names)
-        rows[key] = rows.get(key, 0) + 1
+        rows[key] = rows.get(key, 0) + count
     return DistributionTable(family, n, tuple(stat_names), rows)
 
 
@@ -271,41 +293,94 @@ class Census:
         self, family: Family, stat_names: Sequence[str]
     ) -> DistributionTable:
         """The table ``distribution(family, n, stat_names)`` gives."""
-        rows: dict[tuple[int, ...], int] = {}
-        for sv, count in self.stat_counts[family].items():
-            key = tuple(getattr(sv, name) for name in stat_names)
-            rows[key] = rows.get(key, 0) + count
-        return DistributionTable(family, self.n, tuple(stat_names), rows)
+        return _table(family, self.n, stat_names, self.stat_counts[family].items())
 
     def words(self, family: Family) -> list[tuple[int, ...]]:
         return [word for word, _, _ in self.rows[family]]
 
 
 def census(n: int) -> Census:
-    """Walk S_n once: decompose each permutation once, and from that one
-    decomposition take its stat vector, its ``m_s`` values and its families."""
+    """Walk S_n once, over plain words decomposed in place.  A permutation
+    is in a cycle family when all its cycles are (the AND of their family
+    masks), and in a single-cycle family only with one cycle; its word
+    statistics and ``m_s`` values come from ``statistics._scan``."""
     _check_cap(Family.ALL, n, None)
+    families = list(perms._WORD_TESTS) + list(perms._CYCLE_FAMILIES)
+    bit = {family: 1 << i for i, family in enumerate(families)}
+    word_tests = [(bit[family], test) for family, test in perms._WORD_TESTS.items()]
+    cycle_tests = [(bit[family], test) for family, (test, _) in perms._CYCLE_FAMILIES.items()]
+    all_cycle_bits = sum(flag for flag, _ in cycle_tests)
+    single_bits = sum(bit[f] for f, (_, single) in perms._CYCLE_FAMILIES.items() if single)
     row_families = _ROW_FAMILIES + ((Family.ALL,) if n <= _MAP_CHECK_N else ())
-    stat_counts: dict[Family, Counter] = {family: Counter() for family in Family}
-    ms_counts = tuple(Counter() for _ in _PATTERNS)
     rows: dict[Family, list] = {family: [] for family in row_families}
+    row_lists = [(bit[family], rows[family]) for family in row_families]
+    row_bits = sum(bit[family] for family in row_families)
+    ground = tuple(range(1, n + 1))
+    letters = [_letters(pattern, n) for pattern in _PATTERNS]
+    st_at = _PATTERNS.index(MinMaxPattern.alternating())
+
+    # a cycle's verdict: the mask of the cycle families admitting it, shifted
+    # left once, with its up-down flag in bit 0.  A cycle on n - 1 or n points
+    # fixes the whole permutation, so it comes up once and is not kept.
+    verdicts: dict[tuple[int, ...], int] = {}
+    # how many permutations share each (family mask, stat tuple, m_s values)
+    tally: dict[tuple, int] = {}
     # the rows share one object per distinct stat vector and m_s triple
+    vectors: dict[tuple[int, ...], StatVector] = {}
     shared: dict = {}
-    for word in itertools.permutations(range(1, n + 1)):
-        p = Permutation(word)
-        # looked up on the module, so that a wrapper set there sees the call
-        cycles = perms.to_cycles(p).cycles
-        sv = _stats_of(p, cycles)
-        sv = shared.setdefault(sv, sv)
-        ms = tuple(m_s(p, pattern) for pattern in _PATTERNS)
-        ms = shared.setdefault(ms, ms)
+    for word in itertools.permutations(ground):
+        mask = all_cycle_bits
+        c = c_o = fp = ud = 0
+        seen = [False] * (n + 1)
+        for a in ground:
+            if seen[a]:
+                continue
+            cycle = [a]
+            b = word[a - 1]
+            while b != a:
+                seen[b] = True
+                cycle.append(b)
+                b = word[b - 1]
+            cycle = tuple(cycle)
+            k = len(cycle)
+            verdict = verdicts.get(cycle)
+            if verdict is None:
+                verdict = sum(flag for flag, test in cycle_tests if test(cycle)) << 1
+                verdict |= perms.is_up_down_word(cycle)
+                if k < n - 1:
+                    verdicts[cycle] = verdict
+            mask &= verdict >> 1
+            ud += verdict & 1
+            c += 1
+            c_o += k % 2
+            fp += k == 1
+        if c != 1:
+            mask &= ~single_bits
+        for flag, test in word_tests:
+            if test(word):
+                mask |= flag
+        lrm, extr, exc, ms = _scan(word, ground, letters)
+        sv = (c, c_o, c - c_o, fp, lrm, ms[st_at], extr, exc, ud, c - ud)
+        key = (mask, sv, ms)
+        tally[key] = tally.get(key, 0) + 1
+        if mask & row_bits:
+            vector = vectors.get(sv) or vectors.setdefault(sv, StatVector(*sv))
+            row = (word, vector, shared.setdefault(ms, ms))
+            for flag, members in row_lists:
+                if mask & flag:
+                    members.append(row)
+
+    # tally keeps first appearances in walk order, and so do the counters
+    stat_counts: dict[Family, Counter] = {family: Counter() for family in Family}
+    counters = [(bit[family], stat_counts[family]) for family in families]
+    ms_counts = tuple(Counter() for _ in _PATTERNS)
+    for (mask, sv, ms), count in tally.items():
+        vector = vectors.get(sv) or vectors.setdefault(sv, StatVector(*sv))
+        for flag, counter in counters:
+            if mask & flag:
+                counter[vector] += count
         for counter, value in zip(ms_counts, ms):
-            counter[value] += 1
-        row = (word, sv, ms)
-        for family in perms._families_of(p, cycles):
-            stat_counts[family][sv] += 1
-            if family in rows:
-                rows[family].append(row)
+            counter[value] += count
     return Census(n, stat_counts, ms_counts, rows)
 
 
@@ -637,7 +712,7 @@ def _verify_distributions(rep: _Report, censuses: list[Census], eul: list[int]) 
 
 def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
     for n, cen in enumerate(censuses):
-        ud_rows = [(Permutation(word), sv) for word, sv, _ in cen.rows[Family.UD]]
+        ud_rows = [(Permutation._trusted(word), sv) for word, sv, _ in cen.rows[Family.UD]]
         if n % 2 == 0:
             images = []
             ok_stats = True
@@ -672,21 +747,19 @@ def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
         phi_images = []
         jbij_images = []
         ok_phi = ok_phi_stats = ok_jbij = ok_jbij_stats = True
-        # UD_{n+1} lies past the last census at n = n_cap, so the backtracker
-        # builds it
-        for p in enumerate_family(Family.UD, n + 1):
-            sv = stats(p)
+        for word, lrm, st, extr in _ud_lrm_st_extr(censuses, n + 1):
+            p = Permutation._trusted(word)
             c = bijections.phi(p)
-            q = from_cycles(c)
-            phi_images.append(q.word)
-            sc = _stats_of(q, c.cycles)
+            phi_images.append(from_cycles(c).word)
+            c_o = sum(len(cycle) % 2 for cycle in c.cycles)
+            c_e = len(c) - c_o
             ok_phi_stats = ok_phi_stats and (
-                sc.c_e == sv.lrm - 1 and sc.c_o == sv.st - 1 and sc.c == sv.lrm + sv.st - 2
+                c_e == lrm - 1 and c_o == st - 1 and c_e + c_o == lrm + st - 2
             )
             ok_phi = ok_phi and bijections.phi_inverse(c) == p
             c2 = bijections.jbij(p)
             jbij_images.append(from_cycles(c2).word)
-            ok_jbij_stats = ok_jbij_stats and len(c2) == sv.extr
+            ok_jbij_stats = ok_jbij_stats and len(c2) == extr
             ok_jbij = ok_jbij and bijections.jbij_inverse(c2) == p
         rep.add("bij-phi-roundtrip", n, True, ok_phi)
         rep.add("bij-phi-stats", n, True, ok_phi_stats)
@@ -704,7 +777,7 @@ def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
         )
     for cen in censuses[2::2]:
         n, k = cen.n, cen.n // 2
-        starts_low = [Permutation(w) for w, _, _ in cen.rows[Family.UD] if w[0] == 1]
+        starts_low = [Permutation._trusted(w) for w, _, _ in cen.rows[Family.UD] if w[0] == 1]
         produced = set()
         ok = True
         for p in starts_low:
@@ -718,8 +791,10 @@ def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
     for cen in censuses[1 : _MAP_CHECK_N + 1]:
         n, s_n = cen.n, cen.rows[Family.ALL]
         for i, pattern in enumerate(_PATTERNS):
-            images = [bijections.h_map(Permutation(w), pattern) for w, _, _ in s_n]
-            ok = all(stats(q).lrm == ms[i] for (_, _, ms), q in zip(s_n, images))
+            images = [bijections.h_map(Permutation._trusted(w), pattern) for w, _, _ in s_n]
+            ok = all(
+                len(lr_min_positions(q.word)) == ms[i] for (_, _, ms), q in zip(s_n, images)
+            )
             rep.add(f"bij-h-transport[{pattern}]", n, True, ok)
             rep.add(
                 f"bij-h-bijective[{pattern}]", n, factorial(n), len({q.word for q in images})
@@ -728,15 +803,32 @@ def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
         produced = set()
         ok = True
         for word, sv, _ in cen.rows[Family.ALL]:
-            p = Permutation(word)
+            p = Permutation._trusted(word)
             k = sv.lrm
             for bits in itertools.product((0, 1), repeat=k):
                 q = bijections.ell_map(p, bits)
                 produced.add(q.word)
-                ok = ok and stats(q).extr == k
+                ok = ok and len(extreme_positions(q.word)) == k
                 ok = ok and bijections.ell_inverse(q) == (p, bits)
         rep.add("bij-ell-roundtrip", cen.n, True, ok)
         rep.add("bij-ell-image", cen.n, factorial(cen.n + 1), len(produced))
+
+
+def _ud_lrm_st_extr(
+    censuses: list[Census], n: int
+) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """(word, lrm, st, extr) for each word of UD_n, read from the census of
+    S_n when there is one; past the last census the backtracker builds the
+    words, one at a time."""
+    if n < len(censuses):
+        for word, sv, _ in censuses[n].rows[Family.UD]:
+            yield word, sv.lrm, sv.st, sv.extr
+        return
+    ground = tuple(range(1, n + 1))
+    alternating = (_letters(MinMaxPattern.alternating(), n),)
+    for word in _alternating_words(ground):
+        lrm, extr, _, (st,) = _scan(word, ground, alternating)
+        yield word, lrm, st, extr
 
 
 def _verify_matchings(rep: _Report, censuses: list[Census], eul: list[int]) -> None:
@@ -744,7 +836,7 @@ def _verify_matchings(rep: _Report, censuses: list[Census], eul: list[int]) -> N
         pairs = set()
         ok = True
         for word, _, _ in cen.rows[Family.CUD_EVEN_ONLY]:
-            p = Permutation(word)
+            p = Permutation._trusted(word)
             mp = matchings.to_matching_pair(p)
             pairs.add((mp.red, mp.blue))
             ok = ok and matchings.from_matching_pair(mp) == p

@@ -20,6 +20,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import gt, lt
 from typing import Callable, Iterable, Sequence
 
 
@@ -38,25 +39,19 @@ def switched_word(word: Sequence[int]) -> tuple[int, ...]:
     (6, 2, 4, 3)
     """
     values = sorted(word)
-    n = len(values)
-    rank = {a: i for i, a in enumerate(values)}
-    return tuple(values[n - 1 - rank[x]] for x in word)
+    return tuple(map(dict(zip(values, reversed(values))).__getitem__, word))
 
 
 def is_up_down_word(word: Sequence[int]) -> bool:
-    """True iff w_1 < w_2 > w_3 < w_4 > ...  (vacuous for length <= 1)."""
-    return all(
-        word[i] < word[i + 1] if i % 2 == 0 else word[i] > word[i + 1]
-        for i in range(len(word) - 1)
-    )
+    """True iff w_1 < w_2 > w_3 < w_4 > ...  (vacuous for length <= 1): each
+    entry at an even 0-based position is below the next, each at an odd one
+    above it."""
+    return all(map(lt, word[::2], word[1::2])) and all(map(gt, word[1::2], word[2::2]))
 
 
 def is_down_up_word(word: Sequence[int]) -> bool:
     """True iff w_1 > w_2 < w_3 > w_4 < ..."""
-    return all(
-        word[i] > word[i + 1] if i % 2 == 0 else word[i] < word[i + 1]
-        for i in range(len(word) - 1)
-    )
+    return all(map(gt, word[::2], word[1::2])) and all(map(lt, word[1::2], word[2::2]))
 
 
 def is_up_down_cycle(cycle: Sequence[int]) -> bool:
@@ -107,6 +102,14 @@ class Permutation:
         if len(set(self.word)) != len(self.word):
             raise MalformedInput(f"repeated entry in word {self.word}")
 
+    @classmethod
+    def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
+        """A word cudlab built itself, so known to be a permutation: no
+        checks.  Input from outside goes through the constructor."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "word", word)
+        return p
+
     @property
     def ground(self) -> tuple[int, ...]:
         """The underlying set, sorted increasingly."""
@@ -147,6 +150,14 @@ class CycleDecomposition:
         firsts = [cyc[0] for cyc in self.cycles]
         if firsts != sorted(firsts):
             raise MalformedInput("cycles not sorted by increasing first entry")
+
+    @classmethod
+    def _trusted(cls, cycles: tuple[tuple[int, ...], ...]) -> "CycleDecomposition":
+        """Canonical cycles cudlab built itself: no checks.  Input from
+        outside goes through the constructor or ``from_raw``."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "cycles", cycles)
+        return c
 
     @classmethod
     def from_raw(cls, cycles: Iterable[Sequence[int]]) -> "CycleDecomposition":
@@ -199,7 +210,7 @@ def to_cycles(p: Permutation) -> CycleDecomposition:
     m = p.mapping()
     seen: set[int] = set()
     cycles = []
-    for a in p.ground:
+    for a in m:  # the ground set, in increasing order
         if a in seen:
             continue
         cyc = []
@@ -211,7 +222,7 @@ def to_cycles(p: Permutation) -> CycleDecomposition:
         cycles.append(tuple(cyc))
     # starting each walk at the smallest unvisited element yields canonical
     # shape directly
-    return CycleDecomposition(tuple(cycles))
+    return CycleDecomposition._trusted(tuple(cycles))
 
 
 def from_cycles(c: CycleDecomposition) -> Permutation:
@@ -224,7 +235,7 @@ def from_cycles(c: CycleDecomposition) -> Permutation:
     for cyc in c.cycles:
         for i, x in enumerate(cyc):
             image[x] = cyc[(i + 1) % len(cyc)]
-    return Permutation(tuple(image[a] for a in sorted(image)))
+    return Permutation._trusted(tuple(image[a] for a in sorted(image)))
 
 
 def switch(p: Permutation) -> Permutation:
@@ -233,7 +244,7 @@ def switch(p: Permutation) -> Permutation:
     >>> format_permutation(switch(parse_permutation("2 6 3 4")))
     '6 2 4 3'
     """
-    return Permutation(switched_word(p.word))
+    return Permutation._trusted(switched_word(p.word))
 
 
 # A word family is a test of the one-line word.
@@ -307,14 +318,6 @@ def _admits(family: Family, cycles: tuple[tuple[int, ...], ...]) -> bool:
     """Whether the canonical cycles make a member of the cycle family."""
     admissible, single = _CYCLE_FAMILIES[family]
     return (not single or len(cycles) == 1) and all(map(admissible, cycles))
-
-
-def _families_of(p: Permutation, cycles: tuple[tuple[int, ...], ...]) -> list[Family]:
-    """Every family ``p`` belongs to, given its canonical cycles: exactly
-    those ``f`` for which ``is_member(p, f)`` holds."""
-    return [family for family, test in _WORD_TESTS.items() if test(p.word)] + [
-        family for family in _CYCLE_FAMILIES if _admits(family, cycles)
-    ]
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -91,16 +91,34 @@ class MPoly:
         return self._terms.get(tuple(sorted(mono)), 0)
 
     def substitute(self, assign: Mapping[str, Union["MPoly", Scalar]]) -> "MPoly":
-        """Replace markers by polynomials or scalars; unmentioned markers stay."""
+        """Replace markers by polynomials or scalars; unmentioned markers stay.
+
+        Each power of a marker's value is built once, from the power below
+        it, and every term is added into one dict.
+        """
         values = {name: MPoly._coerce(v) for name, v in assign.items()}
-        total = MPoly.zero()
+        # powers[name][e] is the value of the marker raised to e
+        powers = {name: [MPoly.one()] for name in values}
+        acc: dict[Monomial, Scalar] = {}
         for mono, coeff in self._terms.items():
-            term = MPoly.constant(coeff)
+            term: dict[Monomial, Scalar] = {(): coeff}
             for name, exp in mono:
-                base = values.get(name, MPoly.marker(name))
-                term = term * base**exp
-            total = total + term
-        return total
+                if name in powers:
+                    ladder = powers[name]
+                    while len(ladder) <= exp:
+                        ladder.append(ladder[-1] * values[name])
+                    factor = ladder[exp]._terms
+                else:
+                    factor = {((name, exp),): 1}
+                product: dict[Monomial, Scalar] = {}
+                for mono_a, ca in term.items():
+                    for mono_b, cb in factor.items():
+                        key = _mono_mul(mono_a, mono_b)
+                        product[key] = product.get(key, 0) + ca * cb
+                term = product
+            for key, value in term.items():
+                acc[key] = acc.get(key, 0) + value
+        return MPoly._of(acc)
 
     def __add__(self, other):
         other = MPoly._coerce(other)

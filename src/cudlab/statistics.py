@@ -10,6 +10,7 @@ documentation and 0-based in the code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 from typing import Sequence
 
 from .perms import (
@@ -168,18 +169,60 @@ def stats(p: Permutation) -> StatVector:
 def _stats_of(p: Permutation, cycles: tuple[tuple[int, ...], ...]) -> StatVector:
     """``stats(p)``, given the canonical cycles of ``p``."""
     word = p.word
+    # the alternating pattern min, max, min, ... selects the min-max subsequence
+    lrm, extr, exc, (st,) = _scan(word, sorted(word), ((True, False) * (len(word) // 2 + 1),))
     c = len(cycles)
-    c_o = sum(1 for cyc in cycles if len(cyc) % 2 == 1)
-    ud = sum(1 for cyc in cycles if is_up_down_word(cyc))
-    return StatVector(
-        c=c,
-        c_o=c_o,
-        c_e=c - c_o,
-        fp=sum(1 for cyc in cycles if len(cyc) == 1),
-        lrm=len(lr_min_positions(word)),
-        st=len(selection_positions(word, MinMaxPattern.alternating())),
-        extr=len(extreme_positions(word)),
-        exc=sum(1 for a, b in p.mapping().items() if b > a),
-        ud=ud,
-        nud=c - ud,
-    )
+    c_o = sum(len(cyc) % 2 for cyc in cycles)
+    ud = sum(map(is_up_down_word, cycles))
+    fp = sum(len(cyc) == 1 for cyc in cycles)
+    return StatVector(c, c_o, c - c_o, fp, lrm, st, extr, exc, ud, c - ud)
+
+
+def _letters(pattern: MinMaxPattern, n: int) -> tuple[bool, ...]:
+    """The first n letters of the pattern, True for min, as ``_scan`` reads
+    them."""
+    return tuple(pattern.at(j) == MIN for j in range(1, n + 1))
+
+
+def _scan(
+    word: Sequence[int], ground: Sequence[int], patterns: Sequence[Sequence[bool]]
+) -> tuple[int, int, int, tuple[int, ...]]:
+    """``lrm``, ``extr``, ``exc`` and the ``m_s`` of each pattern (given by
+    ``_letters``) of a word over the sorted ``ground``: one left-to-right
+    pass, then the positions of the suffix minima and maxima.
+    ``lr_min_positions``, ``extreme_positions`` and ``selection_positions``
+    are the readable definitions."""
+    n = len(word)
+    if not n:
+        return 0, 0, 0, (0,) * len(patterns)
+    lo = hi = word[0]
+    lrm, extr = 1, 0
+    for x in word:
+        if x < lo:
+            lo = x
+            lrm += 1
+            extr += 1
+        elif x > hi:
+            hi = x
+            extr += 1
+    # arg_min[i] and arg_max[i] locate the minimum and maximum of word[i:]
+    arg_min = [0] * n
+    arg_max = [0] * n
+    lo_at = hi_at = n - 1
+    for i in range(n - 1, -1, -1):
+        x = word[i]
+        if x < word[lo_at]:
+            lo_at = i
+        elif x > word[hi_at]:
+            hi_at = i
+        arg_min[i] = lo_at
+        arg_max[i] = hi_at
+    lengths = []
+    for letters in patterns:
+        # pick k + 1 is the pattern's letter of what remains after pick k
+        i, k = -1, 0
+        while i < n - 1:
+            i = (arg_min if letters[k] else arg_max)[i + 1]
+            k += 1
+        lengths.append(k)
+    return lrm, extr, sum(map(gt, word, ground)), tuple(lengths)

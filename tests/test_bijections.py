@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from cudlab import bijections as bij
 from cudlab.oracle import _alternating_words, enumerate_family
 from cudlab.perms import (
+    CycleDecomposition,
     DomainError,
     Family,
+    MalformedInput,
     Permutation,
     format_cycles,
     format_permutation,
@@ -292,3 +294,30 @@ class TestEll:
             bij.ell_map(parse_permutation("2 1"), (0, 2))
         with pytest.raises(DomainError):
             bij.ell_inverse(parse_permutation("1"))  # no extreme elements
+
+
+class TestTrustedConstruction:
+    """The maps build their outputs without validating them again; every
+    output must still pass the strict constructors."""
+
+    def test_images_and_inverses_revalidate(self):
+        for n in range(9):
+            for p in enumerate_family(Family.UD, n):
+                pairs = [(bij.f_odd(p), bij.f_odd_inverse)]
+                if n % 2 == 0:
+                    pairs.append((bij.g_even(p), bij.g_even_inverse))
+                if n:
+                    pairs += [(bij.phi(p), bij.phi_inverse), (bij.jbij(p), bij.jbij_inverse)]
+                for image, inverse in pairs:
+                    assert CycleDecomposition(image.cycles) == image
+                    assert Permutation(from_cycles(image).word) == from_cycles(image)
+                    back = inverse(image)
+                    assert Permutation(back.word) == back == p
+
+    def test_strict_entry_points_still_raise(self):
+        with pytest.raises(DomainError):
+            bij.phi(parse_permutation("2 1 3"))
+        with pytest.raises(MalformedInput):
+            parse_permutation("1 1")
+        with pytest.raises(MalformedInput):
+            CycleDecomposition(((2, 1),))

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from cudlab import oracle, perms
 from cudlab.catalog import CapExceeded
 from cudlab.oracle import (
     WORD_FAMILIES,
+    Census,
     census,
     count_family,
     distribution,
@@ -23,7 +25,7 @@ from cudlab.oracle import (
 )
 from cudlab.perms import Family, Permutation, is_member
 from cudlab.series import MPoly, euler_numbers, stirling_c
-from cudlab.statistics import STAT_NAMES
+from cudlab.statistics import STAT_NAMES, m_s, stats
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -165,7 +167,38 @@ class _CountingItertools:
         return itertools.permutations(values)
 
 
+def _reference_census(n):
+    """``census(n)`` from the public definitions: ``is_member`` for every
+    family, ``stats`` and ``m_s`` of every permutation of S_n."""
+    row_families = oracle._ROW_FAMILIES + ((Family.ALL,) if n <= oracle._MAP_CHECK_N else ())
+    stat_counts = {family: Counter() for family in Family}
+    ms_counts = tuple(Counter() for _ in oracle._PATTERNS)
+    rows = {family: [] for family in row_families}
+    for word in itertools.permutations(range(1, n + 1)):
+        p = Permutation(word)
+        sv = stats(p)
+        ms = tuple(m_s(p, pattern) for pattern in oracle._PATTERNS)
+        for counter, value in zip(ms_counts, ms):
+            counter[value] += 1
+        for family in Family:
+            if is_member(p, family):
+                stat_counts[family][sv] += 1
+                if family in rows:
+                    rows[family].append((word, sv, ms))
+    return Census(n, stat_counts, ms_counts, rows)
+
+
 class TestCensus:
+    @pytest.mark.parametrize("n", range(8))
+    def test_kernel_matches_the_public_definitions(self, n):
+        cen, ref = census(n), _reference_census(n)
+        # every family's counts, all three m_s patterns, and the rows in order
+        assert cen == ref
+        for family in Family:
+            # keyed in order of first appearance, as the walk meets them
+            assert list(cen.stat_counts[family]) == list(ref.stat_counts[family])
+        assert [list(c) for c in cen.ms_counts] == [list(c) for c in ref.ms_counts]
+
     def test_verify_walks_each_s_n_once(self, monkeypatch):
         counting = _CountingItertools()
         monkeypatch.setattr(oracle, "itertools", counting)

@@ -100,7 +100,33 @@ _REFERENCE_OPS = {
 }
 
 
+_MARKERS = ("t", "u", "x")
+monomials = st.dictionaries(st.sampled_from(_MARKERS), st.integers(1, 4), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items()))
+)
+coefficients = st.one_of(st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4))
+polys = st.dictionaries(monomials, coefficients, max_size=5).map(MPoly)
+
+
+def _substitute_by_repeated_products(poly, assign):
+    """The definition of ``MPoly.substitute``: each coefficient times each
+    marker's value multiplied in once per unit of its exponent."""
+    total = MPoly.zero()
+    for mono, coeff in poly.items():
+        term = MPoly.constant(coeff)
+        for name, exp in mono:
+            base = MPoly._coerce(assign.get(name, MPoly.marker(name)))
+            for _ in range(exp):
+                term = term * base
+        total = total + term
+    return total
+
+
 class TestMPoly:
+    @given(polys, st.dictionaries(st.sampled_from(_MARKERS), st.one_of(coefficients, polys)))
+    def test_substitute_is_the_repeated_product(self, poly, assign):
+        assert poly.substitute(assign) == _substitute_by_repeated_products(poly, assign)
+
     def test_constant_and_markers(self):
         assert MPoly.constant(3) + MPoly.constant(-3) == MPoly.zero()
         assert (t + 1) * (t - 1) == t * t - 1

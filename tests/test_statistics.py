@@ -5,15 +5,39 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cudlab.perms import Family, MalformedInput, Permutation, from_cycles, is_member, parse_cycles, parse_permutation
+from cudlab.perms import (
+    Family,
+    MalformedInput,
+    Permutation,
+    from_cycles,
+    is_member,
+    is_up_down_cycle,
+    parse_cycles,
+    parse_permutation,
+    to_cycles,
+)
 from cudlab.series import stirling_c
 from cudlab.statistics import (
     MAX,
     MIN,
     MinMaxPattern,
+    _letters,
+    _scan,
+    _stats_of,
+    extreme_positions,
+    lr_min_positions,
     m_s,
     min_max_subsequence,
+    selection_positions,
     stats,
+)
+
+# words over ground sets other than [n]
+general_words = st.lists(st.integers(1, 60), max_size=12, unique=True).flatmap(st.permutations)
+patterns = st.builds(
+    MinMaxPattern,
+    st.lists(st.sampled_from((MIN, MAX)), max_size=3).map(tuple),
+    st.lists(st.sampled_from((MIN, MAX)), min_size=1, max_size=3).map(tuple),
 )
 
 
@@ -51,6 +75,30 @@ class TestStatVector:
                 if is_member(p, Family.CUD):
                     sv = stats(p)
                     assert sv.c_o + 2 * sv.exc == n
+
+    @given(general_words)
+    def test_one_pass_matches_the_definitions(self, word):
+        p = Permutation(tuple(word))
+        cycles = to_cycles(p).cycles
+        sv = _stats_of(p, cycles)
+        mapping = p.mapping()
+        assert sv.c == len(cycles)
+        assert sv.c_o == sum(1 for cyc in cycles if len(cyc) % 2 == 1)
+        assert sv.c_e == sum(1 for cyc in cycles if len(cyc) % 2 == 0)
+        assert sv.fp == sum(1 for a, b in mapping.items() if a == b)
+        assert sv.lrm == len(lr_min_positions(p.word))
+        assert sv.st == len(selection_positions(p.word, MinMaxPattern.alternating()))
+        assert sv.extr == len(extreme_positions(p.word))
+        assert sv.exc == sum(1 for a, b in mapping.items() if b > a)
+        assert sv.ud == sum(1 for cyc in cycles if is_up_down_cycle(cyc))
+        assert sv.nud == sv.c - sv.ud
+
+    @given(general_words, st.lists(patterns, max_size=3))
+    def test_one_pass_selection_lengths_are_m_s(self, word, chosen):
+        p = Permutation(tuple(word))
+        letters = [_letters(pattern, len(word)) for pattern in chosen]
+        *_, lengths = _scan(p.word, p.ground, letters)
+        assert lengths == tuple(m_s(p, pattern) for pattern in chosen)
 
     @given(st.permutations(list(range(1, 9))))
     def test_cycle_counters_add_up(self, word):
