@@ -14,7 +14,8 @@ written, or a flag the command would ignore (``--format csv`` outside
 ``--samples`` without ``--montecarlo``, and ``map --bits``, ``--pattern``
 or ``--order`` on any map but ``ell``, ``h`` or ``foata`` in turn), 3 cap
 exceeded (``expect --n`` above ``EXPECT_CAP`` without a ``--cap`` that
-allows it included).  ``CUDLAB_CAP`` overrides the default enumeration cap.
+allows it included).  ``CUDLAB_CAP`` overrides the default enumeration cap of
+``enumerate`` unless ``--cap`` is given; a value that is not an integer exits 2.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def _config_from(args: argparse.Namespace) -> Config:
     if args.seed is not None and not getattr(args, "montecarlo", False):
         raise MalformedInput("only expect --montecarlo takes --seed")
     enum_cap = args.cap
-    if enum_cap is None and os.environ.get("CUDLAB_CAP"):
-        enum_cap = int(os.environ["CUDLAB_CAP"])
+    if enum_cap is None and args.command == "enumerate":
+        enum_cap = _env_cap()
     return Config(
         order_cap=args.cap if args.cap is not None else DEFAULT_ORDER_CAP,
         enum_cap=enum_cap,
@@ -109,6 +110,17 @@ def _config_from(args: argparse.Namespace) -> Config:
         seed=args.seed if args.seed is not None else 0,
         out=args.out,
     )
+
+
+def _env_cap() -> int | None:
+    """The enumeration cap that ``CUDLAB_CAP`` sets, if it is set."""
+    text = os.environ.get("CUDLAB_CAP")
+    if not text:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInput(f"CUDLAB_CAP must be an integer, got {text!r}") from None
 
 
 def _emit(cfg: Config, text: str) -> None:

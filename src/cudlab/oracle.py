@@ -9,15 +9,22 @@ admissible cycles (``iter_cycle_family``); the S_n filter stays the
 reference that the direct routes are compared with rather than trusted.
 ``verify_all`` walks each S_n once, through ``census``, and returns a
 machine-readable report; any failing row is a bug somewhere, by design with
-no tolerance.  ``census`` is a flat kernel over plain words: it decomposes
-each word in place, tests each distinct cycle once against the cycle
-families, and takes the word statistics and ``m_s`` values from one pass
-(``statistics._scan``); the tests check it against ``is_member``, ``stats``
-and ``m_s`` over every permutation up to n = 7.
+no tolerance.  The checks are a registry: each phase of ``_PHASES`` is a
+generator of (check, n, expected, actual) rows, and ``verify_all`` is the one
+place that turns rows into report entries.  The counts phase is the
+``_COUNT_CHECKS`` table, and the round trips of ``g_even``, ``f_odd``,
+``phi`` and ``jbij`` share ``_map_ud_words``.
+
+``census`` is a flat kernel over plain words: it decomposes each word in
+place, tests each distinct cycle once against the cycle families, and takes
+the word statistics and ``m_s`` values from one pass (``statistics._scan``);
+the tests check it against ``is_member``, ``stats`` and ``m_s`` over every
+permutation up to n = 7.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -385,23 +392,7 @@ def census(n: int) -> Census:
 
 
 # ---------------------------------------------------------------------------
-# the verification suite
-
-
-class _Report:
-    def __init__(self) -> None:
-        self.entries: list[dict] = []
-
-    def add(self, check: str, n, expected, actual) -> None:
-        self.entries.append(
-            {
-                "check": check,
-                "n": n,
-                "expected": _plain(expected),
-                "actual": _plain(actual),
-                "pass": expected == actual,
-            }
-        )
+# the verification suite: each phase yields (check, n, expected, actual) rows
 
 
 def _plain(value):
@@ -418,7 +409,8 @@ def report_passed(report: list[dict]) -> bool:
 
 def verify_all(n_cap: int = 7, euler_fn=euler_numbers) -> list[dict]:
     """Run every check against the brute-force oracle up to size ``n_cap``
-    and return one pass/fail entry per (check, n).
+    and return one pass/fail entry per (check, n), phase by phase in the
+    order of ``_PHASES``.
 
     ``euler_fn`` exists for fault injection in tests; the default is the
     boustrophedon recurrence.
@@ -427,116 +419,96 @@ def verify_all(n_cap: int = 7, euler_fn=euler_numbers) -> list[dict]:
         raise CapExceeded(f"verification cap is {VERIFY_CAP}, got {n_cap}")
     if n_cap < 1:
         raise ValueError("n_cap must be at least 1")
-    rep = _Report()
     eul = euler_fn(max(21, 2 * n_cap + 8))
     order = max(20, n_cap + 2)
-
     # one walk of each S_n feeds every check; the censuses go when this returns
     censuses = [census(n) for n in range(n_cap + 1)]
-    _verify_counts(rep, censuses, eul)
-    _verify_series_identities(rep, eul, order)
-    _verify_specializations(rep, order)
-    _verify_distributions(rep, censuses, eul)
-    _verify_bijections(rep, censuses)
-    _verify_matchings(rep, censuses, eul)
-    _verify_expectations(rep, censuses, eul)
-    return rep.entries
+    return [
+        {
+            "check": check,
+            "n": n,
+            "expected": _plain(expected),
+            "actual": _plain(actual),
+            "pass": expected == actual,
+        }
+        for phase in _PHASES
+        for check, n, expected, actual in phase(censuses, eul, order)
+    ]
 
 
-def _verify_counts(rep: _Report, censuses: list[Census], eul: list[int]) -> None:
+# the sizes a check runs at
+_EVERY_N = range(VERIFY_CAP + 1)
+_FROM_1 = range(1, VERIFY_CAP + 1)
+_EVEN = range(0, VERIFY_CAP + 1, 2)
+_EVEN_FROM_2 = range(2, VERIFY_CAP + 1, 2)
+
+# check name, actual value, expected value, sizes.  A value is a census
+# family (its count), a catalog id (its EGF term at n), an int k (E_{n+k}),
+# or a function of n, the Euler numbers and the catalog's series by id.
+_COUNT_CHECKS = (
+    ("ud-count", Family.UD, 0, _EVERY_N),
+    ("downup-count", Family.DOWNUP, 0, _EVERY_N),
+    ("cud-count", Family.CUD, 1, _EVERY_N),
+    ("cud-count-series", Family.CUD, "cud", _EVERY_N),
+    ("cud-odd-only-count", Family.CUD_ODD_ONLY, 0, _EVERY_N),
+    ("cud-even-only-count", Family.CUD_EVEN_ONLY, 0, _EVEN),
+    ("cud-cyclic-count", Family.CUD_CYCLIC, -1, _FROM_1),
+    ("cud-derangement-count", Family.CUD_DERANGEMENT, "cud-derangements", _FROM_1),
+    ("gcud-count", Family.GCUD, "gcud", _FROM_1),
+    ("gcud-even-only-count", Family.GCUD_EVEN_ONLY, "gcud-even-only", _FROM_1),
+    ("gcud-odd-only-count", Family.GCUD_ODD_ONLY, "gcud-odd-only", _FROM_1),
+    # odd generalized up-down cycles have a unique up-down representation,
+    # so odd cyclic counts are E_n (EGF tan z)
+    (
+        "gcud-cyclic-count",
+        Family.GCUD_CYCLIC,
+        lambda n, eul, series: series("gcud-even-cyclic").egf_int(n) + n % 2 * eul[n],
+        _FROM_1,
+    ),
+    ("exc-def-swap-count", Family.EXC_DEF_SWAP, "exc-def-swap", _EVERY_N),
+    (
+        "ud-last-gt-first-count",
+        Family.UD_LAST_GT_FIRST,
+        lambda n, eul, _: n // 2 * eul[n - 1],
+        _EVEN_FROM_2,
+    ),
+    ("ud-last-gt-first-series", Family.UD_LAST_GT_FIRST, "k-euler-odd", _EVEN_FROM_2),
+    (
+        "gcud-even-cyclic-lemma",
+        "gcud-even-cyclic",
+        lambda n, eul, _: eul[n] - (n // 2 - 1) * eul[n - 1],
+        _EVEN_FROM_2,
+    ),
+)
+
+
+def _verify_counts(censuses: list[Census], eul: list[int], order: int) -> Iterator[tuple]:
     n_cap = len(censuses) - 1
-    series_of = {
-        seq_id: catalog_series(seq_id, n_cap)
-        for seq_id in (
-            "gcud",
-            "gcud-even-only",
-            "gcud-even-cyclic",
-            "gcud-odd-only",
-            "cud-derangements",
-            "exc-def-swap",
-            "k-euler-odd",
-            "cud",
-            "cud-cyclic",
-        )
-    }
-    for n, cen in enumerate(censuses):
-        rep.add("ud-count", n, eul[n], cen.count(Family.UD))
-        rep.add("downup-count", n, eul[n], cen.count(Family.DOWNUP))
-        cud_count = cen.count(Family.CUD)
-        rep.add("cud-count", n, eul[n + 1], cud_count)
-        rep.add("cud-count-series", n, series_of["cud"].egf_int(n), cud_count)
-        rep.add(
-            "cud-odd-only-count", n, eul[n], cen.count(Family.CUD_ODD_ONLY)
-        )
-        if n % 2 == 0:
-            rep.add(
-                "cud-even-only-count", n, eul[n], cen.count(Family.CUD_EVEN_ONLY)
-            )
-        if n >= 1:
-            rep.add(
-                "cud-cyclic-count", n, eul[n - 1], cen.count(Family.CUD_CYCLIC)
-            )
-            rep.add(
-                "cud-derangement-count",
-                n,
-                series_of["cud-derangements"].egf_int(n),
-                cen.count(Family.CUD_DERANGEMENT),
-            )
-            rep.add(
-                "gcud-count", n, series_of["gcud"].egf_int(n), cen.count(Family.GCUD)
-            )
-            rep.add(
-                "gcud-even-only-count",
-                n,
-                series_of["gcud-even-only"].egf_int(n),
-                cen.count(Family.GCUD_EVEN_ONLY),
-            )
-            rep.add(
-                "gcud-odd-only-count",
-                n,
-                series_of["gcud-odd-only"].egf_int(n),
-                cen.count(Family.GCUD_ODD_ONLY),
-            )
-            # odd generalized up-down cycles have a unique up-down
-            # representation, so odd cyclic counts are E_n (EGF tan z)
-            rep.add(
-                "gcud-cyclic-count",
-                n,
-                series_of["gcud-even-cyclic"].egf_int(n) + (eul[n] if n % 2 else 0),
-                cen.count(Family.GCUD_CYCLIC),
-            )
-        rep.add(
-            "exc-def-swap-count",
-            n,
-            series_of["exc-def-swap"].egf_int(n),
-            cen.count(Family.EXC_DEF_SWAP),
-        )
-        if n >= 2 and n % 2 == 0:
-            k = n // 2
-            last_gt_first_count = cen.count(Family.UD_LAST_GT_FIRST)
-            rep.add("ud-last-gt-first-count", n, k * eul[n - 1], last_gt_first_count)
-            rep.add(
-                "ud-last-gt-first-series",
-                n,
-                series_of["k-euler-odd"].egf_int(n),
-                last_gt_first_count,
-            )
-            rep.add(
-                "gcud-even-cyclic-lemma",
-                n,
-                eul[n] - (k - 1) * eul[n - 1],
-                series_of["gcud-even-cyclic"].egf_int(n),
-            )
+    series = functools.cache(lambda seq_id: catalog_series(seq_id, n_cap))
+
+    def value(source, n: int):
+        if isinstance(source, Family):
+            return censuses[n].count(source)
+        if isinstance(source, str):
+            return series(source).egf_int(n)
+        if isinstance(source, int):
+            return eul[n + source]
+        return source(n, eul, series)
+
+    for n in range(n_cap + 1):
+        for check, actual, expected, sizes in _COUNT_CHECKS:
+            if n in sizes:
+                yield check, n, value(expected, n), value(actual, n)
     # up to n = 8: the census filters S_n, while the backtracker and
     # iter_cud_direct build the members directly
     for n, cen in enumerate(censuses[:9]):
-        rep.add(
+        yield (
             "ud-dual-generation",
             n,
             cen.words(Family.UD),
             [p.word for p in enumerate_family(Family.UD, n)],
         )
-        rep.add(
+        yield (
             "cud-dual-generation",
             n,
             sorted(cen.words(Family.CUD)),
@@ -544,54 +516,46 @@ def _verify_counts(rep: _Report, censuses: list[Census], eul: list[int]) -> None
         )
 
 
-def _verify_series_identities(rep: _Report, eul: list[int], order: int) -> None:
+def _verify_series_identities(
+    censuses: list[Census], eul: list[int], order: int
+) -> Iterator[tuple]:
     egf = zigzag_egf_series(order + 2)
     e_prime = egf.differentiate()
     e_second = e_prime.differentiate()
-    rep.add(
+    yield (
         "id-exp-int-zigzag",
         order,
         e_prime.truncate(order),
         egf.truncate(order - 1).integrate().exp(),
     )
-    rep.add(
-        "id-exp-int-tan",
-        order,
-        sec_series(order),
-        tan_series(order - 1).integrate().exp(),
-    )
-    rep.add(
-        "id-exp-int-sec",
-        order,
-        egf.truncate(order),
-        sec_series(order - 1).integrate().exp(),
-    )
-    rep.add(
+    yield "id-exp-int-tan", order, sec_series(order), tan_series(order - 1).integrate().exp()
+    yield "id-exp-int-sec", order, egf.truncate(order), sec_series(order - 1).integrate().exp()
+    yield (
         "id-second-derivative",
         order,
         e_second.truncate(order),
         (egf.truncate(order) * e_prime.truncate(order)),
     )
-    rep.add(
+    yield (
         "id-derivative-product",
         order,
         e_prime.truncate(order),
         egf.truncate(order) * sec_series(order),
     )
-    rep.add(
+    yield (
         "euler-boustrophedon-vs-series",
         order,
         eul[: order + 1],
         [egf.egf_int(n) for n in range(order + 1)],
     )
-    rep.add(
+    yield (
         "stirling-row-sums",
         order,
         [factorial(n) for n in range(13)],
         [sum(stirling_c(n, k) for k in range(n + 1)) for n in range(13)],
     )
     for depth in range(1, 11):
-        rep.add(
+        yield (
             "cf-convergent",
             depth,
             [eul[2 * m] for m in range(depth + 1)],
@@ -599,7 +563,9 @@ def _verify_series_identities(rep: _Report, eul: list[int], order: int) -> None:
         )
 
 
-def _verify_specializations(rep: _Report, order: int) -> None:
+def _verify_specializations(
+    censuses: list[Census], eul: list[int], order: int
+) -> Iterator[tuple]:
     order = min(order, 14)  # multivariate series get bulky beyond this
     pairs = [
         ("spec-cud-fp-cycles", "cud-fp-cycles", {"x": 1, "t": 1}, "cud"),
@@ -607,13 +573,13 @@ def _verify_specializations(rep: _Report, order: int) -> None:
         ("spec-ud-st", "ud-st", {"t": 1}, "euler"),
     ]
     for name, marked, assign, plain in pairs:
-        rep.add(
+        yield (
             name,
             order,
             catalog_series(plain, order),
             catalog_series(marked, order).substitute(assign).constants(),
         )
-    rep.add(
+    yield (
         "spec-cud-odd-even",
         order,
         catalog_series("cud-cycles", order),
@@ -621,7 +587,7 @@ def _verify_specializations(rep: _Report, order: int) -> None:
             {"t_o": MPoly.marker("t"), "t_e": MPoly.marker("t")}
         ),
     )
-    rep.add(
+    yield (
         "spec-perm-ud-nud",
         order,
         geometric_series(order),
@@ -642,12 +608,14 @@ _MARKED_TABLES = (
 )
 
 
-def _verify_distributions(rep: _Report, censuses: list[Census], eul: list[int]) -> None:
+def _verify_distributions(
+    censuses: list[Census], eul: list[int], order: int
+) -> Iterator[tuple]:
     n_cap = len(censuses) - 1
     for name, seq_id, family, stat_names, markers, start in _MARKED_TABLES:
         series = catalog_series(seq_id, n_cap)
         for cen in censuses[start:]:
-            rep.add(
+            yield (
                 name,
                 cen.n,
                 series.egf_term(cen.n),
@@ -658,27 +626,27 @@ def _verify_distributions(rep: _Report, censuses: list[Census], eul: list[int]) 
         stirling_row = {k: stirling_c(n, k) for k in range(1, n + 1) if stirling_c(n, k)}
         for stat in ("st", "lrm", "c"):
             table = cen.distribution(Family.ALL, (stat,))
-            rep.add(
+            yield (
                 f"dist-{stat}-stirling",
                 n,
                 stirling_row,
                 {k: v for (k,), v in sorted(table.rows.items())},
             )
         for pattern, counts in zip(_PATTERNS, cen.ms_counts):
-            rep.add(f"dist-ms-stirling[{pattern}]", n, stirling_row, dict(sorted(counts.items())))
+            yield f"dist-ms-stirling[{pattern}]", n, stirling_row, dict(sorted(counts.items()))
         extr_expected = {
             k: (2**k) * stirling_c(n - 1, k)
             for k in range(1, n)
             if stirling_c(n - 1, k)
         }
         table = cen.distribution(Family.ALL, ("extr",))
-        rep.add(
+        yield (
             "dist-extr-stirling",
             n,
             extr_expected,
             {k: v for (k,), v in sorted(table.rows.items()) if k > 0},
         )
-        rep.add(
+        yield (
             "dist-extr-zero",
             n,
             0 if n > 1 else 1,
@@ -686,90 +654,85 @@ def _verify_distributions(rep: _Report, censuses: list[Census], eul: list[int]) 
         )
     for n, cen in enumerate(censuses):
         cud_stats = [sv for _, sv, _ in cen.rows[Family.CUD]]
-        rep.add(
+        yield (
             "exc-parity-relation",
             n,
             [n] * len(cud_stats),
             [sv.c_o + 2 * sv.exc for sv in cud_stats],
         )
-        exc_counts: dict[int, int] = {}
-        for sv in cud_stats:
-            exc_counts[sv.exc] = exc_counts.get(sv.exc, 0) + 1
+        exc_counts = dict(Counter(sv.exc for sv in cud_stats))
         poly = exc_polynomial(n)
-        rep.add(
+        yield (
             "exc-poly-vs-oracle",
             n,
             {dict(mono).get("t", 0): int(c) for mono, c in poly.items()},
             exc_counts,
         )
-        rep.add(
-            "exc-poly-total",
-            n,
-            eul[n + 1],
-            int(poly.substitute({"t": 1}).constant_value()),
-        )
+        yield "exc-poly-total", n, eul[n + 1], int(poly.substitute({"t": 1}).constant_value())
 
 
-def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
+def _phi_transports(c, lrm: int, st: int, extr: int) -> bool:
+    c_o = sum(len(cycle) % 2 for cycle in c.cycles)
+    c_e = len(c) - c_o
+    return c_e == lrm - 1 and c_o == st - 1 and c_e + c_o == lrm + st - 2
+
+
+# bijections from up-down words to cycles: the name in ``bijections``
+# (``<name>_inverse`` undoes it) and a test of what the image cycles keep of
+# the word's (lrm, st, extr); g and f add their report tag and the family
+# their images fill, phi and jbij the name of their statistic check
+_G_F_MAPS = (
+    ("g_even", lambda c, lrm, st, extr: len(c) == lrm, "g", Family.CUD_EVEN_ONLY),
+    ("f_odd", lambda c, lrm, st, extr: len(c) == st, "f", Family.CUD_ODD_ONLY),
+)
+_PHI_JBIJ_MAPS = (
+    ("phi", _phi_transports, "stats"),
+    ("jbij", lambda c, lrm, st, extr: len(c) == extr, "stat"),
+)
+
+
+def _map_ud_words(
+    words: Iterable[tuple[tuple[int, ...], int, int, int]], maps: Sequence[tuple]
+) -> list[tuple[bool, bool, list[tuple[int, ...]]]]:
+    """Send each (word, lrm, st, extr) through every map of a ``_G_F_MAPS``
+    or ``_PHI_JBIJ_MAPS`` table, in one pass.  Per map: whether every
+    inverse gave the word back, whether every image kept the statistic, and
+    the image words in the order of ``words``."""
+    funcs = [
+        (getattr(bijections, name), getattr(bijections, f"{name}_inverse"), keeps)
+        for name, keeps, *_ in maps
+    ]
+    inverts = [True] * len(maps)
+    kept = [True] * len(maps)
+    images: list[list] = [[] for _ in maps]
+    for word, *word_stats in words:
+        p = Permutation._trusted(word)
+        for i, (forward, inverse, keeps) in enumerate(funcs):
+            c = forward(p)
+            images[i].append(from_cycles(c).word)
+            inverts[i] = inverts[i] and inverse(c) == p
+            kept[i] = kept[i] and keeps(c, *word_stats)
+    return list(zip(inverts, kept, images))
+
+
+def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> Iterator[tuple]:
     for n, cen in enumerate(censuses):
-        ud_rows = [(Permutation._trusted(word), sv) for word, sv, _ in cen.rows[Family.UD]]
-        if n % 2 == 0:
-            images = []
-            ok_stats = True
-            for p, sv in ud_rows:
-                c = bijections.g_even(p)
-                images.append(from_cycles(c).word)
-                ok_stats = ok_stats and len(c) == sv.lrm
-                ok_stats = ok_stats and bijections.g_even_inverse(c) == p
-            rep.add("bij-g-roundtrip", n, True, ok_stats)
-            rep.add(
-                "bij-g-image",
-                n,
-                sorted(cen.words(Family.CUD_EVEN_ONLY)),
-                sorted(images),
-            )
-        images = []
-        ok = True
-        for p, sv in ud_rows:
-            c = bijections.f_odd(p)
-            images.append(from_cycles(c).word)
-            ok = ok and len(c) == sv.st
-            ok = ok and bijections.f_odd_inverse(c) == p
-        rep.add("bij-f-roundtrip", n, True, ok)
-        rep.add(
-            "bij-f-image",
-            n,
-            sorted(cen.words(Family.CUD_ODD_ONLY)),
-            sorted(images),
-        )
+        maps = _G_F_MAPS[n % 2 :]  # g_even takes even n only
+        results = _map_ud_words(_ud_lrm_st_extr(censuses, n), maps)
+        for (_, _, tag, family), (inverts, kept, images) in zip(maps, results):
+            yield f"bij-{tag}-roundtrip", n, True, inverts and kept
+            yield f"bij-{tag}-image", n, sorted(cen.words(family)), sorted(images)
     for n, cen in enumerate(censuses):
         cud_words = sorted(cen.words(Family.CUD))
-        phi_images = []
-        jbij_images = []
-        ok_phi = ok_phi_stats = ok_jbij = ok_jbij_stats = True
-        for word, lrm, st, extr in _ud_lrm_st_extr(censuses, n + 1):
-            p = Permutation._trusted(word)
-            c = bijections.phi(p)
-            phi_images.append(from_cycles(c).word)
-            c_o = sum(len(cycle) % 2 for cycle in c.cycles)
-            c_e = len(c) - c_o
-            ok_phi_stats = ok_phi_stats and (
-                c_e == lrm - 1 and c_o == st - 1 and c_e + c_o == lrm + st - 2
-            )
-            ok_phi = ok_phi and bijections.phi_inverse(c) == p
-            c2 = bijections.jbij(p)
-            jbij_images.append(from_cycles(c2).word)
-            ok_jbij_stats = ok_jbij_stats and len(c2) == extr
-            ok_jbij = ok_jbij and bijections.jbij_inverse(c2) == p
-        rep.add("bij-phi-roundtrip", n, True, ok_phi)
-        rep.add("bij-phi-stats", n, True, ok_phi_stats)
-        rep.add("bij-phi-image", n, cud_words, sorted(phi_images))
-        rep.add("bij-jbij-roundtrip", n, True, ok_jbij)
-        rep.add("bij-jbij-stat", n, True, ok_jbij_stats)
-        rep.add("bij-jbij-image", n, cud_words, sorted(jbij_images))
+        # one pass over UD_{n+1}, which past the last census is streamed
+        results = _map_ud_words(_ud_lrm_st_extr(censuses, n + 1), _PHI_JBIJ_MAPS)
+        for (tag, _, stat_check), (inverts, kept, images) in zip(_PHI_JBIJ_MAPS, results):
+            yield f"bij-{tag}-roundtrip", n, True, inverts
+            yield f"bij-{tag}-{stat_check}", n, True, kept
+            yield f"bij-{tag}-image", n, cud_words, sorted(images)
     for cen in censuses[1:]:
         ud_stats = [sv for _, sv, _ in cen.rows[Family.UD]]
-        rep.add(
+        yield (
             "equidist-extr-vs-lrm-st",
             cen.n,
             sorted(sv.extr for sv in ud_stats),
@@ -786,8 +749,8 @@ def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
                 ok = ok and is_member(q, Family.UD_LAST_GT_FIRST)
                 produced.add(q.word)
         expected = sorted(cen.words(Family.UD_LAST_GT_FIRST))
-        rep.add("rotation-bijection", n, expected, sorted(produced))
-        rep.add("rotation-count", n, k * len(starts_low), len(produced))
+        yield "rotation-bijection", n, expected, sorted(produced)
+        yield "rotation-count", n, k * len(starts_low), len(produced)
     for cen in censuses[1 : _MAP_CHECK_N + 1]:
         n, s_n = cen.n, cen.rows[Family.ALL]
         for i, pattern in enumerate(_PATTERNS):
@@ -795,10 +758,8 @@ def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
             ok = all(
                 len(lr_min_positions(q.word)) == ms[i] for (_, _, ms), q in zip(s_n, images)
             )
-            rep.add(f"bij-h-transport[{pattern}]", n, True, ok)
-            rep.add(
-                f"bij-h-bijective[{pattern}]", n, factorial(n), len({q.word for q in images})
-            )
+            yield f"bij-h-transport[{pattern}]", n, True, ok
+            yield f"bij-h-bijective[{pattern}]", n, factorial(n), len({q.word for q in images})
     for cen in censuses[1 : _MAP_CHECK_N + 1]:
         produced = set()
         ok = True
@@ -810,8 +771,8 @@ def _verify_bijections(rep: _Report, censuses: list[Census]) -> None:
                 produced.add(q.word)
                 ok = ok and len(extreme_positions(q.word)) == k
                 ok = ok and bijections.ell_inverse(q) == (p, bits)
-        rep.add("bij-ell-roundtrip", cen.n, True, ok)
-        rep.add("bij-ell-image", cen.n, factorial(cen.n + 1), len(produced))
+        yield "bij-ell-roundtrip", cen.n, True, ok
+        yield "bij-ell-image", cen.n, factorial(cen.n + 1), len(produced)
 
 
 def _ud_lrm_st_extr(
@@ -831,7 +792,7 @@ def _ud_lrm_st_extr(
         yield word, lrm, st, extr
 
 
-def _verify_matchings(rep: _Report, censuses: list[Census], eul: list[int]) -> None:
+def _verify_matchings(censuses: list[Census], eul: list[int], order: int) -> Iterator[tuple]:
     for cen in censuses[2::2]:
         pairs = set()
         ok = True
@@ -840,17 +801,17 @@ def _verify_matchings(rep: _Report, censuses: list[Census], eul: list[int]) -> N
             mp = matchings.to_matching_pair(p)
             pairs.add((mp.red, mp.blue))
             ok = ok and matchings.from_matching_pair(mp) == p
-        rep.add("matching-roundtrip", cen.n, True, ok)
-        rep.add("matching-count", cen.n, eul[cen.n], len(pairs))
+        yield "matching-roundtrip", cen.n, True, ok
+        yield "matching-count", cen.n, eul[cen.n], len(pairs)
 
 
-def _verify_expectations(rep: _Report, censuses: list[Census], eul: list[int]) -> None:
+def _verify_expectations(
+    censuses: list[Census], eul: list[int], order: int
+) -> Iterator[tuple]:
     avg = catalog_series("avg-ud-cycles", 12)
     for n in range(1, 13):
-        rep.add(
-            "expected-ud-series", n, expected_ud_cycles(n), avg.coefficient(n)
-        )
-        rep.add(
+        yield "expected-ud-series", n, expected_ud_cycles(n), avg.coefficient(n)
+        yield (
             "r-count-formula",
             n,
             no_ud_fraction_formula(n) * factorial(n),
@@ -860,10 +821,18 @@ def _verify_expectations(rep: _Report, censuses: list[Census], eul: list[int]) -
         n, counts = cen.n, cen.stat_counts[Family.ALL]
         total = sum(sv.ud * count for sv, count in counts.items())
         no_ud = sum(count for sv, count in counts.items() if sv.ud == 0)
-        rep.add(
-            "expected-ud-vs-oracle",
-            n,
-            expected_ud_cycles(n),
-            Fraction(total, factorial(n)),
-        )
-        rep.add("r-count-oracle", n, no_ud_cycles_count(n), no_ud)
+        yield "expected-ud-vs-oracle", n, expected_ud_cycles(n), Fraction(total, factorial(n))
+        yield "r-count-oracle", n, no_ud_cycles_count(n), no_ud
+
+
+# every phase takes (censuses, Euler numbers, series order); the report lists
+# their rows in this order
+_PHASES = (
+    _verify_counts,
+    _verify_series_identities,
+    _verify_specializations,
+    _verify_distributions,
+    _verify_bijections,
+    _verify_matchings,
+    _verify_expectations,
+)

@@ -307,9 +307,6 @@ class Series:
             for n in range(len(a))
         )
 
-    def __truediv__(self, other: "Series") -> "Series":
-        return self * other.reciprocal()
-
     def scale(self, factor) -> "Series":
         """Multiply every term by a scalar (or, on a lifted series, a
         polynomial)."""

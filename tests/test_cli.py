@@ -114,6 +114,21 @@ class TestEnumerate:
         assert cli.main(["enumerate", "all", "--n", "4", "--stats", "c"]) == 3
         assert cli.main(["enumerate", "all", "--n", "4", "--stats", "c", "--cap", "5"]) == 0
 
+    def test_bad_cap_env_refused_by_enumerate_only(self, capsys, monkeypatch):
+        monkeypatch.setenv("CUDLAB_CAP", "abc")
+        assert cli.main(["enumerate", "all", "--n", "4", "--stats", "c"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "CUDLAB_CAP" in err
+        # --cap wins, so the variable is not read
+        assert cli.main(["enumerate", "all", "--n", "4", "--stats", "c", "--cap", "5"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv", [["seq", "cud", "--n", "3"], ["verify", "--n", "2"], ["map", "phi", "1"]]
+    )
+    def test_bad_cap_env_ignored_elsewhere(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("CUDLAB_CAP", "abc")
+        assert cli.main(argv) == 0
+
 
 class TestMap:
     CASES = [

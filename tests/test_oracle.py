@@ -240,3 +240,8 @@ class TestVerifyAll:
     def test_cap_guard(self):
         with pytest.raises(CapExceeded):
             verify_all(10)
+
+    def test_check_and_n_name_one_entry(self):
+        # readers of the report key its entries by (check, n)
+        keys = [(entry["check"], entry["n"]) for entry in verify_all(5)]
+        assert len(keys) == len(set(keys))
