@@ -4,12 +4,17 @@ distribution tables, and the expectation values, all from exact arithmetic.
 
 Usage:
     python scripts/print_paper_tables.py [--n-max 10] [--dist-max 5]
+
+Exit codes are those of the cudlab CLI: 2 for bad input, 3 for a size past
+the order cap, each with one ``error:`` line on stderr.
 """
 
 import argparse
+import sys
 
 from cudlab.catalog import (
     SEQUENCE_IDS,
+    CapExceeded,
     catalog_markers,
     expected_ud_cycles,
     expected_ud_cycles_limit,
@@ -60,4 +65,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (CapExceeded, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3 if isinstance(exc, CapExceeded) else 2)

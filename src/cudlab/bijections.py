@@ -30,7 +30,10 @@ from __future__ import annotations
 from .perms import (
     CycleDecomposition,
     DomainError,
+    Family,
     Permutation,
+    _admits,
+    format_cycles,
     is_down_up_word,
     is_up_down_word,
     switched_word,
@@ -56,6 +59,11 @@ def _require_up_down(word: tuple[int, ...]) -> None:
 def _require_natural(p: Permutation, what: str) -> None:
     if not p.is_natural():
         raise DomainError(f"{what} must be a permutation of [n], got ground {p.ground}")
+
+
+def _require_family(c: CycleDecomposition, family: Family) -> None:
+    if not _admits(family, c.cycles):
+        raise DomainError(f"{format_cycles(c)} is not in {family.value}")
 
 
 def _canonical(cycles: list[tuple[int, ...]]) -> CycleDecomposition:
@@ -87,11 +95,7 @@ def _g_even_cycles(word: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def g_even_inverse(c: CycleDecomposition) -> Permutation:
     """Concatenate the cycles by decreasing first entry."""
-    for cyc in c.cycles:
-        if len(cyc) % 2 != 0:
-            raise DomainError(f"odd cycle {cyc} present")
-        if not is_up_down_word(cyc):
-            raise DomainError(f"cycle {cyc} is not up-down")
+    _require_family(c, Family.CUD_EVEN_ONLY)
     word = foata_word(c).word
     _require_up_down(word)
     return Permutation._trusted(word)
@@ -122,11 +126,7 @@ def _f_odd_cycles(word: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def f_odd_inverse(c: CycleDecomposition) -> Permutation:
     """Rebuild the up-down word cycle by cycle, switching the tail each time."""
-    for cyc in c.cycles:
-        if len(cyc) % 2 != 1:
-            raise DomainError(f"even cycle {cyc} present")
-        if not is_up_down_word(cyc):
-            raise DomainError(f"cycle {cyc} is not up-down")
+    _require_family(c, Family.CUD_ODD_ONLY)
     word = _f_odd_word(c.cycles)
     _require_up_down(word)
     return Permutation._trusted(word)
@@ -176,9 +176,7 @@ def _require_cud(c: CycleDecomposition) -> None:
     ground = c.ground
     if ground != tuple(range(1, len(ground) + 1)):
         raise DomainError(f"decomposition must cover [n], got ground {ground}")
-    for cyc in c.cycles:
-        if not is_up_down_word(cyc):
-            raise DomainError(f"cycle {cyc} is not up-down")
+    _require_family(c, Family.CUD)
 
 
 def jbij(p: Permutation) -> CycleDecomposition:
@@ -320,14 +318,8 @@ def ell_inverse(q: Permutation) -> tuple[Permutation, BitWord]:
     positions = extreme_positions(q.word)
     if not positions:
         raise DomainError("input has no extreme elements")
-    bits = []
-    lo = hi = q.word[0]
-    for x in q.word[1:]:
-        if x < lo:
-            bits.append(0)
-        elif x > hi:
-            bits.append(1)
-        lo, hi = min(lo, x), max(hi, x)
+    # an extreme element is a running maximum exactly when it exceeds q_1
+    bits = [int(q.word[i] > q.word[0]) for i in positions]
     s = bits + [0]
     tau = list(q.word)
     for j in range(len(bits), 0, -1):

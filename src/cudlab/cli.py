@@ -15,7 +15,7 @@ written, or a flag the command would ignore (``--format csv`` outside
 or ``--order`` on any map but ``ell``, ``h`` or ``foata`` in turn), 3 cap
 exceeded (``expect --n`` above ``EXPECT_CAP`` without a ``--cap`` that
 allows it included).  ``CUDLAB_CAP`` overrides the default enumeration cap of
-``enumerate`` unless ``--cap`` is given; a value that is not an integer exits 2.
+``enumerate`` unless ``--cap`` is given; a value that is not an integer >= 0 exits 2.
 """
 
 from __future__ import annotations
@@ -98,6 +98,8 @@ def _config_from(args: argparse.Namespace) -> Config:
         )
     if args.cap is not None and not reads_cap:
         raise MalformedInput(f"{args.command} takes no --cap")
+    if args.cap is not None and args.cap < 0:
+        raise MalformedInput(f"--cap must not be negative, got {args.cap}")
     if args.seed is not None and not getattr(args, "montecarlo", False):
         raise MalformedInput("only expect --montecarlo takes --seed")
     enum_cap = args.cap
@@ -118,9 +120,12 @@ def _env_cap() -> int | None:
     if not text:
         return None
     try:
-        return int(text)
+        cap = int(text)
     except ValueError:
-        raise MalformedInput(f"CUDLAB_CAP must be an integer, got {text!r}") from None
+        cap = None
+    if cap is None or cap < 0:
+        raise MalformedInput(f"CUDLAB_CAP must be an integer >= 0, got {text!r}")
+    return cap
 
 
 def _emit(cfg: Config, text: str) -> None:

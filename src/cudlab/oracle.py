@@ -16,7 +16,7 @@ place that turns rows into report entries.  The counts phase is the
 ``phi`` and ``jbij`` share ``_map_ud_words``.
 
 ``census`` is a flat kernel over plain words: it decomposes each word in
-place, tests each distinct cycle once against the cycle families, and takes
+place, tests each distinct cycle once for the two cycle shapes, and takes
 the word statistics and ``m_s`` values from one pass (``statistics._scan``);
 the tests check it against ``is_member``, ``stats`` and ``m_s`` over every
 permutation up to n = 7.
@@ -189,7 +189,7 @@ def iter_cycle_family(
     is built the same way.  A single-cycle family takes the whole set at
     once, so it has no member at n = 0.  The order is not lexicographic.
     """
-    _, single = perms._CYCLE_FAMILIES[family]
+    _, _, single = perms._CYCLE_FAMILIES[family]
     if single and n == 0:
         return
     tables = [
@@ -315,9 +315,16 @@ def census(n: int) -> Census:
     families = list(perms._WORD_TESTS) + list(perms._CYCLE_FAMILIES)
     bit = {family: 1 << i for i, family in enumerate(families)}
     word_tests = [(bit[family], test) for family, test in perms._WORD_TESTS.items()]
-    cycle_tests = [(bit[family], test) for family, (test, _) in perms._CYCLE_FAMILIES.items()]
-    all_cycle_bits = sum(flag for flag, _ in cycle_tests)
-    single_bits = sum(bit[f] for f, (_, single) in perms._CYCLE_FAMILIES.items() if single)
+    # by length, the cycle families admitting an up-down cycle (it has both
+    # shapes) and those admitting a cycle of the GCUD shape alone
+    ud_masks, gen_masks = [0] * (n + 1), [0] * (n + 1)
+    for family, (shape, lengths, _) in perms._CYCLE_FAMILIES.items():
+        for k in filter(lengths, range(1, n + 1)):
+            ud_masks[k] |= bit[family]
+            if shape is perms.is_gen_up_down_cycle:
+                gen_masks[k] |= bit[family]
+    all_cycle_bits = sum(bit[family] for family in perms._CYCLE_FAMILIES)
+    single_bits = sum(bit[f] for f, (_, _, single) in perms._CYCLE_FAMILIES.items() if single)
     row_families = _ROW_FAMILIES + ((Family.ALL,) if n <= _MAP_CHECK_N else ())
     rows: dict[Family, list] = {family: [] for family in row_families}
     row_lists = [(bit[family], rows[family]) for family in row_families]
@@ -327,8 +334,9 @@ def census(n: int) -> Census:
     st_at = _PATTERNS.index(MinMaxPattern.alternating())
 
     # a cycle's verdict: the mask of the cycle families admitting it, shifted
-    # left once, with its up-down flag in bit 0.  A cycle on n - 1 or n points
-    # fixes the whole permutation, so it comes up once and is not kept.
+    # left once, with its up-down flag in bit 0; GCUD is tested only when that
+    # is 0.  A cycle on n - 1 or n points fixes the whole permutation, so it
+    # comes up once and is not kept.
     verdicts: dict[tuple[int, ...], int] = {}
     # how many permutations share each (family mask, stat tuple, m_s values)
     tally: dict[tuple, int] = {}
@@ -352,8 +360,10 @@ def census(n: int) -> Census:
             k = len(cycle)
             verdict = verdicts.get(cycle)
             if verdict is None:
-                verdict = sum(flag for flag, test in cycle_tests if test(cycle)) << 1
-                verdict |= perms.is_up_down_word(cycle)
+                if perms.is_up_down_word(cycle):
+                    verdict = ud_masks[k] << 1 | 1
+                else:
+                    verdict = gen_masks[k] << 1 if perms.is_gen_up_down_cycle(cycle) else 0
                 if k < n - 1:
                     verdicts[cycle] = verdict
             mask &= verdict >> 1
@@ -741,13 +751,8 @@ def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> It
     for cen in censuses[2::2]:
         n, k = cen.n, cen.n // 2
         starts_low = [Permutation._trusted(w) for w, _, _ in cen.rows[Family.UD] if w[0] == 1]
-        produced = set()
-        ok = True
-        for p in starts_low:
-            for i in range(1, k + 1):
-                q = bijections.rotate_ud(p, i)
-                ok = ok and is_member(q, Family.UD_LAST_GT_FIRST)
-                produced.add(q.word)
+        rotated = (bijections.rotate_ud(p, i) for p in starts_low for i in range(1, k + 1))
+        produced = {q.word for q in rotated}
         expected = sorted(cen.words(Family.UD_LAST_GT_FIRST))
         yield "rotation-bijection", n, expected, sorted(produced)
         yield "rotation-count", n, k * len(starts_low), len(produced)

@@ -257,25 +257,24 @@ _WORD_TESTS: dict[Family, Callable[[Sequence[int]], bool]] = {
     ),
 }
 
-# A cycle family is a set of admissible cycles: the test every canonical cycle
-# must pass, and whether only a single cycle is allowed.  Canonical cycles
-# start at their minimum, so ``is_up_down_word`` reads them as CUD requires.
-_CYCLE_FAMILIES: dict[Family, tuple[Callable[[Sequence[int]], bool], bool]] = {
-    Family.CUD: (is_up_down_word, False),
-    Family.CUD_EVEN_ONLY: (lambda c: len(c) % 2 == 0 and is_up_down_word(c), False),
-    Family.CUD_ODD_ONLY: (lambda c: len(c) % 2 == 1 and is_up_down_word(c), False),
-    Family.CUD_DERANGEMENT: (lambda c: len(c) > 1 and is_up_down_word(c), False),
-    Family.CUD_CYCLIC: (is_up_down_word, True),
-    Family.GCUD: (is_gen_up_down_cycle, False),
-    Family.GCUD_ODD_ONLY: (lambda c: len(c) % 2 == 1 and is_gen_up_down_cycle(c), False),
-    Family.GCUD_EVEN_ONLY: (lambda c: len(c) % 2 == 0 and is_gen_up_down_cycle(c), False),
-    Family.GCUD_CYCLIC: (is_gen_up_down_cycle, True),
+# A cycle family is a set of admissible cycles: the shape every canonical
+# cycle must have, a rule on its length, and whether only one cycle is allowed.
+# A CUD cycle reads up-down from its minimum, where canonical cycles start; a
+# GCUD cycle reads up-down from some element.  Up-down cycles have both shapes.
+_ANY, _EVEN, _ODD = (lambda k: True), (lambda k: k % 2 == 0), (lambda k: k % 2 == 1)
+_CYCLE_FAMILIES: dict[Family, tuple[Callable, Callable[[int], bool], bool]] = {
+    Family.CUD: (is_up_down_word, _ANY, False),
+    Family.CUD_EVEN_ONLY: (is_up_down_word, _EVEN, False),
+    Family.CUD_ODD_ONLY: (is_up_down_word, _ODD, False),
+    Family.CUD_DERANGEMENT: (is_up_down_word, lambda k: k > 1, False),
+    Family.CUD_CYCLIC: (is_up_down_word, _ANY, True),
+    Family.GCUD: (is_gen_up_down_cycle, _ANY, False),
+    Family.GCUD_ODD_ONLY: (is_gen_up_down_cycle, _ODD, False),
+    Family.GCUD_EVEN_ONLY: (is_gen_up_down_cycle, _EVEN, False),
+    Family.GCUD_CYCLIC: (is_gen_up_down_cycle, _ANY, True),
     # fixed points, or even cycles that alternate fully, so that images of
     # excedances are deficiencies and vice versa
-    Family.EXC_DEF_SWAP: (
-        lambda c: len(c) == 1 or (len(c) % 2 == 0 and is_up_down_word(c)),
-        False,
-    ),
+    Family.EXC_DEF_SWAP: (is_up_down_word, lambda k: k == 1 or k % 2 == 0, False),
 }
 
 
@@ -283,22 +282,19 @@ def admissible_patterns(family: Family, k: int) -> list[bytes]:
     """The cycle family's admissible canonical cycles on ``k >= 1`` points,
     as rank patterns: 0, then an arrangement of 1, ..., k-1.
 
-    The patterns are the (k-1)! arrangements that pass the family's own test
-    in ``_CYCLE_FAMILIES``.  Every one of those tests reads only the relative
-    order and the length of a cycle, so ``tuple(points[i] for i in pattern)``
-    over any increasing ``points`` of length k is an admissible cycle, and
-    every admissible cycle on those points arises once this way.  The table
-    is built anew on each call and kept by no one.
+    A length the family's rule refuses has none; otherwise they are the
+    arrangements among the (k-1)! that have the family's shape.  Shapes read
+    only relative order, so ``tuple(points[i] for i in pattern)`` over any
+    increasing ``points`` of length k is an admissible cycle, and every
+    admissible cycle on those points arises once this way.  The table is
+    built anew on each call and kept by no one.
 
     >>> [tuple(p) for p in admissible_patterns(Family.CUD, 4)]
     [(0, 2, 1, 3), (0, 3, 1, 2)]
     """
-    admissible, _ = _CYCLE_FAMILIES[family]
-    return [
-        bytes(cycle)
-        for cycle in ((0,) + rest for rest in itertools.permutations(range(1, k)))
-        if admissible(cycle)
-    ]
+    shape, lengths, _ = _CYCLE_FAMILIES[family]
+    arrangements = itertools.permutations(range(1, k)) if lengths(k) else ()
+    return [bytes(cycle) for cycle in ((0,) + rest for rest in arrangements) if shape(cycle)]
 
 
 def is_member(p: Permutation, family: Family) -> bool:
@@ -316,8 +312,9 @@ def is_member(p: Permutation, family: Family) -> bool:
 
 def _admits(family: Family, cycles: tuple[tuple[int, ...], ...]) -> bool:
     """Whether the canonical cycles make a member of the cycle family."""
-    admissible, single = _CYCLE_FAMILIES[family]
-    return (not single or len(cycles) == 1) and all(map(admissible, cycles))
+    shape, lengths, single = _CYCLE_FAMILIES[family]
+    admitted = all(map(lengths, map(len, cycles))) and all(map(shape, cycles))
+    return admitted and (not single or len(cycles) == 1)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -59,6 +59,8 @@ class TestGEven:
             bij.g_even(parse_permutation("2 1 4 3"))  # not up-down
         with pytest.raises(DomainError):
             bij.g_even_inverse(parse_cycles("(1,3,2)"))  # odd cycle
+        with pytest.raises(DomainError):
+            bij.g_even_inverse(parse_cycles("(1,2,4,3)"))  # even, not up-down
 
 
 def up_down_words_on(values):
@@ -113,6 +115,8 @@ class TestFOdd:
             bij.f_odd(parse_permutation("2 1"))
         with pytest.raises(DomainError):
             bij.f_odd_inverse(parse_cycles("(1,2)"))
+        with pytest.raises(DomainError):
+            bij.f_odd_inverse(parse_cycles("(1,2,3)"))  # odd, not up-down
 
 
 class TestPhi:

@@ -123,6 +123,30 @@ class TestEnumerate:
         assert cli.main(["enumerate", "all", "--n", "4", "--stats", "c", "--cap", "5"]) == 0
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "all", "--n", "0", "--stats", "c", "--cap", "-1"],
+            ["seq", "euler", "--n", "3", "--cap", "-1"],
+            ["expect", "ud-cycles", "--n", "3", "--cap", "-1"],
+        ],
+    )
+    def test_negative_cap_is_bad_input(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--cap" in captured.err
+
+    def test_negative_cap_env_is_bad_input(self, capsys, monkeypatch):
+        monkeypatch.setenv("CUDLAB_CAP", "-5")
+        assert cli.main(["enumerate", "all", "--n", "0", "--stats", "c"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "CUDLAB_CAP" in err
+        # a cap of 0 still allows n = 0
+        monkeypatch.setenv("CUDLAB_CAP", "0")
+        assert cli.main(["enumerate", "all", "--n", "0", "--stats", "c"]) == 0
+
+    @pytest.mark.parametrize(
         "argv", [["seq", "cud", "--n", "3"], ["verify", "--n", "2"], ["map", "phi", "1"]]
     )
     def test_bad_cap_env_ignored_elsewhere(self, argv, capsys, monkeypatch):

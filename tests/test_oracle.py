@@ -105,7 +105,7 @@ class TestCycleFamilies:
         )
 
     @pytest.mark.parametrize(
-        "family", [f for f in CYCLE_FAMILIES if perms._CYCLE_FAMILIES[f][1]]
+        "family", [f for f in CYCLE_FAMILIES if perms._CYCLE_FAMILIES[f][2]]
     )
     def test_single_cycle_family_is_empty_at_0(self, family):
         assert list(iter_cycle_family(family, 0)) == []
@@ -118,8 +118,7 @@ class TestCycleFamilies:
         ranks = {x: r for r, x in enumerate(sorted(cycle))}
         standard = tuple(ranks[x] for x in cycle)
         for family in CYCLE_FAMILIES:
-            admissible, _ = perms._CYCLE_FAMILIES[family]
-            assert admissible(cycle) == admissible(standard), family
+            assert perms._admits(family, (cycle,)) == perms._admits(family, (standard,)), family
 
 
 class TestDistribution:
@@ -204,6 +203,37 @@ class TestCensus:
         monkeypatch.setattr(oracle, "itertools", counting)
         assert report_passed(verify_all(5))
         assert sorted(counting.walked) == [0, 1, 2, 3, 4, 5]
+
+    def test_tests_each_shape_once_per_distinct_cycle(self, monkeypatch):
+        # n = 7 is odd, so the ud-last-gt-first word test never asks for a shape
+        n, expected = 7, census(7)
+        ud, gcud = perms.is_up_down_word, perms.is_gen_up_down_cycle
+        calls = {ud: Counter(), gcud: Counter()}
+        # the GCUD stand-in tests the rotations itself, through the unpatched
+        # up-down test, so that only the census's own calls are counted
+        verdicts = {ud: ud, gcud: lambda c: any(ud(c[i:] + c[:i]) for i in range(len(c)))}
+
+        def counting(shape):
+            def wrapper(cycle):
+                calls[shape][cycle] += 1
+                return verdicts[shape](cycle)
+
+            return wrapper
+
+        wrappers = {shape: counting(shape) for shape in calls}
+        for shape, wrapper in wrappers.items():
+            monkeypatch.setattr(perms, shape.__name__, wrapper)
+        for family, (shape, lengths, single) in list(perms._CYCLE_FAMILIES.items()):
+            monkeypatch.setitem(perms._CYCLE_FAMILIES, family, (wrappers[shape], lengths, single))
+        assert census(n) == expected
+        cycles = {
+            cycle
+            for word in itertools.permutations(range(1, n + 1))
+            for cycle in perms.to_cycles(perms.Permutation(word)).cycles
+        }
+        assert set(calls[ud]) == cycles
+        assert set(calls[gcud]) == {cycle for cycle in cycles if not ud(cycle)}
+        assert max(calls[ud].values()) == max(calls[gcud].values()) == 1
 
     def test_agrees_with_the_enumeration(self):
         for n in range(7):

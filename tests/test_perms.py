@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cudlab.perms import (
     CycleDecomposition,
+    _admits,
     Family,
     MalformedInput,
     Permutation,
@@ -15,6 +16,7 @@ from cudlab.perms import (
     is_gen_up_down_cycle,
     is_member,
     is_up_down_cycle,
+    is_up_down_word,
     parse_cycles,
     parse_permutation,
     switch,
@@ -141,8 +143,6 @@ class TestFamilies:
     def test_odd_gen_up_down_cycles_unique_representation(self):
         # odd generalized up-down cycles admit exactly one up-down rotation
         # (which need not start at the minimum: (1,2,3) reads up-down as 231)
-        from cudlab.perms import is_up_down_word
-
         assert is_gen_up_down_cycle((1, 2, 3)) and not is_up_down_cycle((1, 2, 3))
         for m in range(1, 8, 2):
             for rest in itertools.permutations(range(2, m + 1)):
@@ -159,14 +159,42 @@ class TestFamilies:
     def test_gen_up_down_cycle_is_the_rotation_definition(self):
         # every pattern on k <= 8 points, starting at its minimum: some
         # rotation, built element by element, reads up-down
-        from cudlab.perms import is_up_down_word
-
         for k in range(1, 9):
             for rest in itertools.permutations(range(1, k)):
                 cycle = (0,) + rest
                 rotations = (tuple(cycle[(i + j) % k] for j in range(k)) for i in range(k))
                 expected = any(is_up_down_word(rot) for rot in rotations)
                 assert is_gen_up_down_cycle(cycle) == expected, cycle
+
+    # each cycle family as one predicate over a canonical cycle, with its
+    # single-cycle flag: the reference the (shape, lengths, single) rows of
+    # perms._CYCLE_FAMILIES must agree with
+    REFERENCE = {
+        Family.CUD: (is_up_down_word, False),
+        Family.CUD_EVEN_ONLY: (lambda c: len(c) % 2 == 0 and is_up_down_word(c), False),
+        Family.CUD_ODD_ONLY: (lambda c: len(c) % 2 == 1 and is_up_down_word(c), False),
+        Family.CUD_DERANGEMENT: (lambda c: len(c) > 1 and is_up_down_word(c), False),
+        Family.CUD_CYCLIC: (is_up_down_word, True),
+        Family.GCUD: (is_gen_up_down_cycle, False),
+        Family.GCUD_ODD_ONLY: (lambda c: len(c) % 2 == 1 and is_gen_up_down_cycle(c), False),
+        Family.GCUD_EVEN_ONLY: (lambda c: len(c) % 2 == 0 and is_gen_up_down_cycle(c), False),
+        Family.GCUD_CYCLIC: (is_gen_up_down_cycle, True),
+        Family.EXC_DEF_SWAP: (
+            lambda c: len(c) == 1 or (len(c) % 2 == 0 and is_up_down_word(c)),
+            False,
+        ),
+    }
+
+    @pytest.mark.parametrize("family", list(REFERENCE))
+    def test_cycle_family_rows_match_the_reference(self, family):
+        admissible, single = self.REFERENCE[family]
+        for k in range(1, 9):
+            for rest in itertools.permutations(range(1, k)):
+                cycle = (0,) + rest
+                assert _admits(family, (cycle,)) == admissible(cycle), cycle
+        # two admissible cycles together make a member unless only one is allowed
+        two = ((1,), (2,)) if admissible((1,)) else ((1, 3, 2, 4), (5, 6))
+        assert _admits(family, two) == (not single)
 
     def test_even_only_cud_excedance_characterization(self):
         for n in range(8):
