@@ -197,8 +197,8 @@ def jbij(p: Permutation) -> CycleDecomposition:
         raise DomainError("input must be nonempty")
     tau = word
     cycles = []
-    while len(tau) > 1:
-        j = extreme_positions(tau)[-1]
+    # switching and truncating keep the extreme positions before the cut
+    for j in reversed(extreme_positions(word)):
         if tau[j] > tau[0]:  # running maximum: switch to make it a minimum
             tau = switched_word(tau)
         cycles.append(tau[j:])

@@ -175,6 +175,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             raise MalformedInput(
                 f"unknown statistic {name!r} (known: {', '.join(STAT_NAMES)})"
             )
+    if len(set(stat_names)) < len(stat_names):
+        raise MalformedInput(f"--stats names a statistic twice: {args.stats!r}")
     table = oracle.distribution(family, args.n, stat_names, cap=cfg.enum_cap)
     if cfg.fmt == "json":
         rows = [

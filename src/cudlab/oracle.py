@@ -5,8 +5,11 @@ and bijection property at desk scale.
 ``enumerate_family`` is deliberately dumb: it filters all of S_n, in
 lexicographic order, except for the up-down words, which a backtracker
 builds.  ``distribution`` builds the cycle families directly, as sets of
-admissible cycles (``iter_cycle_family``); the S_n filter stays the
-reference that the direct routes are compared with rather than trusted.
+admissible cycles (``_cycle_members``), and reads only the named statistics:
+a cycle statistic as per-pattern shares, or elsewhere from each word
+decomposed in place, and lrm, st and extr from one ``statistics._scan``.
+The S_n filter stays the reference that the direct routes are compared with
+rather than trusted.
 ``verify_all`` walks each S_n once, through ``census``, and returns a
 machine-readable report; any failing row is a bug somewhere, by design with
 no tolerance.  The checks are a registry: each phase of ``_PHASES`` is a
@@ -30,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bijections, matchings, perms
 from .catalog import (
@@ -58,16 +61,15 @@ from .series import (
     zigzag_egf_series,
 )
 from .statistics import (
+    CYCLE_SHARES,
     MAX,
     MIN,
     MinMaxPattern,
     StatVector,
     _letters,
     _scan,
-    _stats_of,
     extreme_positions,
     lr_min_positions,
-    stats,
 )
 
 WORD_FAMILIES = (Family.UD, Family.DOWNUP, Family.UD_LAST_GT_FIRST)
@@ -181,29 +183,34 @@ def iter_cycle_family(
     family: Family, n: int
 ) -> Iterator[tuple[Permutation, tuple[tuple[int, ...], ...]]]:
     """Every member of the cycle family in S_n exactly once, with its
-    canonical cycles, built as a set of admissible cycles.
+    canonical cycles, from ``_cycle_members``; not in lexicographic order."""
+    word = [0] * n
+    for _ in _cycle_members(family, n, lambda pattern: 0, word):
+        yield Permutation._trusted(tuple(word)), tuple(_cycles(word))
 
-    The cycle through the smallest remaining element takes that element and
-    a subset of the rest, and is one of the family's admissible patterns
-    (``perms.admissible_patterns``) relabelled onto those points; the rest
-    is built the same way.  A single-cycle family takes the whole set at
-    once, so it has no member at n = 0.  The order is not lexicographic.
-    """
+
+def _cycle_members(
+    family: Family, n: int, share: Callable[[bytes], int], word: list[int] | None
+) -> Iterator[int]:
+    """Build each member of the cycle family in S_n as a set of admissible
+    cycles; yield its cycles' total ``share`` and lay its images in ``word``
+    unless that is None.  The cycle through the smallest remaining element
+    takes that element and a subset of the rest, and is an admissible pattern
+    (``perms.admissible_patterns``) on those points, whose share is taken
+    once per call; the rest is built the same way.  A single-cycle family
+    takes the whole set at once, so it has no member at n = 0."""
     _, _, single = perms._CYCLE_FAMILIES[family]
     if single and n == 0:
         return
     tables = [
-        (k, table)
+        (k, [(pattern, share(pattern)) for pattern in table])
         for k in ((n,) if single else range(1, n + 1))
         if (table := perms.admissible_patterns(family, k))
     ]
-    # word[a - 1] is the image of a; each cycle sets the images of its points
-    word = [0] * n
-    cycles: list[tuple[int, ...]] = []
 
-    def build(remaining: tuple[int, ...]) -> Iterator:
+    def build(remaining: tuple[int, ...], total: int) -> Iterator[int]:
         if not remaining:
-            yield Permutation._trusted(tuple(word)), tuple(cycles)
+            yield total
             return
         head, rest = remaining[0], remaining[1:]
         for k, table in tables:
@@ -213,15 +220,15 @@ def iter_cycle_family(
                 points = (head,) + subset
                 chosen = set(subset)
                 left = tuple(x for x in rest if x not in chosen)
-                for pattern in table:
-                    cycle = tuple(points[i] for i in pattern)
-                    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                        word[a - 1] = b
-                    cycles.append(cycle)
-                    yield from build(left)
-                    cycles.pop()
+                for pattern, value in table:
+                    if word is not None:
+                        # word[a - 1] is the image of a
+                        cycle = tuple(points[i] for i in pattern)
+                        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                            word[a - 1] = b
+                    yield from build(left, total + value)
 
-    yield from build(tuple(range(1, n + 1)))
+    yield from build(tuple(range(1, n + 1)), 0)
 
 
 def iter_cud_direct(n: int) -> Iterator[Permutation]:
@@ -232,26 +239,51 @@ def iter_cud_direct(n: int) -> Iterator[Permutation]:
 def distribution(
     family: Family, n: int, stat_names: Sequence[str], cap: int | None = None
 ) -> DistributionTable:
-    """Exact joint distribution of the named statistics.  Cycle families are
-    built directly by ``iter_cycle_family``; the others come from
-    ``enumerate_family``."""
+    """Exact joint distribution of the named statistics, computing no other.
+    A cycle family sums the pattern shares (``statistics.CYCLE_SHARES``) of
+    the named cycle statistics (``_cycle_members``); the other families
+    decompose each word in place for them.  lrm, st and extr come from one
+    ``statistics._scan`` per member, for which a cycle family lays its words."""
     _check_cap(family, n, cap)
+    named = dict.fromkeys(name for name in stat_names if name in CYCLE_SHARES)
+    # one int holds the named cycle statistics as base-(n + 1) digits, none above n
+    shares = [((n + 1) ** i, CYCLE_SHARES[name]) for i, name in enumerate(named)]
+
+    def share(cycle: Sequence[int]) -> int:
+        return sum(place * of(cycle) for place, of in shares)
+
+    scan = any(name not in CYCLE_SHARES for name in stat_names)
     if family in perms._CYCLE_FAMILIES:
-        vectors = (_stats_of(p, cycles) for p, cycles in iter_cycle_family(family, n))
+        word = [0] * n if scan else None
+        members = ((total, word) for total in _cycle_members(family, n, share, word))
     else:
-        vectors = map(stats, enumerate_family(family, n, cap))
-    return _table(family, n, stat_names, ((sv, 1) for sv in vectors))
+        members = (
+            (sum(map(share, _cycles(p.word))) if named else 0, p.word)
+            for p in enumerate_family(family, n, cap)
+        )
+    ground, letters = tuple(range(1, n + 1)), (_letters(MinMaxPattern.alternating(), n),)
+    tally = Counter((total, scan and _scan(word, ground, letters)) for total, word in members)
+    rows: Counter = Counter()
+    for (total, scanned), count in tally.items():
+        values = {name: total // place % (n + 1) for name, (place, _) in zip(named, shares)}
+        values["lrm"], values["extr"], _, (values["st"],) = scanned or (0, 0, 0, (0,))
+        rows[tuple(values[name] for name in stat_names)] += count
+    return DistributionTable(family, n, tuple(stat_names), dict(rows))
 
 
-def _table(
-    family: Family, n: int, stat_names: Sequence[str], counted: Iterable[tuple[StatVector, int]]
-) -> DistributionTable:
-    """The table of the named statistics over (stat vector, count) pairs."""
-    rows: dict[tuple[int, ...], int] = {}
-    for sv, count in counted:
-        key = tuple(getattr(sv, name) for name in stat_names)
-        rows[key] = rows.get(key, 0) + count
-    return DistributionTable(family, n, tuple(stat_names), rows)
+def _cycles(word: Sequence[int]) -> list[tuple[int, ...]]:
+    """The canonical cycles of a word on [n], decomposed in place."""
+    seen = [False] * (len(word) + 1)
+    cycles = []
+    for a in range(1, len(word) + 1):
+        if not seen[a]:
+            cycle, b = [a], word[a - 1]
+            while b != a:
+                seen[b] = True
+                cycle.append(b)
+                b = word[b - 1]
+            cycles.append(tuple(cycle))
+    return cycles
 
 
 def distribution_csv(table: DistributionTable) -> str:
@@ -300,7 +332,10 @@ class Census:
         self, family: Family, stat_names: Sequence[str]
     ) -> DistributionTable:
         """The table ``distribution(family, n, stat_names)`` gives."""
-        return _table(family, self.n, stat_names, self.stat_counts[family].items())
+        rows: Counter = Counter()
+        for sv, count in self.stat_counts[family].items():
+            rows[tuple(getattr(sv, name) for name in stat_names)] += count
+        return DistributionTable(family, self.n, tuple(stat_names), dict(rows))
 
     def words(self, family: Family) -> list[tuple[int, ...]]:
         return [word for word, _, _ in self.rows[family]]
@@ -345,18 +380,9 @@ def census(n: int) -> Census:
     shared: dict = {}
     for word in itertools.permutations(ground):
         mask = all_cycle_bits
-        c = c_o = fp = ud = 0
-        seen = [False] * (n + 1)
-        for a in ground:
-            if seen[a]:
-                continue
-            cycle = [a]
-            b = word[a - 1]
-            while b != a:
-                seen[b] = True
-                cycle.append(b)
-                b = word[b - 1]
-            cycle = tuple(cycle)
+        c_o = fp = ud = 0
+        cycles = _cycles(word)
+        for cycle in cycles:
             k = len(cycle)
             verdict = verdicts.get(cycle)
             if verdict is None:
@@ -368,9 +394,9 @@ def census(n: int) -> Census:
                     verdicts[cycle] = verdict
             mask &= verdict >> 1
             ud += verdict & 1
-            c += 1
             c_o += k % 2
             fp += k == 1
+        c = len(cycles)
         if c != 1:
             mask &= ~single_bits
         for flag, test in word_tests:

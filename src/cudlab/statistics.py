@@ -10,7 +10,7 @@ documentation and 0-based in the code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import gt
+from operator import gt, lt
 from typing import Sequence
 
 from .perms import (
@@ -49,6 +49,18 @@ class StatVector:
 
 
 STAT_NAMES = ("c", "c_o", "c_e", "fp", "lrm", "st", "extr", "exc", "ud", "nud")
+
+# The statistics that sum over the canonical cycles, by a cycle's share, which
+# reads only relative order (excedances are cyclic ascents); the rest read words.
+CYCLE_SHARES = {
+    "c": lambda cycle: 1,
+    "c_o": lambda cycle: len(cycle) % 2,
+    "c_e": lambda cycle: 1 - len(cycle) % 2,
+    "fp": lambda cycle: len(cycle) == 1,
+    "exc": lambda cycle: sum(map(lt, cycle, cycle[1:] + cycle[:1])),
+    "ud": is_up_down_word,
+    "nud": lambda cycle: not is_up_down_word(cycle),
+}
 
 
 @dataclass(frozen=True)

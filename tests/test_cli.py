@@ -109,6 +109,14 @@ class TestEnumerate:
     def test_bad_stat(self, capsys):
         assert cli.main(["enumerate", "cud", "--n", "2", "--stats", "zork"]) == 2
 
+    def test_repeated_stat_is_bad_input(self, capsys):
+        # a table keyed by statistic name has one column per name
+        argv = ["enumerate", "cud", "--n", "3", "--stats", "c,c", "--format", "json"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_cap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("CUDLAB_CAP", "3")
         assert cli.main(["enumerate", "all", "--n", "4", "--stats", "c"]) == 3
@@ -413,7 +421,7 @@ _VALUED = {
     "--seed": _SMALL,
     "--samples": _SMALL,
     "--format": ("text", "json", "csv", "xml"),
-    "--stats": ("c", "c,ud,nud", "fp,exc", "bogus", ""),
+    "--stats": ("c", "c,ud,nud", "fp,exc", "c,fp,c", "bogus", ""),
     "--bits": ("101", "1", "", "12"),
     "--pattern": ("min,...", "min,max,...", "max", "min,x,..."),
     "--order": ("asc", "desc", "up"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cudlab import oracle, perms
+from cudlab import oracle, perms, statistics
 from cudlab.catalog import CapExceeded
 from cudlab.oracle import (
     WORD_FAMILIES,
@@ -148,6 +148,68 @@ class TestDistribution:
         table = distribution(Family.CUD, 4, ("c_o", "c_e"))
         want = (GOLDEN / "cud4_odd_even.csv").read_text(encoding="ascii")
         assert distribution_csv(table) == want
+
+
+# every single statistic, every ordered pair and all ten
+_REQUESTS = (
+    [(name,) for name in STAT_NAMES] + list(itertools.permutations(STAT_NAMES, 2)) + [STAT_NAMES]
+)
+
+
+class TestLeanDistribution:
+    """``distribution`` computes only the named statistics, by per-pattern
+    shares on the cycle families, and must still equal the table of the
+    public ``stats`` over the S_n filter."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_every_request_matches_the_reference(self, family):
+        for n in range(8 if family in perms._CYCLE_FAMILIES else 7):
+            vectors = [stats(p) for p in oracle._filter_s_n(family, n)]
+            for names in _REQUESTS:
+                reference = Counter(tuple(getattr(sv, name) for name in names) for sv in vectors)
+                table = distribution(family, n, names)
+                assert table.rows == dict(reference), (family, n, names)
+                assert table.stats == names
+
+    def test_a_repeated_name_repeats_its_value(self):
+        # the CLI refuses a repeated name; the library keys rows by position
+        table = distribution(Family.CUD, 5, ("c", "exc", "c"))
+        pairs = distribution(Family.CUD, 5, ("c", "exc"))
+        assert table.rows == {(c, exc, c): k for (c, exc), k in pairs.rows.items()}
+
+    @staticmethod
+    def _count_calls(monkeypatch, name, *modules):
+        """Patch one counting stand-in for ``name`` into every module that
+        binds it; returns the list of the calls' arguments."""
+        calls = []
+        original = getattr(modules[0], name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_a_word_statistic_decomposes_no_word(self, monkeypatch):
+        n = 7
+        decomposed = self._count_calls(monkeypatch, "_cycles", oracle)
+        to_cycles = self._count_calls(monkeypatch, "to_cycles", perms, statistics)
+        distribution(Family.UD, n, ("lrm",))
+        assert decomposed == [] and to_cycles == []
+        # the stand-in counts: a cycle statistic decomposes each word once
+        distribution(Family.UD, n, ("lrm", "c"))
+        assert len(decomposed) == euler_numbers(n)[n] and to_cycles == []
+
+    def test_a_cycle_statistic_scans_no_word(self, monkeypatch):
+        n = 7
+        scans = self._count_calls(monkeypatch, "_scan", oracle, statistics)
+        distribution(Family.GCUD, n, ("fp",))
+        assert scans == []
+        # the stand-in counts: a word statistic scans each member once
+        distribution(Family.GCUD, n, ("fp", "lrm"))
+        assert len(scans) == count_family(Family.GCUD, n)
 
 
 class _CountingItertools:

@@ -16,10 +16,17 @@ from cudlab import cli
 
 t = tracer.Tracer()
 tracer.install(t)
+requests = [
+    ["seq", "perm-ud-nud", "--n", "8"],
+    ["verify", "--n", "3"],
+    ["enumerate", "gcud", "--n", "5", "--stats", "fp"],
+    ["enumerate", "all", "--n", "4", "--stats", "c,lrm"],
+]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(["seq", "perm-ud-nud", "--n", "8"]), cli.main(["verify", "--n", "3"])]
+    codes = [cli.main(argv) for argv in requests]
 metrics = tracer.per_layer_metrics(t)
 print(json.dumps({"codes": codes, "catalog_series": t.calls["catalog.catalog_series"],
+                  "distribution": t.calls["oracle.distribution"],
                   "metrics": len(metrics)}))
 """
 
@@ -35,6 +42,7 @@ def test_traced_seq_and_verify_run():
     )
     assert result.returncode == 0, result.stderr
     payload = json.loads(result.stdout.splitlines()[-1])
-    assert payload["codes"] == [0, 0]
+    assert payload["codes"] == [0, 0, 0, 0]
     assert payload["catalog_series"] > 0
+    assert payload["distribution"] == 2
     assert payload["metrics"] > 0
