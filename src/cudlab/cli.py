@@ -4,18 +4,17 @@ Subcommands: ``seq`` (catalog sequences), ``enumerate`` (distribution
 tables), ``map`` (apply a bijection), ``verify`` (the full oracle suite),
 ``expect`` (expected up-down cycles, exact or Monte Carlo), ``diagram``
 (arc-diagram SVG).  Every command is deterministic given its flags; Monte
-Carlo is deterministic given ``--seed``.
+Carlo is deterministic given ``--seed``.  Each subcommand declares only
+the flags it reads, so its ``--help`` lists exactly those.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input or unknown name
 (a ``--samples`` below 1 included), an ``--out`` path that cannot be
-written, or a flag the command would ignore (``--format csv`` outside
-``enumerate``, ``--format json`` on ``diagram``, ``--cap`` on ``map``,
-``verify`` or ``diagram``, ``--seed`` anywhere but ``expect --montecarlo``,
-``--samples`` without ``--montecarlo``, and ``map --bits``, ``--pattern``
-or ``--order`` on any map but ``ell``, ``h`` or ``foata`` in turn), 3 cap
-exceeded (``expect --n`` above ``EXPECT_CAP`` without a ``--cap`` that
-allows it included).  ``CUDLAB_CAP`` overrides the default enumeration cap of
-``enumerate`` unless ``--cap`` is given; a value that is not an integer >= 0 exits 2.
+written, or a flag the subcommand does not take or this request does not
+read, 3 cap exceeded (``expect --n`` above ``EXPECT_CAP`` without a
+``--cap`` that allows it included).  Exits 2 and 3 print one ``error:`` line
+on stderr, usage errors included.  ``CUDLAB_CAP`` overrides the default
+enumeration cap of ``enumerate`` unless ``--cap`` is given; a value that is
+not an integer >= 0 exits 2.
 """
 
 from __future__ import annotations
@@ -25,11 +24,11 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import sqrt
 from pathlib import Path
+from typing import NoReturn
 
 from . import bijections, matchings, oracle
 from .catalog import (
@@ -67,51 +66,24 @@ EXPECT_CAP = 3000
 DEFAULT_SAMPLES = 100000
 DEFAULT_PATTERN = "min,max,..."
 
-# by subcommand, the output formats it prints and whether it reads --cap; any
-# other value of these shared flags is refused rather than ignored
-_SHARED_FLAGS = {
-    "seq": (("text", "json"), True),
-    "enumerate": (("text", "json", "csv"), True),
-    "map": (("text", "json"), False),
-    "verify": (("text", "json"), False),
-    "expect": (("text", "json"), True),
-    "diagram": (("text",), False),
+# the flags that only some requests of their subcommand read: flag -> (those
+# requests, whether these arguments are one); any other request refuses it
+_READ_BY = {
+    "seed": ("expect --montecarlo", lambda args: args.montecarlo),
+    "samples": ("expect --montecarlo", lambda args: args.montecarlo),
+    "bits": ("map ell", lambda args: args.name == "ell"),
+    "pattern": ("map h", lambda args: args.name == "h"),
+    "order": ("map foata", lambda args: args.name == "foata"),
 }
 
 
-@dataclass
-class Config:
-    """Resolved global options."""
+class Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``MalformedInput``, so
+    that they leave through ``main``'s one ``error:`` line; subparsers
+    inherit the class."""
 
-    order_cap: int = DEFAULT_ORDER_CAP
-    enum_cap: int | None = None
-    fmt: str = "text"
-    seed: int = 0
-    out: str | None = None
-
-
-def _config_from(args: argparse.Namespace) -> Config:
-    formats, reads_cap = _SHARED_FLAGS[args.command]
-    if args.format not in formats:
-        raise MalformedInput(
-            f"{args.command} has no {args.format} output (formats: {', '.join(formats)})"
-        )
-    if args.cap is not None and not reads_cap:
-        raise MalformedInput(f"{args.command} takes no --cap")
-    if args.cap is not None and args.cap < 0:
-        raise MalformedInput(f"--cap must not be negative, got {args.cap}")
-    if args.seed is not None and not getattr(args, "montecarlo", False):
-        raise MalformedInput("only expect --montecarlo takes --seed")
-    enum_cap = args.cap
-    if enum_cap is None and args.command == "enumerate":
-        enum_cap = _env_cap()
-    return Config(
-        order_cap=args.cap if args.cap is not None else DEFAULT_ORDER_CAP,
-        enum_cap=enum_cap,
-        fmt="json" if getattr(args, "json", False) else args.format,
-        seed=args.seed if args.seed is not None else 0,
-        out=args.out,
-    )
+    def error(self, message: str) -> NoReturn:
+        raise MalformedInput(message)
 
 
 def _env_cap() -> int | None:
@@ -128,9 +100,9 @@ def _env_cap() -> int | None:
     return cap
 
 
-def _emit(cfg: Config, text: str) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -145,15 +117,15 @@ def _poly_map(poly: MPoly) -> dict[str, int]:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    values = sequence_terms(args.id, args.n, cap=cfg.order_cap)
+    cap = args.cap if args.cap is not None else DEFAULT_ORDER_CAP
+    values = sequence_terms(args.id, args.n, cap=cap)
     offset = catalog_offset(args.id)
     marked = bool(catalog_markers(args.id))
     if marked:
         values = [_poly_map(poly) for poly in values]
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {"id": args.id, "offset": offset, "n_max": args.n, "values": values}
-        _emit(cfg, json.dumps(payload, sort_keys=True) + "\n")
+        _emit(args, json.dumps(payload, sort_keys=True) + "\n")
     else:
         lines = []
         for n, value in enumerate(values, offset):
@@ -162,13 +134,12 @@ def cmd_seq(args: argparse.Namespace) -> int:
             else:
                 body = str(value)
             lines.append(f"{n} {body}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    family = Family.from_text(args.family)
+    family = Family(args.family)
     stat_names = tuple(s.strip() for s in args.stats.split(","))
     for name in stat_names:
         if name not in STAT_NAMES:
@@ -177,8 +148,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             )
     if len(set(stat_names)) < len(stat_names):
         raise MalformedInput(f"--stats names a statistic twice: {args.stats!r}")
-    table = oracle.distribution(family, args.n, stat_names, cap=cfg.enum_cap)
-    if cfg.fmt == "json":
+    cap = args.cap if args.cap is not None else _env_cap()
+    table = oracle.distribution(family, args.n, stat_names, cap=cap)
+    if args.format == "json":
         rows = [
             dict(zip(stat_names, values)) | {"count": count}
             for values, count in sorted(table.rows.items())
@@ -190,15 +162,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "total": table.total(),
             "rows": rows,
         }
-        _emit(cfg, json.dumps(payload, sort_keys=True) + "\n")
-    elif cfg.fmt == "csv":
-        _emit(cfg, oracle.distribution_csv(table))
+        _emit(args, json.dumps(payload, sort_keys=True) + "\n")
+    elif args.format == "csv":
+        _emit(args, oracle.distribution_csv(table))
     else:
         lines = [" ".join(stat_names + ("count",))]
         for values in sorted(table.rows):
             lines.append(" ".join(str(v) for v in values + (table.rows[values],)))
         lines.append(f"total {table.total()}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -239,16 +211,9 @@ _MAPS = {
     ),
 }
 
-# the map flags, each with the one map that reads it
-_MAP_FLAGS = {"bits": "ell", "pattern": "h", "order": "foata"}
-
 
 def cmd_map(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     name = args.name
-    for flag, reader in _MAP_FLAGS.items():
-        if getattr(args, flag) is not None and name != reader:
-            raise MalformedInput(f"only map {reader} takes --{flag}")
     result = _MAPS[name](parse_any(args.input), args)
     if isinstance(result, tuple):  # ell-inv: (permutation, bit word)
         perm, bits = result
@@ -264,10 +229,10 @@ def cmd_map(args: argparse.Namespace) -> int:
     else:
         text = format_permutation(result)
         payload = {"map": name, "output": text}
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps(payload, sort_keys=True) + "\n")
+    if args.format == "json":
+        _emit(args, json.dumps(payload, sort_keys=True) + "\n")
     else:
-        _emit(cfg, text + "\n")
+        _emit(args, text + "\n")
     return 0
 
 
@@ -278,11 +243,10 @@ def _parse_bits(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     report = oracle.verify_all(args.n)
     passed = oracle.report_passed(report)
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps(report, sort_keys=True) + "\n")
+    if args.json or args.format == "json":
+        _emit(args, json.dumps(report, sort_keys=True) + "\n")
     else:
         lines = []
         for entry in report:
@@ -293,16 +257,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             lines.append(line)
         ok = sum(1 for e in report if e["pass"])
         lines.append(f"passed {ok}/{len(report)} checks")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return 0 if passed else 1
 
 
 def cmd_expect(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    if args.samples is not None and not args.montecarlo:
-        raise MalformedInput("only expect --montecarlo takes --samples")
-    if args.target != "ud-cycles":
-        raise MalformedInput(f"unknown expectation target {args.target!r}")
     limit = args.cap if args.cap is not None else EXPECT_CAP
     if args.n > limit:
         raise CapExceeded(f"n={args.n} exceeds the expectation cap {limit}")
@@ -311,7 +270,8 @@ def cmd_expect(args: argparse.Namespace) -> int:
         samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
         if samples < 1:
             raise MalformedInput(f"--samples must be positive, got {samples}")
-        rng = random.Random(cfg.seed)
+        seed = args.seed or 0
+        rng = random.Random(seed)
         total = 0
         total_sq = 0
         for _ in range(samples):
@@ -321,32 +281,32 @@ def cmd_expect(args: argparse.Namespace) -> int:
         mean = total / samples
         variance = total_sq / samples - mean * mean
         stderr = sqrt(max(variance, 0.0) / samples)
-        if cfg.fmt == "json":
+        if args.format == "json":
             payload = {
                 "n": args.n,
                 "mode": "montecarlo",
                 "samples": samples,
-                "seed": cfg.seed,
+                "seed": seed,
                 "estimate": mean,
                 "stderr": stderr,
                 "exact": _fraction_text(exact),
             }
-            _emit(cfg, json.dumps(payload, sort_keys=True) + "\n")
+            _emit(args, json.dumps(payload, sort_keys=True) + "\n")
         else:
-            _emit(cfg, f"estimate {mean:.6f} stderr {stderr:.6f}\n")
+            _emit(args, f"estimate {mean:.6f} stderr {stderr:.6f}\n")
         return 0
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "n": args.n,
             "mode": "exact",
             "value": _fraction_text(exact),
             "float": float(exact),
         }
-        _emit(cfg, json.dumps(payload, sort_keys=True) + "\n")
+        _emit(args, json.dumps(payload, sort_keys=True) + "\n")
     elif args.float:
-        _emit(cfg, f"{float(exact)!r}\n")
+        _emit(args, f"{float(exact)!r}\n")
     else:
-        _emit(cfg, f"{_fraction_text(exact)} = {float(exact)!r}\n")
+        _emit(args, f"{_fraction_text(exact)} = {float(exact)!r}\n")
     return 0
 
 
@@ -369,55 +329,51 @@ def _random_permutation(n: int, rng: random.Random) -> Permutation:
 
 
 def cmd_diagram(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    if not cfg.out:
+    if not args.out:
         raise MalformedInput("diagram requires --out PATH for the SVG")
     p = _as_permutation(parse_any(args.input))
-    matchings.render_arc_diagram(p, cfg.out)
+    matchings.render_arc_diagram(p, args.out)
     pair = matchings.to_matching_pair(p)
     sys.stdout.write(matchings.matching_pair_text(pair) + "\n")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text", help="output format"
-    )
-    shared.add_argument("--out", default=None, help="write output to this file")
-    shared.add_argument(
-        "--seed", type=int, default=None, help="RNG seed of expect --montecarlo (default 0)"
-    )
-    shared.add_argument(
-        "--cap", type=int, default=None, help="raise/lower the enumeration or order cap"
-    )
-
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="cudlab",
         description="Enumeration, bijections, and exact series checks for "
         "cycle-up-down permutations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_seq = sub.add_parser("seq", parents=[shared], help="print a catalog sequence")
+    def command(name, func, formats, help, cap=None):
+        """A subparser printing the given formats, with --cap if ``cap`` is
+        its help text."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", default=None, help="write output to this file")
+        p.add_argument("--format", choices=formats, default="text", help="output format")
+        if cap:
+            p.add_argument("--cap", type=int, default=None, help=cap)
+        p.set_defaults(func=func)
+        return p
+
+    p_seq = command(
+        "seq", cmd_seq, ("text", "json"), "print a catalog sequence",
+        cap=f"largest order the series is taken to (default {DEFAULT_ORDER_CAP})",
+    )
     p_seq.add_argument("id", choices=SEQUENCE_IDS, metavar="ID")
     p_seq.add_argument("--n", type=int, default=10, help="last index to print")
-    p_seq.set_defaults(func=cmd_seq)
 
-    p_enum = sub.add_parser(
-        "enumerate", parents=[shared], help="distribution table over a family"
+    p_enum = command(
+        "enumerate", cmd_enumerate, ("text", "json", "csv"), "distribution table over a family",
+        cap="largest n enumerated (default CUDLAB_CAP, else the family's own cap)",
     )
-    p_enum.add_argument("family", metavar="FAMILY")
+    p_enum.add_argument("family", choices=[f.value for f in Family], metavar="FAMILY")
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--stats", default="c", help="comma-separated statistics")
-    p_enum.set_defaults(func=cmd_enumerate)
 
-    p_map = sub.add_parser("map", parents=[shared], help="apply a bijection")
-    p_map.add_argument(
-        "name",
-        choices=tuple(_MAPS),
-        metavar="NAME",
-    )
+    p_map = command("map", cmd_map, ("text", "json"), "apply a bijection")
+    p_map.add_argument("name", choices=tuple(_MAPS), metavar="NAME")
     p_map.add_argument("input", help="one-line word or (cycle)(notation)")
     p_map.add_argument("--bits", default=None, help="bit word for ell, e.g. 10011")
     p_map.add_argument(
@@ -426,19 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument(
         "--order", choices=("asc", "desc"), default=None, help="foata order (default desc)"
     )
-    p_map.set_defaults(func=cmd_map)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[shared], help="run the full oracle verification"
-    )
+    p_verify = command("verify", cmd_verify, ("text", "json"), "run the full oracle verification")
     p_verify.add_argument("--n", type=int, default=7, help="enumeration size cap")
     p_verify.add_argument("--json", action="store_true", help="JSON report")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_expect = sub.add_parser(
-        "expect", parents=[shared], help="expected statistic values"
+    p_expect = command(
+        "expect", cmd_expect, ("text", "json"), "expected statistic values",
+        cap=f"largest n accepted (default {EXPECT_CAP})",
     )
-    p_expect.add_argument("target", metavar="TARGET", help="ud-cycles")
+    p_expect.add_argument("target", choices=("ud-cycles",), metavar="TARGET")
     p_expect.add_argument("--n", type=int, required=True)
     mode = p_expect.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", default=True)
@@ -449,26 +402,28 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"Monte Carlo sample count (default {DEFAULT_SAMPLES})",
     )
-    p_expect.add_argument("--float", action="store_true", help="print only the float")
-    p_expect.set_defaults(func=cmd_expect)
-
-    p_diag = sub.add_parser(
-        "diagram", parents=[shared], help="write an arc-diagram SVG to --out"
+    p_expect.add_argument(
+        "--seed", type=int, default=None, help="RNG seed of --montecarlo (default 0)"
     )
+    p_expect.add_argument("--float", action="store_true", help="print only the float")
+
+    p_diag = command("diagram", cmd_diagram, ("text",), "write an arc-diagram SVG to --out")
     p_diag.add_argument("input", help="permutation (one-line or cycles)")
-    p_diag.set_defaults(func=cmd_diagram)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
+        for flag, (readers, reads) in _READ_BY.items():
+            if getattr(args, flag, None) is not None and not reads(args):
+                raise MalformedInput(f"only {readers} takes --{flag}")
+        if getattr(args, "cap", None) is not None and args.cap < 0:
+            raise MalformedInput(f"--cap must not be negative, got {args.cap}")
         return args.func(args)
+    except SystemExit as exc:  # --help, after printing the help
+        return exc.code
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

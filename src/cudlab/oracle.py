@@ -179,14 +179,12 @@ def iter_ud_by_filter(n: int) -> Iterator[Permutation]:
     return _filter_s_n(Family.UD, n)
 
 
-def iter_cycle_family(
-    family: Family, n: int
-) -> Iterator[tuple[Permutation, tuple[tuple[int, ...], ...]]]:
-    """Every member of the cycle family in S_n exactly once, with its
-    canonical cycles, from ``_cycle_members``; not in lexicographic order."""
+def iter_cycle_family(family: Family, n: int) -> Iterator[Permutation]:
+    """Every member of the cycle family in S_n exactly once, from
+    ``_cycle_members``; not in lexicographic order."""
     word = [0] * n
     for _ in _cycle_members(family, n, lambda pattern: 0, word):
-        yield Permutation._trusted(tuple(word)), tuple(_cycles(word))
+        yield Permutation._trusted(tuple(word))
 
 
 def _cycle_members(
@@ -233,7 +231,7 @@ def _cycle_members(
 
 def iter_cud_direct(n: int) -> Iterator[Permutation]:
     """Second route to CUD_n, built cycle by cycle: see ``iter_cycle_family``."""
-    return (p for p, _ in iter_cycle_family(Family.CUD, n))
+    return iter_cycle_family(Family.CUD, n)
 
 
 def distribution(

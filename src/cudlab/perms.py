@@ -192,14 +192,6 @@ class Family(Enum):
     UD_LAST_GT_FIRST = "ud-last-gt-first"
     EXC_DEF_SWAP = "exc-def-swap"
 
-    @classmethod
-    def from_text(cls, text: str) -> "Family":
-        try:
-            return cls(text)
-        except ValueError:
-            known = ", ".join(f.value for f in cls)
-            raise MalformedInput(f"unknown family {text!r} (known: {known})") from None
-
 
 def to_cycles(p: Permutation) -> CycleDecomposition:
     """Canonical cycle decomposition of a permutation.

@@ -175,11 +175,7 @@ def stats(p: Permutation) -> StatVector:
     >>> stats(Permutation((4, 8, 1, 2, 7, 6, 3, 5))).st
     4
     """
-    return _stats_of(p, to_cycles(p).cycles)
-
-
-def _stats_of(p: Permutation, cycles: tuple[tuple[int, ...], ...]) -> StatVector:
-    """``stats(p)``, given the canonical cycles of ``p``."""
+    cycles = to_cycles(p).cycles
     word = p.word
     # the alternating pattern min, max, min, ... selects the min-max subsequence
     lrm, extr, exc, (st,) = _scan(word, sorted(word), ((True, False) * (len(word) // 2 + 1),))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -382,6 +383,11 @@ class TestIgnoredFlags:
             ["map", "phi", "1 3 2", "--bits", "101"],
             ["map", "ell", "2 1", "--bits", "1", "--pattern", "min,..."],
             ["map", "h", "2 1", "--order", "asc"],
+            # usage errors, which argparse refuses through the same error line
+            ["enumerate", "cud"],
+            ["seq", "euler", "--n", "x"],
+            ["nope"],
+            ["map", "phi", "1", "--bogus"],
         ],
     )
     def test_exit_2(self, capsys, tmp_path, argv):
@@ -392,6 +398,31 @@ class TestIgnoredFlags:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "fig.svg").exists()
+
+
+# by subcommand, the flags it reads and the output formats it prints
+_READS = {
+    "seq": ({"--n", "--cap", "--out", "--format"}, "text,json"),
+    "enumerate": ({"--n", "--stats", "--cap", "--out", "--format"}, "text,json,csv"),
+    "map": ({"--bits", "--pattern", "--order", "--out", "--format"}, "text,json"),
+    "verify": ({"--n", "--json", "--out", "--format"}, "text,json"),
+    "expect": (
+        {"--n", "--exact", "--montecarlo", "--samples", "--seed", "--float", "--cap",
+         "--out", "--format"},
+        "text,json",
+    ),
+    "diagram": ({"--out", "--format"}, "text"),
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(_READS))
+    def test_help_lists_only_the_flags_read(self, capsys, command):
+        flags, formats = _READS[command]
+        code, out = run(capsys, command, "--help")
+        assert code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == flags | {"--help"}
+        assert set(re.findall(r"--format \{([a-z,]+)\}", out)) == {formats}
 
 
 # the argv of the exit-code fuzz test: a subcommand with its usual names,
@@ -454,6 +485,11 @@ class TestExitCodeFuzz:
         outs = {"OUT": str(tmp_path / "out"), "MISSING": str(tmp_path / "no" / "out")}
         argv = [outs.get(token, token) for token in argv]
         code = cli.main(argv)
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code in (0, 1, 2, 3), argv
         assert code != 1 or argv[0] == "verify", argv
+        # a refusal is one error line, and nothing else writes to stderr
+        if code in (2, 3):
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+        else:
+            assert err == "", argv

@@ -92,11 +92,9 @@ class TestCycleFamilies:
     @pytest.mark.parametrize("family", CYCLE_FAMILIES)
     def test_direct_route_matches_the_s_n_filter(self, family):
         for n in range(8):
-            built = list(iter_cycle_family(family, n))
-            assert sorted(p.word for p, _ in built) == [
+            assert sorted(p.word for p in iter_cycle_family(family, n)) == [
                 p.word for p in oracle._filter_s_n(family, n)
             ], n
-            assert all(perms.to_cycles(p).cycles == cycles for p, cycles in built), n
 
     @pytest.mark.parametrize("family", CYCLE_FAMILIES)
     def test_distribution_at_8_matches_the_census(self, family, census_8):

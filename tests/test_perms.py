@@ -211,10 +211,6 @@ class TestFamilies:
         assert not is_member(parse_permutation("3 4 1 2"), Family.UD_LAST_GT_FIRST)
         assert not is_member(parse_permutation("1 3 2"), Family.UD_LAST_GT_FIRST)
 
-    def test_unknown_family_text(self):
-        with pytest.raises(MalformedInput):
-            Family.from_text("nope")
-
 
 class TestTextForms:
     def test_empty(self):

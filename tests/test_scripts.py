@@ -22,17 +22,28 @@ def run_script(name, *args):
 
 
 def test_print_paper_tables():
-    result = run_script("print_paper_tables.py", "--n-max", "6", "--dist-max", "3")
-    assert result.returncode == 0, result.stderr
-    assert "== catalog sequences (EGF terms) ==" in result.stdout
+    # at size 0 some marked sequences have no term yet
+    for dist_max in ("3", "0"):
+        result = run_script("print_paper_tables.py", "--n-max", "6", "--dist-max", dist_max)
+        assert result.returncode == 0, result.stderr
+        assert "== catalog sequences (EGF terms) ==" in result.stdout
 
 
-@pytest.mark.parametrize("n_max, code", [("30", 3), ("-1", 2)])
-def test_print_paper_tables_exit_codes(n_max, code):
-    # the CLI's contract: one error line, no traceback, 3 past the order cap
-    # and 2 for bad input
-    result = run_script("print_paper_tables.py", "--n-max", n_max)
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        pytest.param(["--n-max", "30"], 3, id="30-3"),
+        pytest.param(["--n-max", "-1"], 2, id="-1-2"),
+        pytest.param(["--n-max", "x"], 2, id="x-2"),
+        pytest.param(["--dist-max", "-1"], 2, id="dist-max--1-2"),
+    ],
+)
+def test_print_paper_tables_exit_codes(args, code):
+    # the CLI's contract: one error line, no traceback and no table, 3 past
+    # the order cap and 2 for bad input
+    result = run_script("print_paper_tables.py", *args)
     assert result.returncode == code, result.stderr
+    assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cudlab.perms import DomainError
@@ -123,6 +123,9 @@ def _substitute_by_repeated_products(poly, assign):
 
 
 class TestMPoly:
+    # an identity, not a timing: some drawn examples take longer than
+    # hypothesis's default deadline of 200 ms
+    @settings(deadline=None)
     @given(polys, st.dictionaries(st.sampled_from(_MARKERS), st.one_of(coefficients, polys)))
     def test_substitute_is_the_repeated_product(self, poly, assign):
         assert poly.substitute(assign) == _substitute_by_repeated_products(poly, assign)

@@ -23,7 +23,6 @@ from cudlab.statistics import (
     MinMaxPattern,
     _letters,
     _scan,
-    _stats_of,
     extreme_positions,
     lr_min_positions,
     m_s,
@@ -80,7 +79,7 @@ class TestStatVector:
     def test_one_pass_matches_the_definitions(self, word):
         p = Permutation(tuple(word))
         cycles = to_cycles(p).cycles
-        sv = _stats_of(p, cycles)
+        sv = stats(p)
         mapping = p.mapping()
         assert sv.c == len(cycles)
         assert sv.c_o == sum(1 for cyc in cycles if len(cyc) % 2 == 1)
