@@ -23,6 +23,14 @@ Forward maps and their inverses:
 
 All maps recurse over arbitrary ground sets rather than renormalizing
 subwords to [m]; that keeps the switch bookkeeping honest.
+
+``g_even``, ``f_odd``, ``phi``, ``jbij``, ``ell_map`` and their inverses are
+public faces over private cores (``_phi_cycles``, ``_phi_word`` and so on).
+A face checks its input once, raising ``DomainError``; a core takes plain
+words or canonical cycle tuples, never re-checks its domain and keeps only
+its algorithm's own range guards.  The cores' callers are the faces (phi's
+through g's and f's) and ``oracle._verify_bijections``, which feeds them
+words from the census or the backtracker and checks every image exhaustively.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ from .perms import (
     Permutation,
     _admits,
     format_cycles,
-    is_down_up_word,
     is_up_down_word,
     switched_word,
 )
@@ -67,8 +74,7 @@ def _require_family(c: CycleDecomposition, family: Family) -> None:
 
 
 def _canonical(cycles: list[tuple[int, ...]]) -> CycleDecomposition:
-    """Cycles built here, each already starting at its minimum, in canonical
-    order; the maps' outputs are not validated again."""
+    """Cycles built here, each starting at its minimum, in canonical order."""
     return CycleDecomposition._trusted(tuple(sorted(cycles)))
 
 
@@ -96,9 +102,12 @@ def _g_even_cycles(word: tuple[int, ...]) -> list[tuple[int, ...]]:
 def g_even_inverse(c: CycleDecomposition) -> Permutation:
     """Concatenate the cycles by decreasing first entry."""
     _require_family(c, Family.CUD_EVEN_ONLY)
-    word = foata_word(c).word
-    _require_up_down(word)
-    return Permutation._trusted(word)
+    return Permutation._trusted(_g_even_word(c.cycles))
+
+
+def _g_even_word(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Canonical cycles run together by decreasing first entry (Foata)."""
+    return tuple(x for cyc in reversed(cycles) for x in cyc)
 
 
 def f_odd(p: Permutation) -> CycleDecomposition:
@@ -127,9 +136,7 @@ def _f_odd_cycles(word: tuple[int, ...]) -> list[tuple[int, ...]]:
 def f_odd_inverse(c: CycleDecomposition) -> Permutation:
     """Rebuild the up-down word cycle by cycle, switching the tail each time."""
     _require_family(c, Family.CUD_ODD_ONLY)
-    word = _f_odd_word(c.cycles)
-    _require_up_down(word)
-    return Permutation._trusted(word)
+    return Permutation._trusted(_f_odd_word(c.cycles))
 
 
 def _f_odd_word(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -152,24 +159,28 @@ def phi(p: Permutation) -> CycleDecomposition:
     _require_up_down(word)
     if not word:
         raise DomainError("input must contain the entry 1")
+    return _canonical(_phi_cycles(word))
+
+
+def _phi_cycles(word: tuple[int, ...]) -> list[tuple[int, ...]]:
     # the 1 sits at an even 0-based position, so the prefix is an even
     # up-down word and the switched suffix an up-down word
     k = word.index(1)
     prefix = tuple(x - 1 for x in word[:k])
     suffix = tuple(x - 1 for x in word[k + 1 :])
-    return _canonical(_g_even_cycles(prefix) + _f_odd_cycles(switched_word(suffix)))
+    return _g_even_cycles(prefix) + _f_odd_cycles(switched_word(suffix))
 
 
 def phi_inverse(c: CycleDecomposition) -> Permutation:
     """Split the cycles by parity and undo both halves of :func:`phi`."""
     _require_cud(c)
-    evens = [cyc for cyc in c.cycles if len(cyc) % 2 == 0]
-    odds = [cyc for cyc in c.cycles if len(cyc) % 2 == 1]
-    prefix = tuple(x for cyc in reversed(evens) for x in cyc)
-    suffix = switched_word(_f_odd_word(odds))
-    word = tuple(x + 1 for x in prefix) + (1,) + tuple(x + 1 for x in suffix)
-    _require_up_down(word)
-    return Permutation._trusted(word)
+    return Permutation._trusted(_phi_word(c.cycles))
+
+
+def _phi_word(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    prefix = _g_even_word([cyc for cyc in cycles if len(cyc) % 2 == 0])
+    suffix = switched_word(_f_odd_word([cyc for cyc in cycles if len(cyc) % 2 == 1]))
+    return tuple(x + 1 for x in prefix) + (1,) + tuple(x + 1 for x in suffix)
 
 
 def _require_cud(c: CycleDecomposition) -> None:
@@ -195,6 +206,10 @@ def jbij(p: Permutation) -> CycleDecomposition:
     _require_up_down(word)
     if not word:
         raise DomainError("input must be nonempty")
+    return _canonical(_jbij_cycles(word))
+
+
+def _jbij_cycles(word: tuple[int, ...]) -> list[tuple[int, ...]]:
     tau = word
     cycles = []
     # switching and truncating keep the extreme positions before the cut
@@ -206,31 +221,30 @@ def jbij(p: Permutation) -> CycleDecomposition:
     if tau[0] != len(word):
         raise DomainError("input is not in the map's domain")
     # each cut starts at a running minimum that no later entry undercuts
-    return _canonical(cycles)
+    return cycles
 
 
 def jbij_inverse(c: CycleDecomposition) -> Permutation:
     """Foata word by decreasing first entries, n+1 in front, then repeatedly
     switch the longest alternating prefix until the whole word alternates."""
     _require_cud(c)
-    tau = foata_word(c).word
-    tau = (len(tau) + 1,) + tau
+    return Permutation._trusted(_jbij_word(c.cycles))
+
+
+def _jbij_word(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    tau = (sum(map(len, cycles)) + 1,) + _g_even_word(cycles)
     prev = 0
-    while not (is_up_down_word(tau) or is_down_up_word(tau)):
-        k = _alternating_prefix_len(tau)
+    # with distinct entries, a word alternates iff its alternating prefix is all of it
+    while (k := _alternating_prefix_len(tau)) < len(tau):
         if k <= prev:
             raise DomainError("decomposition is not in the map's range")
         prev = k
         tau = switched_word(tau[:k]) + tau[k:]
-    if is_up_down_word(tau):
-        return Permutation._trusted(tau)
-    return Permutation._trusted(switched_word(tau))
+    return tau if is_up_down_word(tau) else switched_word(tau)
 
 
 def _alternating_prefix_len(word: tuple[int, ...]) -> int:
-    if len(word) <= 2:
-        return len(word)
-    k = 2
+    k = min(len(word), 2)
     while k < len(word) and (word[k] - word[k - 1]) * (word[k - 1] - word[k - 2]) < 0:
         k += 1
     return k
@@ -243,9 +257,7 @@ def foata_word(c: CycleDecomposition, descending: bool = True) -> Permutation:
     >>> format_permutation(foata_word(parse_cycles("(1,4)(2,8,3,6)(5)(7)")))
     '7 5 2 8 3 6 1 4'
     """
-    # canonical cycles are listed by increasing first entry
-    cycles = reversed(c.cycles) if descending else c.cycles
-    return Permutation._trusted(tuple(x for cyc in cycles for x in cyc))
+    return Permutation._trusted(_g_even_word(c.cycles if descending else c.cycles[::-1]))
 
 
 def rotate_ud(p: Permutation, i: int) -> Permutation:
@@ -301,13 +313,18 @@ def ell_map(p: Permutation, bits: BitWord) -> Permutation:
         )
     if any(b not in (0, 1) for b in bits):
         raise DomainError("bit word entries must be 0 or 1")
+    return Permutation._trusted(_ell_word(p.word, minima, bits))
+
+
+def _ell_word(word: tuple[int, ...], minima: list[int], bits: BitWord) -> tuple[int, ...]:
+    """:func:`ell_map` on a word, given its LR minima's positions."""
     s = list(bits) + [0]
-    tau = [len(p.word) + 1, *p.word]
+    tau = [len(word) + 1, *word]
     for j in range(len(bits), 0, -1):
         if s[j - 1] != s[j]:
-            cut = minima[j - 1] + 2  # prefix through position i_j of p
+            cut = minima[j - 1] + 2  # prefix through position i_j of the word
             tau[:cut] = switched_word(tau[:cut])
-    return Permutation._trusted(tuple(tau))
+    return tuple(tau)
 
 
 def ell_inverse(q: Permutation) -> tuple[Permutation, BitWord]:
@@ -318,14 +335,22 @@ def ell_inverse(q: Permutation) -> tuple[Permutation, BitWord]:
     positions = extreme_positions(q.word)
     if not positions:
         raise DomainError("input has no extreme elements")
-    # an extreme element is a running maximum exactly when it exceeds q_1
-    bits = [int(q.word[i] > q.word[0]) for i in positions]
-    s = bits + [0]
-    tau = list(q.word)
+    word, bits = _ell_inverse_word(q.word, positions)
+    return Permutation._trusted(word), bits
+
+
+def _ell_inverse_word(
+    word: tuple[int, ...], positions: list[int]
+) -> tuple[tuple[int, ...], BitWord]:
+    """:func:`ell_inverse` on a word, given its extreme positions."""
+    # an extreme element is a running maximum exactly when it exceeds w_1
+    bits = tuple(int(word[i] > word[0]) for i in positions)
+    s = bits + (0,)
+    tau = list(word)
     for j in range(len(bits), 0, -1):
         if s[j - 1] != s[j]:
-            cut = positions[j - 1] + 1  # the first i_j entries of q
+            cut = positions[j - 1] + 1  # the first i_j entries of the word
             tau[:cut] = switched_word(tau[:cut])
-    if tau[0] != len(q.word):
+    if tau[0] != len(word):
         raise DomainError("input is not in the map's range")
-    return Permutation._trusted(tuple(tau[1:])), tuple(bits)
+    return tuple(tau[1:]), bits

@@ -20,6 +20,7 @@ not an integer >= 0 exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -79,8 +80,11 @@ _READ_BY = {
 
 class Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise ``MalformedInput``, so
-    that they leave through ``main``'s one ``error:`` line; subparsers
-    inherit the class."""
+    that they leave through ``main``'s one ``error:`` line, and which takes
+    no abbreviated flag; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> NoReturn:
         raise MalformedInput(message)
@@ -338,6 +342,8 @@ def cmd_diagram(args: argparse.Namespace) -> int:
     return 0
 
 
+# one parser per process: parsing leaves it as it was, and it reads only constants
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = Parser(
         prog="cudlab",

@@ -15,8 +15,10 @@ machine-readable report; any failing row is a bug somewhere, by design with
 no tolerance.  The checks are a registry: each phase of ``_PHASES`` is a
 generator of (check, n, expected, actual) rows, and ``verify_all`` is the one
 place that turns rows into report entries.  The counts phase is the
-``_COUNT_CHECKS`` table, and the round trips of ``g_even``, ``f_odd``,
-``phi`` and ``jbij`` share ``_map_ud_words``.
+``_COUNT_CHECKS`` table.  The bijection checks run the trusted cores of
+``bijections``, not the checking faces: ``_map_ud_words`` reads those of
+``g_even``, ``f_odd``, ``phi``, ``jbij`` and their inverses, and the ell
+check those of ``ell_map`` and ``ell_inverse``.
 
 ``census`` is a flat kernel over plain words: it decomposes each word in
 place, tests each distinct cycle once for the two cycle shapes, and takes
@@ -711,17 +713,20 @@ def _phi_transports(c, lrm: int, st: int, extr: int) -> bool:
     return c_e == lrm - 1 and c_o == st - 1 and c_e + c_o == lrm + st - 2
 
 
-# bijections from up-down words to cycles: the name in ``bijections``
-# (``<name>_inverse`` undoes it) and a test of what the image cycles keep of
-# the word's (lrm, st, extr); g and f add their report tag and the family
-# their images fill, phi and jbij the name of their statistic check
+# bijections from up-down words to cycles, by the cores of ``bijections``:
+# report tag, forward core, inverse core and a test of what the cycles keep
+# of the word's (lrm, st, extr); g and f add the family their images fill,
+# phi and jbij the name of their statistic check
 _G_F_MAPS = (
-    ("g_even", lambda c, lrm, st, extr: len(c) == lrm, "g", Family.CUD_EVEN_ONLY),
-    ("f_odd", lambda c, lrm, st, extr: len(c) == st, "f", Family.CUD_ODD_ONLY),
+    ("g", bijections._g_even_cycles, bijections._g_even_word,
+     lambda c, lrm, st, extr: len(c) == lrm, Family.CUD_EVEN_ONLY),
+    ("f", bijections._f_odd_cycles, bijections._f_odd_word,
+     lambda c, lrm, st, extr: len(c) == st, Family.CUD_ODD_ONLY),
 )
 _PHI_JBIJ_MAPS = (
-    ("phi", _phi_transports, "stats"),
-    ("jbij", lambda c, lrm, st, extr: len(c) == extr, "stat"),
+    ("phi", bijections._phi_cycles, bijections._phi_word, _phi_transports, "stats"),
+    ("jbij", bijections._jbij_cycles, bijections._jbij_word,
+     lambda c, lrm, st, extr: len(c) == extr, "stat"),
 )
 
 
@@ -732,19 +737,14 @@ def _map_ud_words(
     or ``_PHI_JBIJ_MAPS`` table, in one pass.  Per map: whether every
     inverse gave the word back, whether every image kept the statistic, and
     the image words in the order of ``words``."""
-    funcs = [
-        (getattr(bijections, name), getattr(bijections, f"{name}_inverse"), keeps)
-        for name, keeps, *_ in maps
-    ]
     inverts = [True] * len(maps)
     kept = [True] * len(maps)
     images: list[list] = [[] for _ in maps]
     for word, *word_stats in words:
-        p = Permutation._trusted(word)
-        for i, (forward, inverse, keeps) in enumerate(funcs):
-            c = forward(p)
+        for i, (_, forward, inverse, keeps, _) in enumerate(maps):
+            c = bijections._canonical(forward(word))
             images[i].append(from_cycles(c).word)
-            inverts[i] = inverts[i] and inverse(c) == p
+            inverts[i] = inverts[i] and inverse(c.cycles) == word
             kept[i] = kept[i] and keeps(c, *word_stats)
     return list(zip(inverts, kept, images))
 
@@ -753,14 +753,14 @@ def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> It
     for n, cen in enumerate(censuses):
         maps = _G_F_MAPS[n % 2 :]  # g_even takes even n only
         results = _map_ud_words(_ud_lrm_st_extr(censuses, n), maps)
-        for (_, _, tag, family), (inverts, kept, images) in zip(maps, results):
+        for (tag, *_, family), (inverts, kept, images) in zip(maps, results):
             yield f"bij-{tag}-roundtrip", n, True, inverts and kept
             yield f"bij-{tag}-image", n, sorted(cen.words(family)), sorted(images)
     for n, cen in enumerate(censuses):
         cud_words = sorted(cen.words(Family.CUD))
         # one pass over UD_{n+1}, which past the last census is streamed
         results = _map_ud_words(_ud_lrm_st_extr(censuses, n + 1), _PHI_JBIJ_MAPS)
-        for (tag, _, stat_check), (inverts, kept, images) in zip(_PHI_JBIJ_MAPS, results):
+        for (tag, *_, stat_check), (inverts, kept, images) in zip(_PHI_JBIJ_MAPS, results):
             yield f"bij-{tag}-roundtrip", n, True, inverts
             yield f"bij-{tag}-{stat_check}", n, True, kept
             yield f"bij-{tag}-image", n, cud_words, sorted(images)
@@ -793,13 +793,13 @@ def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> It
         produced = set()
         ok = True
         for word, sv, _ in cen.rows[Family.ALL]:
-            p = Permutation._trusted(word)
-            k = sv.lrm
-            for bits in itertools.product((0, 1), repeat=k):
-                q = bijections.ell_map(p, bits)
-                produced.add(q.word)
-                ok = ok and len(extreme_positions(q.word)) == k
-                ok = ok and bijections.ell_inverse(q) == (p, bits)
+            minima = lr_min_positions(word)
+            for bits in itertools.product((0, 1), repeat=sv.lrm):
+                image = bijections._ell_word(word, minima, bits)
+                produced.add(image)
+                extremes = extreme_positions(image)
+                ok = ok and len(extremes) == sv.lrm
+                ok = ok and bijections._ell_inverse_word(image, extremes) == (word, bits)
         yield "bij-ell-roundtrip", cen.n, True, ok
         yield "bij-ell-image", cen.n, factorial(cen.n + 1), len(produced)
 

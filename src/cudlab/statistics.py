@@ -123,13 +123,12 @@ def lr_min_positions(word: Sequence[int]) -> list[int]:
 
 def extreme_positions(word: Sequence[int]) -> list[int]:
     """0-based positions >= 1 holding a running minimum or maximum."""
-    lo = hi = None
     out = []
+    lo = hi = word[0] if word else 0
     for i, x in enumerate(word):
-        if i >= 1 and (x < lo or x > hi):
+        if not lo <= x <= hi:
             out.append(i)
-        lo = x if lo is None else min(lo, x)
-        hi = x if hi is None else max(hi, x)
+            lo, hi = (x, hi) if x < lo else (lo, x)
     return out
 
 

@@ -17,11 +17,21 @@ from cudlab.perms import (
     from_cycles,
     is_member,
     is_up_down_cycle,
+    is_up_down_word,
     parse_cycles,
     parse_permutation,
+    to_cycles,
 )
 from cudlab.series import euler_numbers
-from cudlab.statistics import MAX, MIN, MinMaxPattern, m_s, stats
+from cudlab.statistics import (
+    MAX,
+    MIN,
+    MinMaxPattern,
+    extreme_positions,
+    lr_min_positions,
+    m_s,
+    stats,
+)
 
 E = euler_numbers(12)
 
@@ -325,3 +335,88 @@ class TestTrustedConstruction:
             parse_permutation("1 1")
         with pytest.raises(MalformedInput):
             CycleDecomposition(((2, 1),))
+
+
+def _perms(n_max):
+    """Every permutation of [n] for n <= n_max, and each relabeled onto the
+    odd numbers from 3, a ground set other than [n]."""
+    for n in range(n_max + 1):
+        for word in itertools.permutations(range(1, n + 1)):
+            yield Permutation(word)
+            yield Permutation(tuple(2 * x + 1 for x in word))
+
+
+def _nonempty_ud_on_n(p):
+    return p.is_natural() and is_up_down_word(p.word) and p.word != ()
+
+
+# the face, its core and the inputs the face accepts, as the face's checks
+# state them: ``verify`` runs the cores alone, so these pin the faces
+_FORWARD = {
+    "g_even": (
+        bij.g_even, bij._g_even_cycles, lambda p: is_member(p, Family.UD) and len(p) % 2 == 0
+    ),
+    "f_odd": (bij.f_odd, bij._f_odd_cycles, lambda p: is_member(p, Family.UD)),
+    "phi": (bij.phi, bij._phi_cycles, _nonempty_ud_on_n),
+    "jbij": (bij.jbij, bij._jbij_cycles, _nonempty_ud_on_n),
+}
+# the inverse faces accept the family's members, on [n] only where the last
+# entry says so
+_INVERSE = {
+    "g_even_inverse": (bij.g_even_inverse, bij._g_even_word, Family.CUD_EVEN_ONLY, False),
+    "f_odd_inverse": (bij.f_odd_inverse, bij._f_odd_word, Family.CUD_ODD_ONLY, False),
+    "phi_inverse": (bij.phi_inverse, bij._phi_word, Family.CUD, True),
+    "jbij_inverse": (bij.jbij_inverse, bij._jbij_word, Family.CUD, True),
+}
+
+
+class TestFacesAndCores:
+    """Each public map refuses exactly the inputs outside its domain, with
+    ``DomainError``, and otherwise returns what its private core computes."""
+
+    @pytest.mark.parametrize("name", sorted(_FORWARD))
+    def test_forward_face(self, name):
+        face, core, accepts = _FORWARD[name]
+        for p in _perms(7):
+            if accepts(p):
+                assert face(p) == bij._canonical(core(p.word)), p
+            else:
+                with pytest.raises(DomainError) as refused:
+                    face(p)
+                # the ground set is checked first, not left to the core's guards
+                if name in ("phi", "jbij") and not p.is_natural():
+                    assert "permutation of [n]" in str(refused.value)
+
+    @pytest.mark.parametrize("name", sorted(_INVERSE))
+    def test_inverse_face(self, name):
+        face, core, family, on_n_only = _INVERSE[name]
+        for p in _perms(6):
+            c = to_cycles(p)
+            if is_member(p, family) and (p.is_natural() or not on_n_only):
+                assert face(c) == Permutation(core(c.cycles)), p
+            else:
+                with pytest.raises(DomainError) as refused:
+                    face(c)
+                if on_n_only and not p.is_natural():
+                    assert "must cover [n]" in str(refused.value)
+
+    def test_ell_faces(self):
+        for p in _perms(5):
+            minima, extremes = lr_min_positions(p.word), extreme_positions(p.word)
+            bit_words = list(itertools.product((0, 1), repeat=len(minima)))
+            if not p.is_natural():
+                refused = bit_words
+            else:
+                for bits in bit_words:
+                    assert bij.ell_map(p, bits).word == bij._ell_word(p.word, minima, bits)
+                # one bit too many, and an entry that is not a bit
+                refused = [(0,) * (len(minima) + 1)] + ([(2,) * len(minima)] if minima else [])
+            for bits in refused:
+                with pytest.raises(DomainError):
+                    bij.ell_map(p, bits)
+            if p.is_natural() and extremes:
+                back, bits = bij._ell_inverse_word(p.word, extremes)
+                assert bij.ell_inverse(p) == (Permutation(back), bits)
+            else:
+                with pytest.raises(DomainError):
+                    bij.ell_inverse(p)

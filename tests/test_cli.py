@@ -388,6 +388,8 @@ class TestIgnoredFlags:
             ["seq", "euler", "--n", "x"],
             ["nope"],
             ["map", "phi", "1", "--bogus"],
+            # a flag must be spelled in full
+            ["seq", "euler", "--n", "5", "--form", "json"],
         ],
     )
     def test_exit_2(self, capsys, tmp_path, argv):
@@ -398,6 +400,34 @@ class TestIgnoredFlags:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "fig.svg").exists()
+
+
+class TestOneParser:
+    # requests that share the parser in turn, each reading different flags
+    REQUESTS = [
+        ["expect", "ud-cycles", "--n", "4", "--montecarlo", "--seed", "3", "--samples", "50"],
+        ["expect", "ud-cycles", "--n", "4"],
+        ["map", "h", "4 8 1 2 7 6 3 5", "--pattern", "max,..."],
+        ["map", "h", "4 8 1 2 7 6 3 5"],
+        ["map", "foata", "(1,4)(2,8,3,6)(5)(7)", "--order", "asc"],
+        ["map", "foata", "(1,4)(2,8,3,6)(5)(7)"],
+        ["seq", "euler", "--n", "6", "--format", "json"],
+        ["seq", "euler", "--n", "6"],
+        ["enumerate", "cud", "--n", "4", "--stats", "c,fp", "--format", "csv"],
+        ["enumerate", "cud", "--n", "4"],
+        ["expect", "ud-cycles", "--n", "4", "--seed", "3"],
+        ["verify", "--n", "2"],
+    ]
+
+    def test_requests_in_a_row_match_each_alone(self, capsys):
+        alone = []
+        for argv in self.REQUESTS:
+            cli.build_parser.cache_clear()
+            alone.append(run(capsys, *argv))
+        assert [code for code, _ in alone] == [0] * 10 + [2, 0]
+        for argv, expected in zip(self.REQUESTS, alone):
+            assert run(capsys, *argv) == expected, argv
+        assert cli.build_parser.cache_info().misses == 1
 
 
 # by subcommand, the flags it reads and the output formats it prints
@@ -480,7 +510,9 @@ class TestExitCodeFuzz:
     )
     @given(argv=_ARGV)
     def test_exit_code_contract(self, capsys, tmp_path, monkeypatch, argv):
-        # a smaller default sample count keeps Monte Carlo requests quick
+        # a smaller default sample count keeps Monte Carlo requests quick; the
+        # parser is built first, so that the default its help quotes stays real
+        cli.build_parser()
         monkeypatch.setattr(cli, "DEFAULT_SAMPLES", 20)
         outs = {"OUT": str(tmp_path / "out"), "MISSING": str(tmp_path / "no" / "out")}
         argv = [outs.get(token, token) for token in argv]

@@ -56,6 +56,20 @@ class TestStatVector:
         # extremes of 351827496 are 5, 1, 8, 9
         assert stats(parse_permutation("3 5 1 8 2 7 4 9 6")).extr == 4
 
+    def test_extreme_positions_is_the_definition(self):
+        # position i >= 1 holds an extreme when it undercuts or tops all before it
+        def brute(word):
+            return [
+                i for i in range(1, len(word))
+                if word[i] < min(word[:i]) or word[i] > max(word[:i])
+            ]
+
+        words = [w for n in range(8) for w in itertools.permutations(range(1, n + 1))]
+        words += [(5, 8, 2, 7, 4, 11), (30, 10, 3, 40, 1), (42,), (7, 9), (9, 7), (60, 2, 59, 3)]
+        for word in words:
+            assert extreme_positions(word) == brute(word), word
+        assert extreme_positions((3, 5, 1, 8, 2, 7, 4, 9, 6)) == [1, 2, 3, 7]
+
     def test_excedance_parity_example(self):
         p = from_cycles(parse_cycles("(1,4)(2,8,3,6)(5)(7)"))
         sv = stats(p)
