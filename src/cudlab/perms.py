@@ -16,12 +16,13 @@ excedance/deficiency-swapping).
 
 from __future__ import annotations
 
-import itertools
 import re
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
+from math import inf
 from operator import gt, lt
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class DomainError(ValueError):
@@ -272,11 +273,13 @@ _CYCLE_FAMILIES: dict[Family, tuple[Callable, Callable[[int], bool], bool]] = {
 
 def admissible_patterns(family: Family, k: int) -> list[bytes]:
     """The cycle family's admissible canonical cycles on ``k >= 1`` points,
-    as rank patterns: 0, then an arrangement of 1, ..., k-1.
+    as rank patterns in increasing order: 0, then an arrangement of 1, ..., k-1.
 
-    A length the family's rule refuses has none; otherwise they are the
-    arrangements among the (k-1)! that have the family's shape.  Shapes read
-    only relative order, so ``tuple(points[i] for i in pattern)`` over any
+    A length the family's rule refuses has none.  Otherwise they are read
+    off alternating words, not sought among all (k-1)! arrangements: a CUD
+    cycle is 0 and then a down-up word on 1, ..., k-1, a GCUD cycle an
+    up-down word on 0, ..., k-1 rotated to start at 0.  Shapes read only
+    relative order, so ``tuple(points[i] for i in pattern)`` over any
     increasing ``points`` of length k is an admissible cycle, and every
     admissible cycle on those points arises once this way.  The table is
     built anew on each call and kept by no one.
@@ -285,8 +288,37 @@ def admissible_patterns(family: Family, k: int) -> list[bytes]:
     [(0, 2, 1, 3), (0, 3, 1, 2)]
     """
     shape, lengths, _ = _CYCLE_FAMILIES[family]
-    arrangements = itertools.permutations(range(1, k)) if lengths(k) else ()
-    return [bytes(cycle) for cycle in ((0,) + rest for rest in arrangements) if shape(cycle)]
+    if not lengths(k):
+        return []
+    if shape is is_up_down_word:
+        return [bytes((0, *rest)) for rest in _alternating_words(range(1, k), down_up=True)]
+    words = _alternating_words(range(k))
+    return sorted({bytes(w[w.index(0) :] + w[: w.index(0)]) for w in words})
+
+
+def _alternating_words(values: Iterable[int], down_up: bool = False) -> Iterator[tuple]:
+    """The up-down (or down-up) words over the given distinct values, in
+    lexicographic order, by backtracking.  The unused values stay sorted, so
+    those that may come next are one block, above the last entry after a
+    descent and below it after a rise, found by one ``bisect``; a word is
+    yielded where its last value is placed, in no further frame."""
+
+    def extend(word: list[int], last, remaining: list[int], rise: bool):
+        cut = bisect(remaining, last)
+        for i in range(cut, len(remaining)) if rise else range(cut):
+            x, rest = remaining[i], remaining[:i] + remaining[i + 1 :]
+            if len(rest) > 1:
+                word.append(x)
+                yield from extend(word, x, rest, not rise)
+                word.pop()
+            elif not rest or (rest[0] > x) != rise:
+                yield (*word, x, *rest)
+
+    values = sorted(values)
+    if not values:
+        yield ()
+    # the first entry follows a virtual one above it (up-down) or below it
+    yield from extend([], -inf if down_up else inf, values, down_up)
 
 
 def is_member(p: Permutation, family: Family) -> bool:

@@ -16,6 +16,12 @@ from cudlab.perms import Family
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# digest and argv of each enumerate request of the benchmark
+ENUMERATE_BENCH = [
+    line.split(maxsplit=1)
+    for line in (GOLDEN / "enumerate_bench.sha256").read_text(encoding="ascii").splitlines()
+]
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -103,6 +109,14 @@ class TestEnumerate:
             st_poly = st_poly + row["count"] * t ** row["st"]
         assert lrm_poly == catalog_series("ud-lrm", 4).egf_term(4)
         assert st_poly == catalog_series("ud-st", 4).egf_term(4)
+
+    @pytest.mark.parametrize(
+        "digest, argv", ENUMERATE_BENCH, ids=[argv.split()[1] for _, argv in ENUMERATE_BENCH]
+    )
+    def test_benchmark_request_matches_golden_digest(self, capsys, digest, argv):
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
     def test_bad_family(self, capsys):
         assert cli.main(["enumerate", "wat", "--n", "2"]) == 2

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -5,14 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cudlab.perms import (
+    _CYCLE_FAMILIES,
     CycleDecomposition,
     _admits,
+    _alternating_words,
+    admissible_patterns,
     Family,
     MalformedInput,
     Permutation,
     format_cycles,
     format_permutation,
     from_cycles,
+    is_down_up_word,
     is_gen_up_down_cycle,
     is_member,
     is_up_down_cycle,
@@ -26,6 +31,14 @@ from cudlab.perms import (
 
 def perms_of(n):
     return (Permutation(w) for w in itertools.permutations(range(1, n + 1)))
+
+
+@functools.cache
+def arrangements_of_shape(shape, k):
+    """The (k-1)! filter: each 0 followed by an arrangement of 1..k-1, in
+    lexicographic order, that has the shape."""
+    cycles = ((0,) + rest for rest in itertools.permutations(range(1, k)))
+    return [bytes(cycle) for cycle in cycles if shape(cycle)]
 
 
 class TestCycleForm:
@@ -195,6 +208,22 @@ class TestFamilies:
         # two admissible cycles together make a member unless only one is allowed
         two = ((1,), (2,)) if admissible((1,)) else ((1, 3, 2, 4), (5, 6))
         assert _admits(family, two) == (not single)
+
+    @pytest.mark.parametrize("family", list(_CYCLE_FAMILIES))
+    def test_admissible_patterns_are_the_arrangement_filter(self, family):
+        shape, lengths, _ = _CYCLE_FAMILIES[family]
+        for k in range(1, 10):
+            expected = arrangements_of_shape(shape, k) if lengths(k) else []
+            assert admissible_patterns(family, k) == expected, k
+
+    @pytest.mark.parametrize("n", range(9))
+    @pytest.mark.parametrize("down_up, test", [(False, is_up_down_word), (True, is_down_up_word)])
+    def test_alternating_words_over_gapped_values(self, n, down_up, test):
+        # the values that may come next are found by bisecting the unused
+        # ones, which need not be consecutive; given here in no order
+        values = (13, 2, 23, 7, 11, 5, 19, 17)[:n]
+        expected = [w for w in itertools.permutations(sorted(values)) if test(w)]
+        assert list(_alternating_words(values, down_up=down_up)) == expected
 
     def test_even_only_cud_excedance_characterization(self):
         for n in range(8):
