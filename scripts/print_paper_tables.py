@@ -46,8 +46,8 @@ def tables(n_max: int, dist_max: int) -> list[str]:
 
     lines.append("\n== distributions over CUD_n (cycles) ==")
     for n in range(dist_max + 1):
-        table = distribution(Family.CUD, n, ("c",))
-        rows = " ".join(f"c={k}:{v}" for (k,), v in sorted(table.rows.items()))
+        counts = distribution(Family.CUD, n, ("c",))
+        rows = " ".join(f"c={k}:{v}" for (k,), v in sorted(counts.items()))
         lines.append(f"n={n}: {rows}")
 
     lines.append("\n== expected up-down cycles ==")

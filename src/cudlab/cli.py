@@ -10,11 +10,12 @@ the flags it reads, so its ``--help`` lists exactly those.
 Exit codes: 0 success, 1 verification failure, 2 bad input or unknown name
 (a ``--samples`` below 1 included), an ``--out`` path that cannot be
 written, or a flag the subcommand does not take or this request does not
-read, 3 cap exceeded (``expect --n`` above ``EXPECT_CAP`` without a
-``--cap`` that allows it included).  Exits 2 and 3 print one ``error:`` line
-on stderr, usage errors included.  ``CUDLAB_CAP`` overrides the default
-enumeration cap of ``enumerate`` unless ``--cap`` is given; a value that is
-not an integer >= 0 exits 2.
+read (``expect --float`` but in exact text output included), 3 cap exceeded
+(``expect --n`` above ``EXPECT_CAP`` without a ``--cap`` that allows it
+included).  Exits 2 and 3 print one ``error:`` line on stderr, usage errors
+included.  ``CUDLAB_CAP`` overrides the default enumeration cap of
+``enumerate`` unless ``--cap`` is given; a value that is not an integer >= 0
+exits 2.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ _READ_BY = {
     "bits": ("map ell", lambda args: args.name == "ell"),
     "pattern": ("map h", lambda args: args.name == "h"),
     "order": ("map foata", lambda args: args.name == "foata"),
+    "float": ("text expect --exact", lambda args: not args.montecarlo and args.format == "text"),
 }
 
 
@@ -153,27 +155,26 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if len(set(stat_names)) < len(stat_names):
         raise MalformedInput(f"--stats names a statistic twice: {args.stats!r}")
     cap = args.cap if args.cap is not None else _env_cap()
-    table = oracle.distribution(family, args.n, stat_names, cap=cap)
+    rows = oracle.distribution(family, args.n, stat_names, cap=cap)
     if args.format == "json":
-        rows = [
-            dict(zip(stat_names, values)) | {"count": count}
-            for values, count in sorted(table.rows.items())
-        ]
         payload = {
             "family": family.value,
             "n": args.n,
             "stats": list(stat_names),
-            "total": table.total(),
-            "rows": rows,
+            "total": sum(rows.values()),
+            "rows": [
+                dict(zip(stat_names, values)) | {"count": count}
+                for values, count in sorted(rows.items())
+            ],
         }
         _emit(args, json.dumps(payload, sort_keys=True) + "\n")
     elif args.format == "csv":
-        _emit(args, oracle.distribution_csv(table))
+        _emit(args, oracle.distribution_csv(stat_names, rows))
     else:
         lines = [" ".join(stat_names + ("count",))]
-        for values in sorted(table.rows):
-            lines.append(" ".join(str(v) for v in values + (table.rows[values],)))
-        lines.append(f"total {table.total()}")
+        for values in sorted(rows):
+            lines.append(" ".join(str(v) for v in values + (rows[values],)))
+        lines.append(f"total {sum(rows.values())}")
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -249,7 +250,7 @@ def _parse_bits(text: str) -> tuple[int, ...]:
 def cmd_verify(args: argparse.Namespace) -> int:
     report = oracle.verify_all(args.n)
     passed = oracle.report_passed(report)
-    if args.json or args.format == "json":
+    if args.format == "json":
         _emit(args, json.dumps(report, sort_keys=True) + "\n")
     else:
         lines = []
@@ -391,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = command("verify", cmd_verify, ("text", "json"), "run the full oracle verification")
     p_verify.add_argument("--n", type=int, default=7, help="enumeration size cap")
-    p_verify.add_argument("--json", action="store_true", help="JSON report")
+    p_verify.add_argument(
+        "--json", dest="format", action="store_const", const="json", help="JSON report"
+    )
 
     p_expect = command(
         "expect", cmd_expect, ("text", "json"), "expected statistic values",
@@ -411,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_expect.add_argument(
         "--seed", type=int, default=None, help="RNG seed of --montecarlo (default 0)"
     )
-    p_expect.add_argument("--float", action="store_true", help="print only the float")
+    p_expect.add_argument(
+        "--float", action="store_true", default=None, help="print only the float"
+    )
 
     p_diag = command("diagram", cmd_diagram, ("text",), "write an arc-diagram SVG to --out")
     p_diag.add_argument("input", help="permutation (one-line or cycles)")

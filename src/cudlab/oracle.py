@@ -8,11 +8,9 @@ lexicographic order, except for the up-down words, which a backtracker
 families directly, as sets of admissible cycles (``_cycle_members``) read
 off alternating words, and reads only the named statistics: a cycle
 statistic as per-pattern shares, or elsewhere from each word decomposed in
-place, and lrm, st and extr from one ``statistics._scan``.  Fresh processes
-(2 vCPUs, Python 3.11.7) take 0.42-0.62 s for ``enumerate gcud --n 9 --stats
-fp``, 0.20-0.33 s for ``cud --n 9 --stats c_o,exc`` and 0.54-0.62 s for ``ud
---n 10 --stats lrm,st,extr``.  The S_n filter stays the reference that the
-direct routes are compared with rather than trusted.
+place, and lrm, st and extr from one ``statistics._scan``.  A distribution
+is a plain dict from value tuples to counts.  The S_n filter stays the
+reference that the direct routes are compared with rather than trusted.
 ``verify_all`` walks each S_n once, through ``census``, and returns a
 machine-readable report; any failing row is a bug somewhere, by design with
 no tolerance.  The checks are a registry: each phase of ``_PHASES`` is a
@@ -25,9 +23,10 @@ check those of ``ell_map`` and ``ell_inverse``.
 
 ``census`` is a flat kernel over plain words: it decomposes each word in
 place, tests each distinct cycle once for the two cycle shapes, and takes
-the word statistics and ``m_s`` values from one pass (``statistics._scan``);
-the tests check it against ``is_member``, ``stats`` and ``m_s`` over every
-permutation up to n = 7.
+the word statistics and ``m_s`` values from one pass (``statistics._scan``).
+It counts stat vectors and keeps only member words; a check that needs one
+member's statistics scans its word again.  The tests check it against
+``is_member``, ``stats`` and ``m_s`` over every permutation up to n = 7.
 """
 
 from __future__ import annotations
@@ -84,30 +83,6 @@ _PATTERNS = (
     MinMaxPattern.repeat(MIN),
     MinMaxPattern((), (MAX, MIN)),
 )
-
-
-@dataclass
-class DistributionTable:
-    """Joint distribution of statistics over one family at one size."""
-
-    family: Family
-    n: int
-    stats: tuple[str, ...]
-    rows: dict[tuple[int, ...], int]
-
-    def total(self) -> int:
-        return sum(self.rows.values())
-
-    def to_poly(self, markers: Sequence[str]) -> MPoly:
-        """Encode the table as sum count * prod marker^value."""
-        if len(markers) != len(self.stats):
-            raise ValueError("one marker per statistic required")
-        return MPoly(
-            {
-                tuple((name, value) for name, value in zip(markers, values) if value): count
-                for values, count in self.rows.items()
-            }
-        )
 
 
 def _check_cap(family: Family, n: int, cap: int | None) -> None:
@@ -211,8 +186,9 @@ def iter_cud_direct(n: int) -> Iterator[Permutation]:
 
 def distribution(
     family: Family, n: int, stat_names: Sequence[str], cap: int | None = None
-) -> DistributionTable:
-    """Exact joint distribution of the named statistics, computing no other.
+) -> dict[tuple[int, ...], int]:
+    """Exact joint distribution of the named statistics, computing no other:
+    how many members take each tuple of their values, in the order named.
     A cycle family sums the pattern shares (``statistics.CYCLE_SHARES``) of
     the named cycle statistics (``_cycle_members``); the other families
     decompose each word in place for them.  lrm, st and extr come from one
@@ -241,7 +217,7 @@ def distribution(
         values = {name: total // place % (n + 1) for name, (place, _) in zip(named, shares)}
         values["lrm"], values["extr"], _, (values["st"],) = scanned or (0, 0, 0, (0,))
         rows[tuple(values[name] for name in stat_names)] += count
-    return DistributionTable(family, n, tuple(stat_names), dict(rows))
+    return dict(rows)
 
 
 def _cycles(word: Sequence[int]) -> list[tuple[int, ...]]:
@@ -259,16 +235,26 @@ def _cycles(word: Sequence[int]) -> list[tuple[int, ...]]:
     return cycles
 
 
-def distribution_csv(table: DistributionTable) -> str:
-    """CSV text: statistic columns then the count, rows sorted."""
-    lines = [",".join(table.stats + ("count",))]
-    for values in sorted(table.rows):
-        lines.append(",".join(str(v) for v in values + (table.rows[values],)))
+def distribution_csv(stat_names: Sequence[str], rows: dict[tuple[int, ...], int]) -> str:
+    """CSV text of a distribution: statistic columns then the count, rows sorted."""
+    lines = [",".join((*stat_names, "count"))]
+    for values in sorted(rows):
+        lines.append(",".join(str(v) for v in values + (rows[values],)))
     return "\n".join(lines) + "\n"
 
 
+def _to_poly(rows: dict[tuple[int, ...], int], markers: Sequence[str]) -> MPoly:
+    """A distribution as sum count * prod marker^value, a marker per statistic."""
+    return MPoly(
+        {
+            tuple(pair for pair in zip(markers, values, strict=True) if pair[1]): count
+            for values, count in rows.items()
+        }
+    )
+
+
 # families whose members a verify check visits one by one, not only as counts
-_ROW_FAMILIES = (
+_MEMBER_FAMILIES = (
     Family.UD,
     Family.CUD,
     Family.CUD_EVEN_ONLY,
@@ -286,32 +272,27 @@ class Census:
 
     ``stat_counts[family]`` counts the stat vectors of the family's members,
     keyed in order of first appearance.  ``ms_counts`` counts the values of
-    ``m_s`` over S_n, one counter per pattern of ``_PATTERNS``.  ``rows``
-    keeps the members themselves, in lexicographic order, as (word, stat
-    vector, m_s values), only for the families whose checks need them one by
-    one; a check that hands a member to a bijection builds its
-    ``Permutation`` there.
+    ``m_s`` over S_n, one counter per pattern of ``_PATTERNS``.  ``words``
+    keeps the member words, in lexicographic order, only for the families
+    whose checks visit them one by one (``_MEMBER_FAMILIES``); a check that
+    needs one member's statistics scans its word, and one that hands a member
+    to a bijection builds its ``Permutation`` there.
     """
 
     n: int
     stat_counts: dict[Family, Counter]
     ms_counts: tuple[Counter, ...]
-    rows: dict[Family, list[tuple[tuple[int, ...], StatVector, tuple[int, ...]]]]
+    words: dict[Family, list[tuple[int, ...]]]
 
     def count(self, family: Family) -> int:
         return sum(self.stat_counts[family].values())
 
-    def distribution(
-        self, family: Family, stat_names: Sequence[str]
-    ) -> DistributionTable:
-        """The table ``distribution(family, n, stat_names)`` gives."""
+    def distribution(self, family: Family, stat_names: Sequence[str]) -> dict[tuple, int]:
+        """The dict ``distribution(family, n, stat_names)`` gives."""
         rows: Counter = Counter()
         for sv, count in self.stat_counts[family].items():
             rows[tuple(getattr(sv, name) for name in stat_names)] += count
-        return DistributionTable(family, self.n, tuple(stat_names), dict(rows))
-
-    def words(self, family: Family) -> list[tuple[int, ...]]:
-        return [word for word, _, _ in self.rows[family]]
+        return dict(rows)
 
 
 def census(n: int) -> Census:
@@ -333,10 +314,10 @@ def census(n: int) -> Census:
                 gen_masks[k] |= bit[family]
     all_cycle_bits = sum(bit[family] for family in perms._CYCLE_FAMILIES)
     single_bits = sum(bit[f] for f, (_, _, single) in perms._CYCLE_FAMILIES.items() if single)
-    row_families = _ROW_FAMILIES + ((Family.ALL,) if n <= _MAP_CHECK_N else ())
-    rows: dict[Family, list] = {family: [] for family in row_families}
-    row_lists = [(bit[family], rows[family]) for family in row_families]
-    row_bits = sum(bit[family] for family in row_families)
+    kept = _MEMBER_FAMILIES + ((Family.ALL,) if n <= _MAP_CHECK_N else ())
+    words: dict[Family, list] = {family: [] for family in kept}
+    word_lists = [(bit[family], words[family]) for family in kept]
+    kept_bits = sum(bit[family] for family in kept)
     ground = tuple(range(1, n + 1))
     letters = [_letters(pattern, n) for pattern in _PATTERNS]
     st_at = _PATTERNS.index(MinMaxPattern.alternating())
@@ -348,9 +329,6 @@ def census(n: int) -> Census:
     verdicts: dict[tuple[int, ...], int] = {}
     # how many permutations share each (family mask, stat tuple, m_s values)
     tally: dict[tuple, int] = {}
-    # the rows share one object per distinct stat vector and m_s triple
-    vectors: dict[tuple[int, ...], StatVector] = {}
-    shared: dict = {}
     for word in itertools.permutations(ground):
         mask = all_cycle_bits
         c_o = fp = ud = 0
@@ -379,25 +357,23 @@ def census(n: int) -> Census:
         sv = (c, c_o, c - c_o, fp, lrm, ms[st_at], extr, exc, ud, c - ud)
         key = (mask, sv, ms)
         tally[key] = tally.get(key, 0) + 1
-        if mask & row_bits:
-            vector = vectors.get(sv) or vectors.setdefault(sv, StatVector(*sv))
-            row = (word, vector, shared.setdefault(ms, ms))
-            for flag, members in row_lists:
+        if mask & kept_bits:
+            for flag, members in word_lists:
                 if mask & flag:
-                    members.append(row)
+                    members.append(word)
 
     # tally keeps first appearances in walk order, and so do the counters
     stat_counts: dict[Family, Counter] = {family: Counter() for family in Family}
     counters = [(bit[family], stat_counts[family]) for family in families]
     ms_counts = tuple(Counter() for _ in _PATTERNS)
     for (mask, sv, ms), count in tally.items():
-        vector = vectors.get(sv) or vectors.setdefault(sv, StatVector(*sv))
+        vector = StatVector(*sv)
         for flag, counter in counters:
             if mask & flag:
                 counter[vector] += count
         for counter, value in zip(ms_counts, ms):
             counter[value] += count
-    return Census(n, stat_counts, ms_counts, rows)
+    return Census(n, stat_counts, ms_counts, words)
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +490,13 @@ def _verify_counts(censuses: list[Census], eul: list[int], order: int) -> Iterat
         yield (
             "ud-dual-generation",
             n,
-            cen.words(Family.UD),
+            cen.words[Family.UD],
             [p.word for p in enumerate_family(Family.UD, n)],
         )
         yield (
             "cud-dual-generation",
             n,
-            sorted(cen.words(Family.CUD)),
+            sorted(cen.words[Family.CUD]),
             sorted(p.word for p in iter_cud_direct(n)),
         )
 
@@ -628,7 +604,7 @@ def _verify_distributions(
                 name,
                 cen.n,
                 series.egf_term(cen.n),
-                cen.distribution(family, stat_names).to_poly(markers),
+                _to_poly(cen.distribution(family, stat_names), markers),
             )
     for cen in censuses[1:]:
         n = cen.n
@@ -639,7 +615,7 @@ def _verify_distributions(
                 f"dist-{stat}-stirling",
                 n,
                 stirling_row,
-                {k: v for (k,), v in sorted(table.rows.items())},
+                {k: v for (k,), v in sorted(table.items())},
             )
         for pattern, counts in zip(_PATTERNS, cen.ms_counts):
             yield f"dist-ms-stirling[{pattern}]", n, stirling_row, dict(sorted(counts.items()))
@@ -653,16 +629,16 @@ def _verify_distributions(
             "dist-extr-stirling",
             n,
             extr_expected,
-            {k: v for (k,), v in sorted(table.rows.items()) if k > 0},
+            {k: v for (k,), v in sorted(table.items()) if k > 0},
         )
         yield (
             "dist-extr-zero",
             n,
             0 if n > 1 else 1,
-            sum(v for (k,), v in table.rows.items() if k == 0),
+            sum(v for (k,), v in table.items() if k == 0),
         )
     for n, cen in enumerate(censuses):
-        cud_stats = [sv for _, sv, _ in cen.rows[Family.CUD]]
+        cud_stats = list(cen.stat_counts[Family.CUD].elements())
         yield (
             "exc-parity-relation",
             n,
@@ -733,9 +709,9 @@ def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> It
         results = _map_ud_words(_ud_lrm_st_extr(censuses, n), maps)
         for (tag, *_, family), (inverts, kept, images) in zip(maps, results):
             yield f"bij-{tag}-roundtrip", n, True, inverts and kept
-            yield f"bij-{tag}-image", n, sorted(cen.words(family)), sorted(images)
+            yield f"bij-{tag}-image", n, sorted(cen.words[family]), sorted(images)
     for n, cen in enumerate(censuses):
-        cud_words = sorted(cen.words(Family.CUD))
+        cud_words = sorted(cen.words[Family.CUD])
         # one pass over UD_{n+1}, which past the last census is streamed
         results = _map_ud_words(_ud_lrm_st_extr(censuses, n + 1), _PHI_JBIJ_MAPS)
         for (tag, *_, stat_check), (inverts, kept, images) in zip(_PHI_JBIJ_MAPS, results):
@@ -743,7 +719,7 @@ def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> It
             yield f"bij-{tag}-{stat_check}", n, True, kept
             yield f"bij-{tag}-image", n, cud_words, sorted(images)
     for cen in censuses[1:]:
-        ud_stats = [sv for _, sv, _ in cen.rows[Family.UD]]
+        ud_stats = list(cen.stat_counts[Family.UD].elements())
         yield (
             "equidist-extr-vs-lrm-st",
             cen.n,
@@ -752,31 +728,33 @@ def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> It
         )
     for cen in censuses[2::2]:
         n, k = cen.n, cen.n // 2
-        starts_low = [Permutation._trusted(w) for w, _, _ in cen.rows[Family.UD] if w[0] == 1]
+        starts_low = [Permutation._trusted(w) for w in cen.words[Family.UD] if w[0] == 1]
         rotated = (bijections.rotate_ud(p, i) for p in starts_low for i in range(1, k + 1))
         produced = {q.word for q in rotated}
-        expected = sorted(cen.words(Family.UD_LAST_GT_FIRST))
+        expected = sorted(cen.words[Family.UD_LAST_GT_FIRST])
         yield "rotation-bijection", n, expected, sorted(produced)
         yield "rotation-count", n, k * len(starts_low), len(produced)
     for cen in censuses[1 : _MAP_CHECK_N + 1]:
-        n, s_n = cen.n, cen.rows[Family.ALL]
+        n, s_n = cen.n, cen.words[Family.ALL]
+        ground, letters = tuple(range(1, n + 1)), [_letters(pattern, n) for pattern in _PATTERNS]
+        ms_values = [_scan(word, ground, letters)[3] for word in s_n]
         for i, pattern in enumerate(_PATTERNS):
-            images = [bijections.h_map(Permutation._trusted(w), pattern) for w, _, _ in s_n]
+            images = [bijections.h_map(Permutation._trusted(w), pattern) for w in s_n]
             ok = all(
-                len(lr_min_positions(q.word)) == ms[i] for (_, _, ms), q in zip(s_n, images)
+                len(lr_min_positions(q.word)) == ms[i] for ms, q in zip(ms_values, images)
             )
             yield f"bij-h-transport[{pattern}]", n, True, ok
             yield f"bij-h-bijective[{pattern}]", n, factorial(n), len({q.word for q in images})
     for cen in censuses[1 : _MAP_CHECK_N + 1]:
         produced = set()
         ok = True
-        for word, sv, _ in cen.rows[Family.ALL]:
+        for word in cen.words[Family.ALL]:
             minima = lr_min_positions(word)
-            for bits in itertools.product((0, 1), repeat=sv.lrm):
+            for bits in itertools.product((0, 1), repeat=len(minima)):
                 image = bijections._ell_word(word, minima, bits)
                 produced.add(image)
                 extremes = extreme_positions(image)
-                ok = ok and len(extremes) == sv.lrm
+                ok = ok and len(extremes) == len(minima)
                 ok = ok and bijections._ell_inverse_word(image, extremes) == (word, bits)
         yield "bij-ell-roundtrip", cen.n, True, ok
         yield "bij-ell-image", cen.n, factorial(cen.n + 1), len(produced)
@@ -785,16 +763,13 @@ def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> It
 def _ud_lrm_st_extr(
     censuses: list[Census], n: int
 ) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
-    """(word, lrm, st, extr) for each word of UD_n, read from the census of
-    S_n when there is one; past the last census the backtracker builds the
-    words, one at a time."""
-    if n < len(censuses):
-        for word, sv, _ in censuses[n].rows[Family.UD]:
-            yield word, sv.lrm, sv.st, sv.extr
-        return
+    """(word, lrm, st, extr) for each word of UD_n, by one ``statistics._scan``
+    of the word: the census of S_n keeps the words when there is one, and past
+    the last census the backtracker builds them, one at a time."""
     ground = tuple(range(1, n + 1))
     alternating = (_letters(MinMaxPattern.alternating(), n),)
-    for word in _alternating_words(ground):
+    words = censuses[n].words[Family.UD] if n < len(censuses) else _alternating_words(ground)
+    for word in words:
         lrm, extr, _, (st,) = _scan(word, ground, alternating)
         yield word, lrm, st, extr
 
@@ -803,7 +778,7 @@ def _verify_matchings(censuses: list[Census], eul: list[int], order: int) -> Ite
     for cen in censuses[2::2]:
         pairs = set()
         ok = True
-        for word, _, _ in cen.rows[Family.CUD_EVEN_ONLY]:
+        for word in cen.words[Family.CUD_EVEN_ONLY]:
             p = Permutation._trusted(word)
             mp = matchings.to_matching_pair(p)
             pairs.add((mp.red, mp.blue))

@@ -19,7 +19,7 @@ from cudlab.catalog import (
     no_ud_cycles_count,
     secant_cf_convergent,
 )
-from cudlab.oracle import count_family, distribution, enumerate_family
+from cudlab.oracle import _to_poly, count_family, distribution, enumerate_family
 from cudlab.perms import (
     Family,
     Permutation,
@@ -175,8 +175,8 @@ def test_criterion_08_multivariate_distributions():
     for seq_id, family, stat_names, markers, start in cases:
         series = catalog_series(seq_id, 8)
         for n in range(start, 9):
-            table = distribution(family, n, stat_names)
-            assert table.to_poly(markers) == series.egf_term(n), (seq_id, n)
+            rows = distribution(family, n, stat_names)
+            assert _to_poly(rows, markers) == series.egf_term(n), (seq_id, n)
     _announce(8, "joint oracle distributions equal catalog coefficients for n <= 8")
 
 

@@ -228,6 +228,12 @@ class TestVerify:
         names = {entry["check"] for entry in report}
         assert "cud-count" in names and "cf-convergent" in names
 
+    def test_the_later_format_flag_wins(self, capsys):
+        # --json is --format json, so a later --format text prints text
+        assert run(capsys, "verify", "--n", "2", "--json", "--format", "text") == run(
+            capsys, "verify", "--n", "2"
+        )
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         fake = [{"check": "x", "n": 1, "expected": 1, "actual": 2, "pass": False}]
         monkeypatch.setattr(oracle, "verify_all", lambda n: fake)
@@ -397,6 +403,8 @@ class TestIgnoredFlags:
             ["map", "phi", "1 3 2", "--bits", "101"],
             ["map", "ell", "2 1", "--bits", "1", "--pattern", "min,..."],
             ["map", "h", "2 1", "--order", "asc"],
+            ["expect", "ud-cycles", "--n", "5", "--montecarlo", "--samples", "10", "--float"],
+            ["expect", "ud-cycles", "--n", "5", "--float", "--format", "json"],
             # usage errors, which argparse refuses through the same error line
             ["enumerate", "cud"],
             ["seq", "euler", "--n", "x"],

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -121,31 +122,28 @@ class TestCycleFamilies:
 
 class TestDistribution:
     def test_cud_two_cycles(self):
-        table = distribution(Family.CUD, 2, ("c",))
-        assert table.rows == {(1,): 1, (2,): 1}
+        assert distribution(Family.CUD, 2, ("c",)) == {(1,): 1, (2,): 1}
 
     def test_st_over_s3(self):
-        table = distribution(Family.ALL, 3, ("st",))
-        assert table.rows == {(1,): 2, (2,): 3, (3,): 1}
+        assert distribution(Family.ALL, 3, ("st",)) == {(1,): 2, (2,): 3, (3,): 1}
 
     def test_lrm_cycles_stirling_agree(self):
         for n in range(1, 7):
-            lrm = distribution(Family.ALL, n, ("lrm",)).rows
-            cyc = distribution(Family.ALL, n, ("c",)).rows
+            lrm = distribution(Family.ALL, n, ("lrm",))
+            cyc = distribution(Family.ALL, n, ("c",))
             assert lrm == cyc
             assert lrm == {
                 (k,): stirling_c(n, k) for k in range(1, n + 1) if stirling_c(n, k)
             }
 
     def test_to_poly(self):
-        table = distribution(Family.CUD, 2, ("c",))
         t = MPoly.marker("t")
-        assert table.to_poly(("t",)) == t + t * t
+        assert oracle._to_poly(distribution(Family.CUD, 2, ("c",)), ("t",)) == t + t * t
 
     def test_csv_golden(self):
-        table = distribution(Family.CUD, 4, ("c_o", "c_e"))
+        names = ("c_o", "c_e")
         want = (GOLDEN / "cud4_odd_even.csv").read_text(encoding="ascii")
-        assert distribution_csv(table) == want
+        assert distribution_csv(names, distribution(Family.CUD, 4, names)) == want
 
 
 # every single statistic, every ordered pair and all ten
@@ -165,15 +163,13 @@ class TestLeanDistribution:
             vectors = [stats(p) for p in oracle._filter_s_n(family, n)]
             for names in _REQUESTS:
                 reference = Counter(tuple(getattr(sv, name) for name in names) for sv in vectors)
-                table = distribution(family, n, names)
-                assert table.rows == dict(reference), (family, n, names)
-                assert table.stats == names
+                assert distribution(family, n, names) == dict(reference), (family, n, names)
 
     def test_a_repeated_name_repeats_its_value(self):
         # the CLI refuses a repeated name; the library keys rows by position
         table = distribution(Family.CUD, 5, ("c", "exc", "c"))
         pairs = distribution(Family.CUD, 5, ("c", "exc"))
-        assert table.rows == {(c, exc, c): k for (c, exc), k in pairs.rows.items()}
+        assert table == {(c, exc, c): k for (c, exc), k in pairs.items()}
 
     @staticmethod
     def _count_calls(monkeypatch, name, *modules):
@@ -229,10 +225,10 @@ class _CountingItertools:
 def _reference_census(n):
     """``census(n)`` from the public definitions: ``is_member`` for every
     family, ``stats`` and ``m_s`` of every permutation of S_n."""
-    row_families = oracle._ROW_FAMILIES + ((Family.ALL,) if n <= oracle._MAP_CHECK_N else ())
+    kept = oracle._MEMBER_FAMILIES + ((Family.ALL,) if n <= oracle._MAP_CHECK_N else ())
     stat_counts = {family: Counter() for family in Family}
     ms_counts = tuple(Counter() for _ in oracle._PATTERNS)
-    rows = {family: [] for family in row_families}
+    words = {family: [] for family in kept}
     for word in itertools.permutations(range(1, n + 1)):
         p = Permutation(word)
         sv = stats(p)
@@ -242,16 +238,16 @@ def _reference_census(n):
         for family in Family:
             if is_member(p, family):
                 stat_counts[family][sv] += 1
-                if family in rows:
-                    rows[family].append((word, sv, ms))
-    return Census(n, stat_counts, ms_counts, rows)
+                if family in words:
+                    words[family].append(word)
+    return Census(n, stat_counts, ms_counts, words)
 
 
 class TestCensus:
     @pytest.mark.parametrize("n", range(8))
     def test_kernel_matches_the_public_definitions(self, n):
         cen, ref = census(n), _reference_census(n)
-        # every family's counts, all three m_s patterns, and the rows in order
+        # every family's counts, all three m_s patterns, and the words in order
         assert cen == ref
         for family in Family:
             # keyed in order of first appearance, as the walk meets them
@@ -305,8 +301,8 @@ class TestCensus:
                 ), (family, n)
 
     def test_keeps_every_permutation_only_where_the_maps_are_checked(self):
-        assert len(census(6).rows[Family.ALL]) == 720
-        assert Family.ALL not in census(7).rows
+        assert len(census(6).words[Family.ALL]) == 720
+        assert Family.ALL not in census(7).words
 
 
 class TestVerifyAll:
@@ -326,6 +322,24 @@ class TestVerifyAll:
         assert not report_passed(report)
         failing = [e["check"] for e in report if not e["pass"]]
         assert "euler-boustrophedon-vs-series" in failing
+
+    def test_checks_reading_the_counters_catch_a_wrong_vector(self, monkeypatch):
+        # one CUD vector with exc off by one and one UD vector with extr off
+        # by one, at n = 5, where the checks read the census counters
+        def corrupted(n):
+            cen = census(n)
+            if n == 5:
+                for family, field in ((Family.CUD, "exc"), (Family.UD, "extr")):
+                    counts = cen.stat_counts[family]
+                    sv = next(iter(counts))
+                    counts[sv] -= 1
+                    counts[dataclasses.replace(sv, **{field: getattr(sv, field) + 1})] += 1
+            return cen
+
+        monkeypatch.setattr(oracle, "census", corrupted)
+        failing = {(e["check"], e["n"]) for e in verify_all(5) if not e["pass"]}
+        for check in ("exc-parity-relation", "exc-poly-vs-oracle", "equidist-extr-vs-lrm-st"):
+            assert (check, 5) in failing
 
     def test_cap_guard(self):
         with pytest.raises(CapExceeded):

@@ -1,5 +1,6 @@
 """Smoke tests for the scripts in ``scripts/``, run as a user runs them."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -27,6 +28,13 @@ def test_print_paper_tables():
         result = run_script("print_paper_tables.py", "--n-max", "6", "--dist-max", dist_max)
         assert result.returncode == 0, result.stderr
         assert "== catalog sequences (EGF terms) ==" in result.stdout
+
+
+def test_print_paper_tables_matches_golden_digest():
+    result = run_script("print_paper_tables.py")
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256(result.stdout.encode("ascii")).hexdigest()
+    assert digest == (GOLDEN / "paper_tables.sha256").read_text(encoding="ascii").strip()
 
 
 @pytest.mark.parametrize(
