@@ -3,32 +3,33 @@ verification of every counting claim, series identity, distribution formula,
 and bijection property at desk scale.
 
 ``enumerate_family`` is deliberately dumb: it filters all of S_n, in
-lexicographic order, except for the up-down words, which a backtracker
-(``perms._alternating_words``) builds.  ``distribution`` builds the cycle
-families directly, as sets of admissible cycles (``_cycle_members``) read
-off alternating words, and reads only the named statistics: a cycle
-statistic as per-pattern shares, or elsewhere from each word decomposed in
-place, and lrm, st and extr from one ``statistics._scan``.  A distribution
-is a plain dict from value tuples to counts.  The S_n filter stays the
-reference that the direct routes are compared with rather than trusted.
-``verify_all`` walks each S_n once, through ``census``, and returns a
-machine-readable report; any failing row is a bug somewhere, by design with
-no tolerance.  The checks are a registry: each phase of ``_PHASES`` is a
-generator of (check, n, expected, actual) rows, and ``verify_all`` is the one
-place that turns rows into report entries.  The counts phase is the
-``_COUNT_CHECKS`` table.  The bijection checks run the trusted cores of
-``bijections``, not the checking faces: ``_map_ud_words`` reads those of
-``g_even``, ``f_odd``, ``phi``, ``jbij`` and their inverses, and the ell
-check those of ``ell_map`` and ``ell_inverse``.
+lexicographic order, for the cycle families, and wraps the plain words of the
+others (``_words``: all of S_n, or the backtracker
+``perms._alternating_words``).  The S_n filter stays the reference that the
+direct routes are compared with rather than trusted.  ``distribution``
+counts each member where it is built, reading only the named statistics: a
+cycle family is built as sets of admissible cycles read off alternating
+words, by the plain recursion of ``_cycle_members``, which tallies the
+per-pattern shares of the cycle statistics at its leaves; the other families
+walk plain words, decompose each in place only for a cycle statistic and
+scan it (``statistics._scan``) only for lrm, st or extr, building no
+``Permutation`` and testing no membership.  A distribution is a plain dict
+from value tuples to counts.  ``verify_all`` walks each S_n once, through
+``census``, and returns a machine-readable report; any failing row is a bug
+somewhere, by design with no tolerance.  The checks are a registry: each
+phase of ``_PHASES`` is a generator of (check, n, expected, actual) rows, and
+``verify_all`` is the one place that turns rows into report entries.  The
+counts phase is the ``_COUNT_CHECKS`` table.  The bijection checks run the
+trusted cores of ``bijections``, not the checking faces: ``_map_ud_words``
+reads those of ``g_even``, ``f_odd``, ``phi``, ``jbij`` and their inverses,
+and the ell check those of ``ell_map`` and ``ell_inverse``.
 
 ``census`` is a flat kernel over plain words: it decomposes each word in
 place, tests each distinct cycle once for the two cycle shapes, and takes
-the word statistics and ``m_s`` values from one pass (``statistics._scan``).
-It counts stat vectors and keeps only member words; a check that needs one
-member's statistics scans its word again.  The tests check it against
+the word statistics and ``m_s`` values from one ``statistics._scan``.  It
+counts stat vectors and keeps only member words.  The tests check it against
 ``is_member``, ``stats`` and ``m_s`` over every permutation up to n = 7.
 """
-
 from __future__ import annotations
 
 import functools
@@ -37,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import bijections, matchings, perms
 from .catalog import (
@@ -61,11 +62,8 @@ from .series import (
 )
 from .statistics import (
     CYCLE_SHARES,
-    MAX,
-    MIN,
-    MinMaxPattern,
     StatVector,
-    _letters,
+    _PATTERNS,
     _scan,
     extreme_positions,
     lr_min_positions,
@@ -76,14 +74,6 @@ WORD_FAMILIES = (Family.UD, Family.DOWNUP, Family.UD_LAST_GT_FIRST)
 DEFAULT_CAPS = {family: 11 if family in WORD_FAMILIES else 9 for family in Family}
 
 VERIFY_CAP = 9
-
-# the min/max patterns whose m_s and h_map the verification suite checks
-_PATTERNS = (
-    MinMaxPattern.alternating(),
-    MinMaxPattern.repeat(MIN),
-    MinMaxPattern((), (MAX, MIN)),
-)
-
 
 def _check_cap(family: Family, n: int, cap: int | None) -> None:
     limit = cap if cap is not None else DEFAULT_CAPS[family]
@@ -101,16 +91,23 @@ def enumerate_family(
     """Every member of the family in S_n exactly once, in lexicographic
     order of one-line notation."""
     _check_cap(family, n, cap)
-    if family in WORD_FAMILIES:
-        down_up = family is Family.DOWNUP
-        # every alternating word is up-down or down-up; only ud-last-gt-first
-        # has a further condition
-        keep = perms._WORD_TESTS[family] if family is Family.UD_LAST_GT_FIRST else None
-        for word in _alternating_words(tuple(range(1, n + 1)), down_up=down_up):
-            if keep is None or keep(word):
-                yield Permutation._trusted(word)
-        return
-    yield from _filter_s_n(family, n)
+    if family in perms._CYCLE_FAMILIES:
+        yield from _filter_s_n(family, n)
+    else:
+        yield from map(Permutation._trusted, _words(family, n))
+
+
+def _words(family: Family, n: int) -> Iterator[tuple[int, ...]]:
+    """The plain words of S_n (``itertools.permutations``) or of a word family
+    (the backtracker), in lexicographic order."""
+    ground = tuple(range(1, n + 1))
+    if family is Family.ALL:
+        return itertools.permutations(ground)
+    words = _alternating_words(ground, down_up=family is Family.DOWNUP)
+    # every alternating word is up-down or down-up; only ud-last-gt-first tests more
+    if family is Family.UD_LAST_GT_FIRST:
+        return filter(perms._WORD_TESTS[family], words)
+    return words
 
 
 def _filter_s_n(family: Family, n: int) -> Iterator[Permutation]:
@@ -132,38 +129,40 @@ def iter_ud_by_filter(n: int) -> Iterator[Permutation]:
 
 def iter_cycle_family(family: Family, n: int) -> Iterator[Permutation]:
     """Every member of the cycle family in S_n exactly once, from
-    ``_cycle_members``; not in lexicographic order."""
-    word = [0] * n
-    for _ in _cycle_members(family, n, lambda pattern: 0, word):
-        yield Permutation._trusted(tuple(word))
+    ``_cycle_members`` and not in lexicographic order; all are built first."""
+    word, words = [0] * n, []
+    _cycle_members(family, n, lambda pattern: 0, lambda *_: words.append(tuple(word)), word)
+    yield from map(Permutation._trusted, words)
 
 
 def _cycle_members(
-    family: Family, n: int, share: Callable[[bytes], int], word: list[int] | None
-) -> Iterator[int]:
-    """Build each member of the cycle family in S_n as a set of admissible
-    cycles; yield its cycles' total ``share`` and lay its images in ``word``
-    unless that is None.  The cycle through the smallest remaining element
-    takes that element and a subset of the rest, and is an admissible pattern
-    (``perms.admissible_patterns``) on those points, whose share is taken
-    once per call; the rest is built the same way.  A single-cycle family
-    takes the whole set at once, so it has no member at n = 0."""
+    family: Family, n: int, share: Callable[[bytes], int], leaf: Callable, word=None
+) -> None:
+    """Build the members of the cycle family in S_n by plain recursion and
+    call ``leaf(total, count)`` with their cycles' total ``share``.  The
+    cycle through the smallest remaining element is an admissible pattern
+    (``perms.admissible_patterns``, each share taken once) on it and a subset
+    of the rest; the rest is built the same way.  With a ``word`` list each
+    member comes alone, its images laid in ``word``; without, the members
+    that differ only in their last cycle come ``count`` at a time.  A
+    single-cycle family has no member at n = 0."""
     _, _, single = perms._CYCLE_FAMILIES[family]
     if single and n == 0:
         return
     tables = [
-        (k, [(pattern, share(pattern)) for pattern in table])
+        (k, table, Counter(value for _, value in table).items())
         for k in ((n,) if single else range(1, n + 1))
-        if (table := perms.admissible_patterns(family, k))
+        if (table := [(p, share(p)) for p in perms.admissible_patterns(family, k)])
     ]
 
-    def build(remaining: Sequence[int], total: int) -> Iterator[int]:
-        if not remaining:
-            yield total
-            return
-        head, rest = remaining[0], remaining[1:]
-        for k, table in tables:
-            if k > len(remaining):
+    def build(remaining: Sequence[int], total: int) -> None:
+        head, rest, m = remaining[0], remaining[1:], len(remaining)
+        for k, table, totals in tables:
+            if k > m:
+                break
+            if word is None and k == m:
+                for value, count in totals:
+                    leaf(total + value, count)
                 break
             for subset in itertools.combinations(rest, k - 1):
                 points = (head,) + subset
@@ -174,9 +173,15 @@ def _cycle_members(
                         cycle = tuple(points[i] for i in pattern)
                         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                             word[a - 1] = b
-                    yield from build(left, total + value)
+                    if left:
+                        build(left, total + value)
+                    else:
+                        leaf(total + value, 1)
 
-    yield from build(tuple(range(1, n + 1)), 0)
+    if n:
+        build(tuple(range(1, n + 1)), 0)
+    else:
+        leaf(0, 1)
 
 
 def iter_cud_direct(n: int) -> Iterator[Permutation]:
@@ -189,33 +194,45 @@ def distribution(
 ) -> dict[tuple[int, ...], int]:
     """Exact joint distribution of the named statistics, computing no other:
     how many members take each tuple of their values, in the order named.
-    A cycle family sums the pattern shares (``statistics.CYCLE_SHARES``) of
-    the named cycle statistics (``_cycle_members``); the other families
-    decompose each word in place for them.  lrm, st and extr come from one
-    ``statistics._scan`` per member, for which a cycle family lays its words."""
+    The cycle statistics are sums of cycle shares (``statistics.CYCLE_SHARES``),
+    taken per pattern in ``_cycle_members`` or per cycle of each plain word
+    (``_words``); lrm, st and extr come from one ``statistics._scan`` of each
+    member, for which a cycle family lays its words."""
     _check_cap(family, n, cap)
     named = dict.fromkeys(name for name in stat_names if name in CYCLE_SHARES)
     # one int holds the named cycle statistics as base-(n + 1) digits, none above n
     shares = [((n + 1) ** i, CYCLE_SHARES[name]) for i, name in enumerate(named)]
+    # a cycle on n - 1 or n points fixes its word, so it comes up once: not kept
+    known: dict[Sequence[int], int] = {}
 
     def share(cycle: Sequence[int]) -> int:
-        return sum(place * of(cycle) for place, of in shares)
+        value = known.get(cycle)
+        if value is None:
+            value = sum(place * of(cycle) for place, of in shares)
+            if len(cycle) < n - 1:
+                known[cycle] = value
+        return value
 
     scan = any(name not in CYCLE_SHARES for name in stat_names)
+    ground = tuple(range(1, n + 1))
+    tally: Counter = Counter()
     if family in perms._CYCLE_FAMILIES:
         word = [0] * n if scan else None
-        members = ((total, word) for total in _cycle_members(family, n, share, word))
+
+        def leaf(total: int, count: int) -> None:
+            key = (total, scan and _scan(word, ground))
+            tally[key] = tally.get(key, 0) + count
+
+        _cycle_members(family, n, share, leaf, word)
     else:
-        members = (
-            (sum(map(share, _cycles(p.word))) if named else 0, p.word)
-            for p in enumerate_family(family, n, cap)
+        tally.update(
+            (sum(map(share, _cycles(word))) if named else 0, scan and _scan(word, ground))
+            for word in _words(family, n)
         )
-    ground, letters = tuple(range(1, n + 1)), (_letters(MinMaxPattern.alternating(), n),)
-    tally = Counter((total, scan and _scan(word, ground, letters)) for total, word in members)
     rows: Counter = Counter()
     for (total, scanned), count in tally.items():
         values = {name: total // place % (n + 1) for name, (place, _) in zip(named, shares)}
-        values["lrm"], values["extr"], _, (values["st"],) = scanned or (0, 0, 0, (0,))
+        values["lrm"], values["extr"], _, (values["st"], _, _) = scanned or (0, 0, 0, (0, 0, 0))
         rows[tuple(values[name] for name in stat_names)] += count
     return dict(rows)
 
@@ -319,8 +336,6 @@ def census(n: int) -> Census:
     word_lists = [(bit[family], words[family]) for family in kept]
     kept_bits = sum(bit[family] for family in kept)
     ground = tuple(range(1, n + 1))
-    letters = [_letters(pattern, n) for pattern in _PATTERNS]
-    st_at = _PATTERNS.index(MinMaxPattern.alternating())
 
     # a cycle's verdict: the mask of the cycle families admitting it, shifted
     # left once, with its up-down flag in bit 0; GCUD is tested only when that
@@ -353,8 +368,9 @@ def census(n: int) -> Census:
         for flag, test in word_tests:
             if test(word):
                 mask |= flag
-        lrm, extr, exc, ms = _scan(word, ground, letters)
-        sv = (c, c_o, c - c_o, fp, lrm, ms[st_at], extr, exc, ud, c - ud)
+        lrm, extr, exc, ms = _scan(word, ground)
+        # st is the m_s of the alternating pattern, the first of _PATTERNS
+        sv = (c, c_o, c - c_o, fp, lrm, ms[0], extr, exc, ud, c - ud)
         key = (mask, sv, ms)
         tally[key] = tally.get(key, 0) + 1
         if mask & kept_bits:
@@ -421,11 +437,11 @@ def verify_all(n_cap: int = 7, euler_fn=euler_numbers) -> list[dict]:
     ]
 
 
-# the sizes a check runs at
-_EVERY_N = range(VERIFY_CAP + 1)
-_FROM_1 = range(1, VERIFY_CAP + 1)
-_EVEN = range(0, VERIFY_CAP + 1, 2)
-_EVEN_FROM_2 = range(2, VERIFY_CAP + 1, 2)
+# the sizes a check runs at, tests of n rather than ranges, so that they
+# follow VERIFY_CAP when it is raised after import
+_EVERY_N, _FROM_1 = (lambda n: True), (lambda n: n >= 1)
+_EVEN, _EVEN_FROM_2 = (lambda n: n % 2 == 0), (lambda n: n >= 2 and n % 2 == 0)
+
 
 # check name, actual value, expected value, sizes.  A value is a census
 # family (its count), a catalog id (its EGF term at n), an int k (E_{n+k}),
@@ -482,7 +498,7 @@ def _verify_counts(censuses: list[Census], eul: list[int], order: int) -> Iterat
 
     for n in range(n_cap + 1):
         for check, actual, expected, sizes in _COUNT_CHECKS:
-            if n in sizes:
+            if sizes(n):
                 yield check, n, value(expected, n), value(actual, n)
     # up to n = 8: the census filters S_n, while the backtracker and
     # iter_cud_direct build the members directly
@@ -680,16 +696,21 @@ _PHI_JBIJ_MAPS = (
 
 
 def _map_ud_words(
-    words: Iterable[tuple[tuple[int, ...], int, int, int]], maps: Sequence[tuple]
+    censuses: list[Census], n: int, maps: Sequence[tuple]
 ) -> list[tuple[bool, bool, list[tuple[int, ...]]]]:
-    """Send each (word, lrm, st, extr) through every map of a ``_G_F_MAPS``
-    or ``_PHI_JBIJ_MAPS`` table, in one pass.  Per map: whether every
-    inverse gave the word back, whether every image kept the statistic, and
-    the image words in the order of ``words``."""
+    """Send each word of UD_n through every map of a ``_G_F_MAPS`` or
+    ``_PHI_JBIJ_MAPS`` table, in one pass, with its lrm, st and extr from one
+    ``statistics._scan``.  The census of S_n keeps the words when there is
+    one; past the last census the backtracker builds them, one at a time.
+    Per map: whether every inverse gave the word back, whether every image
+    kept the statistic, and the image words in the order of the words."""
+    ground = tuple(range(1, n + 1))
+    words = censuses[n].words[Family.UD] if n < len(censuses) else _alternating_words(ground)
     inverts = [True] * len(maps)
     kept = [True] * len(maps)
     images: list[list] = [[] for _ in maps]
-    for word, *word_stats in words:
+    for word in words:
+        lrm, extr, _, (st, _, _) = _scan(word, ground)
         for i, (_, forward, inverse, keeps, _) in enumerate(maps):
             cycles = forward(word)
             image = [0] * sum(map(len, cycles))  # image[a - 1] is the image of a
@@ -699,21 +720,21 @@ def _map_ud_words(
             images[i].append(tuple(image))
             cycles.sort()  # canonical order, for the inverse core
             inverts[i] = inverts[i] and inverse(cycles) == word
-            kept[i] = kept[i] and keeps(cycles, *word_stats)
+            kept[i] = kept[i] and keeps(cycles, lrm, st, extr)
     return list(zip(inverts, kept, images))
 
 
 def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> Iterator[tuple]:
     for n, cen in enumerate(censuses):
         maps = _G_F_MAPS[n % 2 :]  # g_even takes even n only
-        results = _map_ud_words(_ud_lrm_st_extr(censuses, n), maps)
+        results = _map_ud_words(censuses, n, maps)
         for (tag, *_, family), (inverts, kept, images) in zip(maps, results):
             yield f"bij-{tag}-roundtrip", n, True, inverts and kept
             yield f"bij-{tag}-image", n, sorted(cen.words[family]), sorted(images)
     for n, cen in enumerate(censuses):
         cud_words = sorted(cen.words[Family.CUD])
         # one pass over UD_{n+1}, which past the last census is streamed
-        results = _map_ud_words(_ud_lrm_st_extr(censuses, n + 1), _PHI_JBIJ_MAPS)
+        results = _map_ud_words(censuses, n + 1, _PHI_JBIJ_MAPS)
         for (tag, *_, stat_check), (inverts, kept, images) in zip(_PHI_JBIJ_MAPS, results):
             yield f"bij-{tag}-roundtrip", n, True, inverts
             yield f"bij-{tag}-{stat_check}", n, True, kept
@@ -736,8 +757,8 @@ def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> It
         yield "rotation-count", n, k * len(starts_low), len(produced)
     for cen in censuses[1 : _MAP_CHECK_N + 1]:
         n, s_n = cen.n, cen.words[Family.ALL]
-        ground, letters = tuple(range(1, n + 1)), [_letters(pattern, n) for pattern in _PATTERNS]
-        ms_values = [_scan(word, ground, letters)[3] for word in s_n]
+        ground = tuple(range(1, n + 1))
+        ms_values = [_scan(word, ground)[3] for word in s_n]
         for i, pattern in enumerate(_PATTERNS):
             images = [bijections.h_map(Permutation._trusted(w), pattern) for w in s_n]
             ok = all(
@@ -758,20 +779,6 @@ def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> It
                 ok = ok and bijections._ell_inverse_word(image, extremes) == (word, bits)
         yield "bij-ell-roundtrip", cen.n, True, ok
         yield "bij-ell-image", cen.n, factorial(cen.n + 1), len(produced)
-
-
-def _ud_lrm_st_extr(
-    censuses: list[Census], n: int
-) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
-    """(word, lrm, st, extr) for each word of UD_n, by one ``statistics._scan``
-    of the word: the census of S_n keeps the words when there is one, and past
-    the last census the backtracker builds them, one at a time."""
-    ground = tuple(range(1, n + 1))
-    alternating = (_letters(MinMaxPattern.alternating(), n),)
-    words = censuses[n].words[Family.UD] if n < len(censuses) else _alternating_words(ground)
-    for word in words:
-        lrm, extr, _, (st,) = _scan(word, ground, alternating)
-        yield word, lrm, st, extr
 
 
 def _verify_matchings(censuses: list[Census], eul: list[int], order: int) -> Iterator[tuple]:

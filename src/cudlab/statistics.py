@@ -110,6 +110,15 @@ class MinMaxPattern:
         return ",".join(self.prefix + self.tail) + ",..."
 
 
+# the patterns whose m_s ``_scan`` counts, in this order: the alternating one,
+# which selects the min-max subsequence, repeated min, and alternating from max
+_PATTERNS = (
+    MinMaxPattern.alternating(),
+    MinMaxPattern.repeat(MIN),
+    MinMaxPattern((), (MAX, MIN)),
+)
+
+
 def lr_min_positions(word: Sequence[int]) -> list[int]:
     """0-based positions of left-to-right minima (position 0 included)."""
     out = []
@@ -175,9 +184,7 @@ def stats(p: Permutation) -> StatVector:
     4
     """
     cycles = to_cycles(p).cycles
-    word = p.word
-    # the alternating pattern min, max, min, ... selects the min-max subsequence
-    lrm, extr, exc, (st,) = _scan(word, sorted(word), ((True, False) * (len(word) // 2 + 1),))
+    lrm, extr, exc, (st, _, _) = _scan(p.word, p.ground)
     c = len(cycles)
     c_o = sum(len(cyc) % 2 for cyc in cycles)
     ud = sum(map(is_up_down_word, cycles))
@@ -185,23 +192,19 @@ def stats(p: Permutation) -> StatVector:
     return StatVector(c, c_o, c - c_o, fp, lrm, st, extr, exc, ud, c - ud)
 
 
-def _letters(pattern: MinMaxPattern, n: int) -> tuple[bool, ...]:
-    """The first n letters of the pattern, True for min, as ``_scan`` reads
-    them."""
-    return tuple(pattern.at(j) == MIN for j in range(1, n + 1))
-
-
 def _scan(
-    word: Sequence[int], ground: Sequence[int], patterns: Sequence[Sequence[bool]]
-) -> tuple[int, int, int, tuple[int, ...]]:
-    """``lrm``, ``extr``, ``exc`` and the ``m_s`` of each pattern (given by
-    ``_letters``) of a word over the sorted ``ground``: one left-to-right
-    pass, then the positions of the suffix minima and maxima.
-    ``lr_min_positions``, ``extreme_positions`` and ``selection_positions``
-    are the readable definitions."""
-    n = len(word)
-    if not n:
-        return 0, 0, 0, (0,) * len(patterns)
+    word: Sequence[int], ground: Sequence[int]
+) -> tuple[int, int, int, tuple[int, int, int]]:
+    """``lrm``, ``extr``, ``exc`` and the ``m_s`` of each of ``_PATTERNS`` of a
+    word over the sorted ``ground``.  A left-to-right pass counts running
+    minima and maxima; a right-to-left pass keeps the picks, on the suffix
+    read so far, of the alternating pattern from min (``a``), from max
+    (``b``) and of repeated min (``r``).  They change only at a suffix
+    record, where a pattern whose first letter picks it goes on after it
+    with its other letters.  ``lr_min_positions``, ``extreme_positions`` and
+    ``selection_positions`` are the readable definitions."""
+    if not word:
+        return 0, 0, 0, (0, 0, 0)
     lo = hi = word[0]
     lrm, extr = 1, 0
     for x in word:
@@ -212,24 +215,14 @@ def _scan(
         elif x > hi:
             hi = x
             extr += 1
-    # arg_min[i] and arg_max[i] locate the minimum and maximum of word[i:]
-    arg_min = [0] * n
-    arg_max = [0] * n
-    lo_at = hi_at = n - 1
-    for i in range(n - 1, -1, -1):
-        x = word[i]
-        if x < word[lo_at]:
-            lo_at = i
-        elif x > word[hi_at]:
-            hi_at = i
-        arg_min[i] = lo_at
-        arg_max[i] = hi_at
-    lengths = []
-    for letters in patterns:
-        # pick k + 1 is the pattern's letter of what remains after pick k
-        i, k = -1, 0
-        while i < n - 1:
-            i = (arg_min if letters[k] else arg_max)[i + 1]
-            k += 1
-        lengths.append(k)
-    return lrm, extr, sum(map(gt, word, ground)), tuple(lengths)
+    # the last entry is the one pick of every pattern on its own suffix
+    lo = hi = word[-1]
+    a = b = r = 1
+    for x in word[-2::-1]:
+        if x < lo:
+            lo = x
+            a, r = 1 + b, r + 1
+        elif x > hi:
+            hi = x
+            b = 1 + a
+    return lrm, extr, sum(map(gt, word, ground)), (a, r, b)

@@ -205,6 +205,36 @@ class TestLeanDistribution:
         distribution(Family.GCUD, n, ("fp", "lrm"))
         assert len(scans) == count_family(Family.GCUD, n)
 
+    def test_all_walks_plain_words_once(self, monkeypatch):
+        counting = _CountingItertools()
+        monkeypatch.setattr(oracle, "itertools", counting)
+        members = self._count_calls(monkeypatch, "is_member", perms, oracle)
+        built = []
+        trusted = Permutation._trusted
+
+        def counting_trusted(cls, word):
+            built.append(word)
+            return trusted(word)
+
+        monkeypatch.setattr(Permutation, "_trusted", classmethod(counting_trusted))
+        table = distribution(Family.ALL, 7, ("c", "lrm"))
+        assert sum(table.values()) == 5040
+        assert counting.walked == [7] and members == [] and built == []
+
+    def test_a_word_family_walks_no_s_n(self, monkeypatch):
+        counting = _CountingItertools()
+        monkeypatch.setattr(oracle, "itertools", counting)
+        table = distribution(Family.UD, 9, ("lrm", "st", "extr", "c"))
+        assert sum(table.values()) == euler_numbers(9)[9]
+        assert counting.walked == []
+
+    @pytest.mark.parametrize("family", [Family.ALL, Family.UD])
+    @pytest.mark.parametrize(
+        "names", [("c", "lrm", "st", "extr"), ("lrm", "st", "extr"), ("exc", "ud", "st")]
+    )
+    def test_plain_words_at_8_match_the_census(self, family, names, census_8):
+        assert distribution(family, 8, names) == census_8.distribution(family, names)
+
 
 class _CountingItertools:
     """Stands in for ``itertools`` in the oracle and records the size of
@@ -344,6 +374,18 @@ class TestVerifyAll:
     def test_cap_guard(self):
         with pytest.raises(CapExceeded):
             verify_all(10)
+
+    def test_count_rows_follow_the_sizes_given(self):
+        # the sizes are tests of n, so a raised cap gets the count rows at the
+        # new n; every count check runs at an even n >= 2 such as 10
+        empty = [
+            Census(n, {family: Counter() for family in Family}, (), {Family.UD: [], Family.CUD: []})
+            for n in range(11)
+        ]
+        rows = oracle._verify_counts(empty, euler_numbers(12), 20)
+        assert {check for check, n, *_ in rows if n == 10} == {
+            check for check, *_ in oracle._COUNT_CHECKS
+        }
 
     def test_check_and_n_name_one_entry(self):
         # readers of the report key its entries by (check, n)

@@ -21,7 +21,7 @@ from cudlab.statistics import (
     MAX,
     MIN,
     MinMaxPattern,
-    _letters,
+    _PATTERNS,
     _scan,
     extreme_positions,
     lr_min_positions,
@@ -33,11 +33,6 @@ from cudlab.statistics import (
 
 # words over ground sets other than [n]
 general_words = st.lists(st.integers(1, 60), max_size=12, unique=True).flatmap(st.permutations)
-patterns = st.builds(
-    MinMaxPattern,
-    st.lists(st.sampled_from((MIN, MAX)), max_size=3).map(tuple),
-    st.lists(st.sampled_from((MIN, MAX)), min_size=1, max_size=3).map(tuple),
-)
 
 
 def perms_of(n):
@@ -106,12 +101,14 @@ class TestStatVector:
         assert sv.ud == sum(1 for cyc in cycles if is_up_down_cycle(cyc))
         assert sv.nud == sv.c - sv.ud
 
-    @given(general_words, st.lists(patterns, max_size=3))
-    def test_one_pass_selection_lengths_are_m_s(self, word, chosen):
+    @given(general_words)
+    def test_scan_matches_the_definitions(self, word):
         p = Permutation(tuple(word))
-        letters = [_letters(pattern, len(word)) for pattern in chosen]
-        *_, lengths = _scan(p.word, p.ground, letters)
-        assert lengths == tuple(m_s(p, pattern) for pattern in chosen)
+        lrm, extr, exc, ms = _scan(p.word, p.ground)
+        assert lrm == len(lr_min_positions(p.word))
+        assert extr == len(extreme_positions(p.word))
+        assert exc == sum(1 for a, b in p.mapping().items() if b > a)
+        assert ms == tuple(len(selection_positions(p.word, pattern)) for pattern in _PATTERNS)
 
     @given(st.permutations(list(range(1, 9))))
     def test_cycle_counters_add_up(self, word):

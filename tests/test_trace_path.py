@@ -21,12 +21,17 @@ requests = [
     ["verify", "--n", "3"],
     ["enumerate", "gcud", "--n", "5", "--stats", "fp"],
     ["enumerate", "all", "--n", "4", "--stats", "c,lrm"],
+    ["enumerate", "ud", "--n", "6", "--stats", "lrm,st"],
 ]
+codes, walks = [], []
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in requests]
+    for argv in requests:
+        before = t.counts["oracle.walks"]
+        codes.append(cli.main(argv))
+        walks.append(t.counts["oracle.walks"] - before)
 metrics = tracer.per_layer_metrics(t)
 print(json.dumps({"codes": codes, "catalog_series": t.calls["catalog.catalog_series"],
-                  "distribution": t.calls["oracle.distribution"],
+                  "distribution": t.calls["oracle.distribution"], "walks": walks,
                   "metrics": len(metrics)}))
 """
 
@@ -42,7 +47,10 @@ def test_traced_seq_and_verify_run():
     )
     assert result.returncode == 0, result.stderr
     payload = json.loads(result.stdout.splitlines()[-1])
-    assert payload["codes"] == [0, 0, 0, 0]
+    assert payload["codes"] == [0, 0, 0, 0, 0]
     assert payload["catalog_series"] > 0
-    assert payload["distribution"] == 2
+    assert payload["distribution"] == 3
+    # the tracer counts S_n walks at ``oracle.itertools``: verify walks S_0..S_3,
+    # enumerate all walks S_4, and the cycle and word families walk none
+    assert payload["walks"] == [0, 4, 0, 1, 0]
     assert payload["metrics"] > 0
