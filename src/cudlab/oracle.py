@@ -7,27 +7,26 @@ lexicographic order, for the cycle families, and wraps the plain words of the
 others (``_words``: all of S_n, or the backtracker
 ``perms._alternating_words``).  The S_n filter stays the reference that the
 direct routes are compared with rather than trusted.  ``distribution``
-counts each member where it is built, reading only the named statistics: a
-cycle family is built as sets of admissible cycles read off alternating
-words, by the plain recursion of ``_cycle_members``, which tallies the
-per-pattern shares of the cycle statistics at its leaves; the other families
-walk plain words, decompose each in place only for a cycle statistic and
-scan it (``statistics._scan``) only for lrm, st or extr, building no
-``Permutation`` and testing no membership.  A distribution is a plain dict
-from value tuples to counts.  ``verify_all`` walks each S_n once, through
-``census``, and returns a machine-readable report; any failing row is a bug
-somewhere, by design with no tolerance.  The checks are a registry: each
-phase of ``_PHASES`` is a generator of (check, n, expected, actual) rows, and
-``verify_all`` is the one place that turns rows into report entries.  The
-counts phase is the ``_COUNT_CHECKS`` table.  The bijection checks run the
-trusted cores of ``bijections``, not the checking faces: ``_map_ud_words``
-reads those of ``g_even``, ``f_odd``, ``phi``, ``jbij`` and their inverses,
-and the ell check those of ``ell_map`` and ``ell_inverse``.
+computes only the named statistics.  A member of a cycle family is a set of
+admissible cycles, so cycle statistics alone are counted by size, by the
+exponential formula over the family's cycle patterns (``_by_size``); every
+other request tallies member words one by one (``_tally``), the plain words
+of ``_words`` or those ``_cycle_members`` lays cycle by cycle.  A
+distribution is a plain dict from value tuples to counts.  ``verify_all``
+walks each S_n once, through ``census``, and returns a machine-readable
+report; any failing row is a bug somewhere, by design with no tolerance.
+The checks are a registry: each phase of ``_PHASES`` is a generator of
+(check, n, expected, actual) rows, and ``verify_all`` is the one place that
+turns rows into report entries.  The counts phase is the ``_COUNT_CHECKS``
+table.  The bijection checks run the trusted cores of ``bijections``, not
+the checking faces: ``_map_ud_words`` reads those of ``g_even``, ``f_odd``,
+``phi``, ``jbij`` and their inverses, and the ell check those of ``ell_map``
+and ``ell_inverse``.  No enumeration reads ``series`` or ``catalog``.
 
-``census`` is a flat kernel over plain words: it decomposes each word in
-place, tests each distinct cycle once for the two cycle shapes, and takes
-the word statistics and ``m_s`` values from one ``statistics._scan``.  It
-counts stat vectors and keeps only member words.  The tests check it against
+``census`` is a flat kernel over plain words: it decomposes each word, tests
+each distinct cycle once for the two cycle shapes, and takes the word
+statistics and ``m_s`` values from one ``statistics._scan``.  It counts stat
+vectors and keeps only member words.  The tests check it against
 ``is_member``, ``stats`` and ``m_s`` over every permutation up to n = 7.
 """
 from __future__ import annotations
@@ -37,8 +36,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Iterator, Sequence
+from math import comb, factorial
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from . import bijections, matchings, perms
 from .catalog import (
@@ -50,7 +50,7 @@ from .catalog import (
     no_ud_fraction_formula,
     secant_cf_convergent,
 )
-from .perms import Family, Permutation, _alternating_words, is_member
+from .perms import Family, Permutation, _alternating_words, admissible_patterns, is_member
 from .series import (
     MPoly,
     euler_numbers,
@@ -129,59 +129,44 @@ def iter_ud_by_filter(n: int) -> Iterator[Permutation]:
 
 def iter_cycle_family(family: Family, n: int) -> Iterator[Permutation]:
     """Every member of the cycle family in S_n exactly once, from
-    ``_cycle_members`` and not in lexicographic order; all are built first."""
-    word, words = [0] * n, []
-    _cycle_members(family, n, lambda pattern: 0, lambda *_: words.append(tuple(word)), word)
-    yield from map(Permutation._trusted, words)
+    ``_cycle_members`` and not in lexicographic order."""
+    return map(Permutation._trusted, _cycle_members(family, n))
 
 
-def _cycle_members(
-    family: Family, n: int, share: Callable[[bytes], int], leaf: Callable, word=None
-) -> None:
-    """Build the members of the cycle family in S_n by plain recursion and
-    call ``leaf(total, count)`` with their cycles' total ``share``.  The
-    cycle through the smallest remaining element is an admissible pattern
-    (``perms.admissible_patterns``, each share taken once) on it and a subset
-    of the rest; the rest is built the same way.  With a ``word`` list each
-    member comes alone, its images laid in ``word``; without, the members
-    that differ only in their last cycle come ``count`` at a time.  A
-    single-cycle family has no member at n = 0."""
+def _cycle_members(family: Family, n: int) -> Iterator[tuple[int, ...]]:
+    """The member words of the cycle family in S_n, by plain recursion: the
+    cycle through the smallest remaining element is an admissible pattern on
+    it and a subset of the rest.  Each cycle is laid in one list, entry a - 1
+    the image of a, and a word is yielded where its last cycle is laid."""
     _, _, single = perms._CYCLE_FAMILIES[family]
-    if single and n == 0:
-        return
+    # each pattern as its (position, position of the image) pairs
     tables = [
-        (k, table, Counter(value for _, value in table).items())
+        (k, [tuple(zip(p, p[1:] + p[:1])) for p in table])
         for k in ((n,) if single else range(1, n + 1))
-        if (table := [(p, share(p)) for p in perms.admissible_patterns(family, k)])
+        if (table := admissible_patterns(family, k))
     ]
+    word = [0] * n
 
-    def build(remaining: Sequence[int], total: int) -> None:
+    def build(remaining: Sequence[int]) -> Iterator[tuple[int, ...]]:
         head, rest, m = remaining[0], remaining[1:], len(remaining)
-        for k, table, totals in tables:
+        for k, table in tables:
             if k > m:
-                break
-            if word is None and k == m:
-                for value, count in totals:
-                    leaf(total + value, count)
                 break
             for subset in itertools.combinations(rest, k - 1):
                 points = (head,) + subset
                 left = [x for x in rest if x not in subset] if subset else rest
-                for pattern, value in table:
-                    if word is not None:
-                        # word[a - 1] is the image of a
-                        cycle = tuple(points[i] for i in pattern)
-                        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                            word[a - 1] = b
+                for pairs in table:
+                    for i, j in pairs:
+                        word[points[i] - 1] = points[j]
                     if left:
-                        build(left, total + value)
+                        yield from build(left)
                     else:
-                        leaf(total + value, 1)
+                        yield tuple(word)
 
     if n:
-        build(tuple(range(1, n + 1)), 0)
-    else:
-        leaf(0, 1)
+        yield from build(tuple(range(1, n + 1)))
+    elif not single:  # the empty set of cycles; a single-cycle family has none
+        yield ()
 
 
 def iter_cud_direct(n: int) -> Iterator[Permutation]:
@@ -194,11 +179,45 @@ def distribution(
 ) -> dict[tuple[int, ...], int]:
     """Exact joint distribution of the named statistics, computing no other:
     how many members take each tuple of their values, in the order named.
-    The cycle statistics are sums of cycle shares (``statistics.CYCLE_SHARES``),
-    taken per pattern in ``_cycle_members`` or per cycle of each plain word
-    (``_words``); lrm, st and extr come from one ``statistics._scan`` of each
-    member, for which a cycle family lays its words."""
+    Cycle statistics alone on a cycle family are counted by size
+    (``_by_size``), any other request by tallying member words (``_tally``)."""
     _check_cap(family, n, cap)
+    if family not in perms._CYCLE_FAMILIES:
+        return _tally(_words(family, n), n, stat_names)
+    if all(name in CYCLE_SHARES for name in stat_names):
+        return _by_size(family, n, stat_names)
+    return _tally(_cycle_members(family, n), n, stat_names)
+
+
+def _by_size(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, ...], int]:
+    """Cycle statistics over a cycle family by the exponential formula.  With
+    T_k counting the share tuples of the patterns on k points, F(m) = sum_k
+    C(m - 1, k - 1) T_k * F(m - k) and F(0) = {zero tuple: 1}, where * adds
+    tuples and multiplies counts; a single-cycle family is T_n alone."""
+    _, _, single = perms._CYCLE_FAMILIES[family]
+    shares = [CYCLE_SHARES[name] for name in stat_names]
+    tables = {
+        k: Counter(tuple(int(of(p)) for of in shares) for p in admissible_patterns(family, k))
+        for k in ((n,) if single else range(1, n + 1))
+    }
+    if single:
+        return dict(tables[n])
+    sizes = [{(0,) * len(shares): 1}]
+    for m in range(1, n + 1):
+        table: Counter = Counter()
+        for k in range(1, m + 1):
+            # the cycle through the smallest point takes k - 1 of the other m - 1
+            for cycle, count in tables[k].items():
+                count *= comb(m - 1, k - 1)
+                for rest, rest_count in sizes[m - k].items():
+                    table[tuple(map(add, cycle, rest))] += count * rest_count
+        sizes.append(table)
+    return dict(sizes[n])
+
+
+def _tally(words: Iterable[Sequence[int]], n: int, stat_names: Sequence[str]) -> dict:
+    """The distribution over words on [n], one by one: a word is decomposed
+    only for a cycle statistic and scanned only for lrm, st or extr."""
     named = dict.fromkeys(name for name in stat_names if name in CYCLE_SHARES)
     # one int holds the named cycle statistics as base-(n + 1) digits, none above n
     shares = [((n + 1) ** i, CYCLE_SHARES[name]) for i, name in enumerate(named)]
@@ -215,20 +234,10 @@ def distribution(
 
     scan = any(name not in CYCLE_SHARES for name in stat_names)
     ground = tuple(range(1, n + 1))
-    tally: Counter = Counter()
-    if family in perms._CYCLE_FAMILIES:
-        word = [0] * n if scan else None
-
-        def leaf(total: int, count: int) -> None:
-            key = (total, scan and _scan(word, ground))
-            tally[key] = tally.get(key, 0) + count
-
-        _cycle_members(family, n, share, leaf, word)
-    else:
-        tally.update(
-            (sum(map(share, _cycles(word))) if named else 0, scan and _scan(word, ground))
-            for word in _words(family, n)
-        )
+    tally = Counter(
+        (sum(map(share, _cycles(word))) if named else 0, scan and _scan(word, ground))
+        for word in words
+    )
     rows: Counter = Counter()
     for (total, scanned), count in tally.items():
         values = {name: total // place % (n + 1) for name, (place, _) in zip(named, shares)}
@@ -238,18 +247,8 @@ def distribution(
 
 
 def _cycles(word: Sequence[int]) -> list[tuple[int, ...]]:
-    """The canonical cycles of a word on [n], decomposed in place."""
-    seen = [False] * (len(word) + 1)
-    cycles = []
-    for a in range(1, len(word) + 1):
-        if not seen[a]:
-            cycle, b = [a], word[a - 1]
-            while b != a:
-                seen[b] = True
-                cycle.append(b)
-                b = word[b - 1]
-            cycles.append(tuple(cycle))
-    return cycles
+    """The canonical cycles of a word on [n], walked over its successor list."""
+    return perms._walk_cycles([0, *word], range(1, len(word) + 1))
 
 
 def distribution_csv(stat_names: Sequence[str], rows: dict[tuple[int, ...], int]) -> str:
@@ -313,10 +312,10 @@ class Census:
 
 
 def census(n: int) -> Census:
-    """Walk S_n once, over plain words decomposed in place.  A permutation
-    is in a cycle family when all its cycles are (the AND of their family
-    masks), and in a single-cycle family only with one cycle; its word
-    statistics and ``m_s`` values come from ``statistics._scan``."""
+    """Walk S_n once, over plain words decomposed by ``_cycles``.  A
+    permutation is in a cycle family when all its cycles are (the AND of
+    their family masks), and in a single-cycle family only with one cycle;
+    its word statistics and ``m_s`` values come from ``statistics._scan``."""
     _check_cap(Family.ALL, n, None)
     families = list(perms._WORD_TESTS) + list(perms._CYCLE_FAMILIES)
     bit = {family: 1 << i for i, family in enumerate(families)}

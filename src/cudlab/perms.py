@@ -195,27 +195,27 @@ class Family(Enum):
 
 
 def to_cycles(p: Permutation) -> CycleDecomposition:
-    """Canonical cycle decomposition of a permutation.
+    """Canonical cycle decomposition of a permutation, by ``_walk_cycles``.
 
     >>> format_cycles(to_cycles(parse_permutation("2 5 1 7 3 6 4")))
     '(1,2,5,3)(4,7)(6)'
     """
-    m = p.mapping()
-    seen: set[int] = set()
+    return CycleDecomposition._trusted(tuple(_walk_cycles(p.mapping(), p.ground)))
+
+
+def _walk_cycles(successor, starts: Iterable[int]) -> list[tuple[int, ...]]:
+    """The cycles of a successor map on positive integers, a dict or a list
+    indexed by element: each walked from the first of ``starts`` on it, and
+    each visited entry set to 0.  Increasing ``starts`` give canonical ones."""
     cycles = []
-    for a in m:  # the ground set, in increasing order
-        if a in seen:
-            continue
-        cyc = []
-        cur = a
-        while cur not in seen:
-            seen.add(cur)
-            cyc.append(cur)
-            cur = m[cur]
-        cycles.append(tuple(cyc))
-    # starting each walk at the smallest unvisited element yields canonical
-    # shape directly
-    return CycleDecomposition._trusted(tuple(cycles))
+    for a in starts:
+        if successor[a]:
+            cycle, b = [], a
+            while c := successor[b]:
+                cycle.append(b)
+                successor[b], b = 0, c
+            cycles.append(tuple(cycle))
+    return cycles
 
 
 def from_cycles(c: CycleDecomposition) -> Permutation:
@@ -272,15 +272,15 @@ _CYCLE_FAMILIES: dict[Family, tuple[Callable, Callable[[int], bool], bool]] = {
 
 
 def admissible_patterns(family: Family, k: int) -> list[bytes]:
-    """The cycle family's admissible canonical cycles on ``k >= 1`` points,
-    as rank patterns in increasing order: 0, then an arrangement of 1, ..., k-1.
+    """The cycle family's admissible canonical cycles on ``k`` points, as
+    rank patterns in increasing order: 0, then an arrangement of 1, ..., k-1.
 
-    A length the family's rule refuses has none.  Otherwise they are read
-    off alternating words, not sought among all (k-1)! arrangements: a CUD
-    cycle is 0 and then a down-up word on 1, ..., k-1, a GCUD cycle an
-    up-down word on 0, ..., k-1 rotated to start at 0.  Shapes read only
-    relative order, so ``tuple(points[i] for i in pattern)`` over any
-    increasing ``points`` of length k is an admissible cycle, and every
+    A length the family's rule refuses has none, and so has k < 1.  The
+    others are read off alternating words, not sought among all (k-1)!
+    arrangements: a CUD cycle is 0 and then a down-up word on 1, ..., k-1, a
+    GCUD cycle an up-down word on 0, ..., k-1 rotated to start at 0.  Shapes
+    read only relative order, so ``tuple(points[i] for i in pattern)`` over
+    any increasing ``points`` of length k is an admissible cycle, and every
     admissible cycle on those points arises once this way.  The table is
     built anew on each call and kept by no one.
 
@@ -288,7 +288,7 @@ def admissible_patterns(family: Family, k: int) -> list[bytes]:
     [(0, 2, 1, 3), (0, 3, 1, 2)]
     """
     shape, lengths, _ = _CYCLE_FAMILIES[family]
-    if not lengths(k):
+    if k < 1 or not lengths(k):
         return []
     if shape is is_up_down_word:
         return [bytes((0, *rest)) for rest in _alternating_words(range(1, k), down_up=True)]

@@ -1,6 +1,9 @@
+import ast
 import dataclasses
+import inspect
 import itertools
 import json
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cudlab import oracle, perms, statistics
-from cudlab.catalog import CapExceeded
+from cudlab.catalog import CapExceeded, catalog_series
 from cudlab.oracle import (
     WORD_FAMILIES,
     Census,
@@ -26,7 +29,7 @@ from cudlab.oracle import (
 )
 from cudlab.perms import Family, Permutation, is_member
 from cudlab.series import MPoly, euler_numbers, stirling_c
-from cudlab.statistics import STAT_NAMES, m_s, stats
+from cudlab.statistics import CYCLE_SHARES, STAT_NAMES, m_s, stats
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -80,6 +83,7 @@ class TestCounts:
 
 
 CYCLE_FAMILIES = tuple(perms._CYCLE_FAMILIES)
+CYCLE_SHARES_NAMES = tuple(CYCLE_SHARES)
 
 
 @pytest.fixture(scope="module")
@@ -171,25 +175,10 @@ class TestLeanDistribution:
         pairs = distribution(Family.CUD, 5, ("c", "exc"))
         assert table == {(c, exc, c): k for (c, exc), k in pairs.items()}
 
-    @staticmethod
-    def _count_calls(monkeypatch, name, *modules):
-        """Patch one counting stand-in for ``name`` into every module that
-        binds it; returns the list of the calls' arguments."""
-        calls = []
-        original = getattr(modules[0], name)
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        for module in modules:
-            monkeypatch.setattr(module, name, counting)
-        return calls
-
     def test_a_word_statistic_decomposes_no_word(self, monkeypatch):
         n = 7
-        decomposed = self._count_calls(monkeypatch, "_cycles", oracle)
-        to_cycles = self._count_calls(monkeypatch, "to_cycles", perms, statistics)
+        decomposed = _count_calls(monkeypatch, "_cycles", oracle)
+        to_cycles = _count_calls(monkeypatch, "to_cycles", perms, statistics)
         distribution(Family.UD, n, ("lrm",))
         assert decomposed == [] and to_cycles == []
         # the stand-in counts: a cycle statistic decomposes each word once
@@ -198,7 +187,7 @@ class TestLeanDistribution:
 
     def test_a_cycle_statistic_scans_no_word(self, monkeypatch):
         n = 7
-        scans = self._count_calls(monkeypatch, "_scan", oracle, statistics)
+        scans = _count_calls(monkeypatch, "_scan", oracle, statistics)
         distribution(Family.GCUD, n, ("fp",))
         assert scans == []
         # the stand-in counts: a word statistic scans each member once
@@ -208,7 +197,7 @@ class TestLeanDistribution:
     def test_all_walks_plain_words_once(self, monkeypatch):
         counting = _CountingItertools()
         monkeypatch.setattr(oracle, "itertools", counting)
-        members = self._count_calls(monkeypatch, "is_member", perms, oracle)
+        members = _count_calls(monkeypatch, "is_member", perms, oracle)
         built = []
         trusted = Permutation._trusted
 
@@ -234,6 +223,124 @@ class TestLeanDistribution:
     )
     def test_plain_words_at_8_match_the_census(self, family, names, census_8):
         assert distribution(family, 8, names) == census_8.distribution(family, names)
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Patch one counting stand-in for ``name`` into every module that binds
+    it; returns the list of the calls' arguments."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_to_cycles_and_the_word_path_run_one_kernel(monkeypatch):
+    walks = _count_calls(monkeypatch, "_walk_cycles", perms)
+    word = (2, 5, 1, 7, 3, 6, 4)
+    assert oracle._cycles(word) == list(perms.to_cycles(Permutation(word)).cycles)
+    assert len(walks) == 2
+
+
+class TestBySize:
+    """Cycle statistics alone, on a cycle family, are counted by size
+    (``oracle._by_size``), by the exponential formula; every other request
+    tallies member words."""
+
+    @pytest.mark.parametrize("family", CYCLE_FAMILIES)
+    def test_cycle_statistics_at_8_match_the_census(self, family, census_8):
+        for names in [CYCLE_SHARES_NAMES] + [(name,) for name in CYCLE_SHARES_NAMES]:
+            assert distribution(family, 8, names) == census_8.distribution(family, names), names
+
+    def test_a_cycle_request_builds_and_scans_no_member(self, monkeypatch):
+        built = _count_calls(monkeypatch, "_cycle_members", oracle)
+        decomposed = _count_calls(monkeypatch, "_cycles", oracle)
+        scans = _count_calls(monkeypatch, "_scan", oracle, statistics)
+        distribution(Family.GCUD, 7, CYCLE_SHARES_NAMES)
+        assert built == decomposed == scans == []
+        # the stand-ins count: naming lrm too builds the members, once
+        distribution(Family.GCUD, 7, ("fp", "lrm"))
+        assert built == [(Family.GCUD, 7)]
+        assert len(decomposed) == len(scans) == count_family(Family.GCUD, 7)
+
+    @pytest.mark.parametrize("family", CYCLE_FAMILIES)
+    def test_no_statistic_gives_the_count_on_both_routes(self, family):
+        for n in range(8):
+            count = count_family(family, n)
+            expected = {(): count} if count else {}
+            assert oracle._by_size(family, n, ()) == expected, n
+            assert oracle._tally(oracle._cycle_members(family, n), n, ()) == expected, n
+
+    @pytest.mark.parametrize(
+        "family", [f for f in CYCLE_FAMILIES if perms._CYCLE_FAMILIES[f][2]]
+    )
+    def test_single_cycle_family_is_empty_at_0_on_both_routes(self, family):
+        assert distribution(family, 0, ("c",)) == distribution(family, 0, ("c", "lrm")) == {}
+
+    @pytest.mark.parametrize(
+        "family, n, names, seq_id, markers",
+        [
+            (Family.CUD, 11, ("c_o", "c_e"), "cud-odd-even", ("t_o", "t_e")),
+            (Family.GCUD, 10, ("fp", "c"), "gcud-fp-cycles", ("x", "t")),
+            (Family.CUD, 11, ("fp", "c"), "cud-fp-cycles", ("x", "t")),
+        ],
+    )
+    def test_past_the_census_matches_the_catalog(self, family, n, names, seq_id, markers):
+        table = distribution(family, n, names, cap=n)
+        expected = catalog_series(seq_id, n).egf_term(n)
+        assert oracle._to_poly(table, markers) == expected
+
+
+# what the enumeration side of the oracle runs; none of it may read the
+# series engine or the catalog, which it is checked against
+_ENUMERATION_SIDE = (
+    "census",
+    "distribution",
+    "_by_size",
+    "_tally",
+    "_cycle_members",
+    "_words",
+    "_cycles",
+    "_filter_s_n",
+    "enumerate_family",
+    "iter_cycle_family",
+)
+
+
+def _names_read(code) -> set[str]:
+    """Every global, attribute and free name a code object reads, nested
+    functions and comprehensions included."""
+    names = set(code.co_names) | set(code.co_freevars)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names_read(const)
+    return names
+
+
+def _bound_from_series_or_catalog() -> set[str]:
+    """The names ``oracle`` binds by importing from ``.series`` or
+    ``.catalog``, or to those modules themselves."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module in ("series", "catalog") or alias.name in ("series", "catalog"):
+                    names.add(alias.asname or alias.name)
+    return names
+
+
+def test_the_enumeration_side_reads_no_series_or_catalog():
+    # CapExceeded is the cap's exception type, not arithmetic
+    forbidden = _bound_from_series_or_catalog() - {"CapExceeded"}
+    assert {"euler_numbers", "catalog_series", "MPoly"} <= forbidden
+    for name in _ENUMERATION_SIDE:
+        code = getattr(oracle, name).__code__
+        assert not _names_read(code) & forbidden, name
 
 
 class _CountingItertools:

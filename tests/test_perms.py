@@ -10,6 +10,7 @@ from cudlab.perms import (
     CycleDecomposition,
     _admits,
     _alternating_words,
+    _walk_cycles,
     admissible_patterns,
     Family,
     MalformedInput,
@@ -83,6 +84,16 @@ class TestCycleForm:
     def test_roundtrip_random(self, word):
         p = Permutation(tuple(word))
         assert from_cycles(to_cycles(p)) == p
+
+    def test_the_kernel_walks_a_dict_or_a_list_and_empties_it(self):
+        # (1,4)(2,8,3,6)(5)(7) over a gapped ground set and over [8]
+        image = {1: 4, 4: 1, 2: 8, 8: 3, 3: 6, 6: 2, 5: 5, 7: 7}
+        gapped = {10 * a: 10 * b for a, b in image.items()}
+        assert _walk_cycles(gapped, sorted(gapped)) == [(10, 40), (20, 80, 30, 60), (50,), (70,)]
+        assert set(gapped.values()) == {0}
+        successor = [0] + [image[a] for a in range(1, 9)]
+        assert _walk_cycles(successor, range(1, 9)) == [(1, 4), (2, 8, 3, 6), (5,), (7,)]
+        assert successor == [0] * 9
 
     def test_malformed(self):
         with pytest.raises(MalformedInput):
@@ -215,6 +226,10 @@ class TestFamilies:
         for k in range(1, 10):
             expected = arrangements_of_shape(shape, k) if lengths(k) else []
             assert admissible_patterns(family, k) == expected, k
+
+    @pytest.mark.parametrize("family", list(_CYCLE_FAMILIES))
+    def test_no_cycle_has_fewer_than_one_point(self, family):
+        assert admissible_patterns(family, 0) == admissible_patterns(family, -1) == []
 
     @pytest.mark.parametrize("n", range(9))
     @pytest.mark.parametrize("down_up, test", [(False, is_up_down_word), (True, is_down_up_word)])
