@@ -15,7 +15,8 @@ read (``expect --float`` but in exact text output included), 3 cap exceeded
 included).  Exits 2 and 3 print one ``error:`` line on stderr, usage errors
 included.  ``CUDLAB_CAP`` overrides the default enumeration cap of
 ``enumerate`` unless ``--cap`` is given; a value that is not an integer >= 0
-exits 2.
+exits 2.  That default is 11 for a table counted without laying words, else
+the family's own cap, and no cap lifts n past ``oracle.CAP_CEILING``.
 """
 
 from __future__ import annotations
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = command(
         "enumerate", cmd_enumerate, ("text", "json", "csv"), "distribution table over a family",
-        cap="largest n enumerated (default CUDLAB_CAP, else the family's own cap)",
+        cap="largest n enumerated (default CUDLAB_CAP, else by route and family)",
     )
     p_enum.add_argument("family", choices=[f.value for f in Family], metavar="FAMILY")
     p_enum.add_argument("--n", type=int, required=True)

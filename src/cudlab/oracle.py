@@ -9,12 +9,14 @@ others (``_words``: all of S_n, or the backtracker
 direct routes are compared with rather than trusted.  ``distribution``
 computes only the named statistics.  A member of a cycle family is a set of
 admissible cycles, so cycle statistics alone are counted by size, by the
-exponential formula over the family's cycle patterns (``_by_size``); every
-other request tallies member words one by one (``_tally``), the plain words
-of ``_words`` or those ``_cycle_members`` lays cycle by cycle.  A
-distribution is a plain dict from value tuples to counts.  ``verify_all``
-walks each S_n once, through ``census``, and returns a machine-readable
-report; any failing row is a bug somewhere, by design with no tolerance.
+exponential formula over the family's cycle patterns (``_by_size``), and lrm,
+st and extr alone on ud, downup or all over the ranks of a word placed right
+to left (``_by_rank``); every other request tallies member words one by one
+(``_tally``), the plain words of ``_words`` or those ``_cycle_members`` lays
+cycle by cycle.  A distribution is a plain dict from value tuples to counts.
+``verify_all`` walks each S_n once, through ``census``, and returns a
+machine-readable report; any failing row is a bug somewhere, by design with
+no tolerance.
 The checks are a registry: each phase of ``_PHASES`` is a generator of
 (check, n, expected, actual) rows, and ``verify_all`` is the one place that
 turns rows into report entries.  The counts phase is the ``_COUNT_CHECKS``
@@ -71,16 +73,21 @@ from .statistics import (
 
 WORD_FAMILIES = (Family.UD, Family.DOWNUP, Family.UD_LAST_GT_FIRST)
 
+# the default caps of a request that lays each member word and of one that lays
+# none (``_by_size``, ``_by_rank``); no cap lifts the ceiling, which keeps the
+# recursions well under the interpreter's recursion limit
 DEFAULT_CAPS = {family: 11 if family in WORD_FAMILIES else 9 for family in Family}
+COUNTED_CAP = 11
+CAP_CEILING = 200
 
 VERIFY_CAP = 9
 
 def _check_cap(family: Family, n: int, cap: int | None) -> None:
     limit = cap if cap is not None else DEFAULT_CAPS[family]
     if n > limit:
-        raise CapExceeded(
-            f"n={n} exceeds the enumeration cap {limit} for {family.value}"
-        )
+        raise CapExceeded(f"n={n} exceeds the enumeration cap {limit} for {family.value}")
+    if n > CAP_CEILING:
+        raise CapExceeded(f"n={n} exceeds {CAP_CEILING}, which no cap lifts")
     if n < 0:
         raise ValueError("n must be nonnegative")
 
@@ -179,14 +186,66 @@ def distribution(
 ) -> dict[tuple[int, ...], int]:
     """Exact joint distribution of the named statistics, computing no other:
     how many members take each tuple of their values, in the order named.
-    Cycle statistics alone on a cycle family are counted by size
-    (``_by_size``), any other request by tallying member words (``_tally``)."""
-    _check_cap(family, n, cap)
-    if family not in perms._CYCLE_FAMILIES:
-        return _tally(_words(family, n), n, stat_names)
-    if all(name in CYCLE_SHARES for name in stat_names):
-        return _by_size(family, n, stat_names)
-    return _tally(_cycle_members(family, n), n, stat_names)
+    Cycle statistics alone on a cycle family (``_by_size``) and lrm, st and
+    extr alone on ud, downup or all (``_by_rank``) are counted with a default
+    cap of ``COUNTED_CAP``; other requests tally member words (``_tally``)."""
+    cycle_family = family in perms._CYCLE_FAMILIES
+    if family in _RANK_SIDES and set(stat_names) <= {"lrm", "st", "extr"}:
+        counted = _by_rank
+    elif cycle_family and set(stat_names) <= CYCLE_SHARES.keys():
+        counted = _by_size
+    else:
+        _check_cap(family, n, cap)
+        return _tally((_cycle_members if cycle_family else _words)(family, n), n, stat_names)
+    _check_cap(family, n, COUNTED_CAP if cap is None else cap)
+    return counted(family, n, stat_names)
+
+
+# whether w_i may lie below w_{i+1} and whether above it, for i even and odd
+_RANK_SIDES = {
+    Family.UD: ((False, True), (True, False)),
+    Family.DOWNUP: ((True, False), (False, True)),
+    Family.ALL: ((True, True), (True, True)),
+}
+
+
+def _by_rank(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, ...], int]:
+    """lrm, st and extr over ud, downup or all, placing ranks right to left
+    and laying no word.  The i values left when w_i is placed are those of
+    w_1..w_i, so w_i is a left-to-right minimum when it is their lowest, and
+    extreme (i >= 2) when it is their lowest or highest.  st is the pick
+    ``a`` of ``_scan``'s right-to-left pass, which changes, with ``b``, only
+    at a new minimum or maximum of the suffix.  A state is how many values
+    left lie below that minimum, below w_{i+1} and below that maximum, i, a, b."""
+    base = n + 1
+    sides = _RANK_SIDES[family]
+
+    @functools.cache
+    def prefixes(low: int, mid: int, high: int, i: int, a: int, b: int) -> dict[int, int]:
+        """The values lrm + extr * base + st * base ** 2 of w_1..w_i, counted."""
+        if not i:
+            return {a * base * base: 1}
+        below, above = sides[i % 2] if i < n else (True, True)
+        table: Counter = Counter()
+        for r in range(0 if below else mid, i if above else mid):
+            step = (r == 0) + (i > 1 and r in (0, i - 1)) * base
+            new_min, new_max = r < low, r >= high
+            rest = prefixes(
+                min(r, low), r, r if new_max else high - 1, i - 1,
+                1 + b if new_min else a, 1 + a if new_max else b,
+            )
+            for key, count in rest.items():
+                table[key + step] += count
+        return table
+
+    # the empty suffix's minimum lies above every value and its maximum below
+    joint = prefixes(n, 0, 0, n, 0, 0)
+    prefixes.cache_clear()
+    rows: Counter = Counter()
+    for key, count in joint.items():
+        values = {"lrm": key % base, "extr": key // base % base, "st": key // base // base}
+        rows[tuple(values[name] for name in stat_names)] += count
+    return dict(rows)
 
 
 def _by_size(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, ...], int]:

@@ -16,11 +16,20 @@ from cudlab.perms import Family
 
 GOLDEN = Path(__file__).parent / "golden"
 
+
+def _digests(name):
+    """The (digest, argv) pairs of a golden sha256 file."""
+    return [
+        line.split(maxsplit=1)
+        for line in (GOLDEN / name).read_text(encoding="ascii").splitlines()
+    ]
+
+
 # digest and argv of each enumerate request of the benchmark
-ENUMERATE_BENCH = [
-    line.split(maxsplit=1)
-    for line in (GOLDEN / "enumerate_bench.sha256").read_text(encoding="ascii").splitlines()
-]
+ENUMERATE_BENCH = _digests("enumerate_bench.sha256")
+
+# digest and argv of enumerate requests counted over rank states
+ENUMERATE_RANK = _digests("enumerate_rank.sha256")
 
 
 def run(capsys, *argv):
@@ -117,6 +126,47 @@ class TestEnumerate:
         code, out = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "digest, argv", ENUMERATE_RANK, ids=[argv.split()[1] for _, argv in ENUMERATE_RANK]
+    )
+    def test_rank_request_matches_golden_digest(self, capsys, digest, argv):
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("cud --n 11 --stats c_o,c_e", 0),
+            ("all --n 11 --stats lrm,st", 0),
+            ("cud --n 10 --stats c,lrm", 3),
+            ("all --n 10 --stats c", 3),
+        ],
+    )
+    def test_default_cap_follows_the_route(self, capsys, argv, code):
+        # a table counted without laying words defaults to 11, one that lays
+        # them to the family's own cap
+        assert cli.main(["enumerate", *argv.split()]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize("stats", ["lrm", "lrm,c"])
+    @pytest.mark.parametrize("by_env", [False, True])
+    def test_no_cap_lifts_the_ceiling(self, capsys, monkeypatch, stats, by_env):
+        argv = ["enumerate", "ud", "--n", "1100", "--stats", stats]
+        if by_env:
+            monkeypatch.setenv("CUDLAB_CAP", "1100")
+        else:
+            argv += ["--cap", "1100"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(oracle.CAP_CEILING) in captured.err
 
     def test_bad_family(self, capsys):
         assert cli.main(["enumerate", "wat", "--n", "2"]) == 2

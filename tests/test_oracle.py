@@ -217,7 +217,7 @@ class TestLeanDistribution:
         assert sum(table.values()) == euler_numbers(9)[9]
         assert counting.walked == []
 
-    @pytest.mark.parametrize("family", [Family.ALL, Family.UD])
+    @pytest.mark.parametrize("family", [Family.ALL, Family.UD, Family.DOWNUP])
     @pytest.mark.parametrize(
         "names", [("c", "lrm", "st", "extr"), ("lrm", "st", "extr"), ("exc", "ud", "st")]
     )
@@ -231,9 +231,9 @@ def _count_calls(monkeypatch, name, *modules):
     calls = []
     original = getattr(modules[0], name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     for module in modules:
         monkeypatch.setattr(module, name, counting)
@@ -296,12 +296,56 @@ class TestBySize:
         assert oracle._to_poly(table, markers) == expected
 
 
+# every ordered selection of the word statistics, none included, and one
+# repeated name
+_RANK_REQUESTS = [
+    names for k in range(4) for names in itertools.permutations(("lrm", "st", "extr"), k)
+] + [("st", "lrm", "st")]
+
+
+class TestByRank:
+    """lrm, st and extr alone on ud, downup or all are counted over rank
+    states (``oracle._by_rank``), laying no word; a request naming any other
+    statistic tallies the words."""
+
+    @pytest.mark.parametrize(
+        "family, top", [(Family.UD, 10), (Family.DOWNUP, 10), (Family.ALL, 8)]
+    )
+    def test_every_selection_matches_the_tally(self, family, top):
+        for n in range(top + 1):
+            words = list(oracle._words(family, n))
+            for names in _RANK_REQUESTS:
+                expected = oracle._tally(words, n, names)
+                assert oracle._by_rank(family, n, names) == expected, (family, n, names)
+
+    @pytest.mark.parametrize("n", [12, 13])
+    @pytest.mark.parametrize("name", ["lrm", "st", "extr"])
+    def test_past_the_backtracker_matches_the_catalog(self, n, name):
+        table = distribution(Family.UD, n, (name,), cap=n)
+        assert oracle._to_poly(table, ("t",)) == catalog_series(f"ud-{name}", n).egf_term(n)
+
+    @pytest.mark.parametrize("family", [Family.UD, Family.DOWNUP, Family.ALL])
+    def test_a_word_statistic_request_lays_no_word(self, family, monkeypatch):
+        n = 7
+        counting = _CountingItertools()
+        monkeypatch.setattr(oracle, "itertools", counting)
+        built = _count_calls(monkeypatch, "_alternating_words", oracle)
+        scans = _count_calls(monkeypatch, "_scan", oracle, statistics)
+        table = distribution(family, n, ("lrm", "st", "extr"))
+        assert counting.walked == built == scans == []
+        # the stand-ins count: naming c too tallies every word once
+        distribution(family, n, ("lrm", "c"))
+        assert len(scans) == sum(table.values())
+        assert len(counting.walked) + len(built) == 1
+
+
 # what the enumeration side of the oracle runs; none of it may read the
 # series engine or the catalog, which it is checked against
 _ENUMERATION_SIDE = (
     "census",
     "distribution",
     "_by_size",
+    "_by_rank",
     "_tally",
     "_cycle_members",
     "_words",
