@@ -3,7 +3,6 @@ cycle-up-down permutations and their relatives."""
 
 from .catalog import (
     DEFAULT_ORDER_CAP,
-    CapExceeded,
     SEQUENCE_IDS,
     catalog_series,
     exc_polynomial,
@@ -13,6 +12,7 @@ from .catalog import (
     sequence_terms,
 )
 from .perms import (
+    CapExceeded,
     CycleDecomposition,
     DomainError,
     Family,

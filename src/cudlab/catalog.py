@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial, log, sin
 from typing import Callable
 
-from .perms import DomainError, MalformedInput
+from .perms import CapExceeded, DomainError, MalformedInput
 from .series import (
     MPoly,
     Series,
@@ -30,10 +30,6 @@ from .series import (
 )
 
 DEFAULT_ORDER_CAP = 24
-
-
-class CapExceeded(RuntimeError):
-    """A request went past the configured truncation or enumeration cap."""
 
 
 def _t() -> MPoly:
@@ -205,16 +201,15 @@ def sequence_terms(seq_id: str, n_max: int, cap: int = DEFAULT_ORDER_CAP) -> lis
 def exc_polynomial(n: int, cap: int = DEFAULT_ORDER_CAP) -> MPoly:
     """Excedance distribution over CUD permutations of [n], read off the
     odd/even-cycle polynomial through c_o + 2*exc = n."""
-    poly = catalog_series("cud-odd-even", n, cap).egf_term(n)
-    poly = poly.substitute({"t_e": 1})
-    t = MPoly.marker("t")
-    total = MPoly.zero()
-    for mono, coeff in poly.items():
+    counts: dict[tuple, int] = {}
+    for mono, coeff in catalog_series("cud-odd-even", n, cap).egf_term(n).items():
         c_o = dict(mono).get("t_o", 0)
         if (n - c_o) % 2 != 0:
             raise DomainError(f"odd-cycle count {c_o} breaks parity at n={n}")
-        total = total + coeff * t ** ((n - c_o) // 2)
-    return total
+        exc = (n - c_o) // 2
+        key = (("t", exc),) if exc else ()
+        counts[key] = counts.get(key, 0) + coeff
+    return MPoly(counts)
 
 
 def secant_cf_convergent(depth: int, n_max: int) -> Series:

@@ -36,7 +36,6 @@ from typing import NoReturn
 from . import bijections, matchings, oracle
 from .catalog import (
     DEFAULT_ORDER_CAP,
-    CapExceeded,
     SEQUENCE_IDS,
     catalog_markers,
     catalog_offset,
@@ -44,6 +43,7 @@ from .catalog import (
     sequence_terms,
 )
 from .perms import (
+    CapExceeded,
     CycleDecomposition,
     DomainError,
     Family,

@@ -33,6 +33,10 @@ class MalformedInput(ValueError):
     """Data that does not describe a permutation at all."""
 
 
+class CapExceeded(RuntimeError):
+    """A request went past the configured truncation or enumeration cap."""
+
+
 def switched_word(word: Sequence[int]) -> tuple[int, ...]:
     """Replace each entry a_i of the word by a_{n+1-i} (values sorted).
 

@@ -94,31 +94,23 @@ class MPoly:
         """Replace markers by polynomials or scalars; unmentioned markers stay.
 
         Each power of a marker's value is built once, from the power below
-        it, and every term is added into one dict.
+        it, and the terms are summed by one ``_poly_dot``.
         """
         values = {name: MPoly._coerce(v) for name, v in assign.items()}
         # powers[name][e] is the value of the marker raised to e
         powers = {name: [MPoly.one()] for name in values}
-        acc: dict[Monomial, Scalar] = {}
+        triples = []
         for mono, coeff in self._terms.items():
-            term: dict[Monomial, Scalar] = {(): coeff}
+            factor = MPoly.one()
             for name, exp in mono:
                 if name in powers:
                     ladder = powers[name]
                     while len(ladder) <= exp:
                         ladder.append(ladder[-1] * values[name])
-                    factor = ladder[exp]._terms
-                else:
-                    factor = {((name, exp),): 1}
-                product: dict[Monomial, Scalar] = {}
-                for mono_a, ca in term.items():
-                    for mono_b, cb in factor.items():
-                        key = _mono_mul(mono_a, mono_b)
-                        product[key] = product.get(key, 0) + ca * cb
-                term = product
-            for key, value in term.items():
-                acc[key] = acc.get(key, 0) + value
-        return MPoly._of(acc)
+                    factor = factor * ladder[exp]
+            kept = tuple(pair for pair in mono if pair[0] not in powers)
+            triples.append((coeff, MPoly._of({kept: 1}), factor))
+        return _poly_dot(triples)
 
     def __add__(self, other):
         other = MPoly._coerce(other)
@@ -244,12 +236,14 @@ class Series:
     @property
     def coeffs(self) -> tuple:
         """Ordinary coefficients: each term over n!, with ``Fraction`` values."""
-        return tuple(
-            MPoly._of({m: Fraction(c, factorial(n)) for m, c in term._terms.items()})
-            if isinstance(term, MPoly)
-            else Fraction(term, factorial(n))
-            for n, term in enumerate(self.terms)
-        )
+        return tuple(map(self.coefficient, range(len(self.terms))))
+
+    def coefficient(self, n: int):
+        """The ordinary z^n coefficient, the term over n!."""
+        term, scale = self.terms[n], factorial(n)
+        if isinstance(term, MPoly):
+            return MPoly._of({m: Fraction(c, scale) for m, c in term._terms.items()})
+        return Fraction(term, scale)
 
     @property
     def order(self) -> int:
@@ -331,9 +325,6 @@ class Series:
             return self
         return Series.from_egf(c.constant_value() for c in self.terms)
 
-    def coefficient(self, n: int):
-        return self.coeffs[n]
-
     def egf_term(self, n: int):
         """n! times the z^n coefficient."""
         return self.terms[n]
@@ -393,10 +384,6 @@ class Series:
             rest = self._dot((comb(n - 1, k - 1), out[k], b[n - k]) for k in range(1, n))
             out.append(b[n] - rest)
         return Series.from_egf(out)
-
-    def pow_scalar(self, exponent: Scalar) -> "Series":
-        """a^e for a rational e, via exp(e*log(a)); constant term must be 1."""
-        return self.log().scale(Fraction(exponent)).exp()
 
     def pow_marker(self, exponent: MPoly) -> "Series":
         """a^e for a polynomial exponent e; lifts into the polynomial ring."""

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import cudlab
+from cudlab import perms
 from cudlab.catalog import (
     SEQUENCE_IDS,
     CapExceeded,
@@ -98,6 +100,10 @@ class TestSequences:
             catalog_series("euler", 30)
         assert catalog_series("euler", 30, cap=40).egf_int(0) == 1
 
+    def test_cap_exceeded_is_the_perms_exception(self):
+        # both routes raise the one exception type, defined beside the others
+        assert CapExceeded is perms.CapExceeded is cudlab.CapExceeded
+
 
 class TestSpecializations:
     def test_cud_fp_cycles(self):
@@ -149,7 +155,7 @@ class TestExcedancePolynomial:
             scaled = lambda ser: Series(
                 tuple(c * r**k for k, c in enumerate(ser.coeffs))
             )
-            closed = scaled(zigzag_egf_series(order)).pow_scalar(1 / r) * scaled(
+            closed = scaled(zigzag_egf_series(order)).log().scale(1 / r).exp() * scaled(
                 cos_series(order)
             ).reciprocal()
             for n in range(order + 1):

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -415,6 +418,33 @@ class TestDiagram:
 
     def test_missing_out_exits_2(self, capsys):
         assert cli.main(["diagram", "(1,2)"]) == 2
+
+
+def run_module(*argv):
+    """``python -m cudlab`` in a fresh interpreter, as a user runs it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "cudlab", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestModuleEntry:
+    def test_diagram_matches_golden(self, tmp_path):
+        out_path = tmp_path / "fig.svg"
+        result = run_module("diagram", "(1,4,2,6,3,7)(5,8)", "--out", str(out_path))
+        assert result.returncode == 0, result.stderr
+        assert out_path.read_bytes() == (GOLDEN / "example_arc_diagram.svg").read_bytes()
+        assert result.stdout == "red: 1-4 2-6 3-7 5-8 / blue: 1-7 2-4 3-6 5-8\n"
+
+    def test_missing_out_exits_2(self):
+        result = run_module("diagram", "(1,2)")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 class TestOutputFile:

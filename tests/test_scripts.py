@@ -53,10 +53,3 @@ def test_print_paper_tables_exit_codes(args, code):
     assert result.returncode == code, result.stderr
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-
-
-def test_render_figure_matches_golden(tmp_path):
-    out = tmp_path / "figure.svg"
-    result = run_script("render_figure.py", "--out", str(out))
-    assert result.returncode == 0, result.stderr
-    assert out.read_bytes() == (GOLDEN / "example_arc_diagram.svg").read_bytes()

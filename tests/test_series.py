@@ -94,7 +94,7 @@ _REFERENCE_OPS = {
     ),
     "sqrt": (
         1,
-        lambda a, b: a.pow_scalar(Fraction(1, 2)),
+        lambda a, b: a.log().scale(Fraction(1, 2)).exp(),
         lambda a, b: _ref_exp([c * Fraction(1, 2) for c in _ref_log(a)]),
     ),
 }
@@ -260,8 +260,9 @@ class TestMarkedPowers:
 
     def test_pow_scalar_matches_integer_power(self):
         base = one_minus_sin_series(8)
-        assert base.pow_scalar(3) == base * base * base
-        assert base.pow_scalar(Fraction(1, 2)).pow_scalar(2) == base
+        assert base.log().scale(Fraction(3)).exp() == base * base * base
+        root = base.log().scale(Fraction(1, 2)).exp()
+        assert root.log().scale(Fraction(2)).exp() == base
 
     def test_pow_needs_unit_constant_term(self):
         with pytest.raises(DomainError):
