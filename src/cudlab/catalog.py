@@ -198,11 +198,11 @@ def sequence_terms(seq_id: str, n_max: int, cap: int = DEFAULT_ORDER_CAP) -> lis
     return out
 
 
-def exc_polynomial(n: int, cap: int = DEFAULT_ORDER_CAP) -> MPoly:
+def exc_polynomial(n: int) -> MPoly:
     """Excedance distribution over CUD permutations of [n], read off the
     odd/even-cycle polynomial through c_o + 2*exc = n."""
     counts: dict[tuple, int] = {}
-    for mono, coeff in catalog_series("cud-odd-even", n, cap).egf_term(n).items():
+    for mono, coeff in catalog_series("cud-odd-even", n).egf_term(n).items():
         c_o = dict(mono).get("t_o", 0)
         if (n - c_o) % 2 != 0:
             raise DomainError(f"odd-cycle count {c_o} breaks parity at n={n}")

@@ -25,9 +25,9 @@ the checking faces: ``_map_ud_words`` reads those of ``g_even``, ``f_odd``,
 ``phi``, ``jbij`` and their inverses, and the ell check those of ``ell_map``
 and ``ell_inverse``.  No enumeration reads ``series`` or ``catalog``.
 
-``census`` is a flat kernel over plain words: it decomposes each word, tests
-each distinct cycle once for the two cycle shapes, and takes the word
-statistics and ``m_s`` values from one ``statistics._scan``.  It counts stat
+``census`` is a flat kernel over plain words: it decomposes each word, reads
+each distinct cycle once for the two cycle shapes and its excedances, and
+takes the word statistics and ``m_s`` values from one ``statistics._scan``.  It counts stat
 vectors and keeps only member words.  The tests check it against
 ``is_member``, ``stats`` and ``m_s`` over every permutation up to n = 7.
 """
@@ -291,15 +291,14 @@ def _tally(words: Iterable[Sequence[int]], n: int, stat_names: Sequence[str]) ->
         return value
 
     scan = any(name not in CYCLE_SHARES for name in stat_names)
-    ground = tuple(range(1, n + 1))
     tally = Counter(
-        (sum(map(share, _cycles(word))) if named else 0, scan and _scan(word, ground))
+        (sum(map(share, _cycles(word))) if named else 0, scan and _scan(word))
         for word in words
     )
     rows: Counter = Counter()
     for (total, scanned), count in tally.items():
         values = {name: total // place % (n + 1) for name, (place, _) in zip(named, shares)}
-        values["lrm"], values["extr"], _, (values["st"], _, _) = scanned or (0, 0, 0, (0, 0, 0))
+        values["lrm"], values["extr"], (values["st"], _, _) = scanned or (0, 0, (0, 0, 0))
         rows[tuple(values[name] for name in stat_names)] += count
     return dict(rows)
 
@@ -392,31 +391,34 @@ def census(n: int) -> Census:
     words: dict[Family, list] = {family: [] for family in kept}
     word_lists = [(bit[family], words[family]) for family in kept]
     kept_bits = sum(bit[family] for family in kept)
-    ground = tuple(range(1, n + 1))
+    exc_share = CYCLE_SHARES["exc"]
 
-    # a cycle's verdict: the mask of the cycle families admitting it, shifted
-    # left once, with its up-down flag in bit 0; GCUD is tested only when that
-    # is 0.  A cycle on n - 1 or n points fixes the whole permutation, so it
+    # a cycle's verdict: the mask of the cycle families admitting it, its
+    # up-down flag and its excedances; GCUD is tested only when the flag is
+    # 0.  A cycle on n - 1 or n points fixes the whole permutation, so it
     # comes up once and is not kept.
-    verdicts: dict[tuple[int, ...], int] = {}
+    verdicts: dict[tuple[int, ...], tuple[int, int, int]] = {}
     # how many permutations share each (family mask, stat tuple, m_s values)
     tally: dict[tuple, int] = {}
-    for word in itertools.permutations(ground):
+    for word in itertools.permutations(range(1, n + 1)):
         mask = all_cycle_bits
-        c_o = fp = ud = 0
+        c_o = fp = ud = exc = 0
         cycles = _cycles(word)
         for cycle in cycles:
             k = len(cycle)
             verdict = verdicts.get(cycle)
             if verdict is None:
                 if perms.is_up_down_word(cycle):
-                    verdict = ud_masks[k] << 1 | 1
+                    verdict = (ud_masks[k], 1, exc_share(cycle))
                 else:
-                    verdict = gen_masks[k] << 1 if perms.is_gen_up_down_cycle(cycle) else 0
+                    gen = perms.is_gen_up_down_cycle(cycle)
+                    verdict = (gen_masks[k] if gen else 0, 0, exc_share(cycle))
                 if k < n - 1:
                     verdicts[cycle] = verdict
-            mask &= verdict >> 1
-            ud += verdict & 1
+            admits, up_down, ascents = verdict
+            mask &= admits
+            ud += up_down
+            exc += ascents
             c_o += k % 2
             fp += k == 1
         c = len(cycles)
@@ -425,7 +427,7 @@ def census(n: int) -> Census:
         for flag, test in word_tests:
             if test(word):
                 mask |= flag
-        lrm, extr, exc, ms = _scan(word, ground)
+        lrm, extr, ms = _scan(word)
         # st is the m_s of the alternating pattern, the first of _PATTERNS
         sv = (c, c_o, c - c_o, fp, lrm, ms[0], extr, exc, ud, c - ud)
         key = (mask, sv, ms)
@@ -767,7 +769,7 @@ def _map_ud_words(
     kept = [True] * len(maps)
     images: list[list] = [[] for _ in maps]
     for word in words:
-        lrm, extr, _, (st, _, _) = _scan(word, ground)
+        lrm, extr, (st, _, _) = _scan(word)
         for i, (_, forward, inverse, keeps, _) in enumerate(maps):
             cycles = forward(word)
             image = [0] * sum(map(len, cycles))  # image[a - 1] is the image of a
@@ -814,8 +816,7 @@ def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> It
         yield "rotation-count", n, k * len(starts_low), len(produced)
     for cen in censuses[1 : _MAP_CHECK_N + 1]:
         n, s_n = cen.n, cen.words[Family.ALL]
-        ground = tuple(range(1, n + 1))
-        ms_values = [_scan(word, ground)[3] for word in s_n]
+        ms_values = [_scan(word)[2] for word in s_n]
         for i, pattern in enumerate(_PATTERNS):
             images = [bijections.h_map(Permutation._trusted(w), pattern) for w in s_n]
             ok = all(

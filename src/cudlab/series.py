@@ -61,10 +61,6 @@ class MPoly:
         return cls._of({((name, 1),): 1})
 
     @classmethod
-    def zero(cls) -> "MPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "MPoly":
         return cls.constant(1)
 
@@ -86,9 +82,6 @@ class MPoly:
         if not self.is_constant():
             raise DomainError(f"{self} is not constant")
         return self._terms.get((), 0)
-
-    def coefficient(self, mono: Monomial) -> Scalar:
-        return self._terms.get(tuple(sorted(mono)), 0)
 
     def substitute(self, assign: Mapping[str, Union["MPoly", Scalar]]) -> "MPoly":
         """Replace markers by polynomials or scalars; unmentioned markers stay.
@@ -132,9 +125,6 @@ class MPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return MPoly._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = MPoly._coerce(other)
         if other is NotImplemented:
@@ -143,25 +133,11 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise DomainError("polynomial powers take nonnegative integer exponents")
-        result = MPoly.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         other = MPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self):
-        # a constant compares equal to its scalar, so it hashes like it
-        if self.is_constant():
-            return hash(self.constant_value())
-        return hash(tuple(sorted(self._terms.items())))
 
     def __bool__(self):
         return bool(self._terms)
@@ -267,9 +243,6 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
 
     def __repr__(self):
         return f"Series(coeffs={self.coeffs!r})"

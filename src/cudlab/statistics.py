@@ -10,7 +10,7 @@ documentation and 0-based in the code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import gt, lt
+from operator import lt
 from typing import Sequence
 
 from .perms import (
@@ -184,27 +184,26 @@ def stats(p: Permutation) -> StatVector:
     4
     """
     cycles = to_cycles(p).cycles
-    lrm, extr, exc, (st, _, _) = _scan(p.word, p.ground)
+    lrm, extr, (st, _, _) = _scan(p.word)
     c = len(cycles)
     c_o = sum(len(cyc) % 2 for cyc in cycles)
+    exc = sum(map(CYCLE_SHARES["exc"], cycles))
     ud = sum(map(is_up_down_word, cycles))
     fp = sum(len(cyc) == 1 for cyc in cycles)
     return StatVector(c, c_o, c - c_o, fp, lrm, st, extr, exc, ud, c - ud)
 
 
-def _scan(
-    word: Sequence[int], ground: Sequence[int]
-) -> tuple[int, int, int, tuple[int, int, int]]:
-    """``lrm``, ``extr``, ``exc`` and the ``m_s`` of each of ``_PATTERNS`` of a
-    word over the sorted ``ground``.  A left-to-right pass counts running
-    minima and maxima; a right-to-left pass keeps the picks, on the suffix
-    read so far, of the alternating pattern from min (``a``), from max
-    (``b``) and of repeated min (``r``).  They change only at a suffix
-    record, where a pattern whose first letter picks it goes on after it
-    with its other letters.  ``lr_min_positions``, ``extreme_positions`` and
-    ``selection_positions`` are the readable definitions."""
+def _scan(word: Sequence[int]) -> tuple[int, int, tuple[int, int, int]]:
+    """``lrm``, ``extr`` and the ``m_s`` of each of ``_PATTERNS`` of a word.
+    A left-to-right pass counts running minima and maxima; a right-to-left
+    pass keeps the picks, on the suffix read so far, of the alternating
+    pattern from min (``a``), from max (``b``) and of repeated min (``r``).
+    They change only at a suffix record, where a pattern whose first letter
+    picks it goes on after it with its other letters.  ``lr_min_positions``,
+    ``extreme_positions`` and ``selection_positions`` are the readable
+    definitions."""
     if not word:
-        return 0, 0, 0, (0, 0, 0)
+        return 0, 0, (0, 0, 0)
     lo = hi = word[0]
     lrm, extr = 1, 0
     for x in word:
@@ -225,4 +224,4 @@ def _scan(
         elif x > hi:
             hi = x
             b = 1 + a
-    return lrm, extr, sum(map(gt, word, ground)), (a, r, b)
+    return lrm, extr, (a, r, b)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +34,9 @@ ENUMERATE_BENCH = _digests("enumerate_bench.sha256")
 
 # digest and argv of enumerate requests counted over rank states
 ENUMERATE_RANK = _digests("enumerate_rank.sha256")
+
+# digest and argv of seeded Monte Carlo expectations, text and JSON
+EXPECT_MONTECARLO = _digests("expect_montecarlo.sha256")
 
 
 def run(capsys, *argv):
@@ -113,14 +117,12 @@ class TestEnumerate:
         from cudlab.catalog import catalog_series
         from cudlab.series import MPoly
 
-        lrm_poly = MPoly.zero()
-        st_poly = MPoly.zero()
-        t = MPoly.marker("t")
+        lrm_terms, st_terms = Counter(), Counter()
         for row in payload["rows"]:
-            lrm_poly = lrm_poly + row["count"] * t ** row["lrm"]
-            st_poly = st_poly + row["count"] * t ** row["st"]
-        assert lrm_poly == catalog_series("ud-lrm", 4).egf_term(4)
-        assert st_poly == catalog_series("ud-st", 4).egf_term(4)
+            lrm_terms[(("t", row["lrm"]),)] += row["count"]
+            st_terms[(("t", row["st"]),)] += row["count"]
+        assert MPoly(lrm_terms) == catalog_series("ud-lrm", 4).egf_term(4)
+        assert MPoly(st_terms) == catalog_series("ud-st", 4).egf_term(4)
 
     @pytest.mark.parametrize(
         "digest, argv", ENUMERATE_BENCH, ids=[argv.split()[1] for _, argv in ENUMERATE_BENCH]
@@ -354,6 +356,12 @@ class TestExpect:
         _, third = run(capsys, *args, "--seed", "8")
         assert first == second
         assert first != third
+
+    @pytest.mark.parametrize("digest, argv", EXPECT_MONTECARLO, ids=["text", "json"])
+    def test_montecarlo_matches_golden_digest(self, capsys, digest, argv):
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
     def test_unknown_target(self, capsys):
         assert cli.main(["expect", "nope", "--n", "3"]) == 2

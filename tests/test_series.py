@@ -66,7 +66,7 @@ def _ref_log(b):  # the integral of b'/b
 
 _scalars = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
 _polys = st.lists(_scalars, min_size=1, max_size=3).map(
-    lambda cs: sum((c * t**i for i, c in enumerate(cs)), MPoly.zero())
+    lambda cs: MPoly({(("t", i),) if i else (): c for i, c in enumerate(cs)})
 )
 
 
@@ -111,7 +111,7 @@ polys = st.dictionaries(monomials, coefficients, max_size=5).map(MPoly)
 def _substitute_by_repeated_products(poly, assign):
     """The definition of ``MPoly.substitute``: each coefficient times each
     marker's value multiplied in once per unit of its exponent."""
-    total = MPoly.zero()
+    total = MPoly()
     for mono, coeff in poly.items():
         term = MPoly.constant(coeff)
         for name, exp in mono:
@@ -131,13 +131,14 @@ class TestMPoly:
         assert poly.substitute(assign) == _substitute_by_repeated_products(poly, assign)
 
     def test_constant_and_markers(self):
-        assert MPoly.constant(3) + MPoly.constant(-3) == MPoly.zero()
+        assert MPoly.constant(3) + MPoly.constant(-3) == MPoly()
+        assert MPoly.constant(Fraction(4, 2)) == 2
+        assert MPoly.constant(Fraction(3, 7)) == Fraction(3, 7)
         assert (t + 1) * (t - 1) == t * t - 1
-        assert t**3 == t * t * t
-        assert (2 * t).coefficient((("t", 1),)) == 2
+        assert (2 * t).items() == [((("t", 1),), 2)]
 
     def test_substitute(self):
-        p = (t + 1) ** 2
+        p = (t + 1) * (t + 1)
         assert p.substitute({"t": 2}).constant_value() == 9
         u = MPoly.marker("u")
         assert p.substitute({"t": u - 1}) == u * u
@@ -150,13 +151,6 @@ class TestMPoly:
     def test_constant_value_guard(self):
         with pytest.raises(DomainError):
             t.constant_value()
-
-    @pytest.mark.parametrize("value", [0, 1, -4, Fraction(1), Fraction(3, 7)])
-    def test_constant_hashes_like_its_value(self, value):
-        poly = MPoly.constant(value)
-        assert poly == value
-        assert hash(poly) == hash(value)
-        assert len({poly, value}) == 1
 
 
 class TestArithmetic:
@@ -250,7 +244,7 @@ class TestMarkedPowers:
         assert ser.egf_term(2) == t + t * t
 
     def test_power_zero_is_one(self):
-        ser = one_minus_sin_series(5).pow_marker(MPoly.zero())
+        ser = one_minus_sin_series(5).pow_marker(MPoly())
         assert ser == one_series(5).lift()
 
     def test_odd_even_split_at_two(self):

@@ -104,10 +104,9 @@ class TestStatVector:
     @given(general_words)
     def test_scan_matches_the_definitions(self, word):
         p = Permutation(tuple(word))
-        lrm, extr, exc, ms = _scan(p.word, p.ground)
+        lrm, extr, ms = _scan(p.word)
         assert lrm == len(lr_min_positions(p.word))
         assert extr == len(extreme_positions(p.word))
-        assert exc == sum(1 for a, b in p.mapping().items() if b > a)
         assert ms == tuple(len(selection_positions(p.word, pattern)) for pattern in _PATTERNS)
 
     @given(st.permutations(list(range(1, 9))))
