@@ -27,9 +27,10 @@ and ``ell_inverse``.  No enumeration reads ``series`` or ``catalog``.
 
 ``census`` is a flat kernel over plain words: it decomposes each word, reads
 each distinct cycle once for the two cycle shapes and its excedances, and
-takes the word statistics and ``m_s`` values from one ``statistics._scan``.  It counts stat
-vectors and keeps only member words.  The tests check it against
-``is_member``, ``stats`` and ``m_s`` over every permutation up to n = 7.
+takes the word statistics and ``m_s`` values from one ``statistics._scan``.  It
+counts permutations in one tally by family mask and values (``Census``) and
+keeps only member words.  The tests check it against ``is_member``, ``stats``
+and ``m_s`` over every permutation up to n = 7.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ from .series import (
 )
 from .statistics import (
     CYCLE_SHARES,
-    StatVector,
+    STAT_NAMES,
     _PATTERNS,
     _scan,
     extreme_positions,
@@ -73,13 +74,11 @@ from .statistics import (
 WORD_FAMILIES = (Family.UD, Family.DOWNUP, Family.UD_LAST_GT_FIRST)
 
 # the default caps of a request that lays each member word and of one that lays
-# none (``_by_size``, ``_by_rank``); no cap lifts the ceiling, which keeps the
-# recursions well under the interpreter's recursion limit
+# none (``_by_size``, ``_by_rank``); that of all is verify_all's too.  No cap
+# lifts the ceiling, which keeps the recursions well under the recursion limit
 DEFAULT_CAPS = {family: 11 if family in WORD_FAMILIES else 9 for family in Family}
 COUNTED_CAP = 11
 CAP_CEILING = 200
-
-VERIFY_CAP = 9
 
 def _check_cap(family: Family, n: int, cap: int | None) -> None:
     limit = cap if cap is not None else DEFAULT_CAPS[family]
@@ -339,13 +338,20 @@ _MEMBER_FAMILIES = (
 _MAP_CHECK_N = 6
 
 
+# a census tally's values, the statistics then the m_s of each pattern, and
+# each family's bit in its family masks
+_COLUMNS = STAT_NAMES + tuple(map(str, _PATTERNS))
+_BIT = {family: 1 << i for i, family in enumerate(Family)}
+
+
 @dataclass
 class Census:
     """One walk of S_n, in lexicographic order.
 
-    ``stat_counts[family]`` counts the stat vectors of the family's members,
-    keyed in order of first appearance.  ``ms_counts`` counts the values of
-    ``m_s`` over S_n, one counter per pattern of ``_PATTERNS``.  ``words``
+    ``tally`` counts the permutations by (family mask, values), keyed in the
+    order the walk first meets them: the mask has the ``_BIT`` of every
+    family the permutation is in, and the values are its ``_COLUMNS``.
+    ``count`` and ``distribution`` are the only ways to read it.  ``words``
     keeps the member words, in lexicographic order, only for the families
     whose checks visit them one by one (``_MEMBER_FAMILIES``); a check that
     needs one member's statistics scans its word, and one that hands a member
@@ -353,19 +359,24 @@ class Census:
     """
 
     n: int
-    stat_counts: dict[Family, Counter]
-    ms_counts: tuple[Counter, ...]
+    tally: dict[tuple[int, tuple[int, ...]], int]
     words: dict[Family, list[tuple[int, ...]]]
 
     def count(self, family: Family) -> int:
-        return sum(self.stat_counts[family].values())
+        flag = _BIT[family]
+        return sum(count for (mask, _), count in self.tally.items() if mask & flag)
 
-    def distribution(self, family: Family, stat_names: Sequence[str]) -> dict[tuple, int]:
-        """The dict ``distribution(family, n, stat_names)`` gives."""
-        rows: Counter = Counter()
-        for sv, count in self.stat_counts[family].items():
-            rows[tuple(getattr(sv, name) for name in stat_names)] += count
-        return dict(rows)
+    def distribution(self, family: Family, names: Sequence[str]) -> dict[tuple, int]:
+        """The dict ``distribution(family, n, names)`` gives, where each name
+        is a column of ``_COLUMNS``; keys come in walk order."""
+        flag = _BIT[family]
+        columns = [_COLUMNS.index(name) for name in names]
+        rows: dict[tuple, int] = {}
+        for (mask, values), count in self.tally.items():
+            if mask & flag:
+                key = tuple(values[i] for i in columns)
+                rows[key] = rows.get(key, 0) + count
+        return rows
 
 
 def census(n: int) -> Census:
@@ -374,23 +385,21 @@ def census(n: int) -> Census:
     their family masks), and in a single-cycle family only with one cycle;
     its word statistics and ``m_s`` values come from ``statistics._scan``."""
     _check_cap(Family.ALL, n, None)
-    families = list(perms._WORD_TESTS) + list(perms._CYCLE_FAMILIES)
-    bit = {family: 1 << i for i, family in enumerate(families)}
-    word_tests = [(bit[family], test) for family, test in perms._WORD_TESTS.items()]
+    word_tests = [(_BIT[family], test) for family, test in perms._WORD_TESTS.items()]
     # by length, the cycle families admitting an up-down cycle (it has both
     # shapes) and those admitting a cycle of the GCUD shape alone
     ud_masks, gen_masks = [0] * (n + 1), [0] * (n + 1)
     for family, (shape, lengths, _) in perms._CYCLE_FAMILIES.items():
         for k in filter(lengths, range(1, n + 1)):
-            ud_masks[k] |= bit[family]
+            ud_masks[k] |= _BIT[family]
             if shape is perms.is_gen_up_down_cycle:
-                gen_masks[k] |= bit[family]
-    all_cycle_bits = sum(bit[family] for family in perms._CYCLE_FAMILIES)
-    single_bits = sum(bit[f] for f, (_, _, single) in perms._CYCLE_FAMILIES.items() if single)
+                gen_masks[k] |= _BIT[family]
+    all_cycle_bits = sum(_BIT[family] for family in perms._CYCLE_FAMILIES)
+    single_bits = sum(_BIT[f] for f, (_, _, single) in perms._CYCLE_FAMILIES.items() if single)
     kept = _MEMBER_FAMILIES + ((Family.ALL,) if n <= _MAP_CHECK_N else ())
     words: dict[Family, list] = {family: [] for family in kept}
-    word_lists = [(bit[family], words[family]) for family in kept]
-    kept_bits = sum(bit[family] for family in kept)
+    word_lists = [(_BIT[family], words[family]) for family in kept]
+    kept_bits = sum(_BIT[family] for family in kept)
     exc_share = CYCLE_SHARES["exc"]
 
     # a cycle's verdict: the mask of the cycle families admitting it, its
@@ -398,7 +407,6 @@ def census(n: int) -> Census:
     # 0.  A cycle on n - 1 or n points fixes the whole permutation, so it
     # comes up once and is not kept.
     verdicts: dict[tuple[int, ...], tuple[int, int, int]] = {}
-    # how many permutations share each (family mask, stat tuple, m_s values)
     tally: dict[tuple, int] = {}
     for word in itertools.permutations(range(1, n + 1)):
         mask = all_cycle_bits
@@ -429,26 +437,14 @@ def census(n: int) -> Census:
                 mask |= flag
         lrm, extr, ms = _scan(word)
         # st is the m_s of the alternating pattern, the first of _PATTERNS
-        sv = (c, c_o, c - c_o, fp, lrm, ms[0], extr, exc, ud, c - ud)
-        key = (mask, sv, ms)
+        key = (mask, (c, c_o, c - c_o, fp, lrm, ms[0], extr, exc, ud, c - ud, *ms))
         tally[key] = tally.get(key, 0) + 1
         if mask & kept_bits:
             for flag, members in word_lists:
                 if mask & flag:
                     members.append(word)
 
-    # tally keeps first appearances in walk order, and so do the counters
-    stat_counts: dict[Family, Counter] = {family: Counter() for family in Family}
-    counters = [(bit[family], stat_counts[family]) for family in families]
-    ms_counts = tuple(Counter() for _ in _PATTERNS)
-    for (mask, sv, ms), count in tally.items():
-        vector = StatVector(*sv)
-        for flag, counter in counters:
-            if mask & flag:
-                counter[vector] += count
-        for counter, value in zip(ms_counts, ms):
-            counter[value] += count
-    return Census(n, stat_counts, ms_counts, words)
+    return Census(n, tally, words)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +471,9 @@ def verify_all(n_cap: int = 7, euler_fn=euler_numbers) -> list[dict]:
     ``euler_fn`` exists for fault injection in tests; the default is the
     boustrophedon recurrence.
     """
-    if n_cap > VERIFY_CAP:
-        raise perms.CapExceeded(f"verification cap is {VERIFY_CAP}, got {n_cap}")
+    cap = DEFAULT_CAPS[Family.ALL]  # that of the census
+    if n_cap > cap:
+        raise perms.CapExceeded(f"verification cap is {cap}, got {n_cap}")
     if n_cap < 1:
         raise ValueError("n_cap must be at least 1")
     eul = euler_fn(max(21, 2 * n_cap + 8))
@@ -497,7 +494,7 @@ def verify_all(n_cap: int = 7, euler_fn=euler_numbers) -> list[dict]:
 
 
 # the sizes a check runs at, tests of n rather than ranges, so that they
-# follow VERIFY_CAP when it is raised after import
+# follow DEFAULT_CAPS[Family.ALL] when it is raised after import
 _EVERY_N, _FROM_1 = (lambda n: True), (lambda n: n >= 1)
 _EVEN, _EVEN_FROM_2 = (lambda n: n % 2 == 0), (lambda n: n >= 2 and n % 2 == 0)
 
@@ -668,6 +665,12 @@ _MARKED_TABLES = (
 )
 
 
+# the Stirling rows over S_n: check name, census column
+_STIRLING_ROWS = [(f"dist-{name}-stirling", name) for name in ("st", "lrm", "c")] + [
+    (f"dist-ms-stirling[{column}]", column) for column in _COLUMNS[len(STAT_NAMES) :]
+]
+
+
 def _verify_distributions(
     censuses: list[Census], eul: list[int], order: int
 ) -> Iterator[tuple]:
@@ -684,16 +687,9 @@ def _verify_distributions(
     for cen in censuses[1:]:
         n = cen.n
         stirling_row = {k: stirling_c(n, k) for k in range(1, n + 1) if stirling_c(n, k)}
-        for stat in ("st", "lrm", "c"):
-            table = cen.distribution(Family.ALL, (stat,))
-            yield (
-                f"dist-{stat}-stirling",
-                n,
-                stirling_row,
-                {k: v for (k,), v in sorted(table.items())},
-            )
-        for pattern, counts in zip(_PATTERNS, cen.ms_counts):
-            yield f"dist-ms-stirling[{pattern}]", n, stirling_row, dict(sorted(counts.items()))
+        for check, column in _STIRLING_ROWS:
+            table = cen.distribution(Family.ALL, (column,))
+            yield check, n, stirling_row, {k: v for (k,), v in sorted(table.items())}
         extr_expected = {
             k: (2**k) * stirling_c(n - 1, k)
             for k in range(1, n)
@@ -713,14 +709,10 @@ def _verify_distributions(
             sum(v for (k,), v in table.items() if k == 0),
         )
     for n, cen in enumerate(censuses):
-        cud_stats = list(cen.stat_counts[Family.CUD].elements())
-        yield (
-            "exc-parity-relation",
-            n,
-            [n] * len(cud_stats),
-            [sv.c_o + 2 * sv.exc for sv in cud_stats],
-        )
-        exc_counts = dict(Counter(sv.exc for sv in cud_stats))
+        # (c_o, exc) once per member, keys in walk order
+        cud = list(Counter(cen.distribution(Family.CUD, ("c_o", "exc"))).elements())
+        yield "exc-parity-relation", n, [n] * len(cud), [c_o + 2 * exc for c_o, exc in cud]
+        exc_counts = dict(Counter(exc for _, exc in cud))
         poly = exc_polynomial(n)
         yield (
             "exc-poly-vs-oracle",
@@ -800,13 +792,9 @@ def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> It
             images.sort()
             yield f"bij-{tag}-image", n, cen.words[Family.CUD], images
     for cen in censuses[1:]:
-        ud_stats = list(cen.stat_counts[Family.UD].elements())
-        yield (
-            "equidist-extr-vs-lrm-st",
-            cen.n,
-            sorted(sv.extr for sv in ud_stats),
-            sorted(sv.lrm + sv.st - 2 for sv in ud_stats),
-        )
+        ud = list(Counter(cen.distribution(Family.UD, ("extr", "lrm", "st"))).elements())
+        extr, lrm_st = sorted(e for e, _, _ in ud), sorted(lrm + st - 2 for _, lrm, st in ud)
+        yield "equidist-extr-vs-lrm-st", cen.n, extr, lrm_st
     for cen in censuses[2::2]:
         n, k = cen.n, cen.n // 2
         starts_low = [Permutation._trusted(w) for w in cen.words[Family.UD] if w[0] == 1]
@@ -865,11 +853,10 @@ def _verify_expectations(
             no_ud_cycles_count(n),
         )
     for cen in censuses[1:]:
-        n, counts = cen.n, cen.stat_counts[Family.ALL]
-        total = sum(sv.ud * count for sv, count in counts.items())
-        no_ud = sum(count for sv, count in counts.items() if sv.ud == 0)
+        n, table = cen.n, cen.distribution(Family.ALL, ("ud",))
+        total = sum(ud * count for (ud,), count in table.items())
         yield "expected-ud-vs-oracle", n, expected_ud_cycles(n), Fraction(total, factorial(n))
-        yield "r-count-oracle", n, no_ud_cycles_count(n), no_ud
+        yield "r-count-oracle", n, no_ud_cycles_count(n), table.get((0,), 0)
 
 
 # every phase takes (censuses, Euler numbers, series order); the report lists

@@ -296,19 +296,24 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
-    def test_cap_exceeded_exits_3(self, capsys):
-        assert cli.main(["verify", "--n", "12"]) == 3
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_cap_exceeded_exits_3(self, capsys, monkeypatch, n):
+        # the cap is the census's own, and it refuses before any walk
+        monkeypatch.setattr(oracle, "census", lambda _: pytest.fail("walked S_n"))
+        assert cli.main(["verify", "--n", str(n)]) == 3
+        assert capsys.readouterr().err == f"error: verification cap is 9, got {n}\n"
 
     def test_json_report_matches_golden(self, capsys):
         code, out = run(capsys, "verify", "--n", "5", "--json")
         assert code == 0
         assert out.encode("ascii") == (GOLDEN / "verify_n5.json").read_bytes()
 
-    def test_json_report_at_7_matches_golden_digest(self, capsys):
-        code, out = run(capsys, "verify", "--n", "7", "--json")
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_json_report_at_7_matches_golden_digest(self, capsys, n):
+        code, out = run(capsys, "verify", "--n", str(n), "--json")
         assert code == 0
         digest = hashlib.sha256(out.encode("ascii")).hexdigest()
-        assert digest == (GOLDEN / "verify_n7.sha256").read_text(encoding="ascii").strip()
+        assert digest == (GOLDEN / f"verify_n{n}.sha256").read_text(encoding="ascii").strip()
 
 
 class TestExpect:

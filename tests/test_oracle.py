@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import inspect
 import itertools
 import json
@@ -410,33 +409,31 @@ def _reference_census(n):
     """``census(n)`` from the public definitions: ``is_member`` for every
     family, ``stats`` and ``m_s`` of every permutation of S_n."""
     kept = oracle._MEMBER_FAMILIES + ((Family.ALL,) if n <= oracle._MAP_CHECK_N else ())
-    stat_counts = {family: Counter() for family in Family}
-    ms_counts = tuple(Counter() for _ in oracle._PATTERNS)
+    tally = {}
     words = {family: [] for family in kept}
     for word in itertools.permutations(range(1, n + 1)):
         p = Permutation(word)
+        families = [family for family in Family if is_member(p, family)]
         sv = stats(p)
-        ms = tuple(m_s(p, pattern) for pattern in oracle._PATTERNS)
-        for counter, value in zip(ms_counts, ms):
-            counter[value] += 1
-        for family in Family:
-            if is_member(p, family):
-                stat_counts[family][sv] += 1
-                if family in words:
-                    words[family].append(word)
-    return Census(n, stat_counts, ms_counts, words)
+        values = tuple(getattr(sv, name) for name in STAT_NAMES) + tuple(
+            m_s(p, pattern) for pattern in oracle._PATTERNS
+        )
+        key = (sum(oracle._BIT[family] for family in families), values)
+        tally[key] = tally.get(key, 0) + 1
+        for family in families:
+            if family in words:
+                words[family].append(word)
+    return Census(n, tally, words)
 
 
 class TestCensus:
     @pytest.mark.parametrize("n", range(8))
     def test_kernel_matches_the_public_definitions(self, n):
         cen, ref = census(n), _reference_census(n)
-        # every family's counts, all three m_s patterns, and the words in order
+        # family membership, the statistics and m_s jointly, and the words in order
         assert cen == ref
-        for family in Family:
-            # keyed in order of first appearance, as the walk meets them
-            assert list(cen.stat_counts[family]) == list(ref.stat_counts[family])
-        assert [list(c) for c in cen.ms_counts] == [list(c) for c in ref.ms_counts]
+        # keyed in order of first appearance, as the walk meets them
+        assert list(cen.tally) == list(ref.tally)
 
     def test_verify_walks_each_s_n_once(self, monkeypatch):
         counting = _CountingItertools()
@@ -508,21 +505,40 @@ class TestVerifyAll:
         assert "euler-boustrophedon-vs-series" in failing
 
     def test_checks_reading_the_counters_catch_a_wrong_vector(self, monkeypatch):
-        # one CUD vector with exc off by one and one UD vector with extr off
-        # by one, at n = 5, where the checks read the census counters
+        # at n = 5, one member of the family moves from the first tally entry
+        # with the least value in the column to that entry with the value one
+        # higher: a CUD member's exc, a UD member's extr, and a permutation's
+        # ud (from 0, so that r-count sees it) and m_s of repeated min
+        wrong = (
+            (Family.CUD, "exc"),
+            (Family.UD, "extr"),
+            (Family.ALL, "ud"),
+            (Family.ALL, "min,..."),
+        )
+
         def corrupted(n):
             cen = census(n)
-            if n == 5:
-                for family, field in ((Family.CUD, "exc"), (Family.UD, "extr")):
-                    counts = cen.stat_counts[family]
-                    sv = next(iter(counts))
-                    counts[sv] -= 1
-                    counts[dataclasses.replace(sv, **{field: getattr(sv, field) + 1})] += 1
+            for family, column in wrong if n == 5 else ():
+                i, flag = oracle._COLUMNS.index(column), oracle._BIT[family]
+                mask, values = key = min(
+                    (key for key, count in cen.tally.items() if key[0] & flag and count),
+                    key=lambda key: key[1][i],
+                )
+                cen.tally[key] -= 1
+                moved = (mask, values[:i] + (values[i] + 1,) + values[i + 1 :])
+                cen.tally[moved] = cen.tally.get(moved, 0) + 1
             return cen
 
         monkeypatch.setattr(oracle, "census", corrupted)
         failing = {(e["check"], e["n"]) for e in verify_all(5) if not e["pass"]}
-        for check in ("exc-parity-relation", "exc-poly-vs-oracle", "equidist-extr-vs-lrm-st"):
+        for check in (
+            "exc-parity-relation",
+            "exc-poly-vs-oracle",
+            "equidist-extr-vs-lrm-st",
+            "expected-ud-vs-oracle",
+            "r-count-oracle",
+            "dist-ms-stirling[min,...]",
+        ):
             assert (check, 5) in failing
 
     def test_cap_guard(self):
@@ -532,10 +548,7 @@ class TestVerifyAll:
     def test_count_rows_follow_the_sizes_given(self):
         # the sizes are tests of n, so a raised cap gets the count rows at the
         # new n; every count check runs at an even n >= 2 such as 10
-        empty = [
-            Census(n, {family: Counter() for family in Family}, (), {Family.UD: [], Family.CUD: []})
-            for n in range(11)
-        ]
+        empty = [Census(n, {}, {Family.UD: [], Family.CUD: []}) for n in range(11)]
         rows = oracle._verify_counts(empty, euler_numbers(12), 20)
         assert {check for check, n, *_ in rows if n == 10} == {
             check for check, *_ in oracle._COUNT_CHECKS
