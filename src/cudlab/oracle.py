@@ -11,9 +11,13 @@ computes only the named statistics.  A member of a cycle family is a set of
 admissible cycles, so cycle statistics alone are counted by size, by the
 exponential formula over the family's cycle patterns (``_by_size``), and lrm,
 st and extr alone on ud, downup or all over the ranks of a word placed right
-to left (``_by_rank``); every other request tallies member words one by one
-(``_tally``), the plain words of ``_words`` or those ``_cycle_members`` lays
-cycle by cycle.  A distribution is a plain dict from value tuples to counts.
+to left (``_by_rank``).  Every other request on ud, downup or all is tallied
+by one walk that places w_n, ..., w_1, shares each placed end among the words
+that have it and closes cycles as it places entries (``_walk``); the rest,
+ud-last-gt-first and a cycle family with a word statistic, tally member words
+one by one (``_tally``), the plain words of ``_words`` or those
+``_cycle_members`` lays cycle by cycle.  A distribution is a plain dict from
+value tuples to counts.
 ``verify_all`` walks each S_n once, through ``census``, and returns a
 machine-readable report; any failing row is a bug somewhere, by design with
 no tolerance.
@@ -30,12 +34,16 @@ each distinct cycle once for the two cycle shapes and its excedances, and
 takes the word statistics and ``m_s`` values from one ``statistics._scan``.  It
 counts permutations in one tally by family mask and values (``Census``) and
 keeps only member words.  The tests check it against ``is_member``, ``stats``
-and ``m_s`` over every permutation up to n = 7.
+and ``m_s`` over every permutation up to n = 7.  It keeps its own
+lexicographic walk of S_n, apart from ``_walk``: it is the reference the walk
+is tested against, and the verify report lists some of its tables in walk
+order.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,9 +81,10 @@ from .statistics import (
 
 WORD_FAMILIES = (Family.UD, Family.DOWNUP, Family.UD_LAST_GT_FIRST)
 
-# the default caps of a request that lays each member word and of one that lays
-# none (``_by_size``, ``_by_rank``); that of all is verify_all's too.  No cap
-# lifts the ceiling, which keeps the recursions well under the recursion limit
+# the default caps of a request that visits each member word (``_walk``,
+# ``_tally``) and of one that visits none (``_by_size``, ``_by_rank``); that of
+# all is verify_all's too.  No cap lifts the ceiling, which keeps the
+# recursions well under the recursion limit
 DEFAULT_CAPS = {family: 11 if family in WORD_FAMILIES else 9 for family in Family}
 COUNTED_CAP = 11
 CAP_CEILING = 200
@@ -186,7 +195,9 @@ def distribution(
     how many members take each tuple of their values, in the order named.
     Cycle statistics alone on a cycle family (``_by_size``) and lrm, st and
     extr alone on ud, downup or all (``_by_rank``) are counted with a default
-    cap of ``COUNTED_CAP``; other requests tally member words (``_tally``)."""
+    cap of ``COUNTED_CAP``.  Other requests visit every member word under the
+    family's ``DEFAULT_CAPS``: on ud, downup or all in one walk (``_walk``),
+    and elsewhere one by one (``_tally``)."""
     cycle_family = family in perms._CYCLE_FAMILIES
     if family in _RANK_SIDES and set(stat_names) <= {"lrm", "st", "extr"}:
         counted = _by_rank
@@ -194,6 +205,8 @@ def distribution(
         counted = _by_size
     else:
         _check_cap(family, n, cap)
+        if family in _RANK_SIDES:
+            return _walk(family, n, stat_names)
         return _tally((_cycle_members if cycle_family else _words)(family, n), n, stat_names)
     _check_cap(family, n, COUNTED_CAP if cap is None else cap)
     return counted(family, n, stat_names)
@@ -244,6 +257,126 @@ def _by_rank(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[in
         values = {"lrm": key % base, "extr": key // base % base, "st": key // base // base}
         rows[tuple(values[name] for name in stat_names)] += count
     return dict(rows)
+
+
+def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, ...], int]:
+    """Any statistics over ud, downup or all, in one walk that places w_n,
+    w_{n-1}, ..., w_1, so that words which end alike share the work of that
+    end.  Each entry adds to the named statistics as it is placed: lrm and
+    extr by its rank among the values left (as in ``_by_rank``), st by
+    ``_scan``'s right-to-left picks ``a`` and ``b``, and exc when w_i > i.
+    The placed entries make open paths and closed cycles.  The open paths
+    are kept by their ends, so placing i -> w_i merges two paths in O(1), or
+    closes one into a cycle that adds its share of c, c_o, c_e and fp, and
+    of ud or nud by a walk of the cycle, its verdict cached.  w_1 is forced
+    and placed inline.  A word's values are one int of base-(n + 1) digits,
+    one digit per name."""
+    base = n + 1
+    place = {name: base**i for i, name in enumerate(dict.fromkeys(stat_names))}
+    lrm, extr, exc, st, ud, nud = (
+        place.get(name, 0) for name in ("lrm", "extr", "exc", "st", "ud", "nud")
+    )
+    # the share of c, c_o, c_e and fp of a cycle on k points
+    closed = [
+        sum(
+            place.get(name, 0) * CYCLE_SHARES[name](range(k))
+            for name in ("c", "c_o", "c_e", "fp")
+        )
+        for k in range(base)
+    ]
+    sides = _RANK_SIDES[family]
+    first_sides = sides[1]  # those of w_1 against w_2
+    remaining = list(range(1, base))  # the values not yet placed, sorted
+    word = [0] * base
+    # an open path runs from head[t] to its tail t, and from h to tail[h];
+    # size[h] counts its points.  Each point starts as a path of its own
+    head, tail, size = list(range(base)), list(range(base)), [1] * base
+    # the ud or nud share of a cycle by its canonical form; one on n - 1 or n
+    # points fixes its word, so it comes up once: not kept
+    known: dict[tuple[int, ...], int] = {}
+
+    def ud_share(i: int) -> int:
+        """That of the cycle closed by placing w_i: its least point is i, as
+        the points are placed in decreasing order, so it is read from i."""
+        cycle, x = [i], word[i]
+        while x != i:
+            cycle.append(x)
+            x = word[x]
+        cycle = tuple(cycle)
+        share = known.get(cycle)
+        if share is None:
+            share = ud if perms.is_up_down_word(cycle) else nud
+            if len(cycle) < n - 1:
+                known[cycle] = share
+        return share
+
+    tally: dict[int, int] = {}
+
+    def walk(i: int, key: int, lo: int, hi: int, a: int, b: int) -> None:
+        """Place w_i, with the i values left in ``remaining``, lo and hi the
+        least and largest of w_{i+1}..w_n and a and b their picks."""
+        below, above = sides[i % 2] if i < n else (True, True)
+        if below and above:
+            choices = range(i)
+        else:
+            cut = bisect(remaining, word[i + 1])
+            choices = range(cut) if below else range(cut, i)
+        low_step = lrm + extr if i > 1 else lrm
+        for r in choices:
+            v = remaining[r]
+            k = key + (low_step if not r else extr if r == i - 1 else 0)
+            if v > i:
+                k += exc
+            word[i] = v
+            h = head[i]
+            if h == v:  # the path from v ends at i, so i -> v closes it
+                k += closed[size[v]]
+                if ud or nud:
+                    k += ud_share(i)
+            else:
+                t = tail[v]
+                tail[h], head[t] = t, h
+                size[h] += size[v]
+            if v < lo:
+                new_lo, new_a = v, 1 + b
+            else:
+                new_lo, new_a = lo, a
+            if v > hi:
+                new_hi, new_b = v, 1 + a
+            else:
+                new_hi, new_b = hi, b
+            if i > 2:
+                del remaining[r]
+                walk(i - 1, k, new_lo, new_hi, new_a, new_b)
+                remaining.insert(r, v)
+            elif i == 2:
+                # w_1 = u, if it may lie on its side of w_2: the least of one
+                # value, it closes the last open path, from u to 1
+                u = word[1] = remaining[1 - r]
+                if first_sides[u > v]:
+                    k += lrm + closed[size[u]]
+                    if u > 1:
+                        k += exc
+                    if ud or nud:
+                        k += ud_share(1)
+                    k += st * (1 + new_b if u < new_lo else new_a)
+                    tally[k] = tally.get(k, 0) + 1
+            else:  # n = 1, and w_1 was the one entry
+                k += st * new_a
+                tally[k] = tally.get(k, 0) + 1
+            if h != v:
+                tail[h], head[t] = i, v
+                size[h] -= size[v]
+
+    if n:
+        # the empty suffix's least value lies above every value and its largest below
+        walk(n, 0, base, 0, 0, 0)
+    else:
+        tally[0] = 1
+    return {
+        tuple(key // place[name] % base for name in stat_names): count
+        for key, count in tally.items()
+    }
 
 
 def _by_size(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, ...], int]:
@@ -351,7 +484,8 @@ class Census:
     ``tally`` counts the permutations by (family mask, values), keyed in the
     order the walk first meets them: the mask has the ``_BIT`` of every
     family the permutation is in, and the values are its ``_COLUMNS``.
-    ``count`` and ``distribution`` are the only ways to read it.  ``words``
+    ``count`` and ``distribution`` are the only ways to read it; the first
+    ``count`` sums the tally for every family in one pass.  ``words``
     keeps the member words, in lexicographic order, only for the families
     whose checks visit them one by one (``_MEMBER_FAMILIES``); a check that
     needs one member's statistics scans its word, and one that hands a member
@@ -363,8 +497,18 @@ class Census:
     words: dict[Family, list[tuple[int, ...]]]
 
     def count(self, family: Family) -> int:
-        flag = _BIT[family]
-        return sum(count for (mask, _), count in self.tally.items() if mask & flag)
+        return self._counts[family]
+
+    @functools.cached_property
+    def _counts(self) -> dict[Family, int]:
+        """Every family's count: the tally summed by mask, then the masks by bit."""
+        by_mask: Counter = Counter()
+        for (mask, _), count in self.tally.items():
+            by_mask[mask] += count
+        return {
+            family: sum(count for mask, count in by_mask.items() if mask & flag)
+            for family, flag in _BIT.items()
+        }
 
     def distribution(self, family: Family, names: Sequence[str]) -> dict[tuple, int]:
         """The dict ``distribution(family, n, names)`` gives, where each name

@@ -35,6 +35,9 @@ ENUMERATE_BENCH = _digests("enumerate_bench.sha256")
 # digest and argv of enumerate requests counted over rank states
 ENUMERATE_RANK = _digests("enumerate_rank.sha256")
 
+# digest and argv of enumerate requests tallied by the prefix-sharing walk
+ENUMERATE_WALK = _digests("enumerate_walk.sha256")
+
 # digest and argv of seeded Monte Carlo expectations, text and JSON
 EXPECT_MONTECARLO = _digests("expect_montecarlo.sha256")
 
@@ -136,6 +139,16 @@ class TestEnumerate:
         "digest, argv", ENUMERATE_RANK, ids=[argv.split()[1] for _, argv in ENUMERATE_RANK]
     )
     def test_rank_request_matches_golden_digest(self, capsys, digest, argv):
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "digest, argv",
+        ENUMERATE_WALK,
+        ids=["-".join(argv.split()[1:4:2]) for _, argv in ENUMERATE_WALK],
+    )
+    def test_walk_request_matches_golden_digest(self, capsys, digest, argv):
         code, out = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest

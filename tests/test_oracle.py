@@ -180,8 +180,13 @@ class TestLeanDistribution:
         to_cycles = _count_calls(monkeypatch, "to_cycles", perms, statistics)
         distribution(Family.UD, n, ("lrm",))
         assert decomposed == [] and to_cycles == []
-        # the stand-in counts: a cycle statistic decomposes each word once
-        distribution(Family.UD, n, ("lrm", "c"))
+        # naming a cycle statistic too decomposes no word: the walk closes
+        # each cycle as it places the entries
+        table = distribution(Family.UD, n, ("lrm", "c"))
+        assert sum(table.values()) == euler_numbers(n)[n]
+        assert decomposed == [] and to_cycles == []
+        # the stand-in counts: the word tally decomposes each word once
+        oracle._tally(oracle._words(Family.UD, n), n, ("lrm", "c"))
         assert len(decomposed) == euler_numbers(n)[n] and to_cycles == []
 
     def test_a_cycle_statistic_scans_no_word(self, monkeypatch):
@@ -197,6 +202,8 @@ class TestLeanDistribution:
         counting = _CountingItertools()
         monkeypatch.setattr(oracle, "itertools", counting)
         members = _count_calls(monkeypatch, "is_member", perms, oracle)
+        decomposed = _count_calls(monkeypatch, "_cycles", oracle)
+        scans = _count_calls(monkeypatch, "_scan", oracle, statistics)
         built = []
         trusted = Permutation._trusted
 
@@ -205,9 +212,15 @@ class TestLeanDistribution:
             return trusted(word)
 
         monkeypatch.setattr(Permutation, "_trusted", classmethod(counting_trusted))
+        # the walk places each word's entries itself: no S_n walk, no
+        # decomposition, no scan, no Permutation and no membership test
         table = distribution(Family.ALL, 7, ("c", "lrm"))
         assert sum(table.values()) == 5040
-        assert counting.walked == [7] and members == [] and built == []
+        assert counting.walked == members == decomposed == scans == built == []
+        # the stand-ins count: the word tally walks S_7 once and decomposes
+        # and scans each word once
+        oracle._tally(oracle._words(Family.ALL, 7), 7, ("c", "lrm"))
+        assert counting.walked == [7] and len(decomposed) == len(scans) == 5040
 
     def test_a_word_family_walks_no_s_n(self, monkeypatch):
         counting = _CountingItertools()
@@ -332,10 +345,34 @@ class TestByRank:
         scans = _count_calls(monkeypatch, "_scan", oracle, statistics)
         table = distribution(family, n, ("lrm", "st", "extr"))
         assert counting.walked == built == scans == []
-        # the stand-ins count: naming c too tallies every word once
-        distribution(family, n, ("lrm", "c"))
+        # naming c too lays no word either: the walk places the entries itself
+        mixed = distribution(family, n, ("lrm", "c"))
+        assert sum(mixed.values()) == sum(table.values())
+        assert counting.walked == built == scans == []
+        # the stand-ins count: the word tally lays and scans every word once
+        oracle._tally(oracle._words(family, n), n, ("lrm", "c"))
         assert len(scans) == sum(table.values())
         assert len(counting.walked) + len(built) == 1
+
+
+class TestWalk:
+    """Every other request on ud, downup or all is tallied by one walk that
+    places w_n, ..., w_1 (``oracle._walk``) and must equal the tally of the
+    plain words."""
+
+    @pytest.mark.parametrize("family", [Family.ALL, Family.UD, Family.DOWNUP])
+    def test_every_request_matches_the_tally(self, family):
+        for n in range(8):
+            words = list(oracle._words(family, n))
+            for names in _REQUESTS + [("st", "exc", "st")]:
+                expected = oracle._tally(words, n, names)
+                assert oracle._walk(family, n, names) == expected, (family, n, names)
+
+    @pytest.mark.parametrize("family", [Family.UD, Family.DOWNUP])
+    @pytest.mark.parametrize("names", [("c", "lrm", "st", "extr"), STAT_NAMES])
+    def test_alternating_words_at_9_match_the_tally(self, family, names):
+        words = oracle._words(family, 9)
+        assert oracle._walk(family, 9, names) == oracle._tally(words, 9, names)
 
 
 # what the enumeration side of the oracle runs; none of it may read the
@@ -345,6 +382,7 @@ _ENUMERATION_SIDE = (
     "distribution",
     "_by_size",
     "_by_rank",
+    "_walk",
     "_tally",
     "_cycle_members",
     "_words",

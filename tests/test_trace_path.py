@@ -1,5 +1,6 @@
 """The benchmark's per-layer trace patches cudlab by attribute name; a rename
-in cudlab must fail here, not only in ``perfbench/run.py --trace 1``."""
+in cudlab must fail here, not only in ``perfbench/run.py --trace 1``.  So
+must a change that breaks one of the benchmark's output checkers."""
 
 import json
 import os
@@ -51,6 +52,20 @@ def test_traced_seq_and_verify_run():
     assert payload["catalog_series"] > 0
     assert payload["distribution"] == 3
     # the tracer counts S_n walks at ``oracle.itertools``: verify walks S_0..S_3,
-    # enumerate all walks S_4, and the cycle and word families walk none
-    assert payload["walks"] == [0, 4, 0, 1, 0]
+    # and no enumerate request walks one: gcud is counted by size, ud over rank
+    # states, and all by ``oracle._walk``, which places each entry itself
+    assert payload["walks"] == [0, 4, 0, 0, 0]
     assert payload["metrics"] > 0
+
+
+def test_benchmark_checkers_catch_a_wrong_result():
+    # each workload's checker passes a clean result and fails a tampered one
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--self-test"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "self-test passed" in result.stdout
