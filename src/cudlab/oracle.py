@@ -9,13 +9,14 @@ others (``_words``: all of S_n, or the backtracker
 direct routes are compared with rather than trusted.  ``distribution``
 computes only the named statistics.  A member of a cycle family is a set of
 admissible cycles, so cycle statistics alone are counted by size, by the
-exponential formula over the family's cycle patterns (``_by_size``), and lrm,
-st and extr alone on ud, downup or all over the ranks of a word placed right
-to left (``_by_rank``).  Every other request on ud, downup or all is tallied
-by one walk that places w_n, ..., w_1, shares each placed end among the words
-that have it and closes cycles as it places entries (``_walk``); the rest,
-ud-last-gt-first and a cycle family with a word statistic, tally member words
-one by one (``_tally``), the plain words of ``_words`` or those
+exponential formula (``_by_size``) over tables of the cycles on k points
+counted from the up-down numbers E_m, not listed (``_cycle_tables``), and
+lrm, st and extr alone on ud, downup or all over the ranks of a word placed
+right to left (``_by_rank``).  Every other request on ud, downup or all is
+tallied by one walk that places w_n, ..., w_1, shares each placed end among
+the words that have it and closes cycles as it places entries (``_walk``);
+the rest, ud-last-gt-first and a cycle family with a word statistic, tally
+member words one by one (``_tally``), the plain words of ``_words`` or those
 ``_cycle_members`` lays cycle by cycle.  A distribution is a plain dict from
 value tuples to counts.
 ``verify_all`` walks each S_n once, through ``census``, and returns a
@@ -48,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from operator import add
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from . import bijections, matchings, perms
@@ -379,30 +380,95 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
     }
 
 
+def _up_down_counts(n: int) -> list[int]:
+    """E_0, ..., E_n, the numbers of up-down (and, by complement, down-up)
+    words on m values, over rank states (the Entringer numbers).  For each
+    m, ``row[r]`` counts the down-up words on m values whose first entry lies
+    above r of the others.  Such a word steps down to one that lies above
+    some s < r of the m - 1 left and goes on up-down from there, which by
+    complement is a down-up word whose first entry lies above m - 2 - s."""
+    counts, row = [1, 1], [1]
+    for _ in range(2, n + 1):
+        row = list(itertools.accumulate(reversed(row), initial=0))
+        counts.append(sum(row))
+    return counts[: n + 1]
+
+
+def _cycle_tables(family: Family, n: int, stat_names: Sequence[str]) -> list[Counter]:
+    """T_0, ..., T_n: the family's admissible cycles on k points counted by
+    their shares of the named cycle statistics, from the E_m of
+    ``_up_down_counts`` and with no cycle listed.  c, c_o, c_e and fp read
+    only k, so T_k is first keyed by (exc, ud), which takes at most three
+    values.  With h = floor(k/2):
+
+    - a CUD cycle, and a GCUD one on k = 1 point, is its minimum and then a
+      down-up word on the other k - 1: (h, 1), E_{k-1} of them;
+    - a GCUD cycle on even k: (h, 1) E_{k-1}, (h + 1, 0) E_k - h E_{k-1};
+    - a GCUD cycle on odd k >= 3: (h, 1) E_{k-1}, (h, 0) E_k/2 - E_{k-1}
+      and (h + 1, 0) E_k/2.
+
+    A GCUD cycle read from a rotation w_1 ... w_k that is an up-down word
+    alternates on the k - 1 steps from w_1 to w_k, h of them rises, and its
+    closing step w_k -> w_1 is one more rise when w_1 > w_k.  At odd k that
+    rotation is unique, so the cycles are the E_k up-down words, and
+    reversal pairs those with w_1 > w_k against those with w_1 < w_k, among
+    which lie the E_{k-1} CUD cycles, read from their minimum.  At even k
+    the cycles that alternate on all k steps are exactly the CUD ones, each
+    with h up-down rotations; every other cycle has one, and its closing
+    step is a rise.  Keys of count 0 are left out, as a listing of the
+    cycles never meets them."""
+    shape, lengths, _ = perms._CYCLE_FAMILIES[family]
+    euler = _up_down_counts(n)
+    tables = [Counter()]
+    for k in range(1, n + 1):
+        h, e_k, e_below = k // 2, euler[k], euler[k - 1]
+        if not lengths(k):
+            by_exc_ud = {}
+        elif shape is perms.is_up_down_word or k == 1:
+            by_exc_ud = {(h, 1): e_below}
+        elif k % 2 == 0:
+            by_exc_ud = {(h, 1): e_below, (h + 1, 0): e_k - h * e_below}
+        else:
+            by_exc_ud = {(h, 1): e_below, (h, 0): e_k // 2 - e_below, (h + 1, 0): e_k // 2}
+        values = {"c": 1, "c_o": k % 2, "c_e": 1 - k % 2, "fp": int(k == 1)}
+        table: Counter = Counter()
+        for (exc, ud), count in by_exc_ud.items():
+            if count:
+                values.update(exc=exc, ud=ud, nud=1 - ud)
+                table[tuple(values[name] for name in stat_names)] += count
+        tables.append(table)
+    return tables
+
+
 def _by_size(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, ...], int]:
     """Cycle statistics over a cycle family by the exponential formula.  With
-    T_k counting the share tuples of the patterns on k points, F(m) = sum_k
-    C(m - 1, k - 1) T_k * F(m - k) and F(0) = {zero tuple: 1}, where * adds
-    tuples and multiplies counts; a single-cycle family is T_n alone."""
+    T_k counting the share tuples of the cycles on k points
+    (``_cycle_tables``), F(m) = sum_k C(m - 1, k - 1) T_k * F(m - k) and
+    F(0) = {zero tuple: 1}, where * adds tuples and multiplies counts; a
+    single-cycle family is T_n alone."""
     _, _, single = perms._CYCLE_FAMILIES[family]
-    shares = [CYCLE_SHARES[name] for name in stat_names]
-    tables = {
-        k: Counter(tuple(int(of(p)) for of in shares) for p in admissible_patterns(family, k))
-        for k in ((n,) if single else range(1, n + 1))
-    }
+    tables = _cycle_tables(family, n, stat_names)
     if single:
         return dict(tables[n])
-    sizes = [{(0,) * len(shares): 1}]
+    # a share tuple is one int of base-(n + 1) digits, as no total passes n
+    base = n + 1
+    places = [base**i for i in range(len(stat_names))]
+    encoded = [{sum(map(mul, key, places)): count for key, count in t.items()} for t in tables]
+    sizes = [{0: 1}]
     for m in range(1, n + 1):
-        table: Counter = Counter()
+        table: dict[int, int] = {}
         for k in range(1, m + 1):
             # the cycle through the smallest point takes k - 1 of the other m - 1
-            for cycle, count in tables[k].items():
-                count *= comb(m - 1, k - 1)
-                for rest, rest_count in sizes[m - k].items():
-                    table[tuple(map(add, cycle, rest))] += count * rest_count
+            ways, rests = comb(m - 1, k - 1), sizes[m - k].items()
+            for cycle, count in encoded[k].items():
+                count *= ways
+                for rest, rest_count in rests:
+                    key = cycle + rest
+                    table[key] = table.get(key, 0) + count * rest_count
         sizes.append(table)
-    return dict(sizes[n])
+    return {
+        tuple(key // place % base for place in places): count for key, count in sizes[n].items()
+    }
 
 
 def _tally(words: Iterable[Sequence[int]], n: int, stat_names: Sequence[str]) -> dict:

@@ -286,7 +286,9 @@ def admissible_patterns(family: Family, k: int) -> list[bytes]:
     read only relative order, so ``tuple(points[i] for i in pattern)`` over
     any increasing ``points`` of length k is an admissible cycle, and every
     admissible cycle on those points arises once this way.  The table is
-    built anew on each call and kept by no one.
+    built anew on each call and kept by no one.  It serves where cycles are
+    laid (``oracle._cycle_members``) and the tests, which check against it
+    the cycle tables that ``oracle`` counts without listing.
 
     >>> [tuple(p) for p in admissible_patterns(Family.CUD, 4)]
     [(0, 2, 1, 3), (0, 3, 1, 2)]

@@ -38,6 +38,9 @@ ENUMERATE_RANK = _digests("enumerate_rank.sha256")
 # digest and argv of enumerate requests tallied by the prefix-sharing walk
 ENUMERATE_WALK = _digests("enumerate_walk.sha256")
 
+# digest and argv of enumerate requests counted by size at n = 10 and 11
+ENUMERATE_SIZE = _digests("enumerate_size.sha256")
+
 # digest and argv of seeded Monte Carlo expectations, text and JSON
 EXPECT_MONTECARLO = _digests("expect_montecarlo.sha256")
 
@@ -152,6 +155,26 @@ class TestEnumerate:
         code, out = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "digest, argv",
+        ENUMERATE_SIZE,
+        ids=["-".join(argv.split()[1:4:2]) for _, argv in ENUMERATE_SIZE],
+    )
+    def test_size_request_matches_golden_digest(self, capsys, digest, argv):
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+    def test_size_request_at_the_catalog_cap(self, capsys):
+        from cudlab.catalog import catalog_series
+
+        code, out = run(
+            capsys, "enumerate", "gcud", "--n", "24", "--cap", "24", "--stats", "fp,exc",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["total"] == catalog_series("gcud", 24).egf_int(24)
 
     @pytest.mark.parametrize(
         "argv, code",

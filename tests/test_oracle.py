@@ -307,6 +307,58 @@ class TestBySize:
         expected = catalog_series(seq_id, n).egf_term(n)
         assert oracle._to_poly(table, markers) == expected
 
+    def test_up_down_counts_are_the_euler_numbers(self):
+        assert oracle._up_down_counts(0) == [1]
+        assert oracle._up_down_counts(40) == euler_numbers(40)
+
+    @pytest.mark.parametrize("family", CYCLE_FAMILIES)
+    def test_counted_tables_match_the_listed_patterns(self, family):
+        """The rules of ``_cycle_tables`` against the listing, for every
+        share, in two orders of the names."""
+        for names in (CYCLE_SHARES_NAMES, CYCLE_SHARES_NAMES[::-1]):
+            tables = oracle._cycle_tables(family, 10, names)
+            assert len(tables) == 11 and not tables[0]
+            for k in range(1, 11):
+                listed = Counter(
+                    tuple(int(CYCLE_SHARES[name](p)) for name in names)
+                    for p in perms.admissible_patterns(family, k)
+                )
+                assert tables[k] == listed, (k, names)
+
+    def test_the_size_route_lists_no_pattern(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the size route listed words")
+
+        for module in (perms, oracle):
+            monkeypatch.setattr(module, "_alternating_words", refuse)
+            monkeypatch.setattr(module, "admissible_patterns", refuse)
+        table = distribution(Family.GCUD, 12, ("fp", "exc"), cap=12)
+        assert sum(table.values()) == catalog_series("gcud", 12).egf_int(12)
+
+    @pytest.mark.parametrize("n", range(12, 25))
+    def test_counted_by_size_matches_catalog(self, n):
+        """Past the census and the backtracker, up to the catalog's order
+        cap: every cycle family's total, and the (fp, c) tables of cud and
+        gcud."""
+        series = lambda seq_id: catalog_series(seq_id, 24).egf_int(n)
+        for family in CYCLE_FAMILIES:
+            total = sum(oracle._by_size(family, n, CYCLE_SHARES_NAMES).values())
+            if family is Family.GCUD_CYCLIC:
+                # odd GCUD cycles have a unique up-down rotation
+                expected = series("gcud-even-cyclic") + n % 2 * series("euler")
+            else:
+                expected = series(_CATALOG_IDS.get(family, family.value))
+            assert total == expected, family
+        for family, seq_id in [(Family.CUD, "cud-fp-cycles"), (Family.GCUD, "gcud-fp-cycles")]:
+            table = oracle._by_size(family, n, ("fp", "c"))
+            expected = catalog_series(seq_id, 24).egf_term(n)
+            assert oracle._to_poly(table, ("x", "t")) == expected, family
+
+
+# the catalog ids of the cycle families whose count is not named by their own
+# value; gcud-cyclic has none
+_CATALOG_IDS = {Family.CUD_DERANGEMENT: "cud-derangements"}
+
 
 # every ordered selection of the word statistics, none included, and one
 # repeated name
@@ -381,6 +433,8 @@ _ENUMERATION_SIDE = (
     "census",
     "distribution",
     "_by_size",
+    "_cycle_tables",
+    "_up_down_counts",
     "_by_rank",
     "_walk",
     "_tally",
