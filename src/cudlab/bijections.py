@@ -35,6 +35,8 @@ words from the census or the backtracker and checks every image exhaustively.
 
 from __future__ import annotations
 
+from itertools import chain, islice
+
 from .perms import (
     CycleDecomposition,
     DomainError,
@@ -107,7 +109,7 @@ def g_even_inverse(c: CycleDecomposition) -> Permutation:
 
 def _g_even_word(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Canonical cycles run together by decreasing first entry (Foata)."""
-    return tuple(x for cyc in reversed(cycles) for x in cyc)
+    return tuple(chain.from_iterable(reversed(cycles)))
 
 
 def f_odd(p: Permutation) -> CycleDecomposition:
@@ -128,7 +130,7 @@ def _f_odd_cycles(word: tuple[int, ...]) -> list[tuple[int, ...]]:
     cycles = []
     while word:
         k = word.index(min(word))
-        cycles.append((word[k],) + tuple(reversed(word[:k])))
+        cycles.append(word[k::-1])
         word = switched_word(word[k + 1 :])
     return cycles
 
@@ -143,7 +145,7 @@ def _f_odd_word(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """The word :func:`f_odd_inverse` rebuilds from canonical odd cycles."""
     word: tuple[int, ...] = ()
     for cyc in reversed(cycles):
-        word = tuple(reversed(cyc)) + switched_word(word)
+        word = cyc[::-1] + switched_word(word)
     return word
 
 
@@ -166,8 +168,8 @@ def _phi_cycles(word: tuple[int, ...]) -> list[tuple[int, ...]]:
     # the 1 sits at an even 0-based position, so the prefix is an even
     # up-down word and the switched suffix an up-down word
     k = word.index(1)
-    prefix = tuple(x - 1 for x in word[:k])
-    suffix = tuple(x - 1 for x in word[k + 1 :])
+    prefix = tuple(map((-1).__add__, word[:k]))
+    suffix = tuple(map((-1).__add__, word[k + 1 :]))
     return _g_even_cycles(prefix) + _f_odd_cycles(switched_word(suffix))
 
 
@@ -180,7 +182,7 @@ def phi_inverse(c: CycleDecomposition) -> Permutation:
 def _phi_word(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     prefix = _g_even_word([cyc for cyc in cycles if len(cyc) % 2 == 0])
     suffix = switched_word(_f_odd_word([cyc for cyc in cycles if len(cyc) % 2 == 1]))
-    return tuple(x + 1 for x in prefix) + (1,) + tuple(x + 1 for x in suffix)
+    return tuple(map((1).__add__, prefix + (0,) + suffix))
 
 
 def _require_cud(c: CycleDecomposition) -> None:
@@ -288,12 +290,12 @@ def h_map(p: Permutation, pattern: MinMaxPattern | None = None) -> Permutation:
     """
     pattern = pattern or MinMaxPattern.alternating()
     positions = selection_positions(p.word, pattern)
+    letters = list(islice(pattern.letters(), len(positions)))
     tau = p.word if pattern.at(1) == MIN else switched_word(p.word)
-    for j in range(1, len(positions)):
-        if pattern.at(j) != pattern.at(j + 1):
-            cut = positions[j - 1] + 1
-            tau = tau[:cut] + switched_word(tau[cut:])
-    return Permutation._trusted(tuple(reversed(tau)))
+    for letter, after, i in zip(letters, letters[1:], positions):
+        if letter != after:
+            tau = tau[: i + 1] + switched_word(tau[i + 1 :])
+    return Permutation._trusted(tau[::-1])
 
 
 def ell_map(p: Permutation, bits: BitWord) -> Permutation:
@@ -318,13 +320,14 @@ def ell_map(p: Permutation, bits: BitWord) -> Permutation:
 
 def _ell_word(word: tuple[int, ...], minima: list[int], bits: BitWord) -> tuple[int, ...]:
     """:func:`ell_map` on a word, given its LR minima's positions."""
-    s = list(bits) + [0]
-    tau = [len(word) + 1, *word]
-    for j in range(len(bits), 0, -1):
-        if s[j - 1] != s[j]:
-            cut = minima[j - 1] + 2  # prefix through position i_j of the word
-            tau[:cut] = switched_word(tau[:cut])
-    return tuple(tau)
+    tau = (len(word) + 1, *word)
+    after = 0  # bit j + 1, read as 0 past the last
+    for bit, i in zip(reversed(bits), reversed(minima)):
+        if bit != after:
+            after = bit
+            cut = i + 2  # prefix through position i_j of the word
+            tau = switched_word(tau[:cut]) + tau[cut:]
+    return tau
 
 
 def ell_inverse(q: Permutation) -> tuple[Permutation, BitWord]:
@@ -344,13 +347,14 @@ def _ell_inverse_word(
 ) -> tuple[tuple[int, ...], BitWord]:
     """:func:`ell_inverse` on a word, given its extreme positions."""
     # an extreme element is a running maximum exactly when it exceeds w_1
-    bits = tuple(int(word[i] > word[0]) for i in positions)
-    s = bits + (0,)
-    tau = list(word)
-    for j in range(len(bits), 0, -1):
-        if s[j - 1] != s[j]:
-            cut = positions[j - 1] + 1  # the first i_j entries of the word
-            tau[:cut] = switched_word(tau[:cut])
+    first = word[0]
+    bits = tuple([1 if word[i] > first else 0 for i in positions])
+    tau, after = word, 0
+    for bit, i in zip(reversed(bits), reversed(positions)):
+        if bit != after:
+            after = bit
+            cut = i + 1  # the first i_j entries of the word
+            tau = switched_word(tau[:cut]) + tau[cut:]
     if tau[0] != len(word):
         raise DomainError("input is not in the map's range")
-    return tuple(tau[1:]), bits
+    return tau[1:], bits

@@ -49,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from . import bijections, matchings, perms
@@ -581,10 +581,16 @@ class Census:
         is a column of ``_COLUMNS``; keys come in walk order."""
         flag = _BIT[family]
         columns = [_COLUMNS.index(name) for name in names]
+        # one itemgetter per read; of a single index it would give the bare
+        # value, so one column is read as a slice, which keeps the tuple
+        if len(columns) == 1:
+            project = itemgetter(slice(columns[0], columns[0] + 1))
+        else:
+            project = itemgetter(*columns)
         rows: dict[tuple, int] = {}
         for (mask, values), count in self.tally.items():
             if mask & flag:
-                key = tuple(values[i] for i in columns)
+                key = project(values)
                 rows[key] = rows.get(key, 0) + count
         return rows
 
@@ -662,9 +668,18 @@ def census(n: int) -> Census:
 
 
 def _plain(value):
+    """A report value as JSON data: ints, strings, bools and None as they
+    are, lists and tuples as lists of their items made plain, anything else
+    as its ``str``.  A list of plain ints, or of tuples of them, which is
+    what the word-list rows hold, is copied whole without a call per item."""
     if isinstance(value, (int, str, bool)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
+        types = set(map(type, value))
+        if types <= {int}:
+            return list(value)
+        if types == {tuple} and set(map(type, itertools.chain.from_iterable(value))) <= {int}:
+            return list(map(list, value))
         return [_plain(v) for v in value]
     return str(value)
 
@@ -964,7 +979,9 @@ def _map_ud_words(
     ``statistics._scan``.  The census of S_n keeps the words when there is
     one; past the last census the backtracker builds them, one at a time.
     Per map: whether every inverse gave the word back, whether every image
-    kept the statistic, and the image words in the order of the words."""
+    kept the statistic, and the image words in the order of the words.  A
+    core whose range guard refuses a member has not given it back, and that
+    member has no image."""
     ground = tuple(range(1, n + 1))
     words = censuses[n].words[Family.UD] if n < len(censuses) else _alternating_words(ground)
     inverts = [True] * len(maps)
@@ -973,14 +990,20 @@ def _map_ud_words(
     for word in words:
         lrm, extr, (st, _, _) = _scan(word)
         for i, (_, forward, inverse, keeps, _) in enumerate(maps):
-            cycles = forward(word)
-            image = [0] * sum(map(len, cycles))  # image[a - 1] is the image of a
+            try:
+                cycles = forward(word)
+                back = inverse(sorted(cycles))  # the inverse core takes canonical order
+            except perms.DomainError:
+                inverts[i] = False
+                continue
+            image = [0] * (1 + sum(map(len, cycles)))  # image[a] is the image of a
             for cycle in cycles:
-                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    image[a - 1] = b
-            images[i].append(tuple(image))
-            cycles.sort()  # canonical order, for the inverse core
-            inverts[i] = inverts[i] and inverse(cycles) == word
+                a = cycle[-1]
+                for b in cycle:
+                    image[a] = b
+                    a = b
+            images[i].append(tuple(image[1:]))
+            inverts[i] = inverts[i] and back == word
             kept[i] = kept[i] and keeps(cycles, lrm, st, extr)
     return list(zip(inverts, kept, images))
 
@@ -1031,8 +1054,11 @@ def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> It
                 image = bijections._ell_word(word, minima, bits)
                 produced.add(image)
                 extremes = extreme_positions(image)
-                ok = ok and len(extremes) == len(minima)
-                ok = ok and bijections._ell_inverse_word(image, extremes) == (word, bits)
+                try:
+                    back = bijections._ell_inverse_word(image, extremes)
+                except perms.DomainError:  # the range guard refused an image
+                    back = None
+                ok = ok and len(extremes) == len(minima) and back == (word, bits)
         yield "bij-ell-roundtrip", cen.n, True, ok
         yield "bij-ell-image", cen.n, factorial(cen.n + 1), len(produced)
 

@@ -21,7 +21,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from math import inf
-from operator import gt, lt
+from operator import gt, itemgetter, lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -40,11 +40,16 @@ class CapExceeded(RuntimeError):
 def switched_word(word: Sequence[int]) -> tuple[int, ...]:
     """Replace each entry a_i of the word by a_{n+1-i} (values sorted).
 
+    A word of fewer than three entries switches to its own reversal.
+
     >>> switched_word((2, 6, 3, 4))
     (6, 2, 4, 3)
     """
+    if len(word) < 3:
+        return tuple(word[::-1])
     values = sorted(word)
-    return tuple(map(dict(zip(values, reversed(values))).__getitem__, word))
+    # an itemgetter of three or more keys returns the tuple of their values
+    return itemgetter(*word)(dict(zip(values, reversed(values))))
 
 
 def is_up_down_word(word: Sequence[int]) -> bool:

@@ -10,8 +10,9 @@ documentation and 0-based in the code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, cycle
 from operator import lt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .perms import (
     DomainError,
@@ -86,6 +87,10 @@ class MinMaxPattern:
             return self.prefix[j - 1]
         return self.tail[(j - 1 - len(self.prefix)) % len(self.tail)]
 
+    def letters(self) -> Iterator[str]:
+        """The letters in order, without end: ``at(1)``, ``at(2)``, ..."""
+        return chain(self.prefix, cycle(self.tail))
+
     @classmethod
     def alternating(cls) -> "MinMaxPattern":
         """min, max, min, max, ...; selects the min-max subsequence."""
@@ -135,9 +140,12 @@ def extreme_positions(word: Sequence[int]) -> list[int]:
     out = []
     lo = hi = word[0] if word else 0
     for i, x in enumerate(word):
-        if not lo <= x <= hi:
+        if x < lo:
+            lo = x
             out.append(i)
-            lo, hi = (x, hi) if x < lo else (lo, x)
+        elif x > hi:
+            hi = x
+            out.append(i)
     return out
 
 
@@ -146,15 +154,12 @@ def selection_positions(word: Sequence[int], pattern: MinMaxPattern) -> list[int
     pattern's min or max of what remains to the right of entry j-1, stopping
     once the last position is picked."""
     out: list[int] = []
-    start, j, n = 0, 1, len(word)
+    start, n, letters = 0, len(word), pattern.letters()
     while start < n:
         seg = word[start:]
-        target = min(seg) if pattern.at(j) == MIN else max(seg)
-        i = start + list(seg).index(target)
+        i = word.index(min(seg) if next(letters) == MIN else max(seg), start)
         out.append(i)
-        if i == n - 1:
-            break
-        start, j = i + 1, j + 1
+        start = i + 1
     return out
 
 

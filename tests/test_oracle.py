@@ -4,13 +4,14 @@ import itertools
 import json
 import types
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cudlab import oracle, perms, statistics
+from cudlab import bijections, oracle, perms, statistics
 from cudlab.catalog import CapExceeded, catalog_series
 from cudlab.oracle import (
     WORD_FAMILIES,
@@ -633,6 +634,19 @@ class TestVerifyAll:
         ):
             assert (check, 5) in failing
 
+    def test_a_wrong_switch_fails_bijection_rows(self, monkeypatch):
+        # reversal switches only words of fewer than three entries; where a
+        # core's range guard refuses what a wrong switch made, its check fails
+        rows = [(e["check"], e["n"]) for e in verify_all(6)]
+        monkeypatch.setattr(bijections, "switched_word", lambda word: tuple(word[::-1]))
+        report = verify_all(6)
+        assert [(e["check"], e["n"]) for e in report] == rows
+        failing = {e["check"] for e in report if not e["pass"]}
+        assert all(check.startswith("bij-") for check in failing)
+        for tag in ("f", "phi", "jbij", "ell"):
+            assert {f"bij-{tag}-roundtrip", f"bij-{tag}-image"} <= failing
+        assert "bij-h-transport[min,max,...]" in failing
+
     def test_cap_guard(self):
         with pytest.raises(CapExceeded):
             verify_all(10)
@@ -650,3 +664,54 @@ class TestVerifyAll:
         # readers of the report key its entries by (check, n)
         keys = [(entry["check"], entry["n"]) for entry in verify_all(5)]
         assert len(keys) == len(set(keys))
+
+
+def _plain_reference(value):
+    """The report's plain copy by its recursive definition."""
+    if isinstance(value, (int, str, bool)) or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_plain_reference(v) for v in value]
+    return str(value)
+
+
+class TestPlain:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [(1, 2), (3, 4)],
+            (2, 1, 3),
+            [3, 1, 2],
+            [(1, True), (2, 3)],
+            [(1, 2), (True,)],
+            [(1, Fraction(1, 2)), (2, 3)],
+            [(1, 2), [3, 4]],
+            [(1, 2), (3, None)],
+            [(1, (2, 3))],
+            [(), ()],
+            [],
+            [[]],
+            [[], (1,)],
+            {"a": (1, 2)},
+            [{1: 2}, (1, 2)],
+            [[1, [2, (3, 4)]], (5,), "x", None],
+            [1, True, Fraction(2, 3)],
+            Fraction(3, 4),
+            True,
+            None,
+            "text",
+            7,
+        ],
+    )
+    def test_matches_the_recursive_definition(self, value):
+        # repr tells a bool from an int, a list from a tuple and a Fraction
+        # from its str, which == does not
+        assert repr(oracle._plain(value)) == repr(_plain_reference(value))
+
+    def test_every_report_value_matches_the_recursive_definition(self):
+        censuses = [census(n) for n in range(6)]
+        eul = euler_numbers(21)
+        for phase in oracle._PHASES:
+            for check, n, expected, actual in phase(censuses, eul, 20):
+                for value in (expected, actual):
+                    assert repr(oracle._plain(value)) == repr(_plain_reference(value)), (check, n)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,7 @@ from cudlab.perms import (
     parse_cycles,
     parse_permutation,
     switch,
+    switched_word,
     to_cycles,
 )
 
@@ -120,6 +122,25 @@ class TestSwitch:
     def test_involution(self, word):
         p = Permutation(tuple(word))
         assert switch(switch(p)) == p
+
+    def test_switched_word_matches_sort_and_reflect_exhaustively(self):
+        # the definition: sort the values, then send the i-th smallest to the
+        # i-th largest; every arrangement of every subset of {1..6} with 0-5
+        # entries, so the short words' own path is pinned at 0, 1 and 2
+        def reference(word):
+            values = sorted(word)
+            reflect = {a: b for a, b in zip(values, reversed(values))}
+            return tuple(reflect[x] for x in word)
+
+        checked = 0
+        for k in range(6):
+            for subset in itertools.combinations(range(1, 7), k):
+                for word in itertools.permutations(subset):
+                    want = reference(word)
+                    assert switched_word(word) == want, word
+                    assert switched_word(list(word)) == want, word
+                    checked += 1
+        assert checked == sum(math.perm(6, k) for k in range(6))
 
     def test_swaps_up_down_with_down_up(self):
         for n in range(8):
