@@ -14,8 +14,12 @@ counted from the up-down numbers E_m, not listed (``_cycle_tables``), and
 lrm, st and extr alone on ud, downup or all over the ranks of a word placed
 right to left (``_by_rank``).  Every other request on ud, downup or all is
 tallied by one walk that places w_n, ..., w_1, shares each placed end among
-the words that have it and closes cycles as it places entries (``_walk``);
-the rest, ud-last-gt-first and a cycle family with a word statistic, tally
+the words that have it and closes cycles as it places entries (``_walk``).
+Both carry st's picks symbolically, as the pick a or b of a state plus an
+offset, so that one table serves every state alike up to the picks: each
+rank state is counted once, and so is each tail of the walk, the entries
+w_1..w_d it places last (d = ``_TAIL_DEPTH``), by the ranks of what it reads.
+The rest, ud-last-gt-first and a cycle family with a word statistic, tally
 member words one by one (``_tally``), the plain words of ``_words`` or those
 ``_cycle_members`` lays cycle by cycle.  A distribution is a plain dict from
 value tuples to counts.
@@ -198,7 +202,9 @@ def distribution(
     extr alone on ud, downup or all (``_by_rank``) are counted with a default
     cap of ``COUNTED_CAP``.  Other requests visit every member word under the
     family's ``DEFAULT_CAPS``: on ud, downup or all in one walk (``_walk``),
-    and elsewhere one by one (``_tally``)."""
+    which counts each tail w_1..w_d (d = ``_TAIL_DEPTH``) once per state
+    unless ud or nud is named, and elsewhere one by one (``_tally``).  Tables
+    shared within a call are dropped when it returns."""
     cycle_family = family in perms._CYCLE_FAMILIES
     if family in _RANK_SIDES and set(stat_names) <= {"lrm", "st", "extr"}:
         counted = _by_rank
@@ -227,37 +233,67 @@ def _by_rank(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[in
     w_1..w_i, so w_i is a left-to-right minimum when it is their lowest, and
     extreme (i >= 2) when it is their lowest or highest.  st is the pick
     ``a`` of ``_scan``'s right-to-left pass, which changes, with ``b``, only
-    at a new minimum or maximum of the suffix.  A state is how many values
-    left lie below that minimum, below w_{i+1} and below that maximum, i, a, b."""
+    at a new minimum or maximum of the suffix, to one more than the other.
+    So the st of a word is a or b of any state it passes plus an offset, and
+    a state's table, split by that source, holds the offsets: the picks are
+    not part of the state.  A state is i and how many values left lie below
+    the suffix's minimum and below its maximum, which only st reads, and
+    below w_{i+1}, which only ud and downup read."""
     base = n + 1
+    place = {name: base**i for i, name in enumerate(dict.fromkeys(stat_names))}
+    lrm, extr, st = (place.get(name, 0) for name in ("lrm", "extr", "st"))
     sides = _RANK_SIDES[family]
+    compares = family is not Family.ALL
+    memo: dict[tuple[int, int, int, int], tuple[dict[int, int], dict[int, int]]] = {}
 
-    @functools.cache
-    def prefixes(low: int, mid: int, high: int, i: int, a: int, b: int) -> dict[int, int]:
-        """The values lrm + extr * base + st * base ** 2 of w_1..w_i, counted."""
-        if not i:
-            return {a * base * base: 1}
+    def prefixes(low: int, mid: int, high: int, i: int) -> tuple[dict[int, int], dict[int, int]]:
+        """The values of w_1..w_i, counted: those whose st is the state's a
+        plus the key's st digit, then those whose st is its b plus that."""
+        state = (low, mid, high, i)
+        tables = memo.get(state)
+        if tables is not None:
+            return tables
+        from_a: dict[int, int] = {} if i else {0: 1}
+        from_b: dict[int, int] = {}
         below, above = sides[i % 2] if i < n else (True, True)
-        table: Counter = Counter()
         for r in range(0 if below else mid, i if above else mid):
-            step = (r == 0) + (i > 1 and r in (0, i - 1)) * base
-            new_min, new_max = r < low, r >= high
-            rest = prefixes(
-                min(r, low), r, r if new_max else high - 1, i - 1,
-                1 + b if new_min else a, 1 + a if new_max else b,
-            )
-            for key, count in rest.items():
-                table[key + step] += count
-        return table
+            step = (lrm if r == 0 else 0) + (extr if i > 1 and r in (0, i - 1) else 0)
+            new_mid = r if compares else 0
+            if st:
+                # a new minimum sets a to 1 + b, so the words the rest counts
+                # on a count here on b, one higher; a new maximum b to 1 + a
+                new_min, new_max = r < low, r >= high
+                rest_a, rest_b = prefixes(
+                    min(r, low), new_mid, r if new_max else high - 1, i - 1
+                )
+            else:
+                new_min = new_max = False
+                rest_a, rest_b = prefixes(0, new_mid, 0, i - 1)
+            for rest, moved, same, other in (
+                (rest_a, new_min, from_a, from_b), (rest_b, new_max, from_b, from_a)
+            ):
+                target, shift = (other, step + st) if moved else (same, step)
+                for key, count in rest.items():
+                    key += shift
+                    target[key] = target.get(key, 0) + count
+        memo[state] = tables = (from_a, from_b)
+        return tables
 
-    # the empty suffix's minimum lies above every value and its maximum below
-    joint = prefixes(n, 0, 0, n, 0, 0)
-    prefixes.cache_clear()
+    # the empty suffix's minimum lies above every value and its maximum
+    # below, and its picks are a = b = 0
     rows: Counter = Counter()
-    for key, count in joint.items():
-        values = {"lrm": key % base, "extr": key // base % base, "st": key // base // base}
-        rows[tuple(values[name] for name in stat_names)] += count
+    for table in prefixes(n, 0, 0, n):
+        for key, count in table.items():
+            rows[tuple(key // place[name] % base for name in stat_names)] += count
     return dict(rows)
+
+
+# the number of values left at which ``_walk`` shares the tail of a word.
+# Over all at n = 8 with c, lrm, st and extr, one walk took 21, 11.5, 19.6
+# and 32 ms at 3, 4, 5 and 6 (best of 7, 2-vCPU host, Python 3.11.7): fewer
+# values left meet fewer states but add a table at more nodes, more values
+# left walk more and larger tails
+_TAIL_DEPTH = 4
 
 
 def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, ...], int]:
@@ -271,9 +307,19 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
     closes one into a cycle that adds its share of c, c_o, c_e and fp, and
     of ud or nud by a walk of the cycle, its verdict cached.  w_1 is forced
     and placed inline.  A word's values are one int of base-(n + 1) digits,
-    one digit per name."""
+    one digit per name, st's the highest.
+
+    With ``_TAIL_DEPTH`` values left, what the rest of a word adds depends
+    only on the node's state (``tail_state``), so the tails of each state
+    are walked once, with the picks carried symbolically: a starts as 0 and
+    b as n + 1, so a final pick is its source times n + 1 plus an offset,
+    and st's digit puts the source one digit above the others.  Each node of
+    that state adds the table, its st offsets on a or on b.  ud and nud read
+    the values of a cycle, not its shape, so a request naming them walks
+    every word to its end."""
     base = n + 1
-    place = {name: base**i for i, name in enumerate(dict.fromkeys(stat_names))}
+    names = sorted(dict.fromkeys(stat_names), key=lambda name: name == "st")
+    place = {name: base**i for i, name in enumerate(names)}
     lrm, extr, exc, st, ud, nud = (
         place.get(name, 0) for name in ("lrm", "extr", "exc", "st", "ud", "nud")
     )
@@ -311,11 +357,10 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
                 known[cycle] = share
         return share
 
-    tally: dict[int, int] = {}
-
-    def walk(i: int, key: int, lo: int, hi: int, a: int, b: int) -> None:
+    def walk(i: int, key: int, lo: int, hi: int, a: int, b: int, out: dict[int, int]) -> None:
         """Place w_i, with the i values left in ``remaining``, lo and hi the
-        least and largest of w_{i+1}..w_n and a and b their picks."""
+        least and largest of w_{i+1}..w_n and a and b their picks, and count
+        each word's values in ``out``."""
         below, above = sides[i % 2] if i < n else (True, True)
         if below and above:
             choices = range(i)
@@ -348,7 +393,10 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
                 new_hi, new_b = hi, b
             if i > 2:
                 del remaining[r]
-                walk(i - 1, k, new_lo, new_hi, new_a, new_b)
+                if i - 1 == shared_depth:
+                    add_tails(k, new_lo, new_hi, new_a, new_b, out)
+                else:
+                    walk(i - 1, k, new_lo, new_hi, new_a, new_b, out)
                 remaining.insert(r, v)
             elif i == 2:
                 # w_1 = u, if it may lie on its side of w_2: the least of one
@@ -361,17 +409,65 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
                     if ud or nud:
                         k += ud_share(1)
                     k += st * (1 + new_b if u < new_lo else new_a)
-                    tally[k] = tally.get(k, 0) + 1
+                    out[k] = out.get(k, 0) + 1
             else:  # n = 1, and w_1 was the one entry
                 k += st * new_a
-                tally[k] = tally.get(k, 0) + 1
+                out[k] = out.get(k, 0) + 1
             if h != v:
                 tail[h], head[t] = i, v
                 size[h] -= size[v]
 
+    # none of the walk's nodes is shared on a request naming ud or nud: no
+    # node it recurses into has 0 values left, as w_1 is placed inline
+    shared_depth = 0 if ud or nud else _TAIL_DEPTH
+    top = base ** len(names)  # the digit above st's, 1 on a tail key counted on b
+    paths = any(closed)
+    sizes = any(name in place for name in ("c_o", "c_e", "fp"))
+    compares = family is not Family.ALL
+    tails: dict[tuple, tuple[dict[int, int], dict[int, int]]] = {}
+
+    def tail_state(lo: int, hi: int) -> tuple:
+        """All that decides what the words below a node with
+        ``shared_depth`` values left add, read off the node and relabelled by
+        rank among the values left, each part only where a name reads it: the
+        rank of the head of the open path into each position left, which the
+        cycles close, and, for c_o, c_e and fp, the path's size as its parity
+        and whether it is 1, which merging paths keeps; how many values left
+        lie below lo and below hi, which st's picks compare with, and below
+        w_{i+1}, which ud and downup compare with; and each value left capped
+        at i + 1, as exc compares it with the positions left, 1..i."""
+        i = shared_depth
+        heads = head[1 : i + 1]
+        return (
+            paths and tuple(map(remaining.index, heads)),
+            sizes and tuple(size[h] % 2 + 2 * (size[h] > 1) for h in heads),
+            st and (bisect(remaining, lo), bisect(remaining, hi)),
+            compares and bisect(remaining, word[i + 1]),
+            exc and tuple(min(v, i + 1) for v in remaining),
+        )
+
+    def add_tails(key: int, lo: int, hi: int, a: int, b: int, out: dict[int, int]) -> None:
+        """Count the words below a node with ``shared_depth`` values left:
+        its key plus each of its state's tails, the st offsets on a or b."""
+        state = tail_state(lo, hi)
+        by_pick = tails.get(state)
+        if by_pick is None:
+            table: dict[int, int] = {}
+            walk(shared_depth, 0, lo, hi, 0, base, table)
+            tails[state] = by_pick = (
+                {k: count for k, count in table.items() if k < top},
+                {k - top: count for k, count in table.items() if k >= top},
+            )
+        for pick, entries in zip((a, b), by_pick):
+            start = key + st * pick
+            for k, count in entries.items():
+                k += start
+                out[k] = out.get(k, 0) + count
+
+    tally: dict[int, int] = {}
     if n:
         # the empty suffix's least value lies above every value and its largest below
-        walk(n, 0, base, 0, 0, 0)
+        walk(n, 0, base, 0, 0, 0, tally)
     else:
         tally[0] = 1
     return {
@@ -601,7 +697,15 @@ def census(n: int) -> Census:
     their family masks), and in a single-cycle family only with one cycle;
     its word statistics and ``m_s`` values come from ``statistics._scan``."""
     _check_cap(Family.ALL, n, None)
-    word_tests = [(_BIT[family], test) for family, test in perms._WORD_TESTS.items()]
+    # a word of ud-last-gt-first is an up-down word of even length >= 2 whose
+    # last entry exceeds its first, so its bit is read off the ud bit
+    word_tests = [
+        (_BIT[family], test)
+        for family, test in perms._WORD_TESTS.items()
+        if family is not Family.UD_LAST_GT_FIRST
+    ]
+    ud_bit = _BIT[Family.UD]
+    last_gt_first_bit = _BIT[Family.UD_LAST_GT_FIRST] if n >= 2 and n % 2 == 0 else 0
     # by length, the cycle families admitting an up-down cycle (it has both
     # shapes) and those admitting a cycle of the GCUD shape alone
     ud_masks, gen_masks = [0] * (n + 1), [0] * (n + 1)
@@ -651,6 +755,8 @@ def census(n: int) -> Census:
         for flag, test in word_tests:
             if test(word):
                 mask |= flag
+        if last_gt_first_bit and mask & ud_bit and word[-1] > word[0]:
+            mask |= last_gt_first_bit
         lrm, extr, ms = _scan(word)
         # st is the m_s of the alternating pattern, the first of _PATTERNS
         key = (mask, (c, c_o, c - c_o, fp, lrm, ms[0], extr, exc, ud, c - ud, *ms))

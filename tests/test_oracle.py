@@ -2,9 +2,11 @@ import ast
 import inspect
 import itertools
 import json
+import sys
 import types
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -427,6 +429,34 @@ class TestWalk:
         words = oracle._words(family, 9)
         assert oracle._walk(family, 9, names) == oracle._tally(words, 9, names)
 
+    # between them these read every part of a tail's state: the open paths,
+    # their sizes, st's lo and hi and the values left against exc
+    @pytest.mark.parametrize(
+        "names", [("c", "lrm", "st", "extr"), ("exc", "c_o", "fp", "st"), ("c_e", "lrm", "exc")]
+    )
+    def test_shared_tails_at_8_match_the_tally(self, names):
+        words = oracle._words(Family.ALL, 8)
+        assert oracle._walk(Family.ALL, 8, names) == oracle._tally(words, 8, names)
+
+    def test_tails_are_walked_once_per_state(self):
+        # every node with _TAIL_DEPTH values left adds its state's tails, and
+        # only a state met for the first time walks them
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name in ("walk", "add_tails"):
+                calls[frame.f_code.co_name, frame.f_locals.get("i")] += 1
+
+        sys.setprofile(profile)
+        try:
+            table = oracle._walk(Family.ALL, 8, ("c", "lrm", "st", "extr"))
+        finally:
+            sys.setprofile(None)
+        assert sum(table.values()) == factorial(8)
+        nodes = factorial(8) // factorial(oracle._TAIL_DEPTH)
+        assert calls["add_tails", None] == nodes
+        assert 0 < calls["walk", oracle._TAIL_DEPTH] < nodes // 10
+
 
 # what the enumeration side of the oracle runs; none of it may read the
 # series engine or the catalog, which it is checked against
@@ -480,6 +510,22 @@ def test_the_enumeration_side_reads_no_series_or_catalog():
     for name in _ENUMERATION_SIDE:
         code = getattr(oracle, name).__code__
         assert not _names_read(code) & forbidden, name
+
+
+def _nested_functions(code) -> set[str]:
+    """The names of the functions defined inside a code object, at any depth."""
+    names = set()
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= {const.co_name} | _nested_functions(const)
+    return names
+
+
+def test_the_check_reaches_the_nested_helpers():
+    # the state tables of _by_rank and the shared tails of _walk are built
+    # by functions nested in them, which the check above reads through them
+    assert "prefixes" in _nested_functions(oracle._by_rank.__code__)
+    assert {"walk", "tail_state", "add_tails"} <= _nested_functions(oracle._walk.__code__)
 
 
 class _CountingItertools:
@@ -564,6 +610,19 @@ class TestCensus:
         assert set(calls[ud]) == cycles
         assert set(calls[gcud]) == {cycle for cycle in cycles if not ud(cycle)}
         assert max(calls[ud].values()) == max(calls[gcud].values()) == 1
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_reads_ud_last_gt_first_off_the_ud_bit(self, n, monkeypatch):
+        # ud-last-gt-first is an up-down word whose last entry exceeds its
+        # first, so the census runs no word test of its own for it
+        expected = census(n)
+
+        def refused(word):
+            raise AssertionError("the ud-last-gt-first word test ran")
+
+        monkeypatch.setitem(perms._WORD_TESTS, Family.UD_LAST_GT_FIRST, refused)
+        assert census(n) == expected
+        assert expected.count(Family.UD_LAST_GT_FIRST) == n // 2 * euler_numbers(n)[n - 1]
 
     def test_agrees_with_the_enumeration(self):
         for n in range(7):
