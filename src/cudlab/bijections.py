@@ -186,9 +186,10 @@ def _phi_word(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 
 def _require_cud(c: CycleDecomposition) -> None:
-    ground = c.ground
-    if ground != tuple(range(1, len(ground) + 1)):
-        raise DomainError(f"decomposition must cover [n], got ground {ground}")
+    # n distinct positive entries cover [n] iff the greatest is n
+    cycles = c.cycles
+    if cycles and max(map(max, cycles)) != sum(map(len, cycles)):
+        raise DomainError(f"decomposition must cover [n], got ground {c.ground}")
     _require_family(c, Family.CUD)
 
 
@@ -236,8 +237,9 @@ def jbij_inverse(c: CycleDecomposition) -> Permutation:
 def _jbij_word(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     tau = (sum(map(len, cycles)) + 1,) + _g_even_word(cycles)
     prev = 0
-    # with distinct entries, a word alternates iff its alternating prefix is all of it
-    while (k := _alternating_prefix_len(tau)) < len(tau):
+    # with distinct entries, a word alternates iff its alternating prefix is
+    # all of it; a switched prefix still alternates, so the scan resumes at k
+    while (k := _alternating_prefix_len(tau, max(prev, 2))) < len(tau):
         if k <= prev:
             raise DomainError("decomposition is not in the map's range")
         prev = k
@@ -245,8 +247,10 @@ def _jbij_word(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tau if is_up_down_word(tau) else switched_word(tau)
 
 
-def _alternating_prefix_len(word: tuple[int, ...]) -> int:
-    k = min(len(word), 2)
+def _alternating_prefix_len(word: tuple[int, ...], k: int) -> int:
+    """The length of the longest alternating prefix of a word whose first
+    ``k`` entries alternate."""
+    k = min(len(word), k)
     while k < len(word) and (word[k] - word[k - 1]) * (word[k - 1] - word[k - 2]) < 0:
         k += 1
     return k

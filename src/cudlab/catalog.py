@@ -230,13 +230,13 @@ def expected_ud_cycles(n: int) -> Fraction:
     E_0/1! + E_1/2! + ... + E_{n-1}/n!.  Approaches -ln(1 - sin 1)."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    # one integer numerator sum_k E_{k-1} n!/k! over the denominator n!
+    # one integer numerator sum_k E_{k-1} n!/k! over the denominator n!,
+    # by Horner's rule: each step multiplies by a small k, not by a big scale
     eul = euler_numbers(n - 1)
-    numerator, scale = 0, 1
-    for k in range(n, 0, -1):
-        numerator += eul[k - 1] * scale
-        scale *= k
-    return Fraction(numerator, scale)
+    numerator = 0
+    for k in range(1, n + 1):
+        numerator = numerator * k + eul[k - 1]
+    return Fraction(numerator, factorial(n))
 
 
 def expected_ud_cycles_limit() -> float:

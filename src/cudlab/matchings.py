@@ -57,8 +57,9 @@ def to_matching_pair(p: Permutation) -> MatchingPair:
             "input must be a CUD permutation of [n] with only even cycles "
             "(no fixed points, no odd or non-alternating cycles)"
         )
-    red = [(a, b) for a, b in p.mapping().items() if b > a]
-    blue = [(b, a) for a, b in p.mapping().items() if b < a]
+    arcs = p.mapping().items()
+    red = [(a, b) for a, b in arcs if b > a]
+    blue = [(b, a) for a, b in arcs if b < a]
     return MatchingPair.from_arcs(len(p.word), red, blue)
 
 

@@ -100,10 +100,14 @@ class Permutation:
 
     ``word[i]`` is the image of the ``i``-th smallest ground element, so a
     permutation of [n] maps ``i+1`` to ``word[i]``.  The empty permutation is
-    legal.  Values are immutable and safe to share.
+    legal.  Values are immutable and safe to share.  One built by
+    :func:`from_cycles` keeps its canonical cycles outside the fields, for
+    :func:`to_cycles` to return; ``==``, ``hash`` and ``repr`` read ``word``
+    alone.
     """
 
     word: tuple[int, ...]
+    _cycles = None  # not a field: set by from_cycles
 
     def __post_init__(self):
         for x in self.word:
@@ -133,8 +137,10 @@ class Permutation:
         return dict(zip(self.ground, self.word))
 
     def is_natural(self) -> bool:
-        """True iff the ground set is [n] = {1, ..., n}."""
-        return self.ground == tuple(range(1, len(self.word) + 1))
+        """True iff the ground set is [n] = {1, ..., n}: the entries are
+        distinct positive integers, so iff the least is 1 and the greatest n."""
+        w = self.word
+        return not w or (min(w) == 1 and max(w) == len(w))
 
 
 @dataclass(frozen=True)
@@ -204,12 +210,17 @@ class Family(Enum):
 
 
 def to_cycles(p: Permutation) -> CycleDecomposition:
-    """Canonical cycle decomposition of a permutation, by ``_walk_cycles``.
+    """Canonical cycle decomposition of a permutation, by ``_walk_cycles``
+    over the sorted ground.  A permutation :func:`from_cycles` built returns
+    the decomposition it kept; any other's is computed and not stored.
 
     >>> format_cycles(to_cycles(parse_permutation("2 5 1 7 3 6 4")))
     '(1,2,5,3)(4,7)(6)'
     """
-    return CycleDecomposition._trusted(tuple(_walk_cycles(p.mapping(), p.ground)))
+    if p._cycles is not None:
+        return p._cycles
+    ground = sorted(p.word)
+    return CycleDecomposition._trusted(tuple(_walk_cycles(dict(zip(ground, p.word)), ground)))
 
 
 def _walk_cycles(successor, starts: Iterable[int]) -> list[tuple[int, ...]]:
@@ -228,16 +239,21 @@ def _walk_cycles(successor, starts: Iterable[int]) -> list[tuple[int, ...]]:
 
 
 def from_cycles(c: CycleDecomposition) -> Permutation:
-    """Inverse of :func:`to_cycles`.
+    """Inverse of :func:`to_cycles`.  The permutation keeps ``c``, which is
+    canonical, as its decomposition.
 
     >>> format_permutation(from_cycles(parse_cycles("(1,2,5,3)(4,7)(6)")))
     '2 5 1 7 3 6 4'
     """
     image: dict[int, int] = {}
     for cyc in c.cycles:
-        for i, x in enumerate(cyc):
-            image[x] = cyc[(i + 1) % len(cyc)]
-    return Permutation._trusted(tuple(image[a] for a in sorted(image)))
+        a = cyc[-1]
+        for b in cyc:
+            image[a] = b
+            a = b
+    p = Permutation._trusted(tuple(image[a] for a in sorted(image)))
+    object.__setattr__(p, "_cycles", c)
+    return p
 
 
 def switch(p: Permutation) -> Permutation:

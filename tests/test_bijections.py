@@ -20,6 +20,7 @@ from cudlab.perms import (
     is_up_down_word,
     parse_cycles,
     parse_permutation,
+    switched_word,
     to_cycles,
 )
 from cudlab.series import euler_numbers
@@ -308,6 +309,45 @@ class TestEll:
             bij.ell_map(parse_permutation("2 1"), (0, 2))
         with pytest.raises(DomainError):
             bij.ell_inverse(parse_permutation("1"))  # no extreme elements
+
+
+def _turns(w):
+    """Each k >= 2 where w[k - 2], w[k - 1], w[k] do not alternate."""
+    return (k for k in range(2, len(w)) if (w[k] - w[k - 1]) * (w[k - 1] - w[k - 2]) > 0)
+
+
+def _jbij_word_rescanning(cycles):
+    """``_jbij_word`` that scans every prefix from its start."""
+    tau = (sum(map(len, cycles)) + 1,) + bij._g_even_word(cycles)
+    prev = 0
+    while (k := next(_turns(tau), len(tau))) < len(tau):
+        if k <= prev:
+            raise DomainError("decomposition is not in the map's range")
+        prev = k
+        tau = switched_word(tau[:k]) + tau[k:]
+    return tau if is_up_down_word(tau) else switched_word(tau)
+
+
+class TestRefusals:
+    def test_ground_refusal_texts(self):
+        with pytest.raises(DomainError) as refused:
+            bij.phi(Permutation((1, 3)))
+        assert str(refused.value) == "input must be a permutation of [n], got ground (1, 3)"
+        grounds = {"(1,3)": "(1, 3)", "(2)(3)": "(2, 3)", "(2,5,3)": "(2, 3, 5)"}
+        for text, ground in grounds.items():
+            with pytest.raises(DomainError) as refused:
+                bij.jbij_inverse(parse_cycles(text))
+            assert str(refused.value) == f"decomposition must cover [n], got ground {ground}"
+
+    def test_jbij_word_resumes_where_the_switched_prefix_ends(self):
+        for n in range(9):
+            for p in enumerate_family(Family.CUD, n):
+                cycles = to_cycles(p).cycles
+                assert bij._jbij_word(cycles) == _jbij_word_rescanning(cycles), p
+        # (5, 4, 1, 2, 3) -> (4, 5, 1, 2, 3) -> (2, 1, 5, 4, 3), which stops at 4 again
+        for core in (bij._jbij_word, _jbij_word_rescanning):
+            with pytest.raises(DomainError, match="not in the map's range"):
+                core(parse_cycles("(1,2,3)(4)").cycles)
 
 
 class TestTrustedConstruction:

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -57,6 +59,35 @@ class TestCycleForm:
         c = parse_cycles("(1,2,5,3)(4,7)(6)")
         assert format_permutation(from_cycles(c)) == "2 5 1 7 3 6 4"
         assert format_permutation(from_cycles(parse_cycles("(1)(2)"))) == "1 2"
+
+    def test_is_natural_reads_the_least_and_greatest_entries(self):
+        for word in ((), (1,), (2, 1)):
+            assert Permutation(word).is_natural()
+        for word in ((1, 3), (2, 3)):
+            assert not Permutation(word).is_natural()
+        # the sorting definition, on every word of up to three entries from 1..4
+        for n in range(4):
+            for word in itertools.permutations(range(1, 5), n):
+                natural = sorted(word) == list(range(1, n + 1))
+                assert Permutation(word).is_natural() == natural, word
+
+    def test_gapped_ground(self):
+        # the ground (3, 5, 9) maps 3 -> 9 -> 5 -> 3
+        assert format_cycles(to_cycles(Permutation((9, 3, 5)))) == "(3,9,5)"
+        assert to_cycles(Permutation((9, 5, 3))) == parse_cycles("(3,9)(5)")
+
+    def test_a_permutation_from_cycles_keeps_them(self):
+        c = parse_cycles("(1,4)(2,8,3,6)(5)(7)")
+        p = from_cycles(c)
+        assert to_cycles(p) is c
+        # the kept decomposition is no field: equality, hash and repr read the word
+        q = Permutation(p.word)
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert [f.name for f in dataclasses.fields(Permutation)] == ["word"]
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and to_cycles(back) == c
+        # one built otherwise decomposes on each call and stores nothing
+        assert to_cycles(q) == c and to_cycles(q) is not to_cycles(q)
 
     def test_pointwise_semantics(self):
         p = from_cycles(parse_cycles("(1,4)(2,8,3,6)(5)(7)"))
