@@ -289,10 +289,10 @@ def _by_rank(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[in
 
 
 # the number of values left at which ``_walk`` shares the tail of a word.
-# Over all at n = 8 with c, lrm, st and extr, one walk took 21, 11.5, 19.6
-# and 32 ms at 3, 4, 5 and 6 (best of 7, 2-vCPU host, Python 3.11.7): fewer
-# values left meet fewer states but add a table at more nodes, more values
-# left walk more and larger tails
+# Over all with c, lrm, st and extr, one walk took 13.5, 8.3, 15.9 and 28.7 ms
+# at 3, 4, 5 and 6 at n = 8, and 115, 38, 55 and 143 ms at n = 9 (best of 28,
+# 2-vCPU host, Python 3.11.7): fewer values left count more nodes and starts,
+# more walk more and larger tails
 _TAIL_DEPTH = 4
 
 
@@ -314,7 +314,8 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
     are walked once, with the picks carried symbolically: a starts as 0 and
     b as n + 1, so a final pick is its source times n + 1 plus an offset,
     and st's digit puts the source one digit above the others.  Each node of
-    that state adds the table, its st offsets on a or on b.  ud and nud read
+    that state counts its starts on a and on b, and after the walk each state
+    adds its tables once per distinct start, times its nodes.  ud and nud read
     the values of a cycle, not its shape, so a request naming them walks
     every word to its end."""
     base = n + 1
@@ -394,7 +395,7 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
             if i > 2:
                 del remaining[r]
                 if i - 1 == shared_depth:
-                    add_tails(k, new_lo, new_hi, new_a, new_b, out)
+                    add_tails(k, new_lo, new_hi, new_a, new_b)
                 else:
                     walk(i - 1, k, new_lo, new_hi, new_a, new_b, out)
                 remaining.insert(r, v)
@@ -424,7 +425,8 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
     paths = any(closed)
     sizes = any(name in place for name in ("c_o", "c_e", "fp"))
     compares = family is not Family.ALL
-    tails: dict[tuple, tuple[dict[int, int], dict[int, int]]] = {}
+    # each state's tails on a and on b, each with its count of nodes by start
+    states: dict[tuple, tuple[tuple[dict[int, int], dict[int, int]], ...]] = {}
 
     def tail_state(lo: int, hi: int) -> tuple:
         """All that decides what the words below a node with
@@ -446,28 +448,39 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
             exc and tuple(min(v, i + 1) for v in remaining),
         )
 
-    def add_tails(key: int, lo: int, hi: int, a: int, b: int, out: dict[int, int]) -> None:
-        """Count the words below a node with ``shared_depth`` values left:
-        its key plus each of its state's tails, the st offsets on a or b."""
+    def add_tails(key: int, lo: int, hi: int, a: int, b: int) -> None:
+        """Count a node with ``shared_depth`` values left at its two starts,
+        its key plus st on a and on b, walking its state's tails if new."""
         state = tail_state(lo, hi)
-        by_pick = tails.get(state)
-        if by_pick is None:
+        pairs = states.get(state)
+        if pairs is None:
             table: dict[int, int] = {}
             walk(shared_depth, 0, lo, hi, 0, base, table)
-            tails[state] = by_pick = (
-                {k: count for k, count in table.items() if k < top},
-                {k - top: count for k, count in table.items() if k >= top},
+            states[state] = pairs = (
+                ({k: count for k, count in table.items() if k < top}, {}),
+                ({k - top: count for k, count in table.items() if k >= top}, {}),
             )
-        for pick, entries in zip((a, b), by_pick):
-            start = key + st * pick
-            for k, count in entries.items():
-                k += start
-                out[k] = out.get(k, 0) + count
+        (_, on_a), (_, on_b) = pairs
+        start = key + st * a
+        on_a[start] = on_a.get(start, 0) + 1
+        start = key + st * b
+        on_b[start] = on_b.get(start, 0) + 1
+
+    def merge(pairs: tuple[tuple[dict[int, int], dict[int, int]], ...]) -> None:
+        """Add a state's tails to the tally, once per distinct start on each
+        pick, times the number of nodes at that start."""
+        for entries, starts in pairs:
+            for start, nodes in starts.items():
+                for k, count in entries.items():
+                    k += start
+                    tally[k] = tally.get(k, 0) + nodes * count
 
     tally: dict[int, int] = {}
     if n:
         # the empty suffix's least value lies above every value and its largest below
         walk(n, 0, base, 0, 0, 0, tally)
+        for pairs in states.values():
+            merge(pairs)
     else:
         tally[0] = 1
     return {

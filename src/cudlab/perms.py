@@ -251,7 +251,7 @@ def from_cycles(c: CycleDecomposition) -> Permutation:
         for b in cyc:
             image[a] = b
             a = b
-    p = Permutation._trusted(tuple(image[a] for a in sorted(image)))
+    p = Permutation._trusted(tuple(map(image.__getitem__, sorted(image))))
     object.__setattr__(p, "_cycles", c)
     return p
 

@@ -410,6 +410,12 @@ class TestByRank:
         assert len(counting.walked) + len(built) == 1
 
 
+@pytest.fixture(scope="module")
+def s_8_words():
+    """The words of S_8, laid once for all the cases that tally them."""
+    return list(oracle._words(Family.ALL, 8))
+
+
 class TestWalk:
     """Every other request on ud, downup or all is tallied by one walk that
     places w_n, ..., w_1 (``oracle._walk``) and must equal the tally of the
@@ -429,22 +435,34 @@ class TestWalk:
         words = oracle._words(family, 9)
         assert oracle._walk(family, 9, names) == oracle._tally(words, 9, names)
 
-    # between them these read every part of a tail's state: the open paths,
-    # their sizes, st's lo and hi and the values left against exc
+    # between them the first three read every part of a tail's state: the
+    # open paths, their sizes, st's lo and hi and the values left against
+    # exc.  The last three check the starts each node counts on st's picks a
+    # and b: with st alone every tail key lies on a or on b, without st the
+    # two starts coincide, and the last names all but ud and nud, which share
+    # no tail
     @pytest.mark.parametrize(
-        "names", [("c", "lrm", "st", "extr"), ("exc", "c_o", "fp", "st"), ("c_e", "lrm", "exc")]
+        "names",
+        [
+            ("c", "lrm", "st", "extr"),
+            ("exc", "c_o", "fp", "st"),
+            ("c_e", "lrm", "exc"),
+            ("st",),
+            ("c", "lrm", "extr"),
+            tuple(name for name in STAT_NAMES if name not in ("ud", "nud")),
+        ],
     )
-    def test_shared_tails_at_8_match_the_tally(self, names):
-        words = oracle._words(Family.ALL, 8)
-        assert oracle._walk(Family.ALL, 8, names) == oracle._tally(words, 8, names)
+    def test_shared_tails_at_8_match_the_tally(self, names, s_8_words):
+        assert oracle._walk(Family.ALL, 8, names) == oracle._tally(s_8_words, 8, names)
 
     def test_tails_are_walked_once_per_state(self):
-        # every node with _TAIL_DEPTH values left adds its state's tails, and
-        # only a state met for the first time walks them
+        # every node with _TAIL_DEPTH values left counts its starts, only a
+        # state met for the first time walks its tails, and each state merges
+        # them into the tally once
         calls = Counter()
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_name in ("walk", "add_tails"):
+            if event == "call" and frame.f_code.co_name in ("walk", "add_tails", "merge"):
                 calls[frame.f_code.co_name, frame.f_locals.get("i")] += 1
 
         sys.setprofile(profile)
@@ -456,6 +474,7 @@ class TestWalk:
         nodes = factorial(8) // factorial(oracle._TAIL_DEPTH)
         assert calls["add_tails", None] == nodes
         assert 0 < calls["walk", oracle._TAIL_DEPTH] < nodes // 10
+        assert calls["merge", None] == calls["walk", oracle._TAIL_DEPTH]
 
 
 # what the enumeration side of the oracle runs; none of it may read the
@@ -525,7 +544,9 @@ def test_the_check_reaches_the_nested_helpers():
     # the state tables of _by_rank and the shared tails of _walk are built
     # by functions nested in them, which the check above reads through them
     assert "prefixes" in _nested_functions(oracle._by_rank.__code__)
-    assert {"walk", "tail_state", "add_tails"} <= _nested_functions(oracle._walk.__code__)
+    assert {"walk", "tail_state", "add_tails", "merge"} <= _nested_functions(
+        oracle._walk.__code__
+    )
 
 
 class _CountingItertools:
