@@ -8,21 +8,21 @@ others (``_words``: all of S_n, or the backtracker
 ``perms._alternating_words``).  The S_n filter stays the reference that the
 direct routes are compared with rather than trusted.  ``distribution``
 computes only the named statistics.  A member of a cycle family is a set of
-admissible cycles, so cycle statistics alone are counted by size, by the
-exponential formula (``_by_size``) over tables of the cycles on k points
-counted from the up-down numbers E_m, not listed (``_cycle_tables``), and
-lrm, st and extr alone on ud, downup or all over the ranks of a word placed
-right to left (``_by_rank``).  Every other request on ud, downup or all is
-tallied by one walk that places w_n, ..., w_1, shares each placed end among
-the words that have it and closes cycles as it places entries (``_walk``).
-Both carry st's picks symbolically, as the pick a or b of a state plus an
-offset, so that one table serves every state alike up to the picks: each
-rank state is counted once, and so is each tail of the walk, the entries
-w_1..w_d it places last (d = ``_TAIL_DEPTH``), by the ranks of what it reads.
-The rest, ud-last-gt-first and a cycle family with a word statistic, tally
-member words one by one (``_tally``), the plain words of ``_words`` or those
-``_cycle_members`` lays cycle by cycle.  A distribution is a plain dict from
-value tuples to counts.
+admissible cycles, and a permutation a set of any cycles, so cycle statistics
+alone on a cycle family or on all are counted by size, by the exponential
+formula (``_by_size``) over tables of the cycles on k points counted from
+the up-down and Eulerian numbers, not listed (``_cycle_tables``), and lrm,
+st and extr alone on ud, downup or all over the ranks of a word placed right
+to left (``_by_rank``).  Every other request on ud, downup or all that names
+neither ud nor nud is tallied by one walk that places w_n, ..., w_1, shares
+each placed end among the words that have it and closes cycles as it places
+entries (``_walk``).  Both carry st's picks symbolically, as the pick a or b
+of a state plus an offset, so that one table serves every state alike up to
+the picks: each rank state is counted once, and so is each tail of the walk,
+the entries w_1..w_d it places last (d = ``_TAIL_DEPTH``), by the ranks of
+what it reads.  The rest tally member words one by one (``_tally``), the
+plain words of ``_words`` or those ``_cycle_members`` lays cycle by cycle.
+A distribution is a plain dict from value tuples to counts.
 ``verify_all`` walks each S_n once, through ``census``, and returns a
 machine-readable report; any failing row is a bug somewhere, by design with
 no tolerance.
@@ -198,21 +198,21 @@ def distribution(
 ) -> dict[tuple[int, ...], int]:
     """Exact joint distribution of the named statistics, computing no other:
     how many members take each tuple of their values, in the order named.
-    Cycle statistics alone on a cycle family (``_by_size``) and lrm, st and
-    extr alone on ud, downup or all (``_by_rank``) are counted with a default
-    cap of ``COUNTED_CAP``.  Other requests visit every member word under the
-    family's ``DEFAULT_CAPS``: on ud, downup or all in one walk (``_walk``),
-    which counts each tail w_1..w_d (d = ``_TAIL_DEPTH``) once per state
-    unless ud or nud is named, and elsewhere one by one (``_tally``).  Tables
-    shared within a call are dropped when it returns."""
+    Cycle statistics alone on a cycle family or all (``_by_size``) and lrm,
+    st and extr alone on ud, downup or all (``_by_rank``) are counted with a
+    default cap of ``COUNTED_CAP``.  Other requests visit every member word
+    under the family's ``DEFAULT_CAPS``: on ud, downup or all in one walk
+    (``_walk``) unless ud or nud is named, and otherwise one by one
+    (``_tally``).  Tables shared within a call are dropped when it returns."""
     cycle_family = family in perms._CYCLE_FAMILIES
-    if family in _RANK_SIDES and set(stat_names) <= {"lrm", "st", "extr"}:
+    names = set(stat_names)
+    if family in _RANK_SIDES and names <= {"lrm", "st", "extr"}:
         counted = _by_rank
-    elif cycle_family and set(stat_names) <= CYCLE_SHARES.keys():
+    elif (cycle_family or family is Family.ALL) and names <= CYCLE_SHARES.keys():
         counted = _by_size
     else:
         _check_cap(family, n, cap)
-        if family in _RANK_SIDES:
+        if family in _RANK_SIDES and not names & {"ud", "nud"}:
             return _walk(family, n, stat_names)
         return _tally((_cycle_members if cycle_family else _words)(family, n), n, stat_names)
     _check_cap(family, n, COUNTED_CAP if cap is None else cap)
@@ -297,17 +297,16 @@ _TAIL_DEPTH = 4
 
 
 def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, ...], int]:
-    """Any statistics over ud, downup or all, in one walk that places w_n,
-    w_{n-1}, ..., w_1, so that words which end alike share the work of that
-    end.  Each entry adds to the named statistics as it is placed: lrm and
-    extr by its rank among the values left (as in ``_by_rank``), st by
-    ``_scan``'s right-to-left picks ``a`` and ``b``, and exc when w_i > i.
-    The placed entries make open paths and closed cycles.  The open paths
-    are kept by their ends, so placing i -> w_i merges two paths in O(1), or
-    closes one into a cycle that adds its share of c, c_o, c_e and fp, and
-    of ud or nud by a walk of the cycle, its verdict cached.  w_1 is forced
-    and placed inline.  A word's values are one int of base-(n + 1) digits,
-    one digit per name, st's the highest.
+    """Any statistics but ud and nud over ud, downup or all, in one walk that
+    places w_n, w_{n-1}, ..., w_1, so that words which end alike share the
+    work of that end.  Each entry adds to the named statistics as it is
+    placed: lrm and extr by its rank among the values left (as in
+    ``_by_rank``), st by ``_scan``'s right-to-left picks ``a`` and ``b``, and
+    exc when w_i > i.  The placed entries make open paths and closed cycles.
+    The open paths are kept by their ends, so placing i -> w_i merges two
+    paths in O(1), or closes one into a cycle that adds its share of c, c_o,
+    c_e and fp.  w_1 is forced and placed inline.  A word's values are one
+    int of base-(n + 1) digits, one digit per name, st's the highest.
 
     With ``_TAIL_DEPTH`` values left, what the rest of a word adds depends
     only on the node's state (``tail_state``), so the tails of each state
@@ -315,15 +314,11 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
     b as n + 1, so a final pick is its source times n + 1 plus an offset,
     and st's digit puts the source one digit above the others.  Each node of
     that state counts its starts on a and on b, and after the walk each state
-    adds its tables once per distinct start, times its nodes.  ud and nud read
-    the values of a cycle, not its shape, so a request naming them walks
-    every word to its end."""
+    adds its tables once per distinct start, times its nodes."""
     base = n + 1
     names = sorted(dict.fromkeys(stat_names), key=lambda name: name == "st")
     place = {name: base**i for i, name in enumerate(names)}
-    lrm, extr, exc, st, ud, nud = (
-        place.get(name, 0) for name in ("lrm", "extr", "exc", "st", "ud", "nud")
-    )
+    lrm, extr, exc, st = (place.get(name, 0) for name in ("lrm", "extr", "exc", "st"))
     # the share of c, c_o, c_e and fp of a cycle on k points
     closed = [
         sum(
@@ -339,24 +334,6 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
     # an open path runs from head[t] to its tail t, and from h to tail[h];
     # size[h] counts its points.  Each point starts as a path of its own
     head, tail, size = list(range(base)), list(range(base)), [1] * base
-    # the ud or nud share of a cycle by its canonical form; one on n - 1 or n
-    # points fixes its word, so it comes up once: not kept
-    known: dict[tuple[int, ...], int] = {}
-
-    def ud_share(i: int) -> int:
-        """That of the cycle closed by placing w_i: its least point is i, as
-        the points are placed in decreasing order, so it is read from i."""
-        cycle, x = [i], word[i]
-        while x != i:
-            cycle.append(x)
-            x = word[x]
-        cycle = tuple(cycle)
-        share = known.get(cycle)
-        if share is None:
-            share = ud if perms.is_up_down_word(cycle) else nud
-            if len(cycle) < n - 1:
-                known[cycle] = share
-        return share
 
     def walk(i: int, key: int, lo: int, hi: int, a: int, b: int, out: dict[int, int]) -> None:
         """Place w_i, with the i values left in ``remaining``, lo and hi the
@@ -378,8 +355,6 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
             h = head[i]
             if h == v:  # the path from v ends at i, so i -> v closes it
                 k += closed[size[v]]
-                if ud or nud:
-                    k += ud_share(i)
             else:
                 t = tail[v]
                 tail[h], head[t] = t, h
@@ -394,7 +369,7 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
                 new_hi, new_b = hi, b
             if i > 2:
                 del remaining[r]
-                if i - 1 == shared_depth:
+                if i - 1 == _TAIL_DEPTH:
                     add_tails(k, new_lo, new_hi, new_a, new_b)
                 else:
                     walk(i - 1, k, new_lo, new_hi, new_a, new_b, out)
@@ -407,8 +382,6 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
                     k += lrm + closed[size[u]]
                     if u > 1:
                         k += exc
-                    if ud or nud:
-                        k += ud_share(1)
                     k += st * (1 + new_b if u < new_lo else new_a)
                     out[k] = out.get(k, 0) + 1
             else:  # n = 1, and w_1 was the one entry
@@ -418,9 +391,6 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
                 tail[h], head[t] = i, v
                 size[h] -= size[v]
 
-    # none of the walk's nodes is shared on a request naming ud or nud: no
-    # node it recurses into has 0 values left, as w_1 is placed inline
-    shared_depth = 0 if ud or nud else _TAIL_DEPTH
     top = base ** len(names)  # the digit above st's, 1 on a tail key counted on b
     paths = any(closed)
     sizes = any(name in place for name in ("c_o", "c_e", "fp"))
@@ -430,7 +400,7 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
 
     def tail_state(lo: int, hi: int) -> tuple:
         """All that decides what the words below a node with
-        ``shared_depth`` values left add, read off the node and relabelled by
+        ``_TAIL_DEPTH`` values left add, read off the node and relabelled by
         rank among the values left, each part only where a name reads it: the
         rank of the head of the open path into each position left, which the
         cycles close, and, for c_o, c_e and fp, the path's size as its parity
@@ -438,7 +408,7 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
         lie below lo and below hi, which st's picks compare with, and below
         w_{i+1}, which ud and downup compare with; and each value left capped
         at i + 1, as exc compares it with the positions left, 1..i."""
-        i = shared_depth
+        i = _TAIL_DEPTH
         heads = head[1 : i + 1]
         return (
             paths and tuple(map(remaining.index, heads)),
@@ -449,13 +419,13 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
         )
 
     def add_tails(key: int, lo: int, hi: int, a: int, b: int) -> None:
-        """Count a node with ``shared_depth`` values left at its two starts,
+        """Count a node with ``_TAIL_DEPTH`` values left at its two starts,
         its key plus st on a and on b, walking its state's tails if new."""
         state = tail_state(lo, hi)
         pairs = states.get(state)
         if pairs is None:
             table: dict[int, int] = {}
-            walk(shared_depth, 0, lo, hi, 0, base, table)
+            walk(_TAIL_DEPTH, 0, lo, hi, 0, base, table)
             states[state] = pairs = (
                 ({k: count for k, count in table.items() if k < top}, {}),
                 ({k - top: count for k, count in table.items() if k >= top}, {}),
@@ -503,18 +473,25 @@ def _up_down_counts(n: int) -> list[int]:
     return counts[: n + 1]
 
 
+# the row of ``perms._CYCLE_FAMILIES`` that all would have: any cycles, of
+# any length, and no shape.  It stays out of that table, which is_member and
+# the census masks read too
+_EVERY_CYCLE = (None, perms._ANY, False)
+
+
 def _cycle_tables(family: Family, n: int, stat_names: Sequence[str]) -> list[Counter]:
     """T_0, ..., T_n: the family's admissible cycles on k points counted by
     their shares of the named cycle statistics, from the E_m of
     ``_up_down_counts`` and with no cycle listed.  c, c_o, c_e and fp read
-    only k, so T_k is first keyed by (exc, ud), which takes at most three
-    values.  With h = floor(k/2):
+    only k, so T_k is first keyed by (exc, ud).  With h = floor(k/2):
 
-    - a CUD cycle, and a GCUD one on k = 1 point, is its minimum and then a
+    - a CUD cycle, and any cycle on k = 1 point, is its minimum and then a
       down-up word on the other k - 1: (h, 1), E_{k-1} of them;
     - a GCUD cycle on even k: (h, 1) E_{k-1}, (h + 1, 0) E_k - h E_{k-1};
     - a GCUD cycle on odd k >= 3: (h, 1) E_{k-1}, (h, 0) E_k/2 - E_{k-1}
-      and (h + 1, 0) E_k/2.
+      and (h + 1, 0) E_k/2;
+    - any cycle on k >= 2 points, as all admits: (h, 1) E_{k-1}, and
+      (j, 0) A(k - 1, j - 1) less E_{k-1} at j = h.
 
     A GCUD cycle read from a rotation w_1 ... w_k that is an up-down word
     alternates on the k - 1 steps from w_1 to w_k, h of them rises, and its
@@ -524,10 +501,16 @@ def _cycle_tables(family: Family, n: int, stat_names: Sequence[str]) -> list[Cou
     which lie the E_{k-1} CUD cycles, read from their minimum.  At even k
     the cycles that alternate on all k steps are exactly the CUD ones, each
     with h up-down rotations; every other cycle has one, and its closing
-    step is a rise.  Keys of count 0 are left out, as a listing of the
-    cycles never meets them."""
-    shape, lengths, _ = perms._CYCLE_FAMILIES[family]
+    step is a rise.  The cycles on k points with j excedances are the
+    Eulerian number A(k - 1, j - 1) (Foata and Schuetzenberger, 1970), the
+    up-down ones among them the CUD cycles.  Keys of count 0 are left out,
+    as a listing of the cycles never meets them."""
+    shape, lengths, _ = perms._CYCLE_FAMILIES.get(family, _EVERY_CYCLE)
     euler = _up_down_counts(n)
+    # all's cycles on k points by their excedances j = 0..k - 1, for k = 1 and
+    # then A(k - 1, j - 1) = j A(k - 2, j - 1) + (k - j) A(k - 2, j - 2) row by
+    # row, as all meets every k >= 2 in turn
+    by_exc = [1]
     tables = [Counter()]
     for k in range(1, n + 1):
         h, e_k, e_below = k // 2, euler[k], euler[k - 1]
@@ -535,6 +518,12 @@ def _cycle_tables(family: Family, n: int, stat_names: Sequence[str]) -> list[Cou
             by_exc_ud = {}
         elif shape is perms.is_up_down_word or k == 1:
             by_exc_ud = {(h, 1): e_below}
+        elif shape is None:
+            pairs = zip(by_exc + [0], [0] + by_exc)
+            by_exc = [j * a + (k - j) * b for j, (a, b) in enumerate(pairs)]
+            by_exc_ud = {(j, 0): count for j, count in enumerate(by_exc)}
+            by_exc_ud[h, 0] -= e_below
+            by_exc_ud[h, 1] = e_below
         elif k % 2 == 0:
             by_exc_ud = {(h, 1): e_below, (h + 1, 0): e_k - h * e_below}
         else:
@@ -550,12 +539,12 @@ def _cycle_tables(family: Family, n: int, stat_names: Sequence[str]) -> list[Cou
 
 
 def _by_size(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, ...], int]:
-    """Cycle statistics over a cycle family by the exponential formula.  With
-    T_k counting the share tuples of the cycles on k points
+    """Cycle statistics over a cycle family or all by the exponential
+    formula.  With T_k counting the share tuples of the cycles on k points
     (``_cycle_tables``), F(m) = sum_k C(m - 1, k - 1) T_k * F(m - k) and
     F(0) = {zero tuple: 1}, where * adds tuples and multiplies counts; a
     single-cycle family is T_n alone."""
-    _, _, single = perms._CYCLE_FAMILIES[family]
+    _, _, single = perms._CYCLE_FAMILIES.get(family, _EVERY_CYCLE)
     tables = _cycle_tables(family, n, stat_names)
     if single:
         return dict(tables[n])

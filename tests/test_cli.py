@@ -35,10 +35,11 @@ ENUMERATE_BENCH = _digests("enumerate_bench.sha256")
 # digest and argv of enumerate requests counted over rank states
 ENUMERATE_RANK = _digests("enumerate_rank.sha256")
 
-# digest and argv of enumerate requests tallied by the prefix-sharing walk
+# digest and argv of enumerate requests that lay words: by the prefix-sharing
+# walk, or one by one where they name ud or nud
 ENUMERATE_WALK = _digests("enumerate_walk.sha256")
 
-# digest and argv of enumerate requests counted by size at n = 10 and 11
+# digest and argv of enumerate requests counted by size
 ENUMERATE_SIZE = _digests("enumerate_size.sha256")
 
 # digest and argv of seeded Monte Carlo expectations, text and JSON
@@ -191,7 +192,9 @@ class TestEnumerate:
             ("cud --n 11 --stats c_o,c_e", 0),
             ("all --n 11 --stats lrm,st", 0),
             ("cud --n 10 --stats c,lrm", 3),
-            ("all --n 10 --stats c", 3),
+            ("all --n 10 --stats c", 0),
+            ("all --n 10 --stats c,lrm", 3),
+            ("all --n 12 --stats c", 3),
         ],
     )
     def test_default_cap_follows_the_route(self, capsys, argv, code):

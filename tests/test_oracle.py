@@ -314,17 +314,23 @@ class TestBySize:
         assert oracle._up_down_counts(0) == [1]
         assert oracle._up_down_counts(40) == euler_numbers(40)
 
-    @pytest.mark.parametrize("family", CYCLE_FAMILIES)
+    @pytest.mark.parametrize("family", CYCLE_FAMILIES + (Family.ALL,))
     def test_counted_tables_match_the_listed_patterns(self, family):
         """The rules of ``_cycle_tables`` against the listing, for every
-        share, in two orders of the names."""
+        share, in two orders of the names.  ``admissible_patterns`` refuses
+        all, so its cycles on k points are 0 and then every arrangement of
+        1, ..., k - 1."""
+        top = 9 if family is Family.ALL else 10
         for names in (CYCLE_SHARES_NAMES, CYCLE_SHARES_NAMES[::-1]):
-            tables = oracle._cycle_tables(family, 10, names)
-            assert len(tables) == 11 and not tables[0]
-            for k in range(1, 11):
+            tables = oracle._cycle_tables(family, top, names)
+            assert len(tables) == top + 1 and not tables[0]
+            for k in range(1, top + 1):
+                if family is Family.ALL:
+                    cycles = ((0, *rest) for rest in itertools.permutations(range(1, k)))
+                else:
+                    cycles = perms.admissible_patterns(family, k)
                 listed = Counter(
-                    tuple(int(CYCLE_SHARES[name](p)) for name in names)
-                    for p in perms.admissible_patterns(family, k)
+                    tuple(int(CYCLE_SHARES[name](p)) for name in names) for p in cycles
                 )
                 assert tables[k] == listed, (k, names)
 
@@ -341,8 +347,8 @@ class TestBySize:
     @pytest.mark.parametrize("n", range(12, 25))
     def test_counted_by_size_matches_catalog(self, n):
         """Past the census and the backtracker, up to the catalog's order
-        cap: every cycle family's total, and the (fp, c) tables of cud and
-        gcud."""
+        cap: every cycle family's total, the (fp, c) tables of cud and gcud,
+        and on all the total, the (ud, nud) table and the Stirling row of c."""
         series = lambda seq_id: catalog_series(seq_id, 24).egf_int(n)
         for family in CYCLE_FAMILIES:
             total = sum(oracle._by_size(family, n, CYCLE_SHARES_NAMES).values())
@@ -356,6 +362,13 @@ class TestBySize:
             table = oracle._by_size(family, n, ("fp", "c"))
             expected = catalog_series(seq_id, 24).egf_term(n)
             assert oracle._to_poly(table, ("x", "t")) == expected, family
+        table = oracle._by_size(Family.ALL, n, ("ud", "nud"))
+        assert sum(table.values()) == factorial(n)
+        expected = catalog_series("perm-ud-nud", 24).egf_term(n)
+        assert oracle._to_poly(table, ("v", "w")) == expected
+        assert oracle._by_size(Family.ALL, n, ("c",)) == {
+            (k,): stirling_c(n, k) for k in range(1, n + 1)
+        }
 
 
 # the catalog ids of the cycle families whose count is not named by their own
@@ -416,21 +429,52 @@ def s_8_words():
     return list(oracle._words(Family.ALL, 8))
 
 
+def _without_ud(names):
+    return tuple(name for name in names if name not in ("ud", "nud"))
+
+
+# the requests of _REQUESTS that name ud or nud
+_UD_REQUESTS = [names for names in _REQUESTS if _without_ud(names) != names]
+
+
 class TestWalk:
-    """Every other request on ud, downup or all is tallied by one walk that
-    places w_n, ..., w_1 (``oracle._walk``) and must equal the tally of the
-    plain words."""
+    """Every other request on ud, downup or all that names neither ud nor
+    nud is tallied by one walk that places w_n, ..., w_1 (``oracle._walk``)
+    and must equal the tally of the plain words.  One that names them is
+    tallied word by word, and must equal the census, which reads ud on its
+    own decomposition."""
 
     @pytest.mark.parametrize("family", [Family.ALL, Family.UD, Family.DOWNUP])
     def test_every_request_matches_the_tally(self, family):
+        requests = dict.fromkeys(map(_without_ud, _REQUESTS + [("st", "exc", "st")]))
         for n in range(8):
             words = list(oracle._words(family, n))
-            for names in _REQUESTS + [("st", "exc", "st")]:
+            for names in requests:
                 expected = oracle._tally(words, n, names)
                 assert oracle._walk(family, n, names) == expected, (family, n, names)
 
+    @pytest.mark.parametrize("family", [Family.ALL, Family.UD, Family.DOWNUP])
+    def test_a_request_naming_ud_matches_the_census(self, family, census_8):
+        for n in range(9):
+            cen = census_8 if n == 8 else census(n)
+            for names in _UD_REQUESTS:
+                expected = cen.distribution(family, names)
+                assert distribution(family, n, names) == expected, (family, n, names)
+
+    def test_a_request_naming_ud_never_enters_the_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the walk took a request naming ud or nud")
+
+        monkeypatch.setattr(oracle, "_walk", refuse)
+        for family in (Family.ALL, Family.UD, Family.DOWNUP):
+            for names in (("ud", "lrm"), ("st", "nud"), ("c", "exc", "ud", "nud")):
+                distribution(family, 6, names)
+        # the stand-in is the one distribution calls
+        with pytest.raises(AssertionError, match="the walk took"):
+            distribution(Family.ALL, 6, ("c", "lrm"))
+
     @pytest.mark.parametrize("family", [Family.UD, Family.DOWNUP])
-    @pytest.mark.parametrize("names", [("c", "lrm", "st", "extr"), STAT_NAMES])
+    @pytest.mark.parametrize("names", [("c", "lrm", "st", "extr"), _without_ud(STAT_NAMES)])
     def test_alternating_words_at_9_match_the_tally(self, family, names):
         words = oracle._words(family, 9)
         assert oracle._walk(family, 9, names) == oracle._tally(words, 9, names)
@@ -439,8 +483,7 @@ class TestWalk:
     # open paths, their sizes, st's lo and hi and the values left against
     # exc.  The last three check the starts each node counts on st's picks a
     # and b: with st alone every tail key lies on a or on b, without st the
-    # two starts coincide, and the last names all but ud and nud, which share
-    # no tail
+    # two starts coincide, and the last names every statistic the walk takes
     @pytest.mark.parametrize(
         "names",
         [
@@ -449,7 +492,7 @@ class TestWalk:
             ("c_e", "lrm", "exc"),
             ("st",),
             ("c", "lrm", "extr"),
-            tuple(name for name in STAT_NAMES if name not in ("ud", "nud")),
+            _without_ud(STAT_NAMES),
         ],
     )
     def test_shared_tails_at_8_match_the_tally(self, names, s_8_words):
