@@ -197,13 +197,18 @@ def distribution(
     family: Family, n: int, stat_names: Sequence[str], cap: int | None = None
 ) -> dict[tuple[int, ...], int]:
     """Exact joint distribution of the named statistics, computing no other:
-    how many members take each tuple of their values, in the order named.
-    Cycle statistics alone on a cycle family or all (``_by_size``) and lrm,
-    st and extr alone on ud, downup or all (``_by_rank``) are counted with a
-    default cap of ``COUNTED_CAP``.  Other requests visit every member word
-    under the family's ``DEFAULT_CAPS``: on ud, downup or all in one walk
-    (``_walk``) unless ud or nud is named, and otherwise one by one
-    (``_tally``).  Tables shared within a call are dropped when it returns."""
+    how many members take each tuple of their values, in the order named.  A
+    name outside ``STAT_NAMES`` is refused before any route is taken.  Cycle
+    statistics alone on a cycle family or all (``_by_size``) and lrm, st and
+    extr alone on ud, downup or all (``_by_rank``) are counted with a default
+    cap of ``COUNTED_CAP``.  Other requests visit every member word under the
+    family's ``DEFAULT_CAPS``: on ud, downup or all in one walk (``_walk``)
+    unless ud or nud is named, and otherwise one by one (``_tally``).  Tables
+    shared within a call are dropped when it returns."""
+    for name in stat_names:
+        if name not in STAT_NAMES:
+            known = ", ".join(STAT_NAMES)
+            raise perms.MalformedInput(f"unknown statistic {name!r} (known: {known})")
     cycle_family = family in perms._CYCLE_FAMILIES
     names = set(stat_names)
     if family in _RANK_SIDES and names <= {"lrm", "st", "extr"}:
@@ -237,38 +242,31 @@ def _by_rank(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[in
     So the st of a word is a or b of any state it passes plus an offset, and
     a state's table, split by that source, holds the offsets: the picks are
     not part of the state.  A state is i and how many values left lie below
-    the suffix's minimum and below its maximum, which only st reads, and
-    below w_{i+1}, which only ud and downup read."""
+    the suffix's minimum and below its maximum, which only st reads (without
+    st, held at 0 and at i, so that no pick moves), and below w_{i+1}, which
+    only ud and downup read.  One recursion over the states, cached for the
+    call only, counts each state once."""
     base = n + 1
     place = {name: base**i for i, name in enumerate(dict.fromkeys(stat_names))}
     lrm, extr, st = (place.get(name, 0) for name in ("lrm", "extr", "st"))
     sides = _RANK_SIDES[family]
     compares = family is not Family.ALL
-    memo: dict[tuple[int, int, int, int], tuple[dict[int, int], dict[int, int]]] = {}
 
+    @functools.cache
     def prefixes(low: int, mid: int, high: int, i: int) -> tuple[dict[int, int], dict[int, int]]:
         """The values of w_1..w_i, counted: those whose st is the state's a
         plus the key's st digit, then those whose st is its b plus that."""
-        state = (low, mid, high, i)
-        tables = memo.get(state)
-        if tables is not None:
-            return tables
         from_a: dict[int, int] = {} if i else {0: 1}
         from_b: dict[int, int] = {}
         below, above = sides[i % 2] if i < n else (True, True)
         for r in range(0 if below else mid, i if above else mid):
             step = (lrm if r == 0 else 0) + (extr if i > 1 and r in (0, i - 1) else 0)
-            new_mid = r if compares else 0
-            if st:
-                # a new minimum sets a to 1 + b, so the words the rest counts
-                # on a count here on b, one higher; a new maximum b to 1 + a
-                new_min, new_max = r < low, r >= high
-                rest_a, rest_b = prefixes(
-                    min(r, low), new_mid, r if new_max else high - 1, i - 1
-                )
-            else:
-                new_min = new_max = False
-                rest_a, rest_b = prefixes(0, new_mid, 0, i - 1)
+            # a new minimum sets a to 1 + b, so the words the rest counts
+            # on a count here on b, one higher; a new maximum b to 1 + a
+            new_min, new_max = r < low, r >= high
+            rest_a, rest_b = prefixes(
+                r if new_min else low, r if compares else 0, r if new_max else high - 1, i - 1
+            )
             for rest, moved, same, other in (
                 (rest_a, new_min, from_a, from_b), (rest_b, new_max, from_b, from_a)
             ):
@@ -276,13 +274,12 @@ def _by_rank(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[in
                 for key, count in rest.items():
                     key += shift
                     target[key] = target.get(key, 0) + count
-        memo[state] = tables = (from_a, from_b)
-        return tables
+        return from_a, from_b
 
     # the empty suffix's minimum lies above every value and its maximum
-    # below, and its picks are a = b = 0
+    # below (without st, below and above), and its picks are a = b = 0
     rows: Counter = Counter()
-    for table in prefixes(n, 0, 0, n):
+    for table in prefixes(n, 0, 0, n) if st else prefixes(0, 0, n, n):
         for key, count in table.items():
             rows[tuple(key // place[name] % base for name in stat_names)] += count
     return dict(rows)
@@ -377,7 +374,7 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
             elif i == 2:
                 # w_1 = u, if it may lie on its side of w_2: the least of one
                 # value, it closes the last open path, from u to 1
-                u = word[1] = remaining[1 - r]
+                u = remaining[1 - r]
                 if first_sides[u > v]:
                     k += lrm + closed[size[u]]
                     if u > 1:
@@ -648,12 +645,12 @@ class Census:
     ``tally`` counts the permutations by (family mask, values), keyed in the
     order the walk first meets them: the mask has the ``_BIT`` of every
     family the permutation is in, and the values are its ``_COLUMNS``.
-    ``count`` and ``distribution`` are the only ways to read it; the first
-    ``count`` sums the tally for every family in one pass.  ``words``
-    keeps the member words, in lexicographic order, only for the families
-    whose checks visit them one by one (``_MEMBER_FAMILIES``); a check that
-    needs one member's statistics scans its word, and one that hands a member
-    to a bijection builds its ``Permutation`` there.
+    ``count`` and ``distribution`` are the only ways to read it, each by
+    filtering the tally on the family's bit.  ``words`` keeps the member
+    words, in lexicographic order, only for the families whose checks visit
+    them one by one (``_MEMBER_FAMILIES``); a check that needs one member's
+    statistics scans its word, and one that hands a member to a bijection
+    builds its ``Permutation`` there.
     """
 
     n: int
@@ -661,18 +658,8 @@ class Census:
     words: dict[Family, list[tuple[int, ...]]]
 
     def count(self, family: Family) -> int:
-        return self._counts[family]
-
-    @functools.cached_property
-    def _counts(self) -> dict[Family, int]:
-        """Every family's count: the tally summed by mask, then the masks by bit."""
-        by_mask: Counter = Counter()
-        for (mask, _), count in self.tally.items():
-            by_mask[mask] += count
-        return {
-            family: sum(count for mask, count in by_mask.items() if mask & flag)
-            for family, flag in _BIT.items()
-        }
+        flag = _BIT[family]
+        return sum(count for (mask, _), count in self.tally.items() if mask & flag)
 
     def distribution(self, family: Family, names: Sequence[str]) -> dict[tuple, int]:
         """The dict ``distribution(family, n, names)`` gives, where each name

@@ -125,6 +125,23 @@ class TestEnumerate:
         )
         assert out == (GOLDEN / "cud4_odd_even.csv").read_text(encoding="ascii")
 
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [("text", "lrm count\ntotal 0\n"), ("csv", "lrm,count\n")],
+        ids=["text", "csv"],
+    )
+    def test_empty_table(self, capsys, fmt, expected):
+        # a single-cycle family has no member on 0 points
+        argv = ["enumerate", "cud-cyclic", "--n", "0", "--stats", "lrm", "--format", fmt]
+        assert run(capsys, *argv) == (0, expected)
+
+    def test_text_table_of_the_rank_route(self, capsys):
+        code, out = run(capsys, "enumerate", "ud", "--n", "5", "--stats", "lrm,extr")
+        assert code == 0
+        assert out == (
+            "lrm extr count\n1 1 2\n1 2 3\n2 2 4\n2 3 4\n3 3 2\n3 4 1\ntotal 16\n"
+        )
+
     def test_joint_ud_table(self, capsys):
         code, out = run(
             capsys, "enumerate", "ud", "--n", "4", "--stats", "lrm,st", "--format", "json"
@@ -226,6 +243,15 @@ class TestEnumerate:
 
     def test_bad_stat(self, capsys):
         assert cli.main(["enumerate", "cud", "--n", "2", "--stats", "zork"]) == 2
+
+    def test_unknown_stat_names_itself_in_one_line(self, capsys):
+        assert cli.main(["enumerate", "ud", "--n", "3", "--stats", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown statistic 'bogus' "
+            "(known: c, c_o, c_e, fp, lrm, st, extr, exc, ud, nud)\n"
+        )
 
     def test_repeated_stat_is_bad_input(self, capsys):
         # a table keyed by statistic name has one column per name

@@ -1,8 +1,10 @@
 import ast
+import gc
 import inspect
 import itertools
 import json
 import sys
+import tracemalloc
 import types
 from collections import Counter
 from fractions import Fraction
@@ -421,6 +423,51 @@ class TestByRank:
         oracle._tally(oracle._words(family, n), n, ("lrm", "c"))
         assert len(scans) == sum(table.values())
         assert len(counting.walked) + len(built) == 1
+
+    def test_keeps_no_table_after_it_returns(self):
+        # the state tables are the call's own; one kept at module level
+        # would stay traced, some 2.7 MB of them here
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            oracle._by_rank(Family.UD, 16, ("lrm", "st"))
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 1024
+
+
+def _unreached(*args):
+    raise AssertionError("a request with an unknown name was routed")
+
+
+class TestUnknownName:
+    """``distribution`` refuses a name outside ``STAT_NAMES`` before it
+    routes the request, with the text the CLI prints, whichever route the
+    request would take."""
+
+    @pytest.mark.parametrize(
+        "family, names",
+        [
+            (Family.UD, ("lrm", "bogus")),
+            (Family.UD, ("c", "bogus")),
+            (Family.ALL, ("c", "bogus")),
+            (Family.ALL, ("bogus",)),
+            (Family.CUD, ("c", "bogus")),
+            (Family.CUD, ("lrm", "bogus")),
+            (Family.UD_LAST_GT_FIRST, ("bogus",)),
+        ],
+    )
+    def test_every_route_refuses_it_alike(self, family, names, monkeypatch):
+        for route in ("_by_rank", "_by_size", "_walk", "_tally"):
+            monkeypatch.setattr(oracle, route, _unreached)
+        with pytest.raises(perms.MalformedInput) as caught:
+            distribution(family, 4, names)
+        assert str(caught.value) == (
+            f"unknown statistic 'bogus' (known: {', '.join(STAT_NAMES)})"
+        )
 
 
 @pytest.fixture(scope="module")
