@@ -2,9 +2,11 @@
 families and their refinements, plus the secant continued fraction and the
 expected-value formulas around up-down cycles.
 
-Each entry is built from the exact series primitives; the brute-force oracle
-re-derives every coefficient (and every marked coefficient polynomial) at
-small sizes, so the two routes check each other.
+A cyclic entry is the EGF C(z) of a family's admissible cycles, and each
+entry for sets of those cycles built here is exp(C(z)) by the exponential
+formula.  Every entry is built from the exact series primitives; the
+brute-force oracle re-derives every coefficient (and every marked coefficient
+polynomial) at small sizes, so the two routes check each other.
 """
 
 from __future__ import annotations
@@ -49,17 +51,6 @@ def _marked_exp(*parts: tuple[MPoly, Series]) -> Series:
     return sum(scaled[1:], scaled[0]).exp()
 
 
-def _gcud_exponent(order: int) -> Series:
-    # sec z - 1 + (1 - z/2) tan z
-    return sec_series(order) - one_series(order) + tan_series(order) - _half_z_tan(order)
-
-
-def _build_cud_cyclic(order: int) -> Series:
-    if order == 0:
-        return Series.from_egf((0,))
-    return zigzag_egf_series(order - 1).integrate()
-
-
 def _build_gcud_even_cyclic(order: int) -> Series:
     # sec z - 1 - (z/2) tan z - ln(cos z)
     return (
@@ -70,9 +61,9 @@ def _build_gcud_even_cyclic(order: int) -> Series:
     )
 
 
-def _build_gcud_even_only(order: int) -> Series:
-    inner = sec_series(order) - one_series(order) - _half_z_tan(order)
-    return sec_series(order) * inner.exp()
+def _gcud_cycles(order: int) -> Series:
+    # all GCUD cycles: the even ones, and tan z, as an odd one has one up-down rotation
+    return _build_gcud_even_cyclic(order) + tan_series(order)
 
 
 def _build_cud_derangements(order: int) -> Series:
@@ -106,12 +97,9 @@ def _build_ud_extr(order: int) -> Series:
 
 
 def _build_gcud_fp_cycles(order: int) -> Series:
-    # (sec z)^t exp(t((x-1)z + sec z - 1 + (1 - z/2) tan z))
+    # exp(t C(z) + (x-1)t z), C the EGF of the GCUD cycles
     t, x = _t(), MPoly.marker("x")
-    return _marked_exp(
-        (t, sec_series(order).log() + _gcud_exponent(order)),
-        ((x - 1) * t, z_series(order)),
-    )
+    return _marked_exp((t, _gcud_cycles(order)), ((x - 1) * t, z_series(order)))
 
 
 def _build_perm_ud_nud(order: int) -> Series:
@@ -136,15 +124,15 @@ def _build_no_ud_cycles(order: int) -> Series:
 _CATALOG: dict[str, tuple[Callable[[int], Series], tuple[str, ...], int]] = {
     "euler": (zigzag_egf_series, (), 0),
     "cud": (lambda order: one_minus_sin_series(order).reciprocal(), (), 0),
-    "cud-cyclic": (_build_cud_cyclic, (), 1),
+    "cud-cyclic": (lambda order: -one_minus_sin_series(order).log(), (), 1),
     "cud-even-only": (sec_series, (), 0),
     "cud-odd-only": (zigzag_egf_series, (), 0),
     "exc-def-swap": (lambda order: exp_series(order) * sec_series(order), (), 0),
     "gcud-odd-only": (lambda order: tan_series(order).exp(), (), 0),
     "k-euler-odd": (_half_z_tan, (), 1),
     "gcud-even-cyclic": (_build_gcud_even_cyclic, (), 1),
-    "gcud-even-only": (_build_gcud_even_only, (), 1),
-    "gcud": (lambda order: sec_series(order) * _gcud_exponent(order).exp(), (), 1),
+    "gcud-even-only": (lambda order: _build_gcud_even_cyclic(order).exp(), (), 1),
+    "gcud": (lambda order: _gcud_cycles(order).exp(), (), 1),
     "cud-derangements": (_build_cud_derangements, (), 1),
     "cud-fp-cycles": (_build_cud_fp_cycles, ("x", "t"), 0),
     "cud-cycles": (lambda order: one_minus_sin_series(order).pow_marker(-_t()), ("t",), 0),

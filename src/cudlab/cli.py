@@ -320,11 +320,8 @@ def _fraction_text(value: Fraction) -> str:
 
 
 def _random_permutation(n: int, rng: random.Random) -> Permutation:
-    # Fisher-Yates, bottom-up
     word = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = rng.randint(0, i)
-        word[i], word[j] = word[j], word[i]
+    rng.shuffle(word)
     return Permutation._trusted(tuple(word))
 
 

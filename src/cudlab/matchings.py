@@ -64,21 +64,13 @@ def to_matching_pair(p: Permutation) -> MatchingPair:
 
 
 def from_matching_pair(mp: MatchingPair) -> Permutation:
-    """Openers follow their red arc, closers their blue arc."""
-    red_partner = {}
-    blue_partner = {}
+    """Openers follow their red arc up, closers their blue arc down."""
+    word = [0] * (mp.n + 1)
     for lo, hi in mp.red:
-        red_partner[lo] = hi
-        red_partner[hi] = lo
+        word[lo] = hi
     for lo, hi in mp.blue:
-        blue_partner[lo] = hi
-        blue_partner[hi] = lo
-    openers = {lo for lo, _ in mp.red}
-    word = tuple(
-        red_partner[i] if i in openers else blue_partner[i]
-        for i in range(1, mp.n + 1)
-    )
-    return Permutation._trusted(word)
+        word[hi] = lo
+    return Permutation._trusted(tuple(word[1:]))
 
 
 def matching_pair_text(mp: MatchingPair) -> str:

@@ -13,15 +13,15 @@ alone on a cycle family or on all are counted by size, by the exponential
 formula (``_by_size``) over tables of the cycles on k points counted from
 the up-down and Eulerian numbers, not listed (``_cycle_tables``), and lrm,
 st and extr alone on ud, downup or all over the ranks of a word placed right
-to left (``_by_rank``).  Every other request on ud, downup or all that names
-neither ud nor nud is tallied by one walk that places w_n, ..., w_1, shares
-each placed end among the words that have it and closes cycles as it places
-entries (``_walk``).  Both carry st's picks symbolically, as the pick a or b
-of a state plus an offset, so that one table serves every state alike up to
-the picks: each rank state is counted once, and so is each tail of the walk,
-the entries w_1..w_d it places last (d = ``_TAIL_DEPTH``), by the ranks of
-what it reads.  The rest tally member words one by one (``_tally``), the
-plain words of ``_words`` or those ``_cycle_members`` lays cycle by cycle.
+to left (``_by_rank``).  Every other request on ud, downup or all at n >= 2
+that names neither ud nor nud is tallied by one walk that places w_n, ...,
+w_1, shares each placed end among the words that have it and closes cycles as
+it places entries (``_walk``).  Both carry st's picks symbolically, as the
+pick a or b of a state plus an offset, so that one table serves every state
+alike up to the picks: each rank state is counted once, and so is each tail of
+the walk, the entries w_1..w_d it places last (d = ``_TAIL_DEPTH``), by the
+ranks of what it reads.  The rest tally member words one by one (``_tally``),
+the plain words of ``_words`` or those ``_cycle_members`` lays cycle by cycle.
 A distribution is a plain dict from value tuples to counts.
 ``verify_all`` walks each S_n once, through ``census``, and returns a
 machine-readable report; any failing row is a bug somewhere, by design with
@@ -202,9 +202,9 @@ def distribution(
     statistics alone on a cycle family or all (``_by_size``) and lrm, st and
     extr alone on ud, downup or all (``_by_rank``) are counted with a default
     cap of ``COUNTED_CAP``.  Other requests visit every member word under the
-    family's ``DEFAULT_CAPS``: on ud, downup or all in one walk (``_walk``)
-    unless ud or nud is named, and otherwise one by one (``_tally``).  Tables
-    shared within a call are dropped when it returns."""
+    family's ``DEFAULT_CAPS``: on ud, downup or all at n >= 2 in one walk
+    (``_walk``) unless ud or nud is named, and otherwise one by one
+    (``_tally``).  Tables shared within a call are dropped when it returns."""
     for name in stat_names:
         if name not in STAT_NAMES:
             known = ", ".join(STAT_NAMES)
@@ -217,7 +217,7 @@ def distribution(
         counted = _by_size
     else:
         _check_cap(family, n, cap)
-        if family in _RANK_SIDES and not names & {"ud", "nud"}:
+        if family in _RANK_SIDES and not names & {"ud", "nud"} and n >= 2:
             return _walk(family, n, stat_names)
         return _tally((_cycle_members if cycle_family else _words)(family, n), n, stat_names)
     _check_cap(family, n, COUNTED_CAP if cap is None else cap)
@@ -294,10 +294,10 @@ _TAIL_DEPTH = 4
 
 
 def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, ...], int]:
-    """Any statistics but ud and nud over ud, downup or all, in one walk that
-    places w_n, w_{n-1}, ..., w_1, so that words which end alike share the
-    work of that end.  Each entry adds to the named statistics as it is
-    placed: lrm and extr by its rank among the values left (as in
+    """Any statistics but ud and nud over ud, downup or all at n >= 2, in one
+    walk that places w_n, w_{n-1}, ..., w_1, so that words which end alike
+    share the work of that end.  Each entry adds to the named statistics as
+    it is placed: lrm and extr by its rank among the values left (as in
     ``_by_rank``), st by ``_scan``'s right-to-left picks ``a`` and ``b``, and
     exc when w_i > i.  The placed entries make open paths and closed cycles.
     The open paths are kept by their ends, so placing i -> w_i merges two
@@ -342,10 +342,9 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
         else:
             cut = bisect(remaining, word[i + 1])
             choices = range(cut) if below else range(cut, i)
-        low_step = lrm + extr if i > 1 else lrm
         for r in choices:
             v = remaining[r]
-            k = key + (low_step if not r else extr if r == i - 1 else 0)
+            k = key + (lrm + extr if not r else extr if r == i - 1 else 0)
             if v > i:
                 k += exc
             word[i] = v
@@ -371,7 +370,7 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
                 else:
                     walk(i - 1, k, new_lo, new_hi, new_a, new_b, out)
                 remaining.insert(r, v)
-            elif i == 2:
+            else:
                 # w_1 = u, if it may lie on its side of w_2: the least of one
                 # value, it closes the last open path, from u to 1
                 u = remaining[1 - r]
@@ -381,9 +380,6 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
                         k += exc
                     k += st * (1 + new_b if u < new_lo else new_a)
                     out[k] = out.get(k, 0) + 1
-            else:  # n = 1, and w_1 was the one entry
-                k += st * new_a
-                out[k] = out.get(k, 0) + 1
             if h != v:
                 tail[h], head[t] = i, v
                 size[h] -= size[v]
@@ -443,13 +439,10 @@ def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, 
                     tally[k] = tally.get(k, 0) + nodes * count
 
     tally: dict[int, int] = {}
-    if n:
-        # the empty suffix's least value lies above every value and its largest below
-        walk(n, 0, base, 0, 0, 0, tally)
-        for pairs in states.values():
-            merge(pairs)
-    else:
-        tally[0] = 1
+    # the empty suffix's least value lies above every value and its largest below
+    walk(n, 0, base, 0, 0, 0, tally)
+    for pairs in states.values():
+        merge(pairs)
     return {
         tuple(key // place[name] % base for name in stat_names): count
         for key, count in tally.items()
@@ -632,9 +625,9 @@ _MEMBER_FAMILIES = (
 _MAP_CHECK_N = 6
 
 
-# a census tally's values, the statistics then the m_s of each pattern, and
-# each family's bit in its family masks
-_COLUMNS = STAT_NAMES + tuple(map(str, _PATTERNS))
+# a census tally's values, the statistics then the m_s of each pattern but the
+# first, whose m_s is st, and each family's bit in its family masks
+_COLUMNS = STAT_NAMES + tuple(map(str, _PATTERNS[1:]))
 _BIT = {family: 1 << i for i, family in enumerate(Family)}
 
 
@@ -644,8 +637,9 @@ class Census:
 
     ``tally`` counts the permutations by (family mask, values), keyed in the
     order the walk first meets them: the mask has the ``_BIT`` of every
-    family the permutation is in, and the values are its ``_COLUMNS``.
-    ``count`` and ``distribution`` are the only ways to read it, each by
+    family the permutation is in, and the values are its ``_COLUMNS``, which
+    hold st once, as the m_s of the alternating pattern has no column of its
+    own.  ``count`` and ``distribution`` are the only ways to read it, each by
     filtering the tally on the family's bit.  ``words`` keeps the member
     words, in lexicographic order, only for the families whose checks visit
     them one by one (``_MEMBER_FAMILIES``); a check that needs one member's
@@ -686,14 +680,11 @@ def census(n: int) -> Census:
     their family masks), and in a single-cycle family only with one cycle;
     its word statistics and ``m_s`` values come from ``statistics._scan``."""
     _check_cap(Family.ALL, n, None)
-    # a word of ud-last-gt-first is an up-down word of even length >= 2 whose
-    # last entry exceeds its first, so its bit is read off the ud bit
-    word_tests = [
-        (_BIT[family], test)
-        for family, test in perms._WORD_TESTS.items()
-        if family is not Family.UD_LAST_GT_FIRST
-    ]
-    ud_bit = _BIT[Family.UD]
+    # every word is in all, and a word of ud-last-gt-first is an up-down word
+    # of even length >= 2 whose last entry exceeds its first, so its bit is
+    # read off the ud bit
+    word_tests = [(_BIT[f], perms._WORD_TESTS[f]) for f in (Family.UD, Family.DOWNUP)]
+    all_bit, ud_bit = _BIT[Family.ALL], _BIT[Family.UD]
     last_gt_first_bit = _BIT[Family.UD_LAST_GT_FIRST] if n >= 2 and n % 2 == 0 else 0
     # by length, the cycle families admitting an up-down cycle (it has both
     # shapes) and those admitting a cycle of the GCUD shape alone
@@ -741,14 +732,16 @@ def census(n: int) -> Census:
         c = len(cycles)
         if c != 1:
             mask &= ~single_bits
+        # set only now: the cycles' admitting masks, ANDed in above, lack it
+        mask |= all_bit
         for flag, test in word_tests:
             if test(word):
                 mask |= flag
         if last_gt_first_bit and mask & ud_bit and word[-1] > word[0]:
             mask |= last_gt_first_bit
-        lrm, extr, ms = _scan(word)
         # st is the m_s of the alternating pattern, the first of _PATTERNS
-        key = (mask, (c, c_o, c - c_o, fp, lrm, ms[0], extr, exc, ud, c - ud, *ms))
+        lrm, extr, (st, r, b) = _scan(word)
+        key = (mask, (c, c_o, c - c_o, fp, lrm, st, extr, exc, ud, c - ud, r, b))
         tally[key] = tally.get(key, 0) + 1
         if mask & kept_bits:
             for flag, members in word_lists:
@@ -985,9 +978,10 @@ _MARKED_TABLES = (
 )
 
 
-# the Stirling rows over S_n: check name, census column
+# the Stirling rows over S_n: check name, census column (st for the first m_s)
 _STIRLING_ROWS = [(f"dist-{name}-stirling", name) for name in ("st", "lrm", "c")] + [
-    (f"dist-ms-stirling[{column}]", column) for column in _COLUMNS[len(STAT_NAMES) :]
+    (f"dist-ms-stirling[{pattern}]", column)
+    for pattern, column in zip(_PATTERNS, ("st", *_COLUMNS[len(STAT_NAMES) :]))
 ]
 
 
@@ -1043,12 +1037,6 @@ def _verify_distributions(
         yield "exc-poly-total", n, eul[n + 1], int(poly.substitute({"t": 1}).constant_value())
 
 
-def _phi_transports(cycles, lrm: int, st: int, extr: int) -> bool:
-    c_o = sum(len(cycle) % 2 for cycle in cycles)
-    c_e = len(cycles) - c_o
-    return c_e == lrm - 1 and c_o == st - 1 and c_e + c_o == lrm + st - 2
-
-
 # bijections from up-down words to cycles, by the cores of ``bijections``:
 # report tag, forward core, inverse core and a test of what the cycles keep
 # of the word's (lrm, st, extr); g and f add the family their images fill,
@@ -1060,7 +1048,10 @@ _G_F_MAPS = (
      lambda cycles, lrm, st, extr: len(cycles) == st, Family.CUD_ODD_ONLY),
 )
 _PHI_JBIJ_MAPS = (
-    ("phi", bijections._phi_cycles, bijections._phi_word, _phi_transports, "stats"),
+    # phi keeps c_o + 1 = st and c_e + 1 = lrm, that is c + 2 - lrm = st
+    ("phi", bijections._phi_cycles, bijections._phi_word,
+     lambda cycles, lrm, st, extr: sum(len(cyc) % 2 for cyc in cycles) + 1 == st
+     == len(cycles) + 2 - lrm, "stats"),
     ("jbij", bijections._jbij_cycles, bijections._jbij_word,
      lambda cycles, lrm, st, extr: len(cycles) == extr, "stat"),
 )

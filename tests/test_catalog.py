@@ -30,6 +30,10 @@ from cudlab.series import (
     euler_numbers,
     geometric_series,
     monomial_key,
+    one_series,
+    sec_series,
+    tan_series,
+    z_series,
     zigzag_egf_series,
 )
 
@@ -126,6 +130,37 @@ class TestSpecializations:
     def test_ud_st(self):
         marked = catalog_series("ud-st", 12).substitute({"t": 1})
         assert marked.constants() == zigzag_egf_series(12)
+
+
+def _gcud_exponent(order: int, tan_weight: int) -> Series:
+    """sec z - 1 + (tan_weight - z/2) tan z, in closed form."""
+    half_z_tan = Series.from_egf(term // 2 for term in (z_series(order) * tan_series(order)).terms)
+    tan = tan_series(order).scale(tan_weight)
+    return sec_series(order) - one_series(order) + tan - half_z_tan
+
+
+def _closed_form(seq_id: str, order: int) -> Series:
+    """The closed forms that the exponential formula replaced in the catalog."""
+    if seq_id == "cud-cyclic":  # the integral of sec z + tan z
+        return zigzag_egf_series(order - 1).integrate() if order else Series.from_egf((0,))
+    if seq_id == "gcud-even-only":
+        return sec_series(order) * _gcud_exponent(order, 0).exp()
+    if seq_id == "gcud":
+        return sec_series(order) * _gcud_exponent(order, 1).exp()
+    # gcud-fp-cycles: (sec z)^t exp(t((x - 1)z + sec z - 1 + (1 - z/2) tan z))
+    t, x = MPoly.marker("t"), MPoly.marker("x")
+    exponent = z_series(order).lift().scale(x - 1) + _gcud_exponent(order, 1).lift()
+    return sec_series(order).pow_marker(t) * exponent.scale(t).exp()
+
+
+class TestExponentialFormula:
+    """The cycle families built as exp of their cycles' EGF, and cud-cyclic as
+    -log(1 - sin z), equal their closed forms term by term at every order."""
+
+    @pytest.mark.parametrize("seq_id", ["cud-cyclic", "gcud-even-only", "gcud", "gcud-fp-cycles"])
+    def test_equals_the_closed_form(self, seq_id):
+        for order in range(25):
+            assert catalog_series(seq_id, order) == _closed_form(seq_id, order), order
 
 
 class TestEvenCyclicLemma:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -444,6 +445,22 @@ class TestExpect:
 
     def test_unknown_target(self, capsys):
         assert cli.main(["expect", "nope", "--n", "3"]) == 2
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 60])
+    def test_random_permutation_draws_as_fisher_yates(self, n):
+        # Random.shuffle draws randint(0, i) for i = n - 1 down to 1, as the
+        # bottom-up Fisher-Yates loop here does, so a seed gives one word
+        def fisher_yates(rng):
+            word = list(range(1, n + 1))
+            for i in range(n - 1, 0, -1):
+                j = rng.randint(0, i)
+                word[i], word[j] = word[j], word[i]
+            return tuple(word)
+
+        for seed in range(5):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert cli._random_permutation(n, rng).word == fisher_yates(reference)
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_nonpositive_samples_exit_2(self, capsys, samples):

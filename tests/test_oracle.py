@@ -33,7 +33,7 @@ from cudlab.oracle import (
 )
 from cudlab.perms import Family, Permutation, is_member
 from cudlab.series import MPoly, euler_numbers, stirling_c
-from cudlab.statistics import CYCLE_SHARES, STAT_NAMES, m_s, stats
+from cudlab.statistics import CYCLE_SHARES, STAT_NAMES, MinMaxPattern, m_s, stats
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -494,7 +494,7 @@ class TestWalk:
     @pytest.mark.parametrize("family", [Family.ALL, Family.UD, Family.DOWNUP])
     def test_every_request_matches_the_tally(self, family):
         requests = dict.fromkeys(map(_without_ud, _REQUESTS + [("st", "exc", "st")]))
-        for n in range(8):
+        for n in range(2, 8):
             words = list(oracle._words(family, n))
             for names in requests:
                 expected = oracle._tally(words, n, names)
@@ -507,6 +507,21 @@ class TestWalk:
             for names in _UD_REQUESTS:
                 expected = cen.distribution(family, names)
                 assert distribution(family, n, names) == expected, (family, n, names)
+
+    def test_a_word_of_at_most_one_entry_is_tallied(self, monkeypatch):
+        # _walk places words of two or more entries; at n = 0 and 1 every
+        # request goes to _tally, checked against stats in TestLeanDistribution
+        def refuse(*args):
+            raise AssertionError("the walk took a request at n <= 1")
+
+        monkeypatch.setattr(oracle, "_walk", refuse)
+        requests = dict.fromkeys(map(_without_ud, _REQUESTS))
+        for family in (Family.ALL, Family.UD, Family.DOWNUP):
+            for n in (0, 1):
+                for names in requests:
+                    assert sum(distribution(family, n, names).values()) == 1
+        with pytest.raises(AssertionError, match="the walk took"):
+            distribution(Family.ALL, 2, ("c", "lrm"))
 
     def test_a_request_naming_ud_never_enters_the_walk(self, monkeypatch):
         def refuse(*args):
@@ -657,7 +672,9 @@ class _CountingItertools:
 
 def _reference_census(n):
     """``census(n)`` from the public definitions: ``is_member`` for every
-    family, ``stats`` and ``m_s`` of every permutation of S_n."""
+    family, ``stats`` and ``m_s`` of every permutation of S_n.  The census
+    keeps st once, as it is also the m_s of the alternating pattern, so that
+    m_s is checked against ``stats`` here."""
     kept = oracle._MEMBER_FAMILIES + ((Family.ALL,) if n <= oracle._MAP_CHECK_N else ())
     tally = {}
     words = {family: [] for family in kept}
@@ -665,9 +682,9 @@ def _reference_census(n):
         p = Permutation(word)
         families = [family for family in Family if is_member(p, family)]
         sv = stats(p)
-        values = tuple(getattr(sv, name) for name in STAT_NAMES) + tuple(
-            m_s(p, pattern) for pattern in oracle._PATTERNS
-        )
+        first, *rest = (m_s(p, pattern) for pattern in oracle._PATTERNS)
+        assert oracle._PATTERNS[0] == MinMaxPattern.alternating() and first == sv.st
+        values = tuple(getattr(sv, name) for name in STAT_NAMES) + tuple(rest)
         key = (sum(oracle._BIT[family] for family in families), values)
         tally[key] = tally.get(key, 0) + 1
         for family in families:
