@@ -2,11 +2,17 @@
 families and their refinements, plus the secant continued fraction and the
 expected-value formulas around up-down cycles.
 
-A cyclic entry is the EGF C(z) of a family's admissible cycles, and each
-entry for sets of those cycles built here is exp(C(z)) by the exponential
-formula.  Every entry is built from the exact series primitives; the
-brute-force oracle re-derives every coefficient (and every marked coefficient
-polynomial) at small sizes, so the two routes check each other.
+A family of sets of cycles has EGF exp(C(z)) by the exponential formula, C(z)
+the EGF of its admissible cycles, and each C(z) is written once.  A CUD cycle
+is its minimum and then a down-up word, so the CUD cycles have -log(1 - sin z),
+the odd ones log(sec z + tan z) and the even ones -log(cos z); the GCUD cycles
+add sec z - 1 - (z/2) tan z to the even ones, and tan z for the odd.  Every
+marked entry is one exp of marker-weighted cycle EGFs.  The unmarked entries
+cud, cud-even-only, cud-odd-only, exc-def-swap and cud-derangements keep their
+closed forms, cheaper than an exp of a log.  Every entry is built from the
+exact series primitives; the brute-force oracle re-derives every coefficient
+(and every marked coefficient polynomial) at small sizes, so the two routes
+check each other.
 """
 
 from __future__ import annotations
@@ -34,10 +40,6 @@ from .series import (
 DEFAULT_ORDER_CAP = 24
 
 
-def _t() -> MPoly:
-    return MPoly.marker("t")
-
-
 def _half_z_tan(order: int) -> Series:
     # EGF of the counts k*E_{2k-1} of even up-down words with last > first
     doubled = (z_series(order) * tan_series(order)).terms
@@ -51,68 +53,58 @@ def _marked_exp(*parts: tuple[MPoly, Series]) -> Series:
     return sum(scaled[1:], scaled[0]).exp()
 
 
-def _build_gcud_even_cyclic(order: int) -> Series:
-    # sec z - 1 - (z/2) tan z - ln(cos z)
-    return (
-        sec_series(order)
-        - one_series(order)
-        - _half_z_tan(order)
-        - cos_series(order).log()
-    )
+def _cud_cycles(order: int) -> Series:
+    return -one_minus_sin_series(order).log()
+
+
+def _cud_odd_cycles(order: int) -> Series:
+    return zigzag_egf_series(order).log()
+
+
+def _cud_even_cycles(order: int) -> Series:
+    return -cos_series(order).log()
+
+
+def _gcud_even_cycles(order: int) -> Series:
+    return sec_series(order) - one_series(order) - _half_z_tan(order) + _cud_even_cycles(order)
 
 
 def _gcud_cycles(order: int) -> Series:
     # all GCUD cycles: the even ones, and tan z, as an odd one has one up-down rotation
-    return _build_gcud_even_cyclic(order) + tan_series(order)
+    return _gcud_even_cycles(order) + tan_series(order)
 
 
 def _build_cud_derangements(order: int) -> Series:
     return exp_series(order, -1) * one_minus_sin_series(order).reciprocal()
 
 
-def _build_cud_fp_cycles(order: int) -> Series:
-    # exp((x-1)t z) (1 - sin z)^(-t)
-    t, x = _t(), MPoly.marker("x")
-    return _marked_exp(
-        ((x - 1) * t, z_series(order)), (-t, one_minus_sin_series(order).log())
-    )
+def _fp_cycles(cycles: Series) -> Series:
+    # exp(t C(z) + (x-1)t z): t marks every cycle and x the fixed points
+    t, x = MPoly.marker("t"), MPoly.marker("x")
+    return _marked_exp((t, cycles), ((x - 1) * t, z_series(cycles.order)))
+
+
+def _build_cud_cycles(order: int) -> Series:
+    return _marked_exp((MPoly.marker("t"), _cud_cycles(order)))
 
 
 def _build_cud_odd_even(order: int) -> Series:
-    # (sec z + tan z)^(t_o) (sec z)^(t_e)
     t_o, t_e = MPoly.marker("t_o"), MPoly.marker("t_e")
-    return _marked_exp(
-        (t_o, zigzag_egf_series(order).log()), (t_e, sec_series(order).log())
-    )
+    return _marked_exp((t_o, _cud_odd_cycles(order)), (t_e, _cud_even_cycles(order)))
 
 
 def _build_ud_lrm(order: int) -> Series:
-    t = _t()
-    integral = sec_series(order).pow_marker(t + 1).integrate().truncate(order)
-    return integral.scale(t) + sec_series(order).pow_marker(t) - one_series(order).lift()
-
-
-def _build_ud_extr(order: int) -> Series:
-    return one_minus_sin_series(order).pow_marker(-_t()).integrate().truncate(order)
-
-
-def _build_gcud_fp_cycles(order: int) -> Series:
-    # exp(t C(z) + (x-1)t z), C the EGF of the GCUD cycles
-    t, x = _t(), MPoly.marker("x")
-    return _marked_exp((t, _gcud_cycles(order)), ((x - 1) * t, z_series(order)))
+    # t times the integral of (sec z)^(t+1), plus (sec z)^t - 1
+    t, even = MPoly.marker("t"), _cud_even_cycles(order)
+    integral = _marked_exp((t + 1, even)).integrate().truncate(order)
+    return integral.scale(t) + _marked_exp((t, even)) - one_series(order).lift()
 
 
 def _build_perm_ud_nud(order: int) -> Series:
-    # (1 - z)^(-w) (1 - sin z)^(w - v)
+    # every cycle weighted w, and each CUD one v instead
     v, w = MPoly.marker("v"), MPoly.marker("w")
-    return _marked_exp(
-        (-w, (one_series(order) - z_series(order)).log()),
-        (w - v, one_minus_sin_series(order).log()),
-    )
-
-
-def _build_avg_ud_cycles(order: int) -> Series:
-    return -one_minus_sin_series(order).log() * geometric_series(order)
+    every = -(one_series(order) - z_series(order)).log()
+    return _marked_exp((w, every), (v - w, _cud_cycles(order)))
 
 
 def _build_no_ud_cycles(order: int) -> Series:
@@ -124,55 +116,54 @@ def _build_no_ud_cycles(order: int) -> Series:
 _CATALOG: dict[str, tuple[Callable[[int], Series], tuple[str, ...], int]] = {
     "euler": (zigzag_egf_series, (), 0),
     "cud": (lambda order: one_minus_sin_series(order).reciprocal(), (), 0),
-    "cud-cyclic": (lambda order: -one_minus_sin_series(order).log(), (), 1),
+    "cud-cyclic": (_cud_cycles, (), 1),
     "cud-even-only": (sec_series, (), 0),
     "cud-odd-only": (zigzag_egf_series, (), 0),
     "exc-def-swap": (lambda order: exp_series(order) * sec_series(order), (), 0),
     "gcud-odd-only": (lambda order: tan_series(order).exp(), (), 0),
     "k-euler-odd": (_half_z_tan, (), 1),
-    "gcud-even-cyclic": (_build_gcud_even_cyclic, (), 1),
-    "gcud-even-only": (lambda order: _build_gcud_even_cyclic(order).exp(), (), 1),
+    "gcud-even-cyclic": (_gcud_even_cycles, (), 1),
+    "gcud-even-only": (lambda order: _gcud_even_cycles(order).exp(), (), 1),
     "gcud": (lambda order: _gcud_cycles(order).exp(), (), 1),
     "cud-derangements": (_build_cud_derangements, (), 1),
-    "cud-fp-cycles": (_build_cud_fp_cycles, ("x", "t"), 0),
-    "cud-cycles": (lambda order: one_minus_sin_series(order).pow_marker(-_t()), ("t",), 0),
+    "cud-fp-cycles": (lambda order: _fp_cycles(_cud_cycles(order)), ("x", "t"), 0),
+    "cud-cycles": (_build_cud_cycles, ("t",), 0),
     "cud-odd-even": (_build_cud_odd_even, ("t_o", "t_e"), 0),
-    "ud-st": (lambda order: zigzag_egf_series(order).pow_marker(_t()), ("t",), 0),
+    "ud-st": (lambda order: _marked_exp((MPoly.marker("t"), _cud_odd_cycles(order))), ("t",), 0),
     "ud-lrm": (_build_ud_lrm, ("t",), 1),
-    "ud-extr": (_build_ud_extr, ("t",), 1),
-    "gcud-fp-cycles": (_build_gcud_fp_cycles, ("x", "t"), 0),
+    "ud-extr": (lambda order: _build_cud_cycles(order).integrate().truncate(order), ("t",), 1),
+    "gcud-fp-cycles": (lambda order: _fp_cycles(_gcud_cycles(order)), ("x", "t"), 0),
     "perm-ud-nud": (_build_perm_ud_nud, ("v", "w"), 0),
-    "avg-ud-cycles": (_build_avg_ud_cycles, (), 1),
+    "avg-ud-cycles": (lambda order: _cud_cycles(order) * geometric_series(order), (), 1),
     "no-ud-cycles": (_build_no_ud_cycles, (), 1),
 }
 
 SEQUENCE_IDS = tuple(_CATALOG)
 
 
-def catalog_markers(seq_id: str) -> tuple[str, ...]:
-    _require_known(seq_id)
-    return _CATALOG[seq_id][1]
-
-
-def catalog_offset(seq_id: str) -> int:
-    _require_known(seq_id)
-    return _CATALOG[seq_id][2]
-
-
-def _require_known(seq_id: str) -> None:
+def _entry(seq_id: str) -> tuple[Callable[[int], Series], tuple[str, ...], int]:
     if seq_id not in _CATALOG:
         known = ", ".join(SEQUENCE_IDS)
         raise MalformedInput(f"unknown sequence id {seq_id!r} (known: {known})")
+    return _CATALOG[seq_id]
+
+
+def catalog_markers(seq_id: str) -> tuple[str, ...]:
+    return _entry(seq_id)[1]
+
+
+def catalog_offset(seq_id: str) -> int:
+    return _entry(seq_id)[2]
 
 
 def catalog_series(seq_id: str, n_max: int, cap: int = DEFAULT_ORDER_CAP) -> Series:
     """The named generating function, truncated at order ``n_max``."""
-    _require_known(seq_id)
+    build = _entry(seq_id)[0]
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     if n_max > cap:
         raise CapExceeded(f"order {n_max} exceeds the cap {cap}")
-    return _CATALOG[seq_id][0](n_max)
+    return build(n_max)
 
 
 def sequence_terms(seq_id: str, n_max: int, cap: int = DEFAULT_ORDER_CAP) -> list:

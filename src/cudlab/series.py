@@ -358,10 +358,6 @@ class Series:
             out.append(b[n] - rest)
         return Series.from_egf(out)
 
-    def pow_marker(self, exponent: MPoly) -> "Series":
-        """a^e for a polynomial exponent e; lifts into the polynomial ring."""
-        return self.log().lift().scale(exponent).exp()
-
     def substitute(self, assign: Mapping[str, Union[MPoly, Scalar]]) -> "Series":
         return Series.from_egf(c.substitute(assign) for c in self.terms)
 

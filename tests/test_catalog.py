@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import cudlab
-from cudlab import perms
+from cudlab import catalog, oracle, perms
 from cudlab.catalog import (
     SEQUENCE_IDS,
     CapExceeded,
@@ -22,7 +22,7 @@ from cudlab.catalog import (
     secant_cf_convergent,
     sequence_terms,
 )
-from cudlab.perms import MalformedInput
+from cudlab.perms import Family, MalformedInput
 from cudlab.series import (
     MPoly,
     Series,
@@ -32,6 +32,7 @@ from cudlab.series import (
     monomial_key,
     one_series,
     sec_series,
+    sin_series,
     tan_series,
     z_series,
     zigzag_egf_series,
@@ -139,28 +140,118 @@ def _gcud_exponent(order: int, tan_weight: int) -> Series:
     return sec_series(order) - one_series(order) + tan - half_z_tan
 
 
+def _pow(ser: Series, exponent) -> Series:
+    """ser^exponent for a polynomial exponent, through the polynomial ring."""
+    return ser.log().lift().scale(exponent).exp()
+
+
 def _closed_form(seq_id: str, order: int) -> Series:
-    """The closed forms that the exponential formula replaced in the catalog."""
+    """The closed forms and builders that the exponential formula replaced in
+    the catalog, each as it was written there."""
+    t, x = MPoly.marker("t"), MPoly.marker("x")
+    one_minus_sin = one_series(order) - sin_series(order)
     if seq_id == "cud-cyclic":  # the integral of sec z + tan z
         return zigzag_egf_series(order - 1).integrate() if order else Series.from_egf((0,))
     if seq_id == "gcud-even-only":
         return sec_series(order) * _gcud_exponent(order, 0).exp()
     if seq_id == "gcud":
         return sec_series(order) * _gcud_exponent(order, 1).exp()
-    # gcud-fp-cycles: (sec z)^t exp(t((x - 1)z + sec z - 1 + (1 - z/2) tan z))
-    t, x = MPoly.marker("t"), MPoly.marker("x")
-    exponent = z_series(order).lift().scale(x - 1) + _gcud_exponent(order, 1).lift()
-    return sec_series(order).pow_marker(t) * exponent.scale(t).exp()
+    if seq_id == "gcud-fp-cycles":
+        # (sec z)^t exp(t((x - 1)z + sec z - 1 + (1 - z/2) tan z))
+        exponent = z_series(order).lift().scale(x - 1) + _gcud_exponent(order, 1).lift()
+        return _pow(sec_series(order), t) * exponent.scale(t).exp()
+    if seq_id == "cud-cycles":
+        return _pow(one_minus_sin, -t)
+    if seq_id == "cud-fp-cycles":  # exp((x-1)t z) (1 - sin z)^(-t)
+        fixed = z_series(order).lift().scale((x - 1) * t)
+        return (fixed + one_minus_sin.log().lift().scale(-t)).exp()
+    if seq_id == "cud-odd-even":  # (sec z + tan z)^(t_o) (sec z)^(t_e)
+        t_o, t_e = MPoly.marker("t_o"), MPoly.marker("t_e")
+        odd = zigzag_egf_series(order).log().lift().scale(t_o)
+        return (odd + sec_series(order).log().lift().scale(t_e)).exp()
+    if seq_id == "ud-st":
+        return _pow(zigzag_egf_series(order), t)
+    if seq_id == "ud-lrm":
+        integral = _pow(sec_series(order), t + 1).integrate().truncate(order)
+        return integral.scale(t) + _pow(sec_series(order), t) - one_series(order).lift()
+    if seq_id == "ud-extr":
+        return _pow(one_minus_sin, -t).integrate().truncate(order)
+    if seq_id == "perm-ud-nud":  # (1 - z)^(-w) (1 - sin z)^(w - v)
+        v, w = MPoly.marker("v"), MPoly.marker("w")
+        every = (one_series(order) - z_series(order)).log().lift().scale(-w)
+        return (every + one_minus_sin.log().lift().scale(w - v)).exp()
+    if seq_id == "avg-ud-cycles":
+        return -one_minus_sin.log() * geometric_series(order)
+    # gcud-even-cyclic: sec z - 1 - (z/2) tan z - ln(cos z)
+    half_z_tan = Series.from_egf(term // 2 for term in (z_series(order) * tan_series(order)).terms)
+    return sec_series(order) - one_series(order) - half_z_tan - cos_series(order).log()
+
+
+_REWRITTEN = [
+    "cud-cyclic",
+    "gcud-even-only",
+    "gcud",
+    "gcud-fp-cycles",
+    "cud-cycles",
+    "cud-fp-cycles",
+    "cud-odd-even",
+    "ud-st",
+    "ud-lrm",
+    "ud-extr",
+    "perm-ud-nud",
+    "avg-ud-cycles",
+    "gcud-even-cyclic",
+]
 
 
 class TestExponentialFormula:
-    """The cycle families built as exp of their cycles' EGF, and cud-cyclic as
-    -log(1 - sin z), equal their closed forms term by term at every order."""
+    """The entries built as exp of marker-weighted cycle EGFs, and the cycle
+    EGFs themselves, equal the closed forms and builders they replaced term
+    by term at every order."""
 
-    @pytest.mark.parametrize("seq_id", ["cud-cyclic", "gcud-even-only", "gcud", "gcud-fp-cycles"])
+    @pytest.mark.parametrize("seq_id", _REWRITTEN)
     def test_equals_the_closed_form(self, seq_id):
         for order in range(25):
             assert catalog_series(seq_id, order) == _closed_form(seq_id, order), order
+
+
+class TestBijectiveTheorems:
+    """phi and jbij as identities between catalog entries: phi sends st - 1
+    on UD_{n+1} to c_o and lrm - 1 to c_e on CUD_n, and jbij sends extr on
+    UD_{n+1} to c on CUD_n, so d/dz of each UD entry is a CUD entry."""
+
+    def test_derivatives_of_the_ud_entries(self):
+        t = MPoly.marker("t")
+        odd_even = catalog_series("cud-odd-even", 23)
+        st_side = odd_even.substitute({"t_o": t, "t_e": 1}).scale(t)
+        lrm_side = odd_even.substitute({"t_o": 1, "t_e": t}).scale(t)
+        assert catalog_series("ud-st", 24).differentiate() == st_side
+        assert catalog_series("ud-lrm", 24).differentiate() == lrm_side
+        extr = catalog_series("ud-extr", 24).differentiate()
+        assert extr == odd_even.substitute({"t_o": t, "t_e": t})
+        assert extr == catalog_series("cud-cycles", 23)
+
+
+# each cycle family's cycle EGF, as the catalog names it
+_CYCLE_EGFS = {
+    Family.CUD: catalog._cud_cycles,
+    Family.CUD_ODD_ONLY: catalog._cud_odd_cycles,
+    Family.CUD_EVEN_ONLY: catalog._cud_even_cycles,
+    Family.GCUD: catalog._gcud_cycles,
+    Family.GCUD_EVEN_ONLY: catalog._gcud_even_cycles,
+    Family.GCUD_ODD_ONLY: tan_series,
+    Family.ALL: lambda order: -(one_series(order) - z_series(order)).log(),
+}
+
+
+class TestCycleRoutes:
+    """The oracle's counted cycle tables and the catalog's cycle EGFs count
+    the same cycles on every k <= 24."""
+
+    @pytest.mark.parametrize("family", list(_CYCLE_EGFS))
+    def test_tables_sum_to_the_cycle_egf(self, family):
+        tables = oracle._cycle_tables(family, 24, ())
+        assert [sum(table.values()) for table in tables] == list(_CYCLE_EGFS[family](24).terms)
 
 
 class TestEvenCyclicLemma:

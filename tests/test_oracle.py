@@ -752,6 +752,15 @@ class TestCensus:
         assert census(n) == expected
         assert expected.count(Family.UD_LAST_GT_FIRST) == n // 2 * euler_numbers(n)[n - 1]
 
+    def test_keys_hold_one_value_per_column(self):
+        # distribution reads a column by its index in _COLUMNS, so a key of
+        # another width would read a neighbouring column without error
+        for n in range(8):
+            widths = {len(values) for _, values in census(n).tally}
+            assert widths == {len(oracle._COLUMNS)}, n
+        with pytest.raises(ValueError):
+            census(3).distribution(Family.CUD, ["c", "no-such-column"])
+
     def test_agrees_with_the_enumeration(self):
         for n in range(7):
             cen = census(n)
