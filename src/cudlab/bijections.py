@@ -29,8 +29,8 @@ public faces over private cores (``_phi_cycles``, ``_phi_word`` and so on).
 A face checks its input once, raising ``DomainError``; a core takes plain
 words or canonical cycle tuples, never re-checks its domain and keeps only
 its algorithm's own range guards.  The cores' callers are the faces (phi's
-through g's and f's) and ``oracle._verify_bijections``, which feeds them
-words from the census or the backtracker and checks every image exhaustively.
+through g's and f's) and ``oracle._map_words``, which verify feeds the words
+of the census or the backtracker, one map per pass, to check every image.
 """
 
 from __future__ import annotations

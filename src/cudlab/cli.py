@@ -217,22 +217,15 @@ def cmd_map(args: argparse.Namespace) -> int:
     result = _MAPS[name](parse_any(args.input), args)
     if isinstance(result, tuple):  # ell-inv: (permutation, bit word)
         perm, bits = result
-        text = f"{format_permutation(perm)} / {''.join(str(b) for b in bits)}"
-        payload = {
-            "map": name,
-            "output": format_permutation(perm),
-            "bits": "".join(str(b) for b in bits),
-        }
+        payload = {"output": format_permutation(perm), "bits": "".join(map(str, bits))}
     elif isinstance(result, CycleDecomposition):
-        text = format_cycles(result)
-        payload = {"map": name, "output": text}
+        payload = {"output": format_cycles(result)}
     else:
-        text = format_permutation(result)
-        payload = {"map": name, "output": text}
+        payload = {"output": format_permutation(result)}
     if args.format == "json":
-        _emit(args, json.dumps(payload, sort_keys=True) + "\n")
+        _emit(args, json.dumps({"map": name, **payload}, sort_keys=True) + "\n")
     else:
-        _emit(args, text + "\n")
+        _emit(args, " / ".join(payload.values()) + "\n")
     return 0
 
 

@@ -30,9 +30,10 @@ The checks are a registry: each phase of ``_PHASES`` is a generator of
 (check, n, expected, actual) rows, and ``verify_all`` is the one place that
 turns rows into report entries.  The counts phase is the ``_COUNT_CHECKS``
 table.  The bijection checks run the trusted cores of ``bijections``, not
-the checking faces: ``_map_ud_words`` reads those of ``g_even``, ``f_odd``,
-``phi``, ``jbij`` and their inverses, and the ell check those of ``ell_map``
-and ``ell_inverse``.  No enumeration reads ``series`` or ``catalog``.
+the checking faces: ``_map_words`` runs those of one of ``g_even``,
+``f_odd``, ``phi`` and ``jbij`` and its inverse over any stream of up-down
+words, and the ell check those of ``ell_map`` and ``ell_inverse``.  No
+enumeration reads ``series`` or ``catalog``.
 
 ``census`` is a flat kernel over plain words: it decomposes each word, reads
 each distinct cycle once for the two cycle shapes and its excedances, and
@@ -1039,76 +1040,65 @@ def _verify_distributions(
 
 # bijections from up-down words to cycles, by the cores of ``bijections``:
 # report tag, forward core, inverse core and a test of what the cycles keep
-# of the word's (lrm, st, extr); g and f add the family their images fill,
-# phi and jbij the name of their statistic check
+# of the word's ``_scan``, (lrm, extr, m_s) with st first; g and f add the
+# family their images fill, phi and jbij the name of their statistic check
 _G_F_MAPS = (
     ("g", bijections._g_even_cycles, bijections._g_even_word,
-     lambda cycles, lrm, st, extr: len(cycles) == lrm, Family.CUD_EVEN_ONLY),
+     lambda cycles, lrm, extr, ms: len(cycles) == lrm, Family.CUD_EVEN_ONLY),
     ("f", bijections._f_odd_cycles, bijections._f_odd_word,
-     lambda cycles, lrm, st, extr: len(cycles) == st, Family.CUD_ODD_ONLY),
+     lambda cycles, lrm, extr, ms: len(cycles) == ms[0], Family.CUD_ODD_ONLY),
 )
 _PHI_JBIJ_MAPS = (
     # phi keeps c_o + 1 = st and c_e + 1 = lrm, that is c + 2 - lrm = st
     ("phi", bijections._phi_cycles, bijections._phi_word,
-     lambda cycles, lrm, st, extr: sum(len(cyc) % 2 for cyc in cycles) + 1 == st
+     lambda cycles, lrm, extr, ms: sum(len(cyc) % 2 for cyc in cycles) + 1 == ms[0]
      == len(cycles) + 2 - lrm, "stats"),
     ("jbij", bijections._jbij_cycles, bijections._jbij_word,
-     lambda cycles, lrm, st, extr: len(cycles) == extr, "stat"),
+     lambda cycles, lrm, extr, ms: len(cycles) == extr, "stat"),
 )
 
 
-def _map_ud_words(
-    censuses: list[Census], n: int, maps: Sequence[tuple]
-) -> list[tuple[bool, bool, list[tuple[int, ...]]]]:
-    """Send each word of UD_n through every map of a ``_G_F_MAPS`` or
-    ``_PHI_JBIJ_MAPS`` table, in one pass, with its lrm, st and extr from one
-    ``statistics._scan``.  The census of S_n keeps the words when there is
-    one; past the last census the backtracker builds them, one at a time.
-    Per map: whether every inverse gave the word back, whether every image
-    kept the statistic, and the image words in the order of the words.  A
-    core whose range guard refuses a member has not given it back, and that
-    member has no image."""
-    ground = tuple(range(1, n + 1))
-    words = censuses[n].words[Family.UD] if n < len(censuses) else _alternating_words(ground)
-    inverts = [True] * len(maps)
-    kept = [True] * len(maps)
-    images: list[list] = [[] for _ in maps]
+def _map_words(words: Iterable[tuple], forward, inverse, keeps) -> tuple[bool, bool, list]:
+    """Send each up-down word through one map's trusted cores, and ask
+    ``keeps`` of the cycles and the word's ``statistics._scan``: whether
+    every inverse gave the word back, whether every image kept the
+    statistic, and the image words, sorted.  A core whose range guard
+    refuses a word has not given it back, and that word has no image."""
+    inverts = kept = True
+    images = []
     for word in words:
-        lrm, extr, (st, _, _) = _scan(word)
-        for i, (_, forward, inverse, keeps, _) in enumerate(maps):
-            try:
-                cycles = forward(word)
-                back = inverse(sorted(cycles))  # the inverse core takes canonical order
-            except perms.DomainError:
-                inverts[i] = False
-                continue
-            image = [0] * (1 + sum(map(len, cycles)))  # image[a] is the image of a
-            for cycle in cycles:
-                a = cycle[-1]
-                for b in cycle:
-                    image[a] = b
-                    a = b
-            images[i].append(tuple(image[1:]))
-            inverts[i] = inverts[i] and back == word
-            kept[i] = kept[i] and keeps(cycles, lrm, st, extr)
-    return list(zip(inverts, kept, images))
+        try:
+            cycles = forward(word)
+            back = inverse(sorted(cycles))  # the inverse core takes canonical order
+        except perms.DomainError:
+            inverts = False
+            continue
+        image = [0] * (1 + sum(map(len, cycles)))  # image[a] is the image of a
+        for cycle in cycles:
+            a = cycle[-1]
+            for b in cycle:
+                image[a] = b
+                a = b
+        images.append(tuple(image[1:]))
+        inverts = inverts and back == word
+        kept = kept and keeps(cycles, *_scan(word))
+    images.sort()
+    return inverts, kept, images
 
 
 def _verify_bijections(censuses: list[Census], eul: list[int], order: int) -> Iterator[tuple]:
     for n, cen in enumerate(censuses):
-        maps = _G_F_MAPS[n % 2 :]  # g_even takes even n only
-        results = _map_ud_words(censuses, n, maps)
-        for (tag, *_, family), (inverts, kept, images) in zip(maps, results):
+        for tag, forward, inverse, keeps, family in _G_F_MAPS[n % 2 :]:  # g takes even n only
+            inverts, kept, images = _map_words(cen.words[Family.UD], forward, inverse, keeps)
             yield f"bij-{tag}-roundtrip", n, True, inverts and kept
-            images.sort()
             yield f"bij-{tag}-image", n, cen.words[family], images
-    for n, cen in enumerate(censuses):
-        # one pass over UD_{n+1}, which past the last census is streamed
-        results = _map_ud_words(censuses, n + 1, _PHI_JBIJ_MAPS)
-        for (tag, *_, stat_check), (inverts, kept, images) in zip(_PHI_JBIJ_MAPS, results):
+    for n, (cen, after) in enumerate(zip(censuses, censuses[1:] + [None])):
+        for tag, forward, inverse, keeps, stat_check in _PHI_JBIJ_MAPS:
+            # UD_{n+1}: the next census's words, or past the last the backtracker's
+            words = after.words[Family.UD] if after else _alternating_words(range(1, n + 2))
+            inverts, kept, images = _map_words(words, forward, inverse, keeps)
             yield f"bij-{tag}-roundtrip", n, True, inverts
             yield f"bij-{tag}-{stat_check}", n, True, kept
-            images.sort()
             yield f"bij-{tag}-image", n, cen.words[Family.CUD], images
     for cen in censuses[1:]:
         ud = list(Counter(cen.distribution(Family.UD, ("extr", "lrm", "st"))).elements())

@@ -3,6 +3,7 @@ import gc
 import inspect
 import itertools
 import json
+import random
 import sys
 import tracemalloc
 import types
@@ -860,6 +861,61 @@ class TestVerifyAll:
         # readers of the report key its entries by (check, n)
         keys = [(entry["check"], entry["n"]) for entry in verify_all(5)]
         assert len(keys) == len(set(keys))
+
+
+def _sampled_up_down(m, count=50, seed=0):
+    """``count`` up-down words of [m]: seeded random permutations, each made
+    up-down by one pass of adjacent swaps, w_i and w_{i+1} swapped when
+    w_i > w_{i+1} at even i (counted from 0) or w_i < w_{i+1} at odd i.  A
+    swap keeps the step before it, so one pass suffices; the sample is not
+    uniform over UD_m."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        word = rng.sample(range(1, m + 1), m)
+        for i in range(m - 1):
+            if (word[i] > word[i + 1]) == (i % 2 == 0):
+                word[i], word[i + 1] = word[i + 1], word[i]
+        yield tuple(word)
+
+
+# each verify map as (tag, forward, inverse, keeps, how many more values its
+# words have than n, the family its images fill)
+_VERIFY_MAPS = [(*row[:4], 0, row[4]) for row in oracle._G_F_MAPS] + [
+    (*row[:4], 1, Family.CUD) for row in oracle._PHI_JBIJ_MAPS
+]
+
+
+class TestMapWords:
+    """The verify kernel over sampled up-down words past S_9, where no census
+    reaches: g and f take words of [n], phi and jbij words of [n + 1]."""
+
+    @staticmethod
+    def _run(row, n):
+        _, forward, inverse, keeps, extra, family = row
+        words = _sampled_up_down(n + extra, seed=n)
+        inverts, kept, images = oracle._map_words(words, forward, inverse, keeps)
+        members = all(is_member(Permutation(image), family) for image in images)
+        return inverts, kept, members, images
+
+    @pytest.mark.parametrize("n", (12, 20, 40, 60))
+    @pytest.mark.parametrize("row", _VERIFY_MAPS, ids=[row[0] for row in _VERIFY_MAPS])
+    def test_sampled_words_invert_keep_and_land_in_the_family(self, row, n):
+        inverts, kept, members, images = self._run(row, n)
+        assert inverts and kept and members
+        # one image per word, and distinct words have distinct images
+        words = set(_sampled_up_down(n + row[4], seed=n))
+        assert len(images) == 50 and len(set(images)) == len(words)
+
+    def test_every_sampled_word_is_up_down(self):
+        for m in (12, 13, 60, 61):
+            assert all(map(perms.is_up_down_word, _sampled_up_down(m, seed=m)))
+
+    def test_a_wrong_switch_fails_f_phi_and_jbij(self, monkeypatch):
+        monkeypatch.setattr(bijections, "switched_word", lambda word: tuple(word[::-1]))
+        for row in _VERIFY_MAPS:
+            if row[0] in ("f", "phi", "jbij"):
+                inverts, kept, members, _ = self._run(row, 40)
+                assert not (inverts and kept and members), row[0]
 
 
 def _plain_reference(value):
