@@ -11,17 +11,14 @@ computes only the named statistics.  A member of a cycle family is a set of
 admissible cycles, and a permutation a set of any cycles, so cycle statistics
 alone on a cycle family or on all are counted by size, by the exponential
 formula (``_by_size``) over tables of the cycles on k points counted from
-the up-down and Eulerian numbers, not listed (``_cycle_tables``), and lrm,
-st and extr alone on ud, downup or all over the ranks of a word placed right
-to left (``_by_rank``).  Every other request on ud, downup or all at n >= 2
-that names neither ud nor nud is tallied by one walk that places w_n, ...,
-w_1, shares each placed end among the words that have it and closes cycles as
-it places entries (``_walk``).  Both carry st's picks symbolically, as the
-pick a or b of a state plus an offset, so that one table serves every state
-alike up to the picks: each rank state is counted once, and so is each tail of
-the walk, the entries w_1..w_d it places last (d = ``_TAIL_DEPTH``), by the
-ranks of what it reads.  The rest tally member words one by one (``_tally``),
-the plain words of ``_words`` or those ``_cycle_members`` lays cycle by cycle.
+the up-down and Eulerian numbers, not listed (``_cycle_tables``).  Every
+other request on ud, downup or all that names neither ud nor nud is counted
+in one sweep over the levels i = n, ..., 1 that places w_i by its rank among
+the values left (``_by_rank``): words whose placed ends agree in what the
+rest of them reads share a state, which holds st's picks, the open paths that
+the cycles close and the values left, each only where a name reads it.  The
+rest tally member words one by one (``_tally``), the plain words of
+``_words`` or those ``_cycle_members`` lays cycle by cycle.
 A distribution is a plain dict from value tuples to counts.
 ``verify_all`` walks each S_n once, through ``census``, and returns a
 machine-readable report; any failing row is a bug somewhere, by design with
@@ -41,15 +38,14 @@ takes the word statistics and ``m_s`` values from one ``statistics._scan``.  It
 counts permutations in one tally by family mask and values (``Census``) and
 keeps only member words.  The tests check it against ``is_member``, ``stats``
 and ``m_s`` over every permutation up to n = 7.  It keeps its own
-lexicographic walk of S_n, apart from ``_walk``: it is the reference the walk
-is tested against, and the verify report lists some of its tables in walk
-order.
+lexicographic walk of S_n, apart from ``_by_rank``: it is the reference the
+sweep is tested against, and the verify report lists some of its tables in
+walk order.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,10 +83,11 @@ from .statistics import (
 
 WORD_FAMILIES = (Family.UD, Family.DOWNUP, Family.UD_LAST_GT_FIRST)
 
-# the default caps of a request that visits each member word (``_walk``,
-# ``_tally``) and of one that visits none (``_by_size``, ``_by_rank``); that of
-# all is verify_all's too.  No cap lifts the ceiling, which keeps the
-# recursions well under the recursion limit
+# the default caps of a request that tallies member words (``_tally``) or
+# follows open paths or values left (``_by_rank`` naming a statistic but lrm,
+# st and extr), and of one counted over ranks or sizes alone (``_by_rank``,
+# ``_by_size``); that of all is verify_all's too.  No cap lifts the ceiling,
+# which keeps the backtracker's recursion well under the recursion limit
 DEFAULT_CAPS = {family: 11 if family in WORD_FAMILIES else 9 for family in Family}
 COUNTED_CAP = 11
 CAP_CEILING = 200
@@ -202,9 +199,9 @@ def distribution(
     name outside ``STAT_NAMES`` is refused before any route is taken.  Cycle
     statistics alone on a cycle family or all (``_by_size``) and lrm, st and
     extr alone on ud, downup or all (``_by_rank``) are counted with a default
-    cap of ``COUNTED_CAP``.  Other requests visit every member word under the
-    family's ``DEFAULT_CAPS``: on ud, downup or all at n >= 2 in one walk
-    (``_walk``) unless ud or nud is named, and otherwise one by one
+    cap of ``COUNTED_CAP``, and other requests under the family's
+    ``DEFAULT_CAPS``: on ud, downup or all over rank states too unless ud or
+    nud is named, and otherwise by tallying the member words one by one
     (``_tally``).  Tables shared within a call are dropped when it returns."""
     for name in stat_names:
         if name not in STAT_NAMES:
@@ -218,8 +215,8 @@ def distribution(
         counted = _by_size
     else:
         _check_cap(family, n, cap)
-        if family in _RANK_SIDES and not names & {"ud", "nud"} and n >= 2:
-            return _walk(family, n, stat_names)
+        if family in _RANK_SIDES and not names & {"ud", "nud"}:
+            return _by_rank(family, n, stat_names)
         return _tally((_cycle_members if cycle_family else _words)(family, n), n, stat_names)
     _check_cap(family, n, COUNTED_CAP if cap is None else cap)
     return counted(family, n, stat_names)
@@ -234,220 +231,112 @@ _RANK_SIDES = {
 
 
 def _by_rank(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, ...], int]:
-    """lrm, st and extr over ud, downup or all, placing ranks right to left
-    and laying no word.  The i values left when w_i is placed are those of
-    w_1..w_i, so w_i is a left-to-right minimum when it is their lowest, and
-    extreme (i >= 2) when it is their lowest or highest.  st is the pick
-    ``a`` of ``_scan``'s right-to-left pass, which changes, with ``b``, only
-    at a new minimum or maximum of the suffix, to one more than the other.
-    So the st of a word is a or b of any state it passes plus an offset, and
-    a state's table, split by that source, holds the offsets: the picks are
-    not part of the state.  A state is i and how many values left lie below
-    the suffix's minimum and below its maximum, which only st reads (without
-    st, held at 0 and at i, so that no pick moves), and below w_{i+1}, which
-    only ud and downup read.  One recursion over the states, cached for the
-    call only, counts each state once."""
+    """Any statistics but ud and nud over ud, downup or all, in one sweep
+    over the levels i = n, ..., 1 that places w_i by its rank r among the i
+    values left, those of w_1..w_i, and lays no word.  w_i adds to lrm when
+    it is their lowest, to extr (i >= 2) when it is their lowest or highest,
+    and to exc when it exceeds i.  The placed entries make open paths, one
+    into each position left: i -> w_i closes the path into i, when w_i is its
+    head, into a cycle that adds its share of c, c_o, c_e and fp, and joins
+    it to the path from w_i otherwise.  st is the pick ``a`` of ``_scan``'s
+    right-to-left pass, which changes, with ``b``, only at a new minimum or
+    maximum of the suffix, to one more than the other.
+
+    A level maps each state to its placed suffixes, counted by key: one int
+    of base-(n + 1) digits, one per name, st's holding a.  As b - a is -1, 0
+    or 1, a state keeps one table per d = b - a + 1.  A state is what the
+    rest of a word reads of its suffix, by rank among the values left, each
+    part only where a name reads it: how many values left lie below the
+    suffix's minimum and below its maximum, which st reads (without st, held
+    at 0 and at i, so that no pick moves), and below w_{i+1}, which ud and
+    downup read; the rank of the head of the open path into each position
+    left, and for c_o, c_e and fp its size as 1 (one point), 2 (even) or 3
+    (odd), which joining paths keeps; and the values left capped at i + 1,
+    which exc reads.  Each level is built from the one before it alone, so
+    two are held at a time: the transfer-matrix method (Stanley, EC1 4.7)."""
     base = n + 1
     place = {name: base**i for i, name in enumerate(dict.fromkeys(stat_names))}
-    lrm, extr, st = (place.get(name, 0) for name in ("lrm", "extr", "st"))
-    sides = _RANK_SIDES[family]
-    compares = family is not Family.ALL
-
-    @functools.cache
-    def prefixes(low: int, mid: int, high: int, i: int) -> tuple[dict[int, int], dict[int, int]]:
-        """The values of w_1..w_i, counted: those whose st is the state's a
-        plus the key's st digit, then those whose st is its b plus that."""
-        from_a: dict[int, int] = {} if i else {0: 1}
-        from_b: dict[int, int] = {}
-        below, above = sides[i % 2] if i < n else (True, True)
-        for r in range(0 if below else mid, i if above else mid):
-            step = (lrm if r == 0 else 0) + (extr if i > 1 and r in (0, i - 1) else 0)
-            # a new minimum sets a to 1 + b, so the words the rest counts
-            # on a count here on b, one higher; a new maximum b to 1 + a
-            new_min, new_max = r < low, r >= high
-            rest_a, rest_b = prefixes(
-                r if new_min else low, r if compares else 0, r if new_max else high - 1, i - 1
-            )
-            for rest, moved, same, other in (
-                (rest_a, new_min, from_a, from_b), (rest_b, new_max, from_b, from_a)
-            ):
-                target, shift = (other, step + st) if moved else (same, step)
-                for key, count in rest.items():
-                    key += shift
-                    target[key] = target.get(key, 0) + count
-        return from_a, from_b
-
-    # the empty suffix's minimum lies above every value and its maximum
-    # below (without st, below and above), and its picks are a = b = 0
-    rows: Counter = Counter()
-    for table in prefixes(n, 0, 0, n) if st else prefixes(0, 0, n, n):
-        for key, count in table.items():
-            rows[tuple(key // place[name] % base for name in stat_names)] += count
-    return dict(rows)
-
-
-# the number of values left at which ``_walk`` shares the tail of a word.
-# Over all with c, lrm, st and extr, one walk took 13.5, 8.3, 15.9 and 28.7 ms
-# at 3, 4, 5 and 6 at n = 8, and 115, 38, 55 and 143 ms at n = 9 (best of 28,
-# 2-vCPU host, Python 3.11.7): fewer values left count more nodes and starts,
-# more walk more and larger tails
-_TAIL_DEPTH = 4
-
-
-def _walk(family: Family, n: int, stat_names: Sequence[str]) -> dict[tuple[int, ...], int]:
-    """Any statistics but ud and nud over ud, downup or all at n >= 2, in one
-    walk that places w_n, w_{n-1}, ..., w_1, so that words which end alike
-    share the work of that end.  Each entry adds to the named statistics as
-    it is placed: lrm and extr by its rank among the values left (as in
-    ``_by_rank``), st by ``_scan``'s right-to-left picks ``a`` and ``b``, and
-    exc when w_i > i.  The placed entries make open paths and closed cycles.
-    The open paths are kept by their ends, so placing i -> w_i merges two
-    paths in O(1), or closes one into a cycle that adds its share of c, c_o,
-    c_e and fp.  w_1 is forced and placed inline.  A word's values are one
-    int of base-(n + 1) digits, one digit per name, st's the highest.
-
-    With ``_TAIL_DEPTH`` values left, what the rest of a word adds depends
-    only on the node's state (``tail_state``), so the tails of each state
-    are walked once, with the picks carried symbolically: a starts as 0 and
-    b as n + 1, so a final pick is its source times n + 1 plus an offset,
-    and st's digit puts the source one digit above the others.  Each node of
-    that state counts its starts on a and on b, and after the walk each state
-    adds its tables once per distinct start, times its nodes."""
-    base = n + 1
-    names = sorted(dict.fromkeys(stat_names), key=lambda name: name == "st")
-    place = {name: base**i for i, name in enumerate(names)}
     lrm, extr, exc, st = (place.get(name, 0) for name in ("lrm", "extr", "exc", "st"))
-    # the share of c, c_o, c_e and fp of a cycle on k points
+    # the share of c, c_o, c_e and fp of a cycle on k points; k = 1, 2 and 3
+    # stand for the size classes
     closed = [
-        sum(
-            place.get(name, 0) * CYCLE_SHARES[name](range(k))
-            for name in ("c", "c_o", "c_e", "fp")
-        )
-        for k in range(base)
+        sum(place.get(name, 0) * CYCLE_SHARES[name](range(k)) for name in ("c", "c_o", "c_e", "fp"))
+        for k in range(4)
     ]
-    sides = _RANK_SIDES[family]
-    first_sides = sides[1]  # those of w_1 against w_2
-    remaining = list(range(1, base))  # the values not yet placed, sorted
-    word = [0] * base
-    # an open path runs from head[t] to its tail t, and from h to tail[h];
-    # size[h] counts its points.  Each point starts as a path of its own
-    head, tail, size = list(range(base)), list(range(base)), [1] * base
-
-    def walk(i: int, key: int, lo: int, hi: int, a: int, b: int, out: dict[int, int]) -> None:
-        """Place w_i, with the i values left in ``remaining``, lo and hi the
-        least and largest of w_{i+1}..w_n and a and b their picks, and count
-        each word's values in ``out``."""
-        below, above = sides[i % 2] if i < n else (True, True)
-        if below and above:
-            choices = range(i)
-        else:
-            cut = bisect(remaining, word[i + 1])
-            choices = range(cut) if below else range(cut, i)
-        for r in choices:
-            v = remaining[r]
-            k = key + (lrm + extr if not r else extr if r == i - 1 else 0)
-            if v > i:
-                k += exc
-            word[i] = v
-            h = head[i]
-            if h == v:  # the path from v ends at i, so i -> v closes it
-                k += closed[size[v]]
-            else:
-                t = tail[v]
-                tail[h], head[t] = t, h
-                size[h] += size[v]
-            if v < lo:
-                new_lo, new_a = v, 1 + b
-            else:
-                new_lo, new_a = lo, a
-            if v > hi:
-                new_hi, new_b = v, 1 + a
-            else:
-                new_hi, new_b = hi, b
-            if i > 2:
-                del remaining[r]
-                if i - 1 == _TAIL_DEPTH:
-                    add_tails(k, new_lo, new_hi, new_a, new_b)
-                else:
-                    walk(i - 1, k, new_lo, new_hi, new_a, new_b, out)
-                remaining.insert(r, v)
-            else:
-                # w_1 = u, if it may lie on its side of w_2: the least of one
-                # value, it closes the last open path, from u to 1
-                u = remaining[1 - r]
-                if first_sides[u > v]:
-                    k += lrm + closed[size[u]]
-                    if u > 1:
-                        k += exc
-                    k += st * (1 + new_b if u < new_lo else new_a)
-                    out[k] = out.get(k, 0) + 1
-            if h != v:
-                tail[h], head[t] = i, v
-                size[h] -= size[v]
-
-    top = base ** len(names)  # the digit above st's, 1 on a tail key counted on b
     paths = any(closed)
     sizes = any(name in place for name in ("c_o", "c_e", "fp"))
+    sides = _RANK_SIDES[family]
     compares = family is not Family.ALL
-    # each state's tails on a and on b, each with its count of nodes by start
-    states: dict[tuple, tuple[tuple[dict[int, int], dict[int, int]], ...]] = {}
-
-    def tail_state(lo: int, hi: int) -> tuple:
-        """All that decides what the words below a node with
-        ``_TAIL_DEPTH`` values left add, read off the node and relabelled by
-        rank among the values left, each part only where a name reads it: the
-        rank of the head of the open path into each position left, which the
-        cycles close, and, for c_o, c_e and fp, the path's size as its parity
-        and whether it is 1, which merging paths keeps; how many values left
-        lie below lo and below hi, which st's picks compare with, and below
-        w_{i+1}, which ud and downup compare with; and each value left capped
-        at i + 1, as exc compares it with the positions left, 1..i."""
-        i = _TAIL_DEPTH
-        heads = head[1 : i + 1]
-        return (
-            paths and tuple(map(remaining.index, heads)),
-            sizes and tuple(size[h] % 2 + 2 * (size[h] > 1) for h in heads),
-            st and (bisect(remaining, lo), bisect(remaining, hi)),
-            compares and bisect(remaining, word[i + 1]),
-            exc and tuple(min(v, i + 1) for v in remaining),
-        )
-
-    def add_tails(key: int, lo: int, hi: int, a: int, b: int) -> None:
-        """Count a node with ``_TAIL_DEPTH`` values left at its two starts,
-        its key plus st on a and on b, walking its state's tails if new."""
-        state = tail_state(lo, hi)
-        pairs = states.get(state)
-        if pairs is None:
-            table: dict[int, int] = {}
-            walk(_TAIL_DEPTH, 0, lo, hi, 0, base, table)
-            states[state] = pairs = (
-                ({k: count for k, count in table.items() if k < top}, {}),
-                ({k - top: count for k, count in table.items() if k >= top}, {}),
-            )
-        (_, on_a), (_, on_b) = pairs
-        start = key + st * a
-        on_a[start] = on_a.get(start, 0) + 1
-        start = key + st * b
-        on_b[start] = on_b.get(start, 0) + 1
-
-    def merge(pairs: tuple[tuple[dict[int, int], dict[int, int]], ...]) -> None:
-        """Add a state's tails to the tally, once per distinct start on each
-        pick, times the number of nodes at that start."""
-        for entries, starts in pairs:
-            for start, nodes in starts.items():
-                for k, count in entries.items():
-                    k += start
-                    tally[k] = tally.get(k, 0) + nodes * count
-
-    tally: dict[int, int] = {}
-    # the empty suffix's least value lies above every value and its largest below
-    walk(n, 0, base, 0, 0, 0, tally)
-    for pairs in states.values():
-        merge(pairs)
-    return {
-        tuple(key // place[name] % base for name in stat_names): count
-        for key, count in tally.items()
-    }
+    # path t runs from value t into position t, and the empty suffix's
+    # minimum lies above every value and its maximum below, with a = b = 0
+    start = (
+        *((n, 0) if st else (0, n)),
+        0,
+        tuple(range(n)) if paths else (),
+        (1,) * n if sizes else (),
+        tuple(range(1, base)) if exc else (),
+    )
+    level = {start: [None, {0: 1}, None]}
+    for i in range(n, 0, -1):
+        below, above = sides[i % 2] if i < n else (True, True)
+        # what lrm and extr add at each rank
+        steps = [0] * i
+        steps[0] += lrm + extr * (i > 1)
+        steps[-1] += extr * (i > 1)
+        following: dict[tuple, list] = {}
+        for (low, high, mid, heads, kinds, values), tables in level.items():
+            for r in range(0 if below else mid, i if above else mid):
+                step = steps[r]
+                heads_after = kinds_after = values_after = ()
+                if exc:
+                    step += exc * (values[r] > i)
+                    values_after = tuple(min(v, i) for v in values[:r] + values[r + 1 :])
+                if paths:
+                    h, joined, kinds_after = heads[-1], list(heads[:-1]), list(kinds[:-1])
+                    if h == r:  # the path into i closes
+                        step += closed[kinds[-1] if sizes else 1]
+                    else:  # it joins the path from w_i, into position t
+                        t = heads.index(r)
+                        joined[t] = h
+                        if sizes:
+                            kinds_after[t] = 2 + (kinds[t] + kinds[-1]) % 2
+                    heads_after = tuple(x - (x > r) for x in joined)
+                    kinds_after = tuple(kinds_after)
+                new_min, new_max = r < low, r >= high
+                state = (
+                    r if new_min else low,
+                    r if new_max else high - 1,
+                    r if compares else 0,
+                    heads_after,
+                    kinds_after,
+                    values_after,
+                )
+                targets = following.get(state)
+                if targets is None:
+                    following[state] = targets = [None, None, None]
+                # a new minimum sets a to 1 + b = a + d, and a new maximum b
+                # to 1 + a
+                for d, table in enumerate(tables):
+                    if table is None:
+                        continue
+                    if new_min:
+                        slot, shift = 2 - d if new_max else 0, step + d * st
+                    else:
+                        slot, shift = 2 if new_max else d, step
+                    target = targets[slot]
+                    if target is None:
+                        targets[slot] = {key + shift: count for key, count in table.items()}
+                    else:
+                        for key, count in table.items():
+                            key += shift
+                            target[key] = target.get(key, 0) + count
+        level = following
+    rows: Counter = Counter()
+    for tables in level.values():
+        for table in filter(None, tables):
+            for key, count in table.items():
+                rows[tuple(key // place[name] % base for name in stat_names)] += count
+    return dict(rows)
 
 
 def _up_down_counts(n: int) -> list[int]:

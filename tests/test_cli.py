@@ -36,8 +36,9 @@ ENUMERATE_BENCH = _digests("enumerate_bench.sha256")
 # digest and argv of enumerate requests counted over rank states
 ENUMERATE_RANK = _digests("enumerate_rank.sha256")
 
-# digest and argv of enumerate requests that lay words: by the prefix-sharing
-# walk, or one by one where they name ud or nud
+# digest and argv of enumerate requests that name a statistic but lrm, st and
+# extr: counted by the sweep over rank states, or word by word where they
+# name ud or nud
 ENUMERATE_WALK = _digests("enumerate_walk.sha256")
 
 # digest and argv of enumerate requests counted by size

@@ -4,7 +4,6 @@ import inspect
 import itertools
 import json
 import random
-import sys
 import tracemalloc
 import types
 from collections import Counter
@@ -416,7 +415,7 @@ class TestByRank:
         scans = _count_calls(monkeypatch, "_scan", oracle, statistics)
         table = distribution(family, n, ("lrm", "st", "extr"))
         assert counting.walked == built == scans == []
-        # naming c too lays no word either: the walk places the entries itself
+        # naming c too lays no word either: the sweep places the entries by rank
         mixed = distribution(family, n, ("lrm", "c"))
         assert sum(mixed.values()) == sum(table.values())
         assert counting.walked == built == scans == []
@@ -438,6 +437,36 @@ class TestByRank:
         finally:
             tracemalloc.stop()
         assert after - before < 64 * 1024
+
+    def test_holds_two_levels_at_a_time(self):
+        # each level is built from the one before it alone; a sweep that kept
+        # every level, as a cached recursion does, peaks at some 2.7 MB here
+        gc.collect()
+        tracemalloc.start()
+        try:
+            oracle._by_rank(Family.UD, 16, ("lrm", "st"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
+    def test_reaches_n_24_on_every_marginal(self):
+        table = distribution(Family.UD, 24, ("lrm", "st", "extr"), cap=24)
+        for j, name in enumerate(("lrm", "st", "extr")):
+            marginal = Counter()
+            for values, count in table.items():
+                marginal[values[j],] += count
+            expected = catalog_series(f"ud-{name}", 24).egf_term(24)
+            assert oracle._to_poly(marginal, ("t",)) == expected, name
+
+    def test_a_mixed_request_past_the_backtracker(self):
+        # c beside lrm follows the open paths at n = 13, past every S_n laid
+        table = distribution(Family.UD, 13, ("c", "lrm"), cap=13)
+        marginal = Counter()
+        for (_, lrm), count in table.items():
+            marginal[lrm,] += count
+        expected = catalog_series("ud-lrm", 13).egf_term(13)
+        assert oracle._to_poly(marginal, ("t",)) == expected
 
 
 def _unreached(*args):
@@ -462,7 +491,7 @@ class TestUnknownName:
         ],
     )
     def test_every_route_refuses_it_alike(self, family, names, monkeypatch):
-        for route in ("_by_rank", "_by_size", "_walk", "_tally"):
+        for route in ("_by_rank", "_by_size", "_tally"):
             monkeypatch.setattr(oracle, route, _unreached)
         with pytest.raises(perms.MalformedInput) as caught:
             distribution(family, 4, names)
@@ -487,10 +516,10 @@ _UD_REQUESTS = [names for names in _REQUESTS if _without_ud(names) != names]
 
 class TestWalk:
     """Every other request on ud, downup or all that names neither ud nor
-    nud is tallied by one walk that places w_n, ..., w_1 (``oracle._walk``)
-    and must equal the tally of the plain words.  One that names them is
-    tallied word by word, and must equal the census, which reads ud on its
-    own decomposition."""
+    nud is counted by the sweep that places w_n, ..., w_1 by rank
+    (``oracle._by_rank``) and must equal the tally of the plain words.  One
+    that names them is tallied word by word, and must equal the census,
+    which reads ud on its own decomposition."""
 
     @pytest.mark.parametrize("family", [Family.ALL, Family.UD, Family.DOWNUP])
     def test_every_request_matches_the_tally(self, family):
@@ -499,7 +528,7 @@ class TestWalk:
             words = list(oracle._words(family, n))
             for names in requests:
                 expected = oracle._tally(words, n, names)
-                assert oracle._walk(family, n, names) == expected, (family, n, names)
+                assert oracle._by_rank(family, n, names) == expected, (family, n, names)
 
     @pytest.mark.parametrize("family", [Family.ALL, Family.UD, Family.DOWNUP])
     def test_a_request_naming_ud_matches_the_census(self, family, census_8):
@@ -509,44 +538,44 @@ class TestWalk:
                 expected = cen.distribution(family, names)
                 assert distribution(family, n, names) == expected, (family, n, names)
 
-    def test_a_word_of_at_most_one_entry_is_tallied(self, monkeypatch):
-        # _walk places words of two or more entries; at n = 0 and 1 every
-        # request goes to _tally, checked against stats in TestLeanDistribution
+    def test_a_word_of_at_most_one_entry_is_counted_over_ranks(self, monkeypatch):
+        # the sweep takes words of every length; at n = 0 and 1 no request
+        # goes to _tally, and each is checked against stats in
+        # TestLeanDistribution
         def refuse(*args):
-            raise AssertionError("the walk took a request at n <= 1")
+            raise AssertionError("a request at n <= 1 was tallied")
 
-        monkeypatch.setattr(oracle, "_walk", refuse)
+        monkeypatch.setattr(oracle, "_tally", refuse)
         requests = dict.fromkeys(map(_without_ud, _REQUESTS))
         for family in (Family.ALL, Family.UD, Family.DOWNUP):
             for n in (0, 1):
                 for names in requests:
                     assert sum(distribution(family, n, names).values()) == 1
-        with pytest.raises(AssertionError, match="the walk took"):
-            distribution(Family.ALL, 2, ("c", "lrm"))
+        with pytest.raises(AssertionError, match="was tallied"):
+            distribution(Family.ALL, 1, ("lrm", "ud"))
 
     def test_a_request_naming_ud_never_enters_the_walk(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the walk took a request naming ud or nud")
+            raise AssertionError("the sweep took a request naming ud or nud")
 
-        monkeypatch.setattr(oracle, "_walk", refuse)
+        monkeypatch.setattr(oracle, "_by_rank", refuse)
         for family in (Family.ALL, Family.UD, Family.DOWNUP):
             for names in (("ud", "lrm"), ("st", "nud"), ("c", "exc", "ud", "nud")):
                 distribution(family, 6, names)
         # the stand-in is the one distribution calls
-        with pytest.raises(AssertionError, match="the walk took"):
+        with pytest.raises(AssertionError, match="the sweep took"):
             distribution(Family.ALL, 6, ("c", "lrm"))
 
     @pytest.mark.parametrize("family", [Family.UD, Family.DOWNUP])
     @pytest.mark.parametrize("names", [("c", "lrm", "st", "extr"), _without_ud(STAT_NAMES)])
     def test_alternating_words_at_9_match_the_tally(self, family, names):
         words = oracle._words(family, 9)
-        assert oracle._walk(family, 9, names) == oracle._tally(words, 9, names)
+        assert oracle._by_rank(family, 9, names) == oracle._tally(words, 9, names)
 
-    # between them the first three read every part of a tail's state: the
-    # open paths, their sizes, st's lo and hi and the values left against
-    # exc.  The last three check the starts each node counts on st's picks a
-    # and b: with st alone every tail key lies on a or on b, without st the
-    # two starts coincide, and the last names every statistic the walk takes
+    # between them the first three read every part of a state: the open
+    # paths, their sizes, st's minimum and maximum and the values left
+    # against exc.  The last three check st's tables by b - a: st alone,
+    # without st, where one table serves, and every statistic the sweep takes
     @pytest.mark.parametrize(
         "names",
         [
@@ -559,28 +588,7 @@ class TestWalk:
         ],
     )
     def test_shared_tails_at_8_match_the_tally(self, names, s_8_words):
-        assert oracle._walk(Family.ALL, 8, names) == oracle._tally(s_8_words, 8, names)
-
-    def test_tails_are_walked_once_per_state(self):
-        # every node with _TAIL_DEPTH values left counts its starts, only a
-        # state met for the first time walks its tails, and each state merges
-        # them into the tally once
-        calls = Counter()
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_name in ("walk", "add_tails", "merge"):
-                calls[frame.f_code.co_name, frame.f_locals.get("i")] += 1
-
-        sys.setprofile(profile)
-        try:
-            table = oracle._walk(Family.ALL, 8, ("c", "lrm", "st", "extr"))
-        finally:
-            sys.setprofile(None)
-        assert sum(table.values()) == factorial(8)
-        nodes = factorial(8) // factorial(oracle._TAIL_DEPTH)
-        assert calls["add_tails", None] == nodes
-        assert 0 < calls["walk", oracle._TAIL_DEPTH] < nodes // 10
-        assert calls["merge", None] == calls["walk", oracle._TAIL_DEPTH]
+        assert oracle._by_rank(Family.ALL, 8, names) == oracle._tally(s_8_words, 8, names)
 
 
 # what the enumeration side of the oracle runs; none of it may read the
@@ -592,7 +600,6 @@ _ENUMERATION_SIDE = (
     "_cycle_tables",
     "_up_down_counts",
     "_by_rank",
-    "_walk",
     "_tally",
     "_cycle_members",
     "_words",
@@ -635,24 +642,6 @@ def test_the_enumeration_side_reads_no_series_or_catalog():
     for name in _ENUMERATION_SIDE:
         code = getattr(oracle, name).__code__
         assert not _names_read(code) & forbidden, name
-
-
-def _nested_functions(code) -> set[str]:
-    """The names of the functions defined inside a code object, at any depth."""
-    names = set()
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= {const.co_name} | _nested_functions(const)
-    return names
-
-
-def test_the_check_reaches_the_nested_helpers():
-    # the state tables of _by_rank and the shared tails of _walk are built
-    # by functions nested in them, which the check above reads through them
-    assert "prefixes" in _nested_functions(oracle._by_rank.__code__)
-    assert {"walk", "tail_state", "add_tails", "merge"} <= _nested_functions(
-        oracle._walk.__code__
-    )
 
 
 class _CountingItertools:

@@ -57,7 +57,8 @@ def test_traced_seq_and_verify_run():
     assert payload["distribution"] == 3
     # the tracer counts S_n walks at ``oracle.itertools``: verify walks S_0..S_3,
     # and no enumerate request walks one: gcud is counted by size, ud over rank
-    # states, and all by ``oracle._walk``, which places each entry itself
+    # states, and all by the same sweep, ``oracle._by_rank``, which places
+    # each entry by rank
     assert payload["walks"] == [0, 4, 0, 0, 0]
     assert payload["metrics"] > 0
 
