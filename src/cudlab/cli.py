@@ -142,8 +142,8 @@ def cmd_seq(args: argparse.Namespace) -> int:
                 body = " ".join(f"{k}:{v}" for k, v in sorted(value.items()))
             else:
                 body = str(value)
-            lines.append(f"{n} {body}")
-        _emit(args, "\n".join(lines) + "\n")
+            lines.append(f"{n} {body}\n")
+        _emit(args, "".join(lines))
     return 0
 
 
@@ -358,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = command(
         "enumerate", cmd_enumerate, ("text", "json", "csv"), "distribution table over a family",
-        cap="largest n enumerated (default CUDLAB_CAP, else by route and family)",
+        cap=f"largest n enumerated (default CUDLAB_CAP, else {oracle.COUNTED_CAP} for a table"
+        " counted without laying words and the family's own cap for a word tally)",
     )
     p_enum.add_argument("family", choices=[f.value for f in Family], metavar="FAMILY")
     p_enum.add_argument("--n", type=int, required=True)

@@ -18,7 +18,8 @@ the values left (``_by_rank``): words whose placed ends agree in what the
 rest of them reads share a state, which holds st's picks, the open paths that
 the cycles close and the values left, each only where a name reads it.  The
 rest tally member words one by one (``_tally``), the plain words of
-``_words`` or those ``_cycle_members`` lays cycle by cycle.
+``_words`` or those ``_cycle_members`` lays cycle by cycle.  The route sets
+the default cap: ``COUNTED_CAP`` where no word is laid, else ``DEFAULT_CAPS``.
 A distribution is a plain dict from value tuples to counts.
 ``verify_all`` walks each S_n once, through ``census``, and returns a
 machine-readable report; any failing row is a bug somewhere, by design with
@@ -83,11 +84,10 @@ from .statistics import (
 
 WORD_FAMILIES = (Family.UD, Family.DOWNUP, Family.UD_LAST_GT_FIRST)
 
-# the default caps of a request that tallies member words (``_tally``) or
-# follows open paths or values left (``_by_rank`` naming a statistic but lrm,
-# st and extr), and of one counted over ranks or sizes alone (``_by_rank``,
-# ``_by_size``); that of all is verify_all's too.  No cap lifts the ceiling,
-# which keeps the backtracker's recursion well under the recursion limit
+# the default caps of a request that tallies member words (``_tally``), and
+# of one counted without laying words (``_by_size``, ``_by_rank``); that of
+# all is verify_all's too.  No cap lifts the ceiling, which keeps the
+# backtracker's recursion well under the recursion limit
 DEFAULT_CAPS = {family: 11 if family in WORD_FAMILIES else 9 for family in Family}
 COUNTED_CAP = 11
 CAP_CEILING = 200
@@ -197,26 +197,24 @@ def distribution(
     """Exact joint distribution of the named statistics, computing no other:
     how many members take each tuple of their values, in the order named.  A
     name outside ``STAT_NAMES`` is refused before any route is taken.  Cycle
-    statistics alone on a cycle family or all (``_by_size``) and lrm, st and
-    extr alone on ud, downup or all (``_by_rank``) are counted with a default
-    cap of ``COUNTED_CAP``, and other requests under the family's
-    ``DEFAULT_CAPS``: on ud, downup or all over rank states too unless ud or
-    nud is named, and otherwise by tallying the member words one by one
-    (``_tally``).  Tables shared within a call are dropped when it returns."""
+    statistics alone on a cycle family or all are counted by size
+    (``_by_size``), any other request on ud, downup or all that names neither
+    ud nor nud over rank states (``_by_rank``), both with a default cap of
+    ``COUNTED_CAP``, and the rest by tallying the member words one by one
+    (``_tally``) under the family's ``DEFAULT_CAPS``.  Tables shared within a
+    call are dropped when it returns."""
     for name in stat_names:
         if name not in STAT_NAMES:
             known = ", ".join(STAT_NAMES)
             raise perms.MalformedInput(f"unknown statistic {name!r} (known: {known})")
     cycle_family = family in perms._CYCLE_FAMILIES
     names = set(stat_names)
-    if family in _RANK_SIDES and names <= {"lrm", "st", "extr"}:
-        counted = _by_rank
-    elif (cycle_family or family is Family.ALL) and names <= CYCLE_SHARES.keys():
+    if (cycle_family or family is Family.ALL) and names <= CYCLE_SHARES.keys():
         counted = _by_size
+    elif family in _RANK_SIDES and not names & {"ud", "nud"}:
+        counted = _by_rank
     else:
         _check_cap(family, n, cap)
-        if family in _RANK_SIDES and not names & {"ud", "nud"}:
-            return _by_rank(family, n, stat_names)
         return _tally((_cycle_members if cycle_family else _words)(family, n), n, stat_names)
     _check_cap(family, n, COUNTED_CAP if cap is None else cap)
     return counted(family, n, stat_names)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cudlab import cli
 from cudlab import oracle
-from cudlab.catalog import SEQUENCE_IDS, expected_ud_cycles
+from cudlab.catalog import SEQUENCE_IDS, catalog_offset, expected_ud_cycles
 from cudlab.perms import Family
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,6 +97,18 @@ class TestSeq:
     def test_cap_exceeded_exits_3(self, capsys):
         assert cli.main(["seq", "euler", "--n", "30"]) == 3
         assert cli.main(["seq", "euler", "--n", "30", "--cap", "32"]) == 0
+
+    @pytest.mark.parametrize(
+        "seq_id", [seq_id for seq_id in SEQUENCE_IDS if catalog_offset(seq_id) == 1]
+    )
+    def test_no_term_in_range_prints_nothing(self, capsys, seq_id):
+        # offset 1 and --n 0: no index value line, not one blank line
+        assert run(capsys, "seq", seq_id, "--n", "0") == (0, "")
+        code, out = run(capsys, "seq", seq_id, "--n", "0", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(
+            {"id": seq_id, "n_max": 0, "offset": 1, "values": []}, sort_keys=True
+        ) + "\n"
 
     def test_deterministic(self, capsys):
         _, first = run(capsys, "seq", "gcud", "--n", "8", "--format", "json")
@@ -212,8 +224,14 @@ class TestEnumerate:
             ("all --n 11 --stats lrm,st", 0),
             ("cud --n 10 --stats c,lrm", 3),
             ("all --n 10 --stats c", 0),
-            ("all --n 10 --stats c,lrm", 3),
+            ("all --n 10 --stats c,lrm", 0),
             ("all --n 12 --stats c", 3),
+            ("all --n 11 --stats c,lrm", 0),
+            ("all --n 12 --stats c,lrm", 3),
+            ("all --n 10 --stats lrm,ud", 3),
+            ("gcud --n 10 --stats fp,lrm", 3),
+            ("ud --n 12 --stats c,lrm", 3),
+            ("ud-last-gt-first --n 12 --stats lrm", 3),
         ],
     )
     def test_default_cap_follows_the_route(self, capsys, argv, code):

@@ -386,9 +386,9 @@ _RANK_REQUESTS = [
 
 
 class TestByRank:
-    """lrm, st and extr alone on ud, downup or all are counted over rank
-    states (``oracle._by_rank``), laying no word; a request naming any other
-    statistic tallies the words."""
+    """lrm, st and extr on ud, downup or all are counted over rank states
+    (``oracle._by_rank``), laying no word, alone or beside any statistic but
+    ud and nud."""
 
     @pytest.mark.parametrize(
         "family, top", [(Family.UD, 10), (Family.DOWNUP, 10), (Family.ALL, 8)]
@@ -467,6 +467,35 @@ class TestByRank:
             marginal[lrm,] += count
         expected = catalog_series("ud-lrm", 13).egf_term(13)
         assert oracle._to_poly(marginal, ("t",)) == expected
+
+    @pytest.mark.parametrize(
+        "n, names",
+        [
+            (10, ("c", "c_o", "c_e", "fp", "lrm", "st", "extr", "exc")),
+            (11, ("c", "lrm")),
+            (11, ("fp", "extr", "exc")),
+        ],
+    )
+    def test_a_mixed_request_on_all_agrees_with_the_size_route(self, n, names):
+        # past the tally's reach on all: summed over lrm, st and extr the table
+        # is the one counted by size, which shares no function with the sweep,
+        # and summed over the cycle names it is each word statistic's own
+        table = oracle._by_rank(Family.ALL, n, names)
+        cycle_names = [name for name in names if name in CYCLE_SHARES]
+        by_cycles, by_word = Counter(), {name: Counter() for name in names}
+        for values, count in table.items():
+            by_cycles[tuple(v for v, name in zip(values, names) if name in CYCLE_SHARES)] += count
+            for v, name in zip(values, names):
+                by_word[name][v] += count
+        assert dict(by_cycles) == oracle._by_size(Family.ALL, n, cycle_names)
+        expected = {
+            "lrm": lambda k: stirling_c(n, k),
+            "st": lambda k: stirling_c(n, k),
+            "extr": lambda k: 2**k * stirling_c(n - 1, k),
+        }
+        for name in expected.keys() & set(names):
+            terms = {k: expected[name](k) for k in range(n + 1)}
+            assert by_word[name] == {k: count for k, count in terms.items() if count}, name
 
 
 def _unreached(*args):
