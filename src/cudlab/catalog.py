@@ -197,6 +197,8 @@ def secant_cf_convergent(depth: int, n_max: int) -> Series:
     (observed agreement order: exactly d for every depth checked)."""
     if depth < 1:
         raise DomainError("depth must be at least 1")
+    if n_max < 0:
+        raise DomainError("n_max must be nonnegative")
     tail = one_series(n_max)
     for k in range(depth, 0, -1):
         shifted = Series((Fraction(0),) + tail.coeffs[:-1]).scale(k * k)

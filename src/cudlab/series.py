@@ -9,6 +9,11 @@ integral unless an input brings a ``Fraction``.  :attr:`Series.coeffs` is the
 ordinary view.  Everything is exact: identities are checked with equality,
 never with tolerances.
 
+Each term of a convolution reads one cached row of Pascal's triangle for its
+binomial weights and sums with C-level ``map`` calls.  The table keeps
+binomial coefficients only, in rows up to the largest order used so far;
+no series or result outlives the call that built it.
+
 Also here: the boustrophedon recurrence for the zigzag (Euler) numbers and
 the recurrence for the signless Stirling numbers of the first kind, both of
 which serve as series-independent cross-checks.
@@ -18,7 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial
+from math import factorial
+from operator import add, mul
 from typing import Iterable, Mapping, Union
 
 from .perms import DomainError
@@ -191,6 +197,20 @@ def _poly_dot(triples: Iterable[tuple[Scalar, MPoly, MPoly]]) -> MPoly:
     return MPoly._of(acc)
 
 
+# row n of Pascal's triangle under key n, for n up to the largest order asked
+# for; each key is only ever set to its one row, so concurrent growth is harmless
+_PASCAL: dict[int, tuple[int, ...]] = {0: (1,)}
+
+
+def _pascal_row(n: int) -> tuple[int, ...]:
+    """(C(n, 0), ..., C(n, n)), each row built from the row above it."""
+    if n not in _PASCAL:
+        for m in range(len(_PASCAL), n + 1):
+            row = _PASCAL[m - 1]
+            _PASCAL[m] = (1, *map(add, row, row[1:]), 1)
+    return _PASCAL[n]
+
+
 class Series:
     """Truncated power series in one ring, stored as its EGF terms n!*[z^n].
 
@@ -216,7 +236,7 @@ class Series:
 
     def coefficient(self, n: int):
         """The ordinary z^n coefficient, the term over n!."""
-        term, scale = self.terms[n], factorial(n)
+        term, scale = self.egf_term(n), factorial(n)
         if isinstance(term, MPoly):
             return MPoly._of({m: Fraction(c, scale) for m, c in term._terms.items()})
         return Fraction(term, scale)
@@ -233,11 +253,12 @@ class Series:
         """A scalar as a term of this series' ring."""
         return MPoly.constant(value) if self._marked else value
 
-    def _dot(self, triples):
-        """One term of a convolution: sum of w*x*y over (scalar, term, term)."""
+    def _dot(self, weights, xs, ys):
+        """One term of a convolution: sum of w*x*y over scalar weights and
+        terms taken in step, as far as the shortest of the three reaches."""
         if self._marked:
-            return _poly_dot(triples)
-        return sum(w * x * y for w, x, y in triples)
+            return _poly_dot(zip(weights, xs, ys))
+        return sum(map(mul, map(mul, weights, xs), ys))
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -270,8 +291,7 @@ class Series:
         self._check_compatible(other)
         a, b = self.terms, other.terms
         return Series.from_egf(
-            self._dot((comb(n, k), a[k], b[n - k]) for k in range(n + 1))
-            for n in range(len(a))
+            self._dot(_pascal_row(n), a, b[n::-1]) for n in range(len(a))
         )
 
     def scale(self, factor) -> "Series":
@@ -299,12 +319,14 @@ class Series:
         return Series.from_egf(c.constant_value() for c in self.terms)
 
     def egf_term(self, n: int):
-        """n! times the z^n coefficient."""
+        """n! times the z^n coefficient, for n in 0..order."""
+        if not 0 <= n <= self.order:
+            raise DomainError(f"no term at n={n}: the series has orders 0..{self.order}")
         return self.terms[n]
 
     def egf_int(self, n: int) -> int:
         """Integer EGF term; fails if it is not an integer."""
-        value = self.terms[n]
+        value = self.egf_term(n)
         if isinstance(value, MPoly):
             value = value.constant_value()
         if isinstance(value, Fraction) and value.denominator != 1:
@@ -319,10 +341,9 @@ class Series:
         if isinstance(b0, MPoly) or not b0:
             raise DomainError("constant term must be a nonzero constant")
         inv0 = _norm(1 / Fraction(b0))
-        out = [self._const(inv0)]
+        out, tail = [self._const(inv0)], b[1:]
         for n in range(1, len(b)):
-            terms = ((-inv0 * comb(n, k), b[k], out[n - k]) for k in range(1, n + 1))
-            out.append(self._dot(terms))
+            out.append(self._dot([-inv0 * w for w in _pascal_row(n)[1:]], tail, out[::-1]))
         return Series.from_egf(out)
 
     def differentiate(self) -> "Series":
@@ -341,10 +362,9 @@ class Series:
         a = self.terms
         if a[0]:
             raise DomainError("exp needs a zero constant term")
-        out = [self._const(1)]
+        out, tail = [self._const(1)], a[1:]
         for n in range(1, len(a)):
-            terms = ((comb(n - 1, k - 1), a[k], out[n - k]) for k in range(1, n + 1))
-            out.append(self._dot(terms))
+            out.append(self._dot(_pascal_row(n - 1), tail, out[::-1]))
         return Series.from_egf(out)
 
     def log(self) -> "Series":
@@ -354,7 +374,7 @@ class Series:
             raise DomainError("log needs constant term 1")
         out = [self._const(0)]
         for n in range(1, len(b)):
-            rest = self._dot((comb(n - 1, k - 1), out[k], b[n - k]) for k in range(1, n))
+            rest = self._dot(_pascal_row(n - 1), out[1:], b[n - 1 : 0 : -1])
             out.append(b[n] - rest)
         return Series.from_egf(out)
 

@@ -22,7 +22,7 @@ from cudlab.catalog import (
     secant_cf_convergent,
     sequence_terms,
 )
-from cudlab.perms import Family, MalformedInput
+from cudlab.perms import DomainError, Family, MalformedInput
 from cudlab.series import (
     MPoly,
     Series,
@@ -307,6 +307,11 @@ class TestContinuedFraction:
             if 2 * (depth + 1) < len(E):
                 # observed agreement order is exactly the depth
                 assert ser.coefficient(depth + 1) != E[2 * (depth + 1)]
+
+    def test_negative_order_refused_as_by_catalog_series(self):
+        for refuse in (lambda: secant_cf_convergent(1, -1), lambda: catalog_series("euler", -1)):
+            with pytest.raises(DomainError, match="n_max must be nonnegative"):
+                refuse()
 
 
 class TestExpectations:

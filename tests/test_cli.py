@@ -47,6 +47,9 @@ ENUMERATE_SIZE = _digests("enumerate_size.sha256")
 # digest and argv of seeded Monte Carlo expectations, text and JSON
 EXPECT_MONTECARLO = _digests("expect_montecarlo.sha256")
 
+# digest and argv of every catalog sequence at order 40, past its cap
+SEQ_PAST_CAP = _digests("seq_past_cap.sha256")
+
 
 def _family_ids(pairs):
     """A test id per golden request: its family, and its n too where an
@@ -109,6 +112,14 @@ class TestSeq:
         assert out == json.dumps(
             {"id": seq_id, "n_max": 0, "offset": 1, "values": []}, sort_keys=True
         ) + "\n"
+
+    @pytest.mark.parametrize(
+        "digest, argv", SEQ_PAST_CAP, ids=[argv.split()[1] for _, argv in SEQ_PAST_CAP]
+    )
+    def test_past_cap_matches_golden_digest(self, capsys, digest, argv):
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
     def test_deterministic(self, capsys):
         _, first = run(capsys, "seq", "gcud", "--n", "8", "--format", "json")

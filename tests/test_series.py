@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from cudlab.perms import DomainError
 from cudlab.series import (
     MPoly,
     Series,
+    _pascal_row,
     cos_series,
     euler_numbers,
     monomial_key,
@@ -173,6 +175,14 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             one_series(3) + one_series(3).lift()
 
+    def test_terms_outside_the_series_refused(self):
+        ser = sec_series(4)
+        for n in (-1, -5, 5):
+            for read in (ser.egf_term, ser.egf_int, ser.coefficient):
+                with pytest.raises(DomainError, match=rf"n={n}\b.*0\.\.4"):
+                    read(n)
+        assert [ser.egf_term(0), ser.egf_int(4), ser.coefficient(4)] == [1, 5, Fraction(5, 24)]
+
 
 class TestAgainstOrdinaryReference:
     @pytest.mark.parametrize("op", sorted(_REFERENCE_OPS))
@@ -194,6 +204,95 @@ class TestAgainstOrdinaryReference:
             results += [a.exp()] if head == 0 else [a.reciprocal(), a.log()]
             for ser in results:
                 assert all(type(term) is int for term in ser.terms)
+
+
+# the per-term binomial formulas of the convolutions, written out with comb:
+# each takes and returns tuples of EGF terms n!*c_n
+def _zero_like(c):
+    return MPoly() if isinstance(c, MPoly) else 0
+
+
+def _comb_mul(a, b):
+    zero = _zero_like(a[0])
+    return tuple(
+        sum((comb(n, k) * a[k] * b[n - k] for k in range(n + 1)), zero)
+        for n in range(len(a))
+    )
+
+
+def _comb_exp(a):
+    out, zero = [_one_like(a[0])], _zero_like(a[0])
+    for n in range(1, len(a)):
+        out.append(sum((comb(n - 1, k - 1) * a[k] * out[n - k] for k in range(1, n + 1)), zero))
+    return tuple(out)
+
+
+def _comb_log(b):
+    out, zero = [_zero_like(b[0])], _zero_like(b[0])
+    for n in range(1, len(b)):
+        out.append(b[n] - sum((comb(n - 1, k - 1) * out[k] * b[n - k] for k in range(1, n)), zero))
+    return tuple(out)
+
+
+def _comb_reciprocal(b):
+    b0 = b[0].constant_value() if isinstance(b[0], MPoly) else b[0]
+    inv0 = 1 / Fraction(b0)
+    inv0 = inv0.numerator if inv0.denominator == 1 else inv0
+    out = [inv0 * _one_like(b[0])]
+    for n in range(1, len(b)):
+        terms = (-inv0 * comb(n, k) * b[k] * out[n - k] for k in range(1, n + 1))
+        out.append(sum(terms, _zero_like(b[0])))
+    return tuple(out)
+
+
+_RINGS = {
+    # ring name -> a random term of that ring
+    "int": lambda rng: rng.randint(-5, 5),
+    "Fraction": lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
+    "MPoly": lambda rng: MPoly({(): rng.randint(-3, 3), (("t", 1),): rng.randint(-3, 3)}),
+}
+
+
+def _terms(ring, order, head, seed):
+    """EGF terms 0..order of one ring, drawn from a seeded generator; the
+    constant term is the scalar ``head`` in that ring, or drawn if None."""
+    rng = random.Random(f"{ring}-{order}-{seed}")
+    terms = [_RINGS[ring](rng) for _ in range(order + 1)]
+    if head is not None:
+        terms[0] = MPoly.constant(head) if ring == "MPoly" else head
+    return tuple(terms)
+
+
+def _same_terms(got: Series, want: tuple) -> bool:
+    """Equal term by term, and int terms where the formula gives ints."""
+    return got.terms == want and list(map(type, got.terms)) == list(map(type, want))
+
+
+class TestPascalRow:
+    def test_rows_are_binomials(self):
+        for n in range(201):
+            assert list(_pascal_row(n)) == [comb(n, k) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 25, 40])
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+class TestConvolutionsAgainstComb:
+    def test_mul(self, ring, order):
+        a, b = _terms(ring, order, None, 1), _terms(ring, order, None, 2)
+        assert _same_terms(Series.from_egf(a) * Series.from_egf(b), _comb_mul(a, b))
+
+    def test_exp(self, ring, order):
+        a = _terms(ring, order, 0, 1)
+        assert _same_terms(Series.from_egf(a).exp(), _comb_exp(a))
+
+    def test_log(self, ring, order):
+        b = _terms(ring, order, 1, 1)
+        assert _same_terms(Series.from_egf(b).log(), _comb_log(b))
+
+    @pytest.mark.parametrize("unit", [1, -1, 2, Fraction(-1, 3)], ids=str)
+    def test_reciprocal(self, ring, order, unit):
+        b = _terms(ring, order, unit, 1)
+        assert _same_terms(Series.from_egf(b).reciprocal(), _comb_reciprocal(b))
 
 
 class TestCalculus:
