@@ -12,12 +12,16 @@ cud, cud-even-only, cud-odd-only, exc-def-swap and cud-derangements keep their
 closed forms, cheaper than an exp of a log.  Every entry is built from the
 exact series primitives; the brute-force oracle re-derives every coefficient
 (and every marked coefficient polynomial) at small sizes, so the two routes
-check each other.
+check each other.  A request builds each block its parts share (sec, tan,
+cos, sin, 1 - sin z, each cycle EGF) once and drops them on return; a factor
+z is a shift and a factor 1/(1 - z) one Horner pass, not a convolution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import factorial, log, sin
 from typing import Callable
 
@@ -28,23 +32,44 @@ from .series import (
     cos_series,
     euler_numbers,
     exp_series,
-    geometric_series,
-    one_minus_sin_series,
     one_series,
-    sec_series,
-    tan_series,
+    sin_series,
     z_series,
-    zigzag_egf_series,
 )
 
 DEFAULT_ORDER_CAP = 24
 
 
-def _half_z_tan(order: int) -> Series:
-    # EGF of the counts k*E_{2k-1} of even up-down words with last > first
-    doubled = (z_series(order) * tan_series(order)).terms
-    assert all(term % 2 == 0 for term in doubled), "z tan z has an odd EGF term"
-    return Series.from_egf(term // 2 for term in doubled)
+class _Blocks:
+    """The series that the parts of one request at one order share, each
+    built on first use and dropped with the request."""
+
+    def __init__(self, order: int):
+        self.order = order
+
+    cos = cached_property(lambda self: cos_series(self.order))
+    sin = cached_property(lambda self: sin_series(self.order))
+    sec = cached_property(lambda self: self.cos.reciprocal())
+    tan = cached_property(lambda self: self.sin * self.sec)
+    zigzag = cached_property(lambda self: self.sec + self.tan)
+    one_minus_sin = cached_property(lambda self: one_series(self.order) - self.sin)
+    # the cycle EGFs of CUD, odd and even CUD, and even and all GCUD cycles;
+    # an odd GCUD cycle has one up-down rotation, so the odd ones add tan z
+    cud_cycles = cached_property(lambda self: -self.one_minus_sin.log())
+    odd_cycles = cached_property(lambda self: self.zigzag.log())
+    even_cycles = cached_property(lambda self: -self.cos.log())
+    gcud_even_cycles = cached_property(
+        lambda self: self.sec - one_series(self.order) - self.half_z_tan + self.even_cycles
+    )
+    gcud_cycles = cached_property(lambda self: self.gcud_even_cycles + self.tan)
+
+    @cached_property
+    def half_z_tan(self) -> Series:
+        # EGF of the counts k*E_{2k-1} of even up-down words with last > first;
+        # z tan z is a shift, with term n equal to n*tan_{n-1}
+        doubled = [0] + [n * term for n, term in enumerate(self.tan.terms[:-1], 1)]
+        assert all(term % 2 == 0 for term in doubled), "z tan z has an odd EGF term"
+        return Series.from_egf(term // 2 for term in doubled)
 
 
 def _marked_exp(*parts: tuple[MPoly, Series]) -> Series:
@@ -53,29 +78,10 @@ def _marked_exp(*parts: tuple[MPoly, Series]) -> Series:
     return sum(scaled[1:], scaled[0]).exp()
 
 
-def _cud_cycles(order: int) -> Series:
-    return -one_minus_sin_series(order).log()
-
-
-def _cud_odd_cycles(order: int) -> Series:
-    return zigzag_egf_series(order).log()
-
-
-def _cud_even_cycles(order: int) -> Series:
-    return -cos_series(order).log()
-
-
-def _gcud_even_cycles(order: int) -> Series:
-    return sec_series(order) - one_series(order) - _half_z_tan(order) + _cud_even_cycles(order)
-
-
-def _gcud_cycles(order: int) -> Series:
-    # all GCUD cycles: the even ones, and tan z, as an odd one has one up-down rotation
-    return _gcud_even_cycles(order) + tan_series(order)
-
-
-def _build_cud_derangements(order: int) -> Series:
-    return exp_series(order, -1) * one_minus_sin_series(order).reciprocal()
+def _over_one_minus_z(ser: Series) -> Series:
+    """ser/(1 - z) by Horner's rule, h_n = n*h_{n-1} + f_n."""
+    f = ser.terms
+    return Series.from_egf(accumulate(range(1, len(f)), lambda h, n: n * h + f[n], initial=f[0]))
 
 
 def _fp_cycles(cycles: Series) -> Series:
@@ -84,64 +90,60 @@ def _fp_cycles(cycles: Series) -> Series:
     return _marked_exp((t, cycles), ((x - 1) * t, z_series(cycles.order)))
 
 
-def _build_cud_cycles(order: int) -> Series:
-    return _marked_exp((MPoly.marker("t"), _cud_cycles(order)))
+def _build_cud_cycles(b: _Blocks) -> Series:
+    return _marked_exp((MPoly.marker("t"), b.cud_cycles))
 
 
-def _build_cud_odd_even(order: int) -> Series:
+def _build_cud_odd_even(b: _Blocks) -> Series:
     t_o, t_e = MPoly.marker("t_o"), MPoly.marker("t_e")
-    return _marked_exp((t_o, _cud_odd_cycles(order)), (t_e, _cud_even_cycles(order)))
+    return _marked_exp((t_o, b.odd_cycles), (t_e, b.even_cycles))
 
 
-def _build_ud_lrm(order: int) -> Series:
+def _build_ud_lrm(b: _Blocks) -> Series:
     # t times the integral of (sec z)^(t+1), plus (sec z)^t - 1
-    t, even = MPoly.marker("t"), _cud_even_cycles(order)
-    integral = _marked_exp((t + 1, even)).integrate().truncate(order)
-    return integral.scale(t) + _marked_exp((t, even)) - one_series(order).lift()
+    t, even = MPoly.marker("t"), b.even_cycles
+    integral = _marked_exp((t + 1, even)).integrate().truncate(b.order)
+    return integral.scale(t) + _marked_exp((t, even)) - one_series(b.order).lift()
 
 
-def _build_perm_ud_nud(order: int) -> Series:
+def _build_perm_ud_nud(b: _Blocks) -> Series:
     # every cycle weighted w, and each CUD one v instead
     v, w = MPoly.marker("v"), MPoly.marker("w")
-    every = -(one_series(order) - z_series(order)).log()
-    return _marked_exp((w, every), (v - w, _cud_cycles(order)))
+    every = -(one_series(b.order) - z_series(b.order)).log()
+    return _marked_exp((w, every), (v - w, b.cud_cycles))
 
 
-def _build_no_ud_cycles(order: int) -> Series:
-    return one_minus_sin_series(order) * geometric_series(order)
-
-
-# id -> (builder of the series truncated at an order, marker names, first n
-# shown by the CLI)
-_CATALOG: dict[str, tuple[Callable[[int], Series], tuple[str, ...], int]] = {
-    "euler": (zigzag_egf_series, (), 0),
-    "cud": (lambda order: one_minus_sin_series(order).reciprocal(), (), 0),
-    "cud-cyclic": (_cud_cycles, (), 1),
-    "cud-even-only": (sec_series, (), 0),
-    "cud-odd-only": (zigzag_egf_series, (), 0),
-    "exc-def-swap": (lambda order: exp_series(order) * sec_series(order), (), 0),
-    "gcud-odd-only": (lambda order: tan_series(order).exp(), (), 0),
-    "k-euler-odd": (_half_z_tan, (), 1),
-    "gcud-even-cyclic": (_gcud_even_cycles, (), 1),
-    "gcud-even-only": (lambda order: _gcud_even_cycles(order).exp(), (), 1),
-    "gcud": (lambda order: _gcud_cycles(order).exp(), (), 1),
-    "cud-derangements": (_build_cud_derangements, (), 1),
-    "cud-fp-cycles": (lambda order: _fp_cycles(_cud_cycles(order)), ("x", "t"), 0),
+# id -> (builder of the series from the blocks of a request at an order,
+# marker names, first n shown by the CLI)
+_CATALOG: dict[str, tuple[Callable[[_Blocks], Series], tuple[str, ...], int]] = {
+    "euler": (lambda b: b.zigzag, (), 0),
+    "cud": (lambda b: b.one_minus_sin.reciprocal(), (), 0),
+    "cud-cyclic": (lambda b: b.cud_cycles, (), 1),
+    "cud-even-only": (lambda b: b.sec, (), 0),
+    "cud-odd-only": (lambda b: b.zigzag, (), 0),
+    "exc-def-swap": (lambda b: exp_series(b.order) * b.sec, (), 0),
+    "gcud-odd-only": (lambda b: b.tan.exp(), (), 0),
+    "k-euler-odd": (lambda b: b.half_z_tan, (), 1),
+    "gcud-even-cyclic": (lambda b: b.gcud_even_cycles, (), 1),
+    "gcud-even-only": (lambda b: b.gcud_even_cycles.exp(), (), 1),
+    "gcud": (lambda b: b.gcud_cycles.exp(), (), 1),
+    "cud-derangements": (lambda b: exp_series(b.order, -1) * b.one_minus_sin.reciprocal(), (), 1),
+    "cud-fp-cycles": (lambda b: _fp_cycles(b.cud_cycles), ("x", "t"), 0),
     "cud-cycles": (_build_cud_cycles, ("t",), 0),
     "cud-odd-even": (_build_cud_odd_even, ("t_o", "t_e"), 0),
-    "ud-st": (lambda order: _marked_exp((MPoly.marker("t"), _cud_odd_cycles(order))), ("t",), 0),
+    "ud-st": (lambda b: _marked_exp((MPoly.marker("t"), b.odd_cycles)), ("t",), 0),
     "ud-lrm": (_build_ud_lrm, ("t",), 1),
-    "ud-extr": (lambda order: _build_cud_cycles(order).integrate().truncate(order), ("t",), 1),
-    "gcud-fp-cycles": (lambda order: _fp_cycles(_gcud_cycles(order)), ("x", "t"), 0),
+    "ud-extr": (lambda b: _build_cud_cycles(b).integrate().truncate(b.order), ("t",), 1),
+    "gcud-fp-cycles": (lambda b: _fp_cycles(b.gcud_cycles), ("x", "t"), 0),
     "perm-ud-nud": (_build_perm_ud_nud, ("v", "w"), 0),
-    "avg-ud-cycles": (lambda order: _cud_cycles(order) * geometric_series(order), (), 1),
-    "no-ud-cycles": (_build_no_ud_cycles, (), 1),
+    "avg-ud-cycles": (lambda b: _over_one_minus_z(b.cud_cycles), (), 1),
+    "no-ud-cycles": (lambda b: _over_one_minus_z(b.one_minus_sin), (), 1),
 }
 
 SEQUENCE_IDS = tuple(_CATALOG)
 
 
-def _entry(seq_id: str) -> tuple[Callable[[int], Series], tuple[str, ...], int]:
+def _entry(seq_id: str) -> tuple[Callable[[_Blocks], Series], tuple[str, ...], int]:
     if seq_id not in _CATALOG:
         known = ", ".join(SEQUENCE_IDS)
         raise MalformedInput(f"unknown sequence id {seq_id!r} (known: {known})")
@@ -163,7 +165,7 @@ def catalog_series(seq_id: str, n_max: int, cap: int = DEFAULT_ORDER_CAP) -> Ser
         raise DomainError("n_max must be nonnegative")
     if n_max > cap:
         raise CapExceeded(f"order {n_max} exceeds the cap {cap}")
-    return build(n_max)
+    return build(_Blocks(n_max))
 
 
 def sequence_terms(seq_id: str, n_max: int, cap: int = DEFAULT_ORDER_CAP) -> list:

@@ -12,7 +12,10 @@ never with tolerances.
 Each term of a convolution reads one cached row of Pascal's triangle for its
 binomial weights and sums with C-level ``map`` calls.  The table keeps
 binomial coefficients only, in rows up to the largest order used so far;
-no series or result outlives the call that built it.
+no series or result outlives the call that built it.  On an even or odd
+series a product, ``reciprocal``, ``exp`` and ``log`` sum only the products
+that can be nonzero, over stride-2 slices, and write each term known to
+vanish as the zero, of the type, that the full sum gives.
 
 Also here: the boustrophedon recurrence for the zigzag (Euler) numbers and
 the recurrence for the signless Stirling numbers of the first kind, both of
@@ -22,7 +25,7 @@ which serve as series-independent cross-checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import factorial
 from operator import add, mul
 from typing import Iterable, Mapping, Union
@@ -211,6 +214,29 @@ def _pascal_row(n: int) -> tuple[int, ...]:
     return _PASCAL[n]
 
 
+def _stride(terms) -> tuple[int, int]:
+    """(first, step) of the indices whose terms may be nonzero: (0, 2) for an
+    even series, (1, 2) for an odd one and (0, 1) for any other."""
+    odd = any(terms[1::2])
+    return (0, 1) if odd and any(terms[::2]) else (int(odd), 2)
+
+
+def _zeros(*rows) -> list:
+    """Term n is what a sum over scalar terms 0..n of ``rows`` gives when every
+    product vanishes: 0, or ``Fraction(0)`` once a row has had a ``Fraction``."""
+    if Fraction not in map(type, chain(*rows)):
+        return [0] * len(rows[0])
+    products = map(mul, repeat(0), chain.from_iterable(zip(*rows)))
+    return list(accumulate(products))[len(rows) - 1 :: len(rows)]
+
+
+def _orders(order: int) -> range:
+    """The indices 0..order of a series' terms; a negative order is refused."""
+    if order < 0:
+        raise DomainError(f"a series has order 0 or more, not order {order}")
+    return range(order + 1)
+
+
 class Series:
     """Truncated power series in one ring, stored as its EGF terms n!*[z^n].
 
@@ -222,11 +248,13 @@ class Series:
 
     def __init__(self, coeffs: Iterable):
         self.terms = tuple(_norm(c * factorial(n)) for n, c in enumerate(coeffs))
+        _orders(self.order)
 
     @classmethod
     def from_egf(cls, terms: Iterable) -> "Series":
         ser = cls.__new__(cls)
         ser.terms = tuple(terms)
+        _orders(ser.order)
         return ser
 
     @property
@@ -253,12 +281,23 @@ class Series:
         """A scalar as a term of this series' ring."""
         return MPoly.constant(value) if self._marked else value
 
-    def _dot(self, weights, xs, ys):
+    def _dot(self, weights, xs, ys, zero=0):
         """One term of a convolution: sum of w*x*y over scalar weights and
-        terms taken in step, as far as the shortest of the three reaches."""
+        terms taken in step, as far as the shortest of the three reaches,
+        from the scalar ``zero`` up."""
         if self._marked:
             return _poly_dot(zip(weights, xs, ys))
-        return sum(map(mul, map(mul, weights, xs), ys))
+        return sum(map(mul, map(mul, weights, xs), ys), zero)
+
+    def _sweep(self, head, rows, stride, term) -> "Series":
+        """Term 0 is ``head``.  Term n is ``term(n, out, zero)``, over the terms
+        ``out`` below n, with ``zero`` what ``_zeros(*rows)`` gives at n, or that
+        zero alone where the output's (first, step) ``stride`` passes n by."""
+        (first, step), out = stride, [head]
+        zeros = [MPoly()] * len(self.terms) if self._marked else _zeros(*rows)
+        for n in range(1, len(zeros)):
+            out.append(term(n, out, zeros[n]) if (n - first) % step == 0 else zeros[n])
+        return Series.from_egf(out)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -290,9 +329,12 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         self._check_compatible(other)
         a, b = self.terms, other.terms
-        return Series.from_egf(
-            self._dot(_pascal_row(n), a, b[n::-1]) for n in range(len(a))
-        )
+        if _stride(a)[1] == 1:  # a factor with a parity, if either has one, goes first
+            a, b = b, a
+        (fa, sa), (fb, sb) = _stride(a), _stride(b)  # sb == 2 only if sa == 2
+        xs = a[fa::sa]
+        return self._sweep(a[0] * b[0], (a, b), ((fa + fb) % 2, sb), lambda n, out, zero: (
+            self._dot(_pascal_row(n)[fa::sa], xs, b[n - fa :: -sa], zero)))
 
     def scale(self, factor) -> "Series":
         """Multiply every term by a scalar (or, on a lifted series, a
@@ -341,10 +383,10 @@ class Series:
         if isinstance(b0, MPoly) or not b0:
             raise DomainError("constant term must be a nonzero constant")
         inv0 = _norm(1 / Fraction(b0))
-        out, tail = [self._const(inv0)], b[1:]
-        for n in range(1, len(b)):
-            out.append(self._dot([-inv0 * w for w in _pascal_row(n)[1:]], tail, out[::-1]))
-        return Series.from_egf(out)
+        step = _stride(b)[1]  # b0 is nonzero: an even b has an even inverse
+        xs = b[step::step]
+        return self._sweep(self._const(inv0), ((inv0, *b[1:]),), (0, step), lambda n, out, zero: (
+            -inv0 * self._dot(_pascal_row(n)[step::step], xs, out[n - step :: -step], zero)))
 
     def differentiate(self) -> "Series":
         """Formal derivative; drops one order of truncation."""
@@ -362,40 +404,43 @@ class Series:
         a = self.terms
         if a[0]:
             raise DomainError("exp needs a zero constant term")
-        out, tail = [self._const(1)], a[1:]
-        for n in range(1, len(a)):
-            out.append(self._dot(_pascal_row(n - 1), tail, out[::-1]))
-        return Series.from_egf(out)
+        first, step = _stride(a)
+        first = first or step  # the least k >= 1 with a_k maybe nonzero
+        xs = a[first::step]  # an even a, with first = 2, has an even exp
+        return self._sweep(self._const(1), ((0, *a[1:]),), (0, first), lambda n, out, zero: (
+            self._dot(_pascal_row(n - 1)[first - 1 :: step], xs, out[n - first :: -step], zero)))
 
     def log(self) -> "Series":
         """log of a series with constant term 1; exp(log(b)) == b."""
         b = self.terms
         if b[0] != 1:
             raise DomainError("log needs constant term 1")
-        out = [self._const(0)]
-        for n in range(1, len(b)):
-            rest = self._dot(_pascal_row(n - 1), out[1:], b[n - 1 : 0 : -1])
-            out.append(b[n] - rest)
-        return Series.from_egf(out)
+        step = _stride(b)[1]  # b0 = 1: an even b has an even log
+        # term n is b_n - sum_{1<=k<n} C(n-1,k-1) out_k b_{n-k}, k in b's stride
+        rows, stride = ((0, *b[1:]),), (0, step)
+        return self._sweep(self._const(0), rows, stride, lambda n, out, zero: b[n] - self._dot(
+            _pascal_row(n - 1)[step - 1 :: step], out[step::step], b[n - step :: -step], zero))
 
     def substitute(self, assign: Mapping[str, Union[MPoly, Scalar]]) -> "Series":
-        return Series.from_egf(c.substitute(assign) for c in self.terms)
+        # a scalar series has no markers to substitute
+        return Series.from_egf(c.substitute(assign) for c in self.terms) if self._marked else self
 
 
 def one_series(order: int) -> Series:
+    _orders(order)  # refuses a negative order
     return Series.from_egf((1,) + (0,) * order)
 
 
 def z_series(order: int) -> Series:
-    return Series.from_egf(int(k == 1) for k in range(order + 1))
+    return Series.from_egf(int(k == 1) for k in _orders(order))
 
 
 def sin_series(order: int) -> Series:
-    return Series.from_egf((0, 1, 0, -1)[k % 4] for k in range(order + 1))
+    return Series.from_egf((0, 1, 0, -1)[k % 4] for k in _orders(order))
 
 
 def cos_series(order: int) -> Series:
-    return Series.from_egf((1, 0, -1, 0)[k % 4] for k in range(order + 1))
+    return Series.from_egf((1, 0, -1, 0)[k % 4] for k in _orders(order))
 
 
 def sec_series(order: int) -> Series:
@@ -408,21 +453,17 @@ def tan_series(order: int) -> Series:
 
 def zigzag_egf_series(order: int) -> Series:
     """sec z + tan z, whose EGF terms are the zigzag (Euler) numbers."""
-    return sec_series(order) + tan_series(order)
+    return (one_series(order) + sin_series(order)) * sec_series(order)
 
 
 def exp_series(order: int, rate: Scalar = 1) -> Series:
     """e^(rate*z)."""
-    return Series.from_egf(_norm(Fraction(rate) ** k) for k in range(order + 1))
+    return Series.from_egf(_norm(rate**k) for k in _orders(order))
 
 
 def geometric_series(order: int) -> Series:
     """1/(1-z)."""
-    return Series.from_egf(factorial(k) for k in range(order + 1))
-
-
-def one_minus_sin_series(order: int) -> Series:
-    return one_series(order) - sin_series(order)
+    return Series.from_egf(factorial(k) for k in _orders(order))
 
 
 def euler_numbers(n_max: int) -> list[int]:

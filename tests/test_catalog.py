@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from math import factorial, log, sin
@@ -108,6 +109,60 @@ class TestSequences:
     def test_cap_exceeded_is_the_perms_exception(self):
         # both routes raise the one exception type, defined beside the others
         assert CapExceeded is perms.CapExceeded is cudlab.CapExceeded
+
+
+# sha256 of repr(catalog_series(id, k).terms), which shows each term's type,
+# for every id and every order k = 0..24, keyed by (id, k)
+CATALOG_ORDERS = {
+    (seq_id, int(k)): digest
+    for digest, seq_id, k in map(
+        str.split, (GOLDEN / "catalog_orders.sha256").read_text(encoding="ascii").splitlines()
+    )
+}
+
+
+class TestSmallOrders:
+    @pytest.mark.parametrize("seq_id", SEQUENCE_IDS)
+    def test_every_order_matches_golden_digest(self, seq_id):
+        for k in range(25):
+            digest = hashlib.sha256(repr(catalog_series(seq_id, k).terms).encode("ascii"))
+            assert digest.hexdigest() == CATALOG_ORDERS[seq_id, k], f"order {k}"
+
+
+_KERNELS = ("reciprocal", "__mul__", "exp", "log")
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The (kernel name, operand, ...) of each call of a ``Series`` kernel,
+    in order."""
+    calls = []
+    for name in _KERNELS:
+
+        def counted(self, *args, _name=name, _kernel=getattr(Series, name)):
+            calls.append((_name, self, *args))
+            return _kernel(self, *args)
+
+        monkeypatch.setattr(Series, name, counted)
+    return calls
+
+
+class TestSharedBlocks:
+    """What one request at order 24 asks of the series kernels."""
+
+    @pytest.mark.parametrize("seq_id", SEQUENCE_IDS)
+    def test_no_kernel_call_repeats(self, kernel_calls, seq_id):
+        catalog_series(seq_id, 24)
+        assert [call for i, call in enumerate(kernel_calls) if call in kernel_calls[:i]] == []
+        inverted = [call[1] for call in kernel_calls if call[0] == "reciprocal"]
+        assert inverted.count(cos_series(24)) <= 1
+
+    @pytest.mark.parametrize("seq_id", ["k-euler-odd", "avg-ud-cycles", "no-ud-cycles"])
+    def test_z_and_geometric_factors_cost_no_product(self, kernel_calls, seq_id):
+        catalog_series(seq_id, 24)
+        factors = [z_series(24), geometric_series(24)]
+        products = [call[1:] for call in kernel_calls if call[0] == "__mul__"]
+        assert not [ser for pair in products for ser in pair if ser in factors]
 
 
 class TestSpecializations:
@@ -234,11 +289,11 @@ class TestBijectiveTheorems:
 
 # each cycle family's cycle EGF, as the catalog names it
 _CYCLE_EGFS = {
-    Family.CUD: catalog._cud_cycles,
-    Family.CUD_ODD_ONLY: catalog._cud_odd_cycles,
-    Family.CUD_EVEN_ONLY: catalog._cud_even_cycles,
-    Family.GCUD: catalog._gcud_cycles,
-    Family.GCUD_EVEN_ONLY: catalog._gcud_even_cycles,
+    Family.CUD: lambda order: catalog._Blocks(order).cud_cycles,
+    Family.CUD_ODD_ONLY: lambda order: catalog._Blocks(order).odd_cycles,
+    Family.CUD_EVEN_ONLY: lambda order: catalog._Blocks(order).even_cycles,
+    Family.GCUD: lambda order: catalog._Blocks(order).gcud_cycles,
+    Family.GCUD_EVEN_ONLY: lambda order: catalog._Blocks(order).gcud_even_cycles,
     Family.GCUD_ODD_ONLY: tan_series,
     Family.ALL: lambda order: -(one_series(order) - z_series(order)).log(),
 }

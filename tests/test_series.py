@@ -14,7 +14,6 @@ from cudlab.series import (
     cos_series,
     euler_numbers,
     monomial_key,
-    one_minus_sin_series,
     one_series,
     sec_series,
     sin_series,
@@ -183,6 +182,24 @@ class TestArithmetic:
                     read(n)
         assert [ser.egf_term(0), ser.egf_int(4), ser.coefficient(4)] == [1, 5, Fraction(5, 24)]
 
+    def test_no_series_without_terms(self):
+        for build in (
+            lambda: sec_series(-1),
+            lambda: Series.from_egf(()).exp(),
+            lambda: Series.from_egf(()).reciprocal(),
+            lambda: Series(()),
+            lambda: one_series(4).truncate(-1),
+        ):
+            with pytest.raises(DomainError, match=r"not order -1$"):
+                build()
+        for build in (one_series, z_series, cos_series, tan_series, zigzag_egf_series):
+            with pytest.raises(DomainError, match=r"not order -3$"):
+                build(-3)
+
+    def test_substitute_leaves_a_scalar_series(self):
+        assert sec_series(6).substitute({"t": 2}) == sec_series(6)
+        assert sec_series(6).lift().substitute({"t": 2}).constants() == sec_series(6)
+
 
 class TestAgainstOrdinaryReference:
     @pytest.mark.parametrize("op", sorted(_REFERENCE_OPS))
@@ -263,6 +280,20 @@ def _terms(ring, order, head, seed):
     return tuple(terms)
 
 
+def _parity_terms(ring, order, head, seed, parity, zero=None):
+    """``_terms`` with every term at an index of the other parity than
+    ``parity`` ("even" or "odd") replaced by ``zero``, or by the zero of its
+    ring, or unchanged for ``parity`` None."""
+    terms = _terms(ring, order, head, seed)
+    if parity is None:
+        return terms
+    keep = ("even", "odd").index(parity)
+    return tuple(
+        term if k % 2 == keep else term * 0 if zero is None else zero
+        for k, term in enumerate(terms)
+    )
+
+
 def _same_terms(got: Series, want: tuple) -> bool:
     """Equal term by term, and int terms where the formula gives ints."""
     return got.terms == want and list(map(type, got.terms)) == list(map(type, want))
@@ -293,6 +324,45 @@ class TestConvolutionsAgainstComb:
     def test_reciprocal(self, ring, order, unit):
         b = _terms(ring, order, unit, 1)
         assert _same_terms(Series.from_egf(b).reciprocal(), _comb_reciprocal(b))
+
+    # even and odd inputs, which the kernels sum over every other index
+    @pytest.mark.parametrize(
+        "parities",
+        [("even", "even"), ("even", "odd"), ("odd", "odd"), ("odd", None), (None, "even")],
+        ids=lambda pair: "-".join(map(str, pair)),
+    )
+    def test_mul_with_parity(self, ring, order, parities):
+        a = _parity_terms(ring, order, None, 3, parities[0])
+        b = _parity_terms(ring, order, None, 4, parities[1])
+        assert _same_terms(Series.from_egf(a) * Series.from_egf(b), _comb_mul(a, b))
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_exp_with_parity(self, ring, order, parity):
+        a = _parity_terms(ring, order, 0, 3, parity)
+        assert _same_terms(Series.from_egf(a).exp(), _comb_exp(a))
+
+    def test_log_of_even(self, ring, order):
+        b = _parity_terms(ring, order, 1, 3, "even")
+        assert _same_terms(Series.from_egf(b).log(), _comb_log(b))
+
+    @pytest.mark.parametrize("unit", [1, -1, 2, Fraction(-1, 3)], ids=str)
+    def test_reciprocal_of_even(self, ring, order, unit):
+        b = _parity_terms(ring, order, unit, 3, "even")
+        assert _same_terms(Series.from_egf(b).reciprocal(), _comb_reciprocal(b))
+
+
+@pytest.mark.parametrize("order", [1, 2, 25])
+def test_fraction_zeros_among_int_terms(order):
+    """Int terms with ``Fraction(0)`` at the other parity's indices: every sum
+    such a zero enters is a ``Fraction``, whether the kernel skips it or not."""
+    even = _parity_terms("int", order, 1, 5, "even", Fraction(0))
+    odd = _parity_terms("int", order, 0, 6, "odd", Fraction(0))
+    neither = _terms("int", order, None, 7)
+    for a, b in ((even, neither), (neither, odd), (odd, even)):
+        assert _same_terms(Series.from_egf(a) * Series.from_egf(b), _comb_mul(a, b))
+    assert _same_terms(Series.from_egf(even).reciprocal(), _comb_reciprocal(even))
+    assert _same_terms(Series.from_egf(even).log(), _comb_log(even))
+    assert _same_terms(Series.from_egf(odd).exp(), _comb_exp(odd))
 
 
 class TestCalculus:
@@ -337,6 +407,10 @@ class TestCalculus:
         assert a * a.reciprocal() == one_series(a.order)
 
 
+def _one_minus_sin(order: int) -> Series:
+    return one_series(order) - sin_series(order)
+
+
 def _pow(ser: Series, exponent) -> Series:
     """ser^exponent for a polynomial exponent, through the polynomial ring."""
     return ser.log().lift().scale(exponent).exp()
@@ -344,11 +418,11 @@ def _pow(ser: Series, exponent) -> Series:
 
 class TestMarkedPowers:
     def test_cycle_marked_reciprocal_of_one_minus_sin(self):
-        ser = _pow(one_minus_sin_series(4), -t)
+        ser = _pow(_one_minus_sin(4), -t)
         assert ser.egf_term(2) == t + t * t
 
     def test_power_zero_is_one(self):
-        ser = _pow(one_minus_sin_series(5), MPoly())
+        ser = _pow(_one_minus_sin(5), MPoly())
         assert ser == one_series(5).lift()
 
     def test_odd_even_split_at_two(self):
@@ -357,7 +431,7 @@ class TestMarkedPowers:
         assert ser.egf_term(2) == t_o * t_o + t_e
 
     def test_pow_scalar_matches_integer_power(self):
-        base = one_minus_sin_series(8)
+        base = _one_minus_sin(8)
         assert base.log().scale(Fraction(3)).exp() == base * base * base
         root = base.log().scale(Fraction(1, 2)).exp()
         assert root.log().scale(Fraction(2)).exp() == base
