@@ -7,14 +7,16 @@ the EGF of its admissible cycles, and each C(z) is written once.  A CUD cycle
 is its minimum and then a down-up word, so the CUD cycles have -log(1 - sin z),
 the odd ones log(sec z + tan z) and the even ones -log(cos z); the GCUD cycles
 add sec z - 1 - (z/2) tan z to the even ones, and tan z for the odd.  Every
-marked entry is one exp of marker-weighted cycle EGFs.  The unmarked entries
-cud, cud-even-only, cud-odd-only, exc-def-swap and cud-derangements keep their
-closed forms, cheaper than an exp of a log.  Every entry is built from the
-exact series primitives; the brute-force oracle re-derives every coefficient
-(and every marked coefficient polynomial) at small sizes, so the two routes
-check each other.  A request builds each block its parts share (sec, tan,
-cos, sin, 1 - sin z, each cycle EGF) once and drops them on return; a factor
-z is a shift and a factor 1/(1 - z) one Horner pass, not a convolution.
+marked entry is exp(m_1*S_1 + m_2*S_2) of integer cycle EGFs S_i, or is built
+from one; the m^k coefficient of exp(m*S) is the integer series S^k/k!, so each
+is built from tables of those, and its polynomial terms are made at the end.
+The unmarked entries cud, cud-even-only, cud-odd-only, exc-def-swap and
+cud-derangements keep their closed forms, cheaper than an exp of a log.  The
+brute-force oracle re-derives every coefficient (and every marked coefficient
+polynomial) at small sizes, so the two routes check each other.  A request
+builds each block its parts share (sec, tan, cos, sin, 1 - sin z, each cycle
+EGF) once and drops them on return; a factor z is a shift and a factor
+1/(1 - z) one Horner pass, not a convolution.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import factorial, log, sin
+from operator import add, mul
 from typing import Callable
 
 from .perms import CapExceeded, DomainError, MalformedInput
 from .series import (
     MPoly,
     Series,
+    _mono_mul,
+    _pascal_row,
     cos_series,
     euler_numbers,
     exp_series,
@@ -72,10 +77,58 @@ class _Blocks:
         return Series.from_egf(term // 2 for term in doubled)
 
 
-def _marked_exp(*parts: tuple[MPoly, Series]) -> Series:
-    """exp(sum of marker * series): one exp over marker-scaled scalar series."""
-    scaled = [ser.lift().scale(marker) for marker, ser in parts]
-    return sum(scaled[1:], scaled[0]).exp()
+def _power_table(ser: Series) -> list[tuple[int, ...]]:
+    """The EGF terms of P_k = S^k/k!, the m^k coefficient of exp(m*S), for
+    k = 0, 1, ... while P_k is nonzero: S has integer terms and no constant
+    term, so P_k = (S*P_{k-1})/k is an exact division."""
+    table = [one_series(ser.order).terms]
+    while any(product := (ser * Series.from_egf(table[-1])).terms):
+        k = len(table)
+        assert all(term % k == 0 for term in product), f"S^{k}/{k}! has a term off the integers"
+        table.append(tuple(term // k for term in product))
+    return table
+
+
+def _support(terms) -> tuple[int, int]:
+    """The indices of the first and the last nonzero term."""
+    nonzero = [n for n, term in enumerate(terms) if term]
+    return nonzero[0], nonzero[-1]
+
+
+def _polynomials(columns, order: int) -> Series:
+    """The series of order ``order`` whose term n is the sum of
+    monomial * terms[n] over the (monomial, EGF terms) ``columns``."""
+    polys = [{} for _ in range(order + 1)]
+    for mono, terms in columns:
+        for poly, coeff in zip(polys, terms):
+            if coeff:
+                poly[mono] = coeff
+    return Series.from_egf(map(MPoly, polys))
+
+
+def _marked_exp(*parts: tuple[str, Series]) -> Series:
+    """exp(m_1*S_1 + m_2*S_2) for one or two parts (a product of markers m,
+    written "x*t", and an integer series S): the m_1^i*m_2^j coefficient of
+    term n is sum_m C(n, m)*P_i[m]*Q_j[n - m], P and Q the parts' power
+    tables, summed from the first to the last m where neither factor is zero."""
+    order = parts[0][1].order
+    tables = [
+        [(tuple((name, k) for name in m.split("*") if k), p) for k, p in enumerate(_power_table(s))]
+        for m, s in parts
+    ]
+    if len(tables) == 1:
+        return _polynomials(tables[0], order)
+    columns, supports = [], [_support(q) for _, q in tables[1]]
+    for x, p in tables[0]:
+        pl, ph = _support(p)
+        for (y, q), (ql, qh) in zip(tables[1], supports):
+            terms = [0] * (order + 1)
+            for n in range(pl + ql, min(ph + qh, order) + 1):
+                lo, hi = max(pl, n - qh), min(ph, n - ql)
+                weighted = map(mul, _pascal_row(n)[lo : hi + 1], p[lo : hi + 1])
+                terms[n] = sum(map(mul, weighted, reversed(q[n - hi : n - lo + 1])))
+            columns.append((_mono_mul(x, y), terms))
+    return _polynomials(columns, order)
 
 
 def _over_one_minus_z(ser: Series) -> Series:
@@ -85,32 +138,30 @@ def _over_one_minus_z(ser: Series) -> Series:
 
 
 def _fp_cycles(cycles: Series) -> Series:
-    # exp(t C(z) + (x-1)t z): t marks every cycle and x the fixed points
-    t, x = MPoly.marker("t"), MPoly.marker("x")
-    return _marked_exp((t, cycles), ((x - 1) * t, z_series(cycles.order)))
+    # exp(x t z) exp(t (C(z) - z)): t marks every cycle and x the fixed points
+    z = z_series(cycles.order)
+    return _marked_exp(("x*t", z), ("t", cycles - z))
 
 
 def _build_cud_cycles(b: _Blocks) -> Series:
-    return _marked_exp((MPoly.marker("t"), b.cud_cycles))
-
-
-def _build_cud_odd_even(b: _Blocks) -> Series:
-    t_o, t_e = MPoly.marker("t_o"), MPoly.marker("t_e")
-    return _marked_exp((t_o, b.odd_cycles), (t_e, b.even_cycles))
+    return _marked_exp(("t", b.cud_cycles))
 
 
 def _build_ud_lrm(b: _Blocks) -> Series:
-    # t times the integral of (sec z)^(t+1), plus (sec z)^t - 1
-    t, even = MPoly.marker("t"), b.even_cycles
-    integral = _marked_exp((t + 1, even)).integrate().truncate(b.order)
-    return integral.scale(t) + _marked_exp((t, even)) - one_series(b.order).lift()
+    # t times the integral of (sec z)^(t+1), plus (sec z)^t - 1: the t^k term
+    # of (sec z)^t is P_k, and of (sec z)^(t+1) sec z * P_k
+    table = _power_table(b.even_cycles) + [(0,) * (b.order + 1)]
+    columns = (
+        ((("t", k),), map(add, power, (b.sec * Series.from_egf(below)).integrate().terms))
+        for k, (below, power) in enumerate(zip(table, table[1:]), 1)
+    )
+    return _polynomials(columns, b.order)
 
 
 def _build_perm_ud_nud(b: _Blocks) -> Series:
     # every cycle weighted w, and each CUD one v instead
-    v, w = MPoly.marker("v"), MPoly.marker("w")
     every = -(one_series(b.order) - z_series(b.order)).log()
-    return _marked_exp((w, every), (v - w, b.cud_cycles))
+    return _marked_exp(("v", b.cud_cycles), ("w", every - b.cud_cycles))
 
 
 # id -> (builder of the series from the blocks of a request at an order,
@@ -130,10 +181,13 @@ _CATALOG: dict[str, tuple[Callable[[_Blocks], Series], tuple[str, ...], int]] = 
     "cud-derangements": (lambda b: exp_series(b.order, -1) * b.one_minus_sin.reciprocal(), (), 1),
     "cud-fp-cycles": (lambda b: _fp_cycles(b.cud_cycles), ("x", "t"), 0),
     "cud-cycles": (_build_cud_cycles, ("t",), 0),
-    "cud-odd-even": (_build_cud_odd_even, ("t_o", "t_e"), 0),
-    "ud-st": (lambda b: _marked_exp((MPoly.marker("t"), b.odd_cycles)), ("t",), 0),
+    "cud-odd-even": (
+        lambda b: _marked_exp(("t_o", b.odd_cycles), ("t_e", b.even_cycles)), ("t_o", "t_e"), 0
+    ),
+    "ud-st": (lambda b: _marked_exp(("t", b.odd_cycles)), ("t",), 0),
     "ud-lrm": (_build_ud_lrm, ("t",), 1),
-    "ud-extr": (lambda b: _build_cud_cycles(b).integrate().truncate(b.order), ("t",), 1),
+    # the integral of (1 - sin z)^(-t), a shift of the cud-cycles terms
+    "ud-extr": (lambda b: Series.from_egf((MPoly(), *_build_cud_cycles(b).terms[:-1])), ("t",), 1),
     "gcud-fp-cycles": (lambda b: _fp_cycles(b.gcud_cycles), ("x", "t"), 0),
     "perm-ud-nud": (_build_perm_ud_nud, ("v", "w"), 0),
     "avg-ud-cycles": (lambda b: _over_one_minus_z(b.cud_cycles), (), 1),

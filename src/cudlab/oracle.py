@@ -824,7 +824,7 @@ def _verify_series_identities(
 def _verify_specializations(
     censuses: list[Census], eul: list[int], order: int
 ) -> Iterator[tuple]:
-    order = min(order, 14)  # multivariate series get bulky beyond this
+    order = min(order, 14)  # the verify goldens and digests pin these rows
     pairs = [
         ("spec-cud-fp-cycles", "cud-fp-cycles", {"x": 1, "t": 1}, "cud"),
         ("spec-gcud-fp-cycles", "gcud-fp-cycles", {"x": 1, "t": 1}, "gcud"),

@@ -1,13 +1,15 @@
-"""Exact truncated power series over the integers, the rationals and
-polynomial rings in named markers.
+"""Exact truncated power series over the integers and the rationals, and
+the polynomials in named markers that marked series hold as terms.
 
-``Series`` stores the EGF terms n!*[z^n], n = 0..N, as ``int``, ``Fraction``
-or ``MPoly`` entries.  A product is then the binomial convolution, ``exp`` the
+``Series`` stores the EGF terms n!*[z^n], n = 0..N, as ``int`` or
+``Fraction`` entries.  A product is then the binomial convolution, ``exp`` the
 recurrence of the exponential formula and ``log`` its inverse, and
 ``integrate`` and ``differentiate`` are index shifts, so the terms stay
 integral unless an input brings a ``Fraction``.  :attr:`Series.coeffs` is the
 ordinary view.  Everything is exact: identities are checked with equality,
-never with tolerances.
+never with tolerances.  A series of ``MPoly`` terms, as the catalog builds its
+marked entries, is a container: it can be read, truncated, shifted, scaled and
+substituted into, but the convolution kernels take scalar terms only.
 
 Each term of a convolution reads one cached row of Pascal's triangle for its
 binomial weights and sums with C-level ``map`` calls.  The table keeps
@@ -46,7 +48,7 @@ def _norm(value):
 
 class MPoly:
     """Sparse multivariate polynomial with exact integer or rational
-    coefficients."""
+    coefficients: built, compared, printed, multiplied and substituted into."""
 
     __slots__ = ("_terms",)
 
@@ -55,19 +57,12 @@ class MPoly:
         self._terms = {tuple(sorted(m)): _norm(c) for m, c in items if c}
 
     @classmethod
-    def _of(cls, terms: dict[Monomial, Scalar]) -> "MPoly":
-        """Wrap a dict keyed by sorted monomials, dropping zero coefficients."""
-        poly = cls.__new__(cls)
-        poly._terms = {mono: _norm(coeff) for mono, coeff in terms.items() if coeff}
-        return poly
-
-    @classmethod
     def constant(cls, value: Scalar) -> "MPoly":
-        return cls._of({(): value})
+        return cls({(): value})
 
     @classmethod
     def marker(cls, name: str) -> "MPoly":
-        return cls._of({((name, 1),): 1})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def one(cls) -> "MPoly":
@@ -84,11 +79,8 @@ class MPoly:
     def items(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self._terms.items())
 
-    def is_constant(self) -> bool:
-        return all(mono == () for mono in self._terms)
-
     def constant_value(self) -> Scalar:
-        if not self.is_constant():
+        if self._terms.keys() - {()}:
             raise DomainError(f"{self} is not constant")
         return self._terms.get((), 0)
 
@@ -96,12 +88,12 @@ class MPoly:
         """Replace markers by polynomials or scalars; unmentioned markers stay.
 
         Each power of a marker's value is built once, from the power below
-        it, and the terms are summed by one ``_poly_dot``.
+        it, and the terms are summed by one ``_sum_of_products``.
         """
         values = {name: MPoly._coerce(v) for name, v in assign.items()}
         # powers[name][e] is the value of the marker raised to e
         powers = {name: [MPoly.one()] for name in values}
-        triples = []
+        pairs = []
         for mono, coeff in self._terms.items():
             factor = MPoly.one()
             for name, exp in mono:
@@ -111,34 +103,14 @@ class MPoly:
                         ladder.append(ladder[-1] * values[name])
                     factor = factor * ladder[exp]
             kept = tuple(pair for pair in mono if pair[0] not in powers)
-            triples.append((coeff, MPoly._of({kept: 1}), factor))
-        return _poly_dot(triples)
-
-    def __add__(self, other):
-        other = MPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            terms[mono] = terms.get(mono, 0) + coeff
-        return MPoly._of(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MPoly._of({mono: -coeff for mono, coeff in self._terms.items()})
-
-    def __sub__(self, other):
-        other = MPoly._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+            pairs.append((MPoly({kept: coeff}), factor))
+        return _sum_of_products(pairs)
 
     def __mul__(self, other):
         other = MPoly._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _poly_dot([(1, self, other)])
+        return _sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -185,19 +157,15 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def _poly_dot(triples: Iterable[tuple[Scalar, MPoly, MPoly]]) -> MPoly:
-    """sum of w*x*y over (scalar w, polynomial x, polynomial y), added into
-    one dict."""
+def _sum_of_products(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
+    """The sum of x*y over pairs of polynomials, added into one dict."""
     acc: dict[Monomial, Scalar] = {}
-    for w, x, y in triples:
-        if not w:
-            continue
+    for x, y in pairs:
         for mono_a, ca in x._terms.items():
-            ca *= w
             for mono_b, cb in y._terms.items():
                 key = _mono_mul(mono_a, mono_b)
                 acc[key] = acc.get(key, 0) + ca * cb
-    return MPoly._of(acc)
+    return MPoly(acc)
 
 
 # row n of Pascal's triangle under key n, for n up to the largest order asked
@@ -228,6 +196,23 @@ def _zeros(*rows) -> list:
         return [0] * len(rows[0])
     products = map(mul, repeat(0), chain.from_iterable(zip(*rows)))
     return list(accumulate(products))[len(rows) - 1 :: len(rows)]
+
+
+def _dot(weights, xs, ys, zero=0):
+    """One term of a convolution: sum of w*x*y over weights and terms taken
+    in step, as far as the shortest of the three reaches, from ``zero`` up."""
+    return sum(map(mul, map(mul, weights, xs), ys), zero)
+
+
+def _sweep(head, rows, stride, term) -> Series:
+    """Term 0 is ``head``.  Term n is ``term(n, out, zero)``, over the terms
+    ``out`` below n, with ``zero`` what ``_zeros(*rows)`` gives at n, or that
+    zero alone where the output's (first, step) ``stride`` passes n by."""
+    (first, step), out = stride, [head]
+    zeros = _zeros(*rows)
+    for n in range(1, len(zeros)):
+        out.append(term(n, out, zeros[n]) if (n - first) % step == 0 else zeros[n])
+    return Series.from_egf(out)
 
 
 def _orders(order: int) -> range:
@@ -264,40 +249,11 @@ class Series:
 
     def coefficient(self, n: int):
         """The ordinary z^n coefficient, the term over n!."""
-        term, scale = self.egf_term(n), factorial(n)
-        if isinstance(term, MPoly):
-            return MPoly._of({m: Fraction(c, scale) for m, c in term._terms.items()})
-        return Fraction(term, scale)
+        return self.egf_term(n) * Fraction(1, factorial(n))
 
     @property
     def order(self) -> int:
         return len(self.terms) - 1
-
-    @property
-    def _marked(self) -> bool:
-        return isinstance(self.terms[0], MPoly)
-
-    def _const(self, value: Scalar):
-        """A scalar as a term of this series' ring."""
-        return MPoly.constant(value) if self._marked else value
-
-    def _dot(self, weights, xs, ys, zero=0):
-        """One term of a convolution: sum of w*x*y over scalar weights and
-        terms taken in step, as far as the shortest of the three reaches,
-        from the scalar ``zero`` up."""
-        if self._marked:
-            return _poly_dot(zip(weights, xs, ys))
-        return sum(map(mul, map(mul, weights, xs), ys), zero)
-
-    def _sweep(self, head, rows, stride, term) -> "Series":
-        """Term 0 is ``head``.  Term n is ``term(n, out, zero)``, over the terms
-        ``out`` below n, with ``zero`` what ``_zeros(*rows)`` gives at n, or that
-        zero alone where the output's (first, step) ``stride`` passes n by."""
-        (first, step), out = stride, [head]
-        zeros = [MPoly()] * len(self.terms) if self._marked else _zeros(*rows)
-        for n in range(1, len(zeros)):
-            out.append(term(n, out, zeros[n]) if (n - first) % step == 0 else zeros[n])
-        return Series.from_egf(out)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
@@ -309,11 +265,7 @@ class Series:
 
     def _check_compatible(self, other: "Series") -> None:
         if self.order != other.order:
-            raise DomainError(
-                f"order mismatch: {self.order} vs {other.order}; truncate first"
-            )
-        if self._marked != other._marked:
-            raise DomainError("coefficient ring mismatch; lift first")
+            raise DomainError(f"order mismatch: {self.order} vs {other.order}; truncate first")
 
     def __add__(self, other: "Series") -> "Series":
         self._check_compatible(other)
@@ -333,32 +285,25 @@ class Series:
             a, b = b, a
         (fa, sa), (fb, sb) = _stride(a), _stride(b)  # sb == 2 only if sa == 2
         xs = a[fa::sa]
-        return self._sweep(a[0] * b[0], (a, b), ((fa + fb) % 2, sb), lambda n, out, zero: (
-            self._dot(_pascal_row(n)[fa::sa], xs, b[n - fa :: -sa], zero)))
+        return _sweep(a[0] * b[0], (a, b), ((fa + fb) % 2, sb), lambda n, out, zero: (
+            _dot(_pascal_row(n)[fa::sa], xs, b[n - fa :: -sa], zero)))
 
     def scale(self, factor) -> "Series":
-        """Multiply every term by a scalar (or, on a lifted series, a
-        polynomial)."""
-        if isinstance(factor, MPoly) and not self._marked:
-            raise DomainError("lift the series before scaling by a polynomial")
+        """Multiply every term by ``factor``: a scalar, or a polynomial when
+        the terms are polynomials."""
         return Series.from_egf(_norm(c * factor) for c in self.terms)
 
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise DomainError(f"cannot extend truncation {self.order} to {order}")
+        _orders(order)  # refuses a negative order
         return Series.from_egf(self.terms[: order + 1])
 
-    def lift(self) -> "Series":
-        """Coerce scalar terms into the polynomial ring."""
-        if self._marked:
-            return self
-        return Series.from_egf(MPoly.constant(c) for c in self.terms)
-
     def constants(self) -> "Series":
-        """Inverse of :meth:`lift`; fails on non-constant terms."""
-        if not self._marked:
-            return self
-        return Series.from_egf(c.constant_value() for c in self.terms)
+        """Each polynomial term as its constant; fails on non-constant terms."""
+        return Series.from_egf(
+            c.constant_value() if isinstance(c, MPoly) else c for c in self.terms
+        )
 
     def egf_term(self, n: int):
         """n! times the z^n coefficient, for n in 0..order."""
@@ -369,8 +314,6 @@ class Series:
     def egf_int(self, n: int) -> int:
         """Integer EGF term; fails if it is not an integer."""
         value = self.egf_term(n)
-        if isinstance(value, MPoly):
-            value = value.constant_value()
         if isinstance(value, Fraction) and value.denominator != 1:
             raise DomainError(f"EGF term {value} at n={n} is not an integer")
         return int(value)
@@ -379,14 +322,13 @@ class Series:
         """Multiplicative inverse; the constant term must be a unit:
         c_n = -sum_{k>=1} C(n,k) b_k c_{n-k} / b_0."""
         b = self.terms
-        b0 = b[0].constant_value() if self._marked and b[0].is_constant() else b[0]
-        if isinstance(b0, MPoly) or not b0:
-            raise DomainError("constant term must be a nonzero constant")
-        inv0 = _norm(1 / Fraction(b0))
+        if not b[0]:
+            raise DomainError("constant term must be nonzero")
+        inv0 = _norm(1 / Fraction(b[0]))
         step = _stride(b)[1]  # b0 is nonzero: an even b has an even inverse
         xs = b[step::step]
-        return self._sweep(self._const(inv0), ((inv0, *b[1:]),), (0, step), lambda n, out, zero: (
-            -inv0 * self._dot(_pascal_row(n)[step::step], xs, out[n - step :: -step], zero)))
+        return _sweep(inv0, ((inv0, *b[1:]),), (0, step), lambda n, out, zero: (
+            -inv0 * _dot(_pascal_row(n)[step::step], xs, out[n - step :: -step], zero)))
 
     def differentiate(self) -> "Series":
         """Formal derivative; drops one order of truncation."""
@@ -396,7 +338,7 @@ class Series:
 
     def integrate(self) -> "Series":
         """Formal integral with constant term 0; gains one order."""
-        return Series.from_egf((self._const(0),) + self.terms)
+        return Series.from_egf((0,) + self.terms)
 
     def exp(self) -> "Series":
         """exp of a series with zero constant term:
@@ -407,8 +349,8 @@ class Series:
         first, step = _stride(a)
         first = first or step  # the least k >= 1 with a_k maybe nonzero
         xs = a[first::step]  # an even a, with first = 2, has an even exp
-        return self._sweep(self._const(1), ((0, *a[1:]),), (0, first), lambda n, out, zero: (
-            self._dot(_pascal_row(n - 1)[first - 1 :: step], xs, out[n - first :: -step], zero)))
+        return _sweep(1, ((0, *a[1:]),), (0, first), lambda n, out, zero: (
+            _dot(_pascal_row(n - 1)[first - 1 :: step], xs, out[n - first :: -step], zero)))
 
     def log(self) -> "Series":
         """log of a series with constant term 1; exp(log(b)) == b."""
@@ -418,12 +360,15 @@ class Series:
         step = _stride(b)[1]  # b0 = 1: an even b has an even log
         # term n is b_n - sum_{1<=k<n} C(n-1,k-1) out_k b_{n-k}, k in b's stride
         rows, stride = ((0, *b[1:]),), (0, step)
-        return self._sweep(self._const(0), rows, stride, lambda n, out, zero: b[n] - self._dot(
+        return _sweep(0, rows, stride, lambda n, out, zero: b[n] - _dot(
             _pascal_row(n - 1)[step - 1 :: step], out[step::step], b[n - step :: -step], zero))
 
     def substitute(self, assign: Mapping[str, Union[MPoly, Scalar]]) -> "Series":
-        # a scalar series has no markers to substitute
-        return Series.from_egf(c.substitute(assign) for c in self.terms) if self._marked else self
+        """:meth:`MPoly.substitute` on each polynomial term; a scalar term has
+        no markers and stays."""
+        return Series.from_egf(
+            c.substitute(assign) if isinstance(c, MPoly) else c for c in self.terms
+        )
 
 
 def one_series(order: int) -> Series:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 from math import factorial, log, sin
 from pathlib import Path
 
@@ -196,14 +197,15 @@ def _gcud_exponent(order: int, tan_weight: int) -> Series:
 
 
 def _pow(ser: Series, exponent) -> Series:
-    """ser^exponent for a polynomial exponent, through the polynomial ring."""
-    return ser.log().lift().scale(exponent).exp()
+    """ser^exponent for a scalar exponent."""
+    return ser.log().scale(exponent).exp()
 
 
-def _closed_form(seq_id: str, order: int) -> Series:
+def _closed_form(seq_id: str, order: int, point: dict) -> Series:
     """The closed forms and builders that the exponential formula replaced in
-    the catalog, each as it was written there."""
-    t, x = MPoly.marker("t"), MPoly.marker("x")
+    the catalog, each as it was written there, with a marked entry's markers
+    at the values ``point``."""
+    t, x = point.get("t"), point.get("x")
     one_minus_sin = one_series(order) - sin_series(order)
     if seq_id == "cud-cyclic":  # the integral of sec z + tan z
         return zigzag_egf_series(order - 1).integrate() if order else Series.from_egf((0,))
@@ -213,28 +215,27 @@ def _closed_form(seq_id: str, order: int) -> Series:
         return sec_series(order) * _gcud_exponent(order, 1).exp()
     if seq_id == "gcud-fp-cycles":
         # (sec z)^t exp(t((x - 1)z + sec z - 1 + (1 - z/2) tan z))
-        exponent = z_series(order).lift().scale(x - 1) + _gcud_exponent(order, 1).lift()
+        exponent = z_series(order).scale(x - 1) + _gcud_exponent(order, 1)
         return _pow(sec_series(order), t) * exponent.scale(t).exp()
     if seq_id == "cud-cycles":
         return _pow(one_minus_sin, -t)
     if seq_id == "cud-fp-cycles":  # exp((x-1)t z) (1 - sin z)^(-t)
-        fixed = z_series(order).lift().scale((x - 1) * t)
-        return (fixed + one_minus_sin.log().lift().scale(-t)).exp()
+        fixed = z_series(order).scale((x - 1) * t)
+        return (fixed + one_minus_sin.log().scale(-t)).exp()
     if seq_id == "cud-odd-even":  # (sec z + tan z)^(t_o) (sec z)^(t_e)
-        t_o, t_e = MPoly.marker("t_o"), MPoly.marker("t_e")
-        odd = zigzag_egf_series(order).log().lift().scale(t_o)
-        return (odd + sec_series(order).log().lift().scale(t_e)).exp()
+        odd = zigzag_egf_series(order).log().scale(point["t_o"])
+        return (odd + sec_series(order).log().scale(point["t_e"])).exp()
     if seq_id == "ud-st":
         return _pow(zigzag_egf_series(order), t)
     if seq_id == "ud-lrm":
         integral = _pow(sec_series(order), t + 1).integrate().truncate(order)
-        return integral.scale(t) + _pow(sec_series(order), t) - one_series(order).lift()
+        return integral.scale(t) + _pow(sec_series(order), t) - one_series(order)
     if seq_id == "ud-extr":
         return _pow(one_minus_sin, -t).integrate().truncate(order)
     if seq_id == "perm-ud-nud":  # (1 - z)^(-w) (1 - sin z)^(w - v)
-        v, w = MPoly.marker("v"), MPoly.marker("w")
-        every = (one_series(order) - z_series(order)).log().lift().scale(-w)
-        return (every + one_minus_sin.log().lift().scale(w - v)).exp()
+        v, w = point["v"], point["w"]
+        every = (one_series(order) - z_series(order)).log().scale(-w)
+        return (every + one_minus_sin.log().scale(w - v)).exp()
     if seq_id == "avg-ud-cycles":
         return -one_minus_sin.log() * geometric_series(order)
     # gcud-even-cyclic: sec z - 1 - (z/2) tan z - ln(cos z)
@@ -262,12 +263,49 @@ _REWRITTEN = [
 class TestExponentialFormula:
     """The entries built as exp of marker-weighted cycle EGFs, and the cycle
     EGFs themselves, equal the closed forms and builders they replaced term
-    by term at every order."""
+    by term at every order: 24 for an unmarked entry, and 16 for one marker
+    or 10 for two.  Term n of a marked entry has degree at most n in each
+    marker, so its values at the points of {0, ..., order}^markers fix it."""
 
     @pytest.mark.parametrize("seq_id", _REWRITTEN)
     def test_equals_the_closed_form(self, seq_id):
-        for order in range(25):
-            assert catalog_series(seq_id, order) == _closed_form(seq_id, order), order
+        markers = catalog_markers(seq_id)
+        for order in range((25, 17, 11)[len(markers)]):
+            ser = catalog_series(seq_id, order)
+            for values in product(range(order + 1), repeat=len(markers)):
+                point = dict(zip(markers, values))
+                assert ser.substitute(point).constants() == _closed_form(seq_id, order, point), (
+                    order,
+                    point,
+                )
+
+
+# family -> its counts at n = 0..order
+_FAMILY_COUNTS = {
+    "cud": lambda order: euler_numbers(order + 1)[1:],
+    "gcud": lambda order: list(catalog_series("gcud", order, cap=order).terms),
+    "ud": euler_numbers,
+    "all": lambda order: [factorial(n) for n in range(order + 1)],
+}
+
+
+class TestPastTheGoldens:
+    def test_coefficient_sums_count_the_family(self):
+        """Past the order-40 goldens, each marked entry's coefficients at n
+        sum to its family's count: every member carries one monomial."""
+        for seq_id, order, family in [
+            ("cud-fp-cycles", 100, "cud"),
+            ("gcud-fp-cycles", 100, "gcud"),
+            ("cud-cycles", 100, "cud"),
+            ("ud-st", 100, "ud"),
+            ("cud-odd-even", 60, "cud"),
+            ("perm-ud-nud", 60, "all"),
+            ("ud-lrm", 60, "ud"),
+            ("ud-extr", 60, "ud"),
+        ]:
+            ser, counts = catalog_series(seq_id, order, cap=order), _FAMILY_COUNTS[family](order)
+            for n in range(catalog_offset(seq_id), order + 1):
+                assert sum(c for _, c in ser.egf_term(n).items()) == counts[n], (seq_id, n)
 
 
 class TestBijectiveTheorems:
@@ -318,9 +356,8 @@ class TestEvenCyclicLemma:
 
 class TestExcedancePolynomial:
     def test_small(self):
-        t = MPoly.marker("t")
         assert exc_polynomial(0) == MPoly.one()
-        assert exc_polynomial(2) == 1 + t
+        assert exc_polynomial(2) == MPoly({(): 1, (("t", 1),): 1})
 
     def test_total_is_euler(self):
         for n in range(9):

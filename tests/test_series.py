@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,18 +28,14 @@ t = MPoly.marker("t")
 
 
 # an ordinary-coefficient reference for the EGF engine: each function takes and
-# returns lists of coefficients c_0..c_N (scalars or polynomials in t)
-def _one_like(c):
-    return MPoly.one() if isinstance(c, MPoly) else 1
-
-
+# returns lists of coefficients c_0..c_N
 def _ref_mul(a, b):
     return [sum((a[i] * b[n - i] for i in range(n + 1)), 0) for n in range(len(a))]
 
 
 def _ref_reciprocal(b):
-    inv0 = 1 / Fraction(b[0].constant_value() if isinstance(b[0], MPoly) else b[0])
-    out = [inv0 * _one_like(b[0])]
+    inv0 = 1 / Fraction(b[0])
+    out = [inv0]
     for n in range(1, len(b)):
         out.append(-inv0 * sum((b[k] * out[n - k] for k in range(1, n + 1)), 0))
     return out
@@ -53,7 +50,7 @@ def _ref_differentiate(a):
 
 
 def _ref_exp(a):  # n b_n = sum_k k a_k b_{n-k}, from b' = a' b
-    out = [_one_like(a[0])]
+    out = [1]
     for n in range(1, len(a)):
         out.append(sum((a[k] * k * out[n - k] for k in range(1, n + 1)), 0) * Fraction(1, n))
     return out
@@ -66,21 +63,16 @@ def _ref_log(b):  # the integral of b'/b
 
 
 _scalars = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=6)
-_polys = st.lists(_scalars, min_size=1, max_size=3).map(
-    lambda cs: MPoly({(("t", i),) if i else (): c for i, c in enumerate(cs)})
-)
 
 
 @st.composite
 def _operands(draw):
-    """Two ordinary-coefficient lists of one length in one ring (int or
-    Fraction scalars, or polynomials in t), and a unit of that ring for
-    ``reciprocal``'s constant term."""
-    ring = draw(st.sampled_from([_scalars, _polys]))
+    """Two ordinary-coefficient lists of one length of int or Fraction
+    scalars, and a unit for ``reciprocal``'s constant term."""
     n = draw(st.integers(1, 6))
-    a, b = (draw(st.lists(ring, min_size=n, max_size=n)) for _ in range(2))
+    a, b = (draw(st.lists(_scalars, min_size=n, max_size=n)) for _ in range(2))
     unit = draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)]))
-    return a, b, unit * _one_like(a[0])
+    return a, b, unit
 
 
 _REFERENCE_OPS = {
@@ -111,16 +103,23 @@ polys = st.dictionaries(monomials, coefficients, max_size=5).map(MPoly)
 
 def _substitute_by_repeated_products(poly, assign):
     """The definition of ``MPoly.substitute``: each coefficient times each
-    marker's value multiplied in once per unit of its exponent."""
-    total = MPoly()
+    marker's value multiplied in once per unit of its exponent, and the
+    products' coefficients added monomial by monomial."""
+    total = {}
     for mono, coeff in poly.items():
         term = MPoly.constant(coeff)
         for name, exp in mono:
             base = MPoly._coerce(assign.get(name, MPoly.marker(name)))
             for _ in range(exp):
                 term = term * base
-        total = total + term
-    return total
+        for key, value in term.items():
+            total[key] = total.get(key, 0) + value
+    return MPoly(total)
+
+
+def _linear(marker, slope, intercept):
+    """The polynomial slope*marker + intercept."""
+    return MPoly({((marker, 1),): slope, (): intercept})
 
 
 class TestMPoly:
@@ -132,20 +131,20 @@ class TestMPoly:
         assert poly.substitute(assign) == _substitute_by_repeated_products(poly, assign)
 
     def test_constant_and_markers(self):
-        assert MPoly.constant(3) + MPoly.constant(-3) == MPoly()
+        assert MPoly.constant(0) == MPoly()
         assert MPoly.constant(Fraction(4, 2)) == 2
         assert MPoly.constant(Fraction(3, 7)) == Fraction(3, 7)
-        assert (t + 1) * (t - 1) == t * t - 1
+        assert _linear("t", 1, 1) * _linear("t", 1, -1) == MPoly({(("t", 2),): 1, (): -1})
         assert (2 * t).items() == [((("t", 1),), 2)]
 
     def test_substitute(self):
-        p = (t + 1) * (t + 1)
+        p = _linear("t", 1, 1) * _linear("t", 1, 1)
         assert p.substitute({"t": 2}).constant_value() == 9
         u = MPoly.marker("u")
-        assert p.substitute({"t": u - 1}) == u * u
+        assert p.substitute({"t": _linear("u", 1, -1)}) == u * u
 
     def test_monomial_keys(self):
-        poly = t * t * MPoly.marker("x") + 5
+        poly = MPoly({(("t", 2), ("x", 1)): 1, (): 5})
         keys = [monomial_key(m) for m, _ in poly.items()]
         assert keys == ["1", "t^2*x^1"]
 
@@ -170,10 +169,6 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             one_series(3) + one_series(4)
 
-    def test_ring_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            one_series(3) + one_series(3).lift()
-
     def test_terms_outside_the_series_refused(self):
         ser = sec_series(4)
         for n in (-1, -5, 5):
@@ -192,13 +187,14 @@ class TestArithmetic:
         ):
             with pytest.raises(DomainError, match=r"not order -1$"):
                 build()
+        with pytest.raises(DomainError, match=r"not order -2$"):
+            one_series(4).truncate(-2)
         for build in (one_series, z_series, cos_series, tan_series, zigzag_egf_series):
             with pytest.raises(DomainError, match=r"not order -3$"):
                 build(-3)
 
     def test_substitute_leaves_a_scalar_series(self):
         assert sec_series(6).substitute({"t": 2}) == sec_series(6)
-        assert sec_series(6).lift().substitute({"t": 2}).constants() == sec_series(6)
 
 
 class TestAgainstOrdinaryReference:
@@ -209,7 +205,7 @@ class TestAgainstOrdinaryReference:
         head, series_op, reference_op = _REFERENCE_OPS[op]
         assume(op != "differentiate" or len(a) > 1)
         if head is not None:
-            a[0] = unit if head == "unit" else head * _one_like(a[0])
+            a[0] = unit if head == "unit" else head
         result = series_op(Series(a), Series(b))
         assert list(result.coeffs) == reference_op(a, b)
 
@@ -224,30 +220,45 @@ class TestAgainstOrdinaryReference:
 
 
 # the per-term binomial formulas of the convolutions, written out with comb:
-# each takes and returns tuples of EGF terms n!*c_n
+# each takes and returns tuples of EGF terms n!*c_n, scalars or polynomials
+def _sum(terms, zero):
+    """sum(terms, zero), with polynomial terms added monomial by monomial."""
+    if not isinstance(zero, MPoly):
+        return sum(terms, zero)
+    total = {}
+    for term in terms:
+        for mono, coeff in term.items():
+            total[mono] = total.get(mono, 0) + coeff
+    return MPoly(total)
+
+
 def _zero_like(c):
     return MPoly() if isinstance(c, MPoly) else 0
+
+
+def _one_like(c):
+    return MPoly.one() if isinstance(c, MPoly) else 1
 
 
 def _comb_mul(a, b):
     zero = _zero_like(a[0])
     return tuple(
-        sum((comb(n, k) * a[k] * b[n - k] for k in range(n + 1)), zero)
-        for n in range(len(a))
+        _sum((comb(n, k) * a[k] * b[n - k] for k in range(n + 1)), zero) for n in range(len(a))
     )
 
 
 def _comb_exp(a):
     out, zero = [_one_like(a[0])], _zero_like(a[0])
     for n in range(1, len(a)):
-        out.append(sum((comb(n - 1, k - 1) * a[k] * out[n - k] for k in range(1, n + 1)), zero))
+        out.append(_sum((comb(n - 1, k - 1) * a[k] * out[n - k] for k in range(1, n + 1)), zero))
     return tuple(out)
 
 
 def _comb_log(b):
     out, zero = [_zero_like(b[0])], _zero_like(b[0])
     for n in range(1, len(b)):
-        out.append(b[n] - sum((comb(n - 1, k - 1) * out[k] * b[n - k] for k in range(1, n)), zero))
+        terms = (-comb(n - 1, k - 1) * out[k] * b[n - k] for k in range(1, n))
+        out.append(_sum((b[n], *terms), zero))
     return tuple(out)
 
 
@@ -258,7 +269,7 @@ def _comb_reciprocal(b):
     out = [inv0 * _one_like(b[0])]
     for n in range(1, len(b)):
         terms = (-inv0 * comb(n, k) * b[k] * out[n - k] for k in range(1, n + 1))
-        out.append(sum(terms, _zero_like(b[0])))
+        out.append(_sum(terms, _zero_like(b[0])))
     return tuple(out)
 
 
@@ -299,6 +310,22 @@ def _same_terms(got: Series, want: tuple) -> bool:
     return got.terms == want and list(map(type, got.terms)) == list(map(type, want))
 
 
+# the values of t at which a series of polynomial terms is evaluated
+_POINTS = (-2, 1, 3)
+
+
+def _agrees(kernel, formula, *operands) -> bool:
+    """The kernel on the series of scalar ``operands`` gives the formula's
+    terms, with their types.  The kernels take no polynomial terms: on
+    polynomials in t, the kernel on the operands at each t in ``_POINTS``
+    gives the formula's polynomials at that t."""
+    want = formula(*operands)
+    if not isinstance(operands[0][0], MPoly):
+        return _same_terms(kernel(*map(Series.from_egf, operands)), want)
+    at = lambda terms, value: Series.from_egf(terms).substitute({"t": value}).constants()
+    return all(kernel(*(at(x, value) for x in operands)) == at(want, value) for value in _POINTS)
+
+
 class TestPascalRow:
     def test_rows_are_binomials(self):
         for n in range(201):
@@ -310,20 +337,17 @@ class TestPascalRow:
 class TestConvolutionsAgainstComb:
     def test_mul(self, ring, order):
         a, b = _terms(ring, order, None, 1), _terms(ring, order, None, 2)
-        assert _same_terms(Series.from_egf(a) * Series.from_egf(b), _comb_mul(a, b))
+        assert _agrees(mul, _comb_mul, a, b)
 
     def test_exp(self, ring, order):
-        a = _terms(ring, order, 0, 1)
-        assert _same_terms(Series.from_egf(a).exp(), _comb_exp(a))
+        assert _agrees(Series.exp, _comb_exp, _terms(ring, order, 0, 1))
 
     def test_log(self, ring, order):
-        b = _terms(ring, order, 1, 1)
-        assert _same_terms(Series.from_egf(b).log(), _comb_log(b))
+        assert _agrees(Series.log, _comb_log, _terms(ring, order, 1, 1))
 
     @pytest.mark.parametrize("unit", [1, -1, 2, Fraction(-1, 3)], ids=str)
     def test_reciprocal(self, ring, order, unit):
-        b = _terms(ring, order, unit, 1)
-        assert _same_terms(Series.from_egf(b).reciprocal(), _comb_reciprocal(b))
+        assert _agrees(Series.reciprocal, _comb_reciprocal, _terms(ring, order, unit, 1))
 
     # even and odd inputs, which the kernels sum over every other index
     @pytest.mark.parametrize(
@@ -334,21 +358,19 @@ class TestConvolutionsAgainstComb:
     def test_mul_with_parity(self, ring, order, parities):
         a = _parity_terms(ring, order, None, 3, parities[0])
         b = _parity_terms(ring, order, None, 4, parities[1])
-        assert _same_terms(Series.from_egf(a) * Series.from_egf(b), _comb_mul(a, b))
+        assert _agrees(mul, _comb_mul, a, b)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_exp_with_parity(self, ring, order, parity):
-        a = _parity_terms(ring, order, 0, 3, parity)
-        assert _same_terms(Series.from_egf(a).exp(), _comb_exp(a))
+        assert _agrees(Series.exp, _comb_exp, _parity_terms(ring, order, 0, 3, parity))
 
     def test_log_of_even(self, ring, order):
-        b = _parity_terms(ring, order, 1, 3, "even")
-        assert _same_terms(Series.from_egf(b).log(), _comb_log(b))
+        assert _agrees(Series.log, _comb_log, _parity_terms(ring, order, 1, 3, "even"))
 
     @pytest.mark.parametrize("unit", [1, -1, 2, Fraction(-1, 3)], ids=str)
     def test_reciprocal_of_even(self, ring, order, unit):
         b = _parity_terms(ring, order, unit, 3, "even")
-        assert _same_terms(Series.from_egf(b).reciprocal(), _comb_reciprocal(b))
+        assert _agrees(Series.reciprocal, _comb_reciprocal, b)
 
 
 @pytest.mark.parametrize("order", [1, 2, 25])
@@ -412,23 +434,29 @@ def _one_minus_sin(order: int) -> Series:
 
 
 def _pow(ser: Series, exponent) -> Series:
-    """ser^exponent for a polynomial exponent, through the polynomial ring."""
-    return ser.log().lift().scale(exponent).exp()
+    """ser^exponent for a scalar exponent."""
+    return ser.log().scale(exponent).exp()
 
 
 class TestMarkedPowers:
+    """A power with a marker exponent, checked by evaluation: term n is a
+    polynomial of degree at most n in each marker, so the scalar powers at
+    n + 1 values of each marker fix it."""
+
     def test_cycle_marked_reciprocal_of_one_minus_sin(self):
-        ser = _pow(_one_minus_sin(4), -t)
-        assert ser.egf_term(2) == t + t * t
+        want = MPoly({(("t", 1),): 1, (("t", 2),): 1})
+        for value in range(3):
+            ser = _pow(_one_minus_sin(4), -value)
+            assert ser.egf_term(2) == want.substitute({"t": value}).constant_value()
 
     def test_power_zero_is_one(self):
-        ser = _pow(_one_minus_sin(5), MPoly())
-        assert ser == one_series(5).lift()
+        assert _pow(_one_minus_sin(5), 0) == one_series(5)
 
     def test_odd_even_split_at_two(self):
-        t_o, t_e = MPoly.marker("t_o"), MPoly.marker("t_e")
-        ser = _pow(zigzag_egf_series(3), t_o) * _pow(sec_series(3), t_e)
-        assert ser.egf_term(2) == t_o * t_o + t_e
+        want = MPoly({(("t_o", 2),): 1, (("t_e", 1),): 1})
+        for point in ({"t_o": a, "t_e": b} for a in range(3) for b in range(3)):
+            ser = _pow(zigzag_egf_series(3), point["t_o"]) * _pow(sec_series(3), point["t_e"])
+            assert ser.egf_term(2) == want.substitute(point).constant_value()
 
     def test_pow_scalar_matches_integer_power(self):
         base = _one_minus_sin(8)
