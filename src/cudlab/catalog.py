@@ -32,10 +32,10 @@ from .perms import CapExceeded, DomainError, MalformedInput
 from .series import (
     MPoly,
     Series,
+    _euler_terms,
     _mono_mul,
     _pascal_row,
     cos_series,
-    euler_numbers,
     exp_series,
     one_series,
     sin_series,
@@ -269,10 +269,9 @@ def expected_ud_cycles(n: int) -> Fraction:
         raise DomainError("n must be at least 1")
     # one integer numerator sum_k E_{k-1} n!/k! over the denominator n!,
     # by Horner's rule: each step multiplies by a small k, not by a big scale
-    eul = euler_numbers(n - 1)
     numerator = 0
-    for k in range(1, n + 1):
-        numerator = numerator * k + eul[k - 1]
+    for k, euler in enumerate(_euler_terms(n - 1), 1):
+        numerator = numerator * k + euler
     return Fraction(numerator, factorial(n))
 
 

@@ -5,7 +5,10 @@ tables), ``map`` (apply a bijection), ``verify`` (the full oracle suite),
 ``expect`` (expected up-down cycles, exact or Monte Carlo), ``diagram``
 (arc-diagram SVG).  Every command is deterministic given its flags; Monte
 Carlo is deterministic given ``--seed``.  Each subcommand declares only
-the flags it reads, so its ``--help`` lists exactly those.
+the flags it reads, so its ``--help`` lists exactly those.  ``verify``
+writes each report entry as its row is computed, to stdout or to an
+``--out`` file opened before the first S_n is walked; a refused ``--n``
+opens no file.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input or unknown name
 (a ``--samples`` below 1 included), an ``--out`` path that cannot be
@@ -27,6 +30,7 @@ import json
 import os
 import random
 import sys
+from contextlib import nullcontext
 from decimal import Decimal
 from fractions import Fraction
 from math import sqrt
@@ -236,22 +240,25 @@ def _parse_bits(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = oracle.verify_all(args.n)
-    passed = oracle.report_passed(report)
-    if args.format == "json":
-        _emit(args, json.dumps(report, sort_keys=True) + "\n")
-    else:
-        lines = []
-        for entry in report:
-            mark = "PASS" if entry["pass"] else "FAIL"
-            line = f"{mark} {entry['check']} (n={entry['n']})"
-            if not entry["pass"]:
-                line += f" expected={entry['expected']} actual={entry['actual']}"
-            lines.append(line)
-        ok = sum(1 for e in report if e["pass"])
-        lines.append(f"passed {ok}/{len(report)} checks")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if passed else 1
+    entries = oracle.verify_entries(args.n)  # a refused --n opens no file
+    as_json = args.format == "json"
+    ok = total = 0
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        out.write("[" if as_json else "")
+        for entry in entries:
+            if as_json:
+                out.write((", " if total else "") + json.dumps(entry, sort_keys=True))
+            elif entry["pass"]:
+                out.write(f"PASS {entry['check']} (n={entry['n']})\n")
+            else:
+                out.write(
+                    f"FAIL {entry['check']} (n={entry['n']})"
+                    f" expected={entry['expected']} actual={entry['actual']}\n"
+                )
+            total += 1
+            ok += entry["pass"]
+        out.write("]\n" if as_json else f"passed {ok}/{total} checks\n")
+    return 0 if ok == total else 1
 
 
 def cmd_expect(args: argparse.Namespace) -> int:

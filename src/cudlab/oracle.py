@@ -21,12 +21,12 @@ rest tally member words one by one (``_tally``), the plain words of
 ``_words`` or those ``_cycle_members`` lays cycle by cycle.  The route sets
 the default cap: ``COUNTED_CAP`` where no word is laid, else ``DEFAULT_CAPS``.
 A distribution is a plain dict from value tuples to counts.
-``verify_all`` walks each S_n once, through ``census``, and returns a
-machine-readable report; any failing row is a bug somewhere, by design with
-no tolerance.
+``verify_entries`` walks each S_n once, through ``census``, and yields a
+machine-readable report entry by entry; ``verify_all`` lists them.  Any
+failing row is a bug somewhere, by design with no tolerance.
 The checks are a registry: each phase of ``_PHASES`` is a generator of
-(check, n, expected, actual) rows, and ``verify_all`` is the one place that
-turns rows into report entries.  The counts phase is the ``_COUNT_CHECKS``
+(check, n, expected, actual) rows, and ``verify_entries`` is the one place
+that turns rows into report entries.  The counts phase is the ``_COUNT_CHECKS``
 table.  The bijection checks run the trusted cores of ``bijections``, not
 the checking faces: ``_map_words`` runs those of one of ``g_even``,
 ``f_odd``, ``phi`` and ``jbij`` and its inverse over any stream of up-down
@@ -86,9 +86,10 @@ WORD_FAMILIES = (Family.UD, Family.DOWNUP, Family.UD_LAST_GT_FIRST)
 
 # the default caps of a request that tallies member words (``_tally``), and
 # of one counted without laying words (``_by_size``, ``_by_rank``); that of
-# all is verify_all's too.  No cap lifts the ceiling, which keeps the
+# all is verify's too.  No cap lifts the ceiling, which keeps the
 # backtracker's recursion well under the recursion limit
 DEFAULT_CAPS = {family: 11 if family in WORD_FAMILIES else 9 for family in Family}
+DEFAULT_CAPS[Family.ALL] = 10
 COUNTED_CAP = 11
 CAP_CEILING = 200
 
@@ -645,29 +646,27 @@ def census(n: int) -> Census:
 
 def _plain(value):
     """A report value as JSON data: ints, strings, bools and None as they
-    are, lists and tuples as lists of their items made plain, anything else
-    as its ``str``.  A list of plain ints, or of tuples of them, which is
-    what the word-list rows hold, is copied whole without a call per item."""
+    are, a list of ints or of tuples of ints, which is what the word-list
+    rows hold, as it is (JSON writes a tuple as an array), other lists and
+    tuples as lists of their items made plain, anything else as its ``str``."""
     if isinstance(value, (int, str, bool)) or value is None:
         return value
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         types = set(map(type, value))
-        if types <= {int}:
-            return list(value)
-        if types == {tuple} and set(map(type, itertools.chain.from_iterable(value))) <= {int}:
-            return list(map(list, value))
+        if types <= {int} or (
+            types == {tuple} and set(map(type, itertools.chain.from_iterable(value))) <= {int}
+        ):
+            return value
+    if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     return str(value)
 
 
-def report_passed(report: list[dict]) -> bool:
-    return all(entry["pass"] for entry in report)
-
-
-def verify_all(n_cap: int = 7, euler_fn=euler_numbers) -> list[dict]:
-    """Run every check against the brute-force oracle up to size ``n_cap``
-    and return one pass/fail entry per (check, n), phase by phase in the
-    order of ``_PHASES``.
+def verify_entries(n_cap: int = 7, euler_fn=euler_numbers) -> Iterator[dict]:
+    """The pass/fail entry of every check against the brute-force oracle up
+    to size ``n_cap``, one per (check, n), phase by phase in the order of
+    ``_PHASES``, each made as its row is computed.  A refused ``n_cap``
+    raises here, before the first S_n is walked.
 
     ``euler_fn`` exists for fault injection in tests; the default is the
     boustrophedon recurrence.
@@ -677,21 +676,28 @@ def verify_all(n_cap: int = 7, euler_fn=euler_numbers) -> list[dict]:
         raise perms.CapExceeded(f"verification cap is {cap}, got {n_cap}")
     if n_cap < 1:
         raise ValueError("n_cap must be at least 1")
-    eul = euler_fn(max(21, 2 * n_cap + 8))
-    order = max(20, n_cap + 2)
-    # one walk of each S_n feeds every check; the censuses go when this returns
-    censuses = [census(n) for n in range(n_cap + 1)]
-    return [
-        {
-            "check": check,
-            "n": n,
-            "expected": _plain(expected),
-            "actual": _plain(actual),
-            "pass": expected == actual,
-        }
-        for phase in _PHASES
-        for check, n, expected, actual in phase(censuses, eul, order)
-    ]
+
+    def entries() -> Iterator[dict]:
+        eul = euler_fn(max(21, 2 * n_cap + 8))
+        order = max(20, n_cap + 2)
+        # one walk of each S_n feeds every check; the censuses go with the generator
+        censuses = [census(n) for n in range(n_cap + 1)]
+        for phase in _PHASES:
+            for check, n, expected, actual in phase(censuses, eul, order):
+                yield {
+                    "check": check,
+                    "n": n,
+                    "expected": _plain(expected),
+                    "actual": _plain(actual),
+                    "pass": expected == actual,
+                }
+
+    return entries()
+
+
+def verify_all(n_cap: int = 7, euler_fn=euler_numbers) -> list[dict]:
+    """The whole report of ``verify_entries``, as a list."""
+    return list(verify_entries(n_cap, euler_fn))
 
 
 # the sizes a check runs at, tests of n rather than ranges, so that they

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import factorial
 from operator import add, mul
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .perms import DomainError
 
@@ -419,11 +419,17 @@ def euler_numbers(n_max: int) -> list[int]:
     """
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
-    out, row = [1], [1]
+    return list(_euler_terms(n_max))
+
+
+def _euler_terms(n_max: int) -> Iterator[int]:
+    """E_0, ..., E_{n_max}, each as its boustrophedon row ends.  Each row
+    pops the entries of the one before as it sums them, so one row is alive."""
+    row = [1]
+    yield 1
     for _ in range(n_max):
-        row = list(accumulate(reversed(row), initial=0))
-        out.append(row[-1])
-    return out
+        row = list(accumulate(map(row.pop, repeat(-1, len(row))), initial=0))
+        yield row[-1]
 
 
 def stirling_c(n: int, k: int) -> int:

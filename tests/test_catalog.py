@@ -415,6 +415,10 @@ class TestExpectations:
         avg = catalog_series("avg-ud-cycles", 12)
         for n in range(1, 13):
             assert avg.coefficient(n) == expected_ud_cycles(n)
+        # the Horner sum over the streamed Euler numbers, past the order cap
+        assert expected_ud_cycles(120) == catalog_series(
+            "avg-ud-cycles", 120, cap=120
+        ).coefficient(120)
 
     def test_limit_values(self):
         assert abs(float(expected_ud_cycles(40)) - 1.841817641) < 1e-9

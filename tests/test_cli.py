@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -66,6 +67,20 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _report_text(report):
+    """The text ``verify`` prints, formatted from the whole report."""
+    lines = []
+    for entry in report:
+        mark = "PASS" if entry["pass"] else "FAIL"
+        line = f"{mark} {entry['check']} (n={entry['n']})"
+        if not entry["pass"]:
+            line += f" expected={entry['expected']} actual={entry['actual']}"
+        lines.append(line)
+    ok = sum(1 for e in report if e["pass"])
+    lines.append(f"passed {ok}/{len(report)} checks")
+    return "\n".join(lines) + "\n"
 
 
 class TestSeq:
@@ -239,7 +254,7 @@ class TestEnumerate:
             ("all --n 12 --stats c", 3),
             ("all --n 11 --stats c,lrm", 0),
             ("all --n 12 --stats c,lrm", 3),
-            ("all --n 10 --stats lrm,ud", 3),
+            ("all --n 11 --stats lrm,ud", 3),
             ("gcud --n 10 --stats fp,lrm", 3),
             ("ud --n 12 --stats c,lrm", 3),
             ("ud-last-gt-first --n 12 --stats lrm", 3),
@@ -394,19 +409,56 @@ class TestVerify:
             capsys, "verify", "--n", "2"
         )
 
-    def test_failure_exit_code(self, capsys, monkeypatch):
-        fake = [{"check": "x", "n": 1, "expected": 1, "actual": 2, "pass": False}]
-        monkeypatch.setattr(oracle, "verify_all", lambda n: fake)
-        code, out = run(capsys, "verify", "--n", "2")
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_failure_exit_code(self, capsys, monkeypatch, as_json):
+        fake = [
+            {"check": "x", "n": 1, "expected": 1, "actual": 1, "pass": True},
+            {"check": "y", "n": 1, "expected": 1, "actual": 2, "pass": False},
+        ]
+        monkeypatch.setattr(oracle, "verify_entries", lambda n: iter(fake))
+        code, out = run(capsys, "verify", "--n", "2", *["--json"] * as_json)
         assert code == 1
-        assert "FAIL" in out
+        if as_json:
+            assert json.loads(out) == fake
+        else:
+            assert "FAIL y" in out and out.endswith("passed 1/2 checks\n")
 
-    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize("n", [11, 12])
     def test_cap_exceeded_exits_3(self, capsys, monkeypatch, n):
         # the cap is the census's own, and it refuses before any walk
         monkeypatch.setattr(oracle, "census", lambda _: pytest.fail("walked S_n"))
         assert cli.main(["verify", "--n", str(n)]) == 3
-        assert capsys.readouterr().err == f"error: verification cap is 9, got {n}\n"
+        assert capsys.readouterr().err == f"error: verification cap is 10, got {n}\n"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_stream_is_the_report(self, capsys, n):
+        report = oracle.verify_all(n)
+        assert run(capsys, "verify", "--n", str(n), "--json") == (
+            0, json.dumps(report, sort_keys=True) + "\n"
+        )
+        assert run(capsys, "verify", "--n", str(n)) == (0, _report_text(report))
+
+    def test_streams_without_listing_the_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "verify_all", lambda *_: pytest.fail("listed the report"))
+        code, out = run(capsys, "verify", "--n", "4", "--json")
+        assert code == 0 and json.loads(out)
+
+    def test_stream_peaks_below_the_whole_report(self):
+        # the stream holds one entry's text at a time, the whole report its
+        # entries and all their text at once; a first run fills the caches
+        json.dumps(oracle.verify_all(6), sort_keys=True)
+        peaks = []
+        for request in (
+            lambda: cli.main(["verify", "--n", "6", "--json", "--out", os.devnull]),
+            lambda: json.dumps(oracle.verify_all(6), sort_keys=True),
+        ):
+            tracemalloc.start()
+            try:
+                request()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1], peaks
 
     def test_json_report_matches_golden(self, capsys):
         code, out = run(capsys, "verify", "--n", "5", "--json")
@@ -595,6 +647,25 @@ class TestOutputFile:
         assert cli.main(argv + ["--out", str(target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--n", "9", "--out", "missing_dir/x"], 2),
+            (["--n", "9", "--json", "--out", "missing_dir/x"], 2),
+            (["--n", "11", "--out", "x"], 3),
+            (["--n", "0", "--out", "x"], 2),
+        ],
+    )
+    def test_verify_refuses_before_any_walk(self, capsys, monkeypatch, tmp_path, argv, code):
+        # an unwritable --out or a refused --n exits before the first census,
+        # and a refused --n leaves no file, not even an empty one
+        monkeypatch.setattr(oracle, "census", lambda _: pytest.fail("walked S_n"))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", *argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 

@@ -1,12 +1,15 @@
 """Smoke tests for the scripts in ``scripts/``, run as a user runs them."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from cudlab.oracle import verify_all
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,3 +56,14 @@ def test_print_paper_tables_exit_codes(args, code):
     assert result.returncode == code, result.stderr
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def test_verify_footprint_measures_the_report():
+    # one fresh child at n = 4; its digest is that of the in-process report
+    result = run_script("verify_footprint.py", "--n", "4")
+    assert result.returncode == 0, result.stderr
+    line = json.loads(result.stdout)
+    text = (json.dumps(verify_all(4), sort_keys=True) + "\n").encode("ascii")
+    assert line["sha256"] == hashlib.sha256(text).hexdigest()
+    assert line["bytes"] == len(text) and line["exit"] == 0 and line["n"] == 4
+    assert line["wall_s"] > 0 and line["peak_rss_mb"] > 0
