@@ -66,6 +66,7 @@ from .catalog import (
 from .perms import Family, Permutation, _alternating_words, admissible_patterns, is_member
 from .series import (
     MPoly,
+    Series,
     euler_numbers,
     geometric_series,
     sec_series,
@@ -827,36 +828,34 @@ def _verify_series_identities(
         )
 
 
+def _coefficient_sum(poly: MPoly) -> int:
+    """The polynomial's value with every marker at 1: its coefficient sum."""
+    return sum(coeff for _, coeff in poly.items())
+
+
 def _verify_specializations(
     censuses: list[Census], eul: list[int], order: int
 ) -> Iterator[tuple]:
     order = min(order, 14)  # the verify goldens and digests pin these rows
     pairs = [
-        ("spec-cud-fp-cycles", "cud-fp-cycles", {"x": 1, "t": 1}, "cud"),
-        ("spec-gcud-fp-cycles", "gcud-fp-cycles", {"x": 1, "t": 1}, "gcud"),
-        ("spec-ud-st", "ud-st", {"t": 1}, "euler"),
+        ("spec-cud-fp-cycles", "cud-fp-cycles", "cud"),
+        ("spec-gcud-fp-cycles", "gcud-fp-cycles", "gcud"),
+        ("spec-ud-st", "ud-st", "euler"),
     ]
-    for name, marked, assign, plain in pairs:
-        yield (
-            name,
-            order,
-            catalog_series(plain, order),
-            catalog_series(marked, order).substitute(assign).constants(),
-        )
-    yield (
-        "spec-cud-odd-even",
-        order,
-        catalog_series("cud-cycles", order),
-        catalog_series("cud-odd-even", order).substitute(
-            {"t_o": MPoly.marker("t"), "t_e": MPoly.marker("t")}
-        ),
-    )
-    yield (
-        "spec-perm-ud-nud",
-        order,
-        geometric_series(order),
-        catalog_series("perm-ud-nud", order).substitute({"v": 1, "w": 1}).constants(),
-    )
+
+    def at_ones(seq_id: str) -> Series:
+        return Series.from_egf(map(_coefficient_sum, catalog_series(seq_id, order).terms))
+
+    for name, marked, plain in pairs:
+        yield name, order, catalog_series(plain, order), at_ones(marked)
+    merged = []  # each t_o^i*t_e^j as t^(i+j)
+    for poly in catalog_series("cud-odd-even", order).terms:
+        rows = Counter()
+        for mono, coeff in poly.items():
+            rows[(sum(exp for _, exp in mono),)] += coeff
+        merged.append(_to_poly(rows, ("t",)))
+    yield "spec-cud-odd-even", order, catalog_series("cud-cycles", order), Series.from_egf(merged)
+    yield "spec-perm-ud-nud", order, geometric_series(order), at_ones("perm-ud-nud")
 
 
 _MARKED_TABLES = (
@@ -928,7 +927,7 @@ def _verify_distributions(
             {dict(mono).get("t", 0): int(c) for mono, c in poly.items()},
             exc_counts,
         )
-        yield "exc-poly-total", n, eul[n + 1], int(poly.substitute({"t": 1}).constant_value())
+        yield "exc-poly-total", n, eul[n + 1], _coefficient_sum(poly)
 
 
 # bijections from up-down words to cycles, by the cores of ``bijections``:

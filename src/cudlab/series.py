@@ -8,8 +8,9 @@ recurrence of the exponential formula and ``log`` its inverse, and
 integral unless an input brings a ``Fraction``.  :attr:`Series.coeffs` is the
 ordinary view.  Everything is exact: identities are checked with equality,
 never with tolerances.  A series of ``MPoly`` terms, as the catalog builds its
-marked entries, is a container: it can be read, truncated, shifted, scaled and
-substituted into, but the convolution kernels take scalar terms only.
+marked entries, is a container: it can be read, compared, truncated, shifted
+and scaled by a scalar, but the convolution kernels take scalar terms only.
+A polynomial is data, with no product but by a scalar.
 
 Each term of a convolution reads one cached row of Pascal's triangle for its
 binomial weights and sums with C-level ``map`` calls.  The table keeps
@@ -48,7 +49,7 @@ def _norm(value):
 
 class MPoly:
     """Sparse multivariate polynomial with exact integer or rational
-    coefficients: built, compared, printed, multiplied and substituted into."""
+    coefficients: built, compared, printed and scaled by a scalar."""
 
     __slots__ = ("_terms",)
 
@@ -60,63 +61,22 @@ class MPoly:
     def constant(cls, value: Scalar) -> "MPoly":
         return cls({(): value})
 
-    @classmethod
-    def marker(cls, name: str) -> "MPoly":
-        return cls({((name, 1),): 1})
-
-    @classmethod
-    def one(cls) -> "MPoly":
-        return cls.constant(1)
-
-    @staticmethod
-    def _coerce(value) -> "MPoly":
-        if isinstance(value, MPoly):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return MPoly.constant(value)
-        return NotImplemented
-
     def items(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self._terms.items())
 
-    def constant_value(self) -> Scalar:
-        if self._terms.keys() - {()}:
-            raise DomainError(f"{self} is not constant")
-        return self._terms.get((), 0)
-
-    def substitute(self, assign: Mapping[str, Union["MPoly", Scalar]]) -> "MPoly":
-        """Replace markers by polynomials or scalars; unmentioned markers stay.
-
-        Each power of a marker's value is built once, from the power below
-        it, and the terms are summed by one ``_sum_of_products``.
-        """
-        values = {name: MPoly._coerce(v) for name, v in assign.items()}
-        # powers[name][e] is the value of the marker raised to e
-        powers = {name: [MPoly.one()] for name in values}
-        pairs = []
-        for mono, coeff in self._terms.items():
-            factor = MPoly.one()
-            for name, exp in mono:
-                if name in powers:
-                    ladder = powers[name]
-                    while len(ladder) <= exp:
-                        ladder.append(ladder[-1] * values[name])
-                    factor = factor * ladder[exp]
-            kept = tuple(pair for pair in mono if pair[0] not in powers)
-            pairs.append((MPoly({kept: coeff}), factor))
-        return _sum_of_products(pairs)
-
     def __mul__(self, other):
-        other = MPoly._coerce(other)
-        if other is NotImplemented:
+        """The polynomial scaled by an ``int`` or ``Fraction``; a polynomial
+        has no product with another polynomial."""
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return _sum_of_products([(self, other)])
+        return MPoly({mono: coeff * other for mono, coeff in self._terms.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = MPoly._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            other = MPoly.constant(other)
+        if not isinstance(other, MPoly):
             return NotImplemented
         return self._terms == other._terms
 
@@ -155,17 +115,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     for name, exp in b:
         exps[name] = exps.get(name, 0) + exp
     return tuple(sorted(exps.items()))
-
-
-def _sum_of_products(pairs: Iterable[tuple[MPoly, MPoly]]) -> MPoly:
-    """The sum of x*y over pairs of polynomials, added into one dict."""
-    acc: dict[Monomial, Scalar] = {}
-    for x, y in pairs:
-        for mono_a, ca in x._terms.items():
-            for mono_b, cb in y._terms.items():
-                key = _mono_mul(mono_a, mono_b)
-                acc[key] = acc.get(key, 0) + ca * cb
-    return MPoly(acc)
 
 
 # row n of Pascal's triangle under key n, for n up to the largest order asked
@@ -289,8 +238,7 @@ class Series:
             _dot(_pascal_row(n)[fa::sa], xs, b[n - fa :: -sa], zero)))
 
     def scale(self, factor) -> "Series":
-        """Multiply every term by ``factor``: a scalar, or a polynomial when
-        the terms are polynomials."""
+        """Multiply every term by the scalar ``factor``."""
         return Series.from_egf(_norm(c * factor) for c in self.terms)
 
     def truncate(self, order: int) -> "Series":
@@ -298,12 +246,6 @@ class Series:
             raise DomainError(f"cannot extend truncation {self.order} to {order}")
         _orders(order)  # refuses a negative order
         return Series.from_egf(self.terms[: order + 1])
-
-    def constants(self) -> "Series":
-        """Each polynomial term as its constant; fails on non-constant terms."""
-        return Series.from_egf(
-            c.constant_value() if isinstance(c, MPoly) else c for c in self.terms
-        )
 
     def egf_term(self, n: int):
         """n! times the z^n coefficient, for n in 0..order."""
@@ -362,13 +304,6 @@ class Series:
         rows, stride = ((0, *b[1:]),), (0, step)
         return _sweep(0, rows, stride, lambda n, out, zero: b[n] - _dot(
             _pascal_row(n - 1)[step - 1 :: step], out[step::step], b[n - step :: -step], zero))
-
-    def substitute(self, assign: Mapping[str, Union[MPoly, Scalar]]) -> "Series":
-        """:meth:`MPoly.substitute` on each polynomial term; a scalar term has
-        no markers and stays."""
-        return Series.from_egf(
-            c.substitute(assign) if isinstance(c, MPoly) else c for c in self.terms
-        )
 
 
 def one_series(order: int) -> Series:

@@ -29,7 +29,8 @@ from cudlab.perms import (
     parse_cycles,
     parse_permutation,
 )
-from cudlab.series import MPoly, euler_numbers, stirling_c, zigzag_egf_series
+from cudlab.series import euler_numbers, stirling_c, zigzag_egf_series
+from polyeval import evaluate_series
 from cudlab.statistics import MAX, MIN, MinMaxPattern, m_s, stats
 
 E = euler_numbers(24)
@@ -153,12 +154,13 @@ def test_criterion_07_series_identities():
     assert sec_series(order - 1).integrate().exp() == egf.truncate(order)
     assert d1.differentiate().truncate(order) == egf.truncate(order) * d1.truncate(order)
 
-    assert catalog_series("cud-fp-cycles", 14).substitute({"x": 1, "t": 1}).constants() == catalog_series("cud", 14)
-    tt = MPoly.marker("t")
-    assert catalog_series("cud-odd-even", 14).substitute({"t_o": tt, "t_e": tt}) == catalog_series("cud-cycles", 14)
-    assert catalog_series("gcud-fp-cycles", 14).substitute({"x": 1, "t": 1}).constants() == catalog_series("gcud", 14)
-    assert catalog_series("perm-ud-nud", 14).substitute({"v": 1, "w": 1}).constants() == geometric_series(14)
-    assert catalog_series("ud-st", 14).substitute({"t": 1}).constants() == zigzag_egf_series(14)
+    assert evaluate_series(catalog_series("cud-fp-cycles", 14), {"x": 1, "t": 1}) == catalog_series("cud", 14)
+    odd_even, cycles = catalog_series("cud-odd-even", 14), catalog_series("cud-cycles", 14)
+    for t in range(15):  # term n has degree at most n <= 14 in t, so 15 values fix it
+        assert evaluate_series(odd_even, {"t_o": t, "t_e": t}) == evaluate_series(cycles, {"t": t})
+    assert evaluate_series(catalog_series("gcud-fp-cycles", 14), {"x": 1, "t": 1}) == catalog_series("gcud", 14)
+    assert evaluate_series(catalog_series("perm-ud-nud", 14), {"v": 1, "w": 1}) == geometric_series(14)
+    assert evaluate_series(catalog_series("ud-st", 14), {"t": 1}) == zigzag_egf_series(14)
     _announce(7, "series identity suite and marker specializations exact at order 20")
 
 

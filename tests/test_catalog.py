@@ -39,6 +39,7 @@ from cudlab.series import (
     z_series,
     zigzag_egf_series,
 )
+from polyeval import evaluate, evaluate_series
 
 E = euler_numbers(24)
 
@@ -97,6 +98,12 @@ class TestSequences:
         assert [ser.egf_int(2 * k) for k in range(1, 5)] == [
             k * E[2 * k - 1] for k in range(1, 5)
         ]
+
+    def test_marked_coeffs_are_the_terms_over_n_factorial(self):
+        ser = catalog_series("cud-cycles", 6)
+        for n in range(7):
+            over = {mono: Fraction(c, factorial(n)) for mono, c in ser.egf_term(n).items()}
+            assert ser.coeffs[n] == MPoly(over)
 
     def test_unknown_id(self):
         with pytest.raises(MalformedInput):
@@ -168,25 +175,27 @@ class TestSharedBlocks:
 
 class TestSpecializations:
     def test_cud_fp_cycles(self):
-        marked = catalog_series("cud-fp-cycles", 12).substitute({"x": 1, "t": 1})
-        assert marked.constants() == catalog_series("cud", 12)
+        marked = catalog_series("cud-fp-cycles", 12)
+        assert evaluate_series(marked, {"x": 1, "t": 1}) == catalog_series("cud", 12)
 
     def test_cud_odd_even(self):
-        tt = MPoly.marker("t")
-        collapsed = catalog_series("cud-odd-even", 12).substitute({"t_o": tt, "t_e": tt})
-        assert collapsed == catalog_series("cud-cycles", 12)
+        # term n has degree at most n <= 12 in t, so 13 values of t fix it
+        odd_even, cycles = catalog_series("cud-odd-even", 12), catalog_series("cud-cycles", 12)
+        for value in range(13):
+            collapsed = evaluate_series(odd_even, {"t_o": value, "t_e": value})
+            assert collapsed == evaluate_series(cycles, {"t": value})
 
     def test_gcud_fp_cycles(self):
-        marked = catalog_series("gcud-fp-cycles", 12).substitute({"x": 1, "t": 1})
-        assert marked.constants() == catalog_series("gcud", 12)
+        marked = catalog_series("gcud-fp-cycles", 12)
+        assert evaluate_series(marked, {"x": 1, "t": 1}) == catalog_series("gcud", 12)
 
     def test_perm_ud_nud(self):
-        marked = catalog_series("perm-ud-nud", 12).substitute({"v": 1, "w": 1})
-        assert marked.constants() == geometric_series(12)
+        marked = catalog_series("perm-ud-nud", 12)
+        assert evaluate_series(marked, {"v": 1, "w": 1}) == geometric_series(12)
 
     def test_ud_st(self):
-        marked = catalog_series("ud-st", 12).substitute({"t": 1})
-        assert marked.constants() == zigzag_egf_series(12)
+        marked = catalog_series("ud-st", 12)
+        assert evaluate_series(marked, {"t": 1}) == zigzag_egf_series(12)
 
 
 def _gcud_exponent(order: int, tan_weight: int) -> Series:
@@ -274,7 +283,7 @@ class TestExponentialFormula:
             ser = catalog_series(seq_id, order)
             for values in product(range(order + 1), repeat=len(markers)):
                 point = dict(zip(markers, values))
-                assert ser.substitute(point).constants() == _closed_form(seq_id, order, point), (
+                assert evaluate_series(ser, point) == _closed_form(seq_id, order, point), (
                     order,
                     point,
                 )
@@ -314,14 +323,17 @@ class TestBijectiveTheorems:
     UD_{n+1} to c on CUD_n, so d/dz of each UD entry is a CUD entry."""
 
     def test_derivatives_of_the_ud_entries(self):
-        t = MPoly.marker("t")
         odd_even = catalog_series("cud-odd-even", 23)
-        st_side = odd_even.substitute({"t_o": t, "t_e": 1}).scale(t)
-        lrm_side = odd_even.substitute({"t_o": 1, "t_e": t}).scale(t)
-        assert catalog_series("ud-st", 24).differentiate() == st_side
-        assert catalog_series("ud-lrm", 24).differentiate() == lrm_side
+        split = lambda t_o, t_e: evaluate_series(odd_even, {"t_o": t_o, "t_e": t_e})
+        st = catalog_series("ud-st", 24).differentiate()
+        lrm = catalog_series("ud-lrm", 24).differentiate()
         extr = catalog_series("ud-extr", 24).differentiate()
-        assert extr == odd_even.substitute({"t_o": t, "t_e": t})
+        # term n of each side has degree at most n + 1 <= 24 in t, so its
+        # values at 25 points fix it
+        for t in range(25):
+            assert evaluate_series(st, {"t": t}) == split(t, 1).scale(t)
+            assert evaluate_series(lrm, {"t": t}) == split(1, t).scale(t)
+            assert evaluate_series(extr, {"t": t}) == split(t, t)
         assert extr == catalog_series("cud-cycles", 23)
 
 
@@ -356,12 +368,12 @@ class TestEvenCyclicLemma:
 
 class TestExcedancePolynomial:
     def test_small(self):
-        assert exc_polynomial(0) == MPoly.one()
+        assert exc_polynomial(0) == MPoly.constant(1)
         assert exc_polynomial(2) == MPoly({(): 1, (("t", 1),): 1})
 
     def test_total_is_euler(self):
         for n in range(9):
-            total = exc_polynomial(n).substitute({"t": 1}).constant_value()
+            total = evaluate(exc_polynomial(n), {"t": 1})
             assert total == E[n + 1]
 
     def test_closed_form_at_rational_roots(self):
@@ -377,7 +389,7 @@ class TestExcedancePolynomial:
                 cos_series(order)
             ).reciprocal()
             for n in range(order + 1):
-                value = exc_polynomial(n).substitute({"t": tval}).constant_value()
+                value = evaluate(exc_polynomial(n), {"t": tval})
                 assert closed.egf_term(n) == value
 
 
