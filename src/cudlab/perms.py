@@ -368,16 +368,21 @@ def _admits(family: Family, cycles: tuple[tuple[int, ...], ...]) -> bool:
     return admitted and (not single or len(cycles) == 1)
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+# entries are written in the digits 0-9 alone: int() also takes a sign, an
+# underscore and the digits of other scripts
+_WORD_RE = re.compile(r"[0-9\s]*")
+_CYCLE_RE = re.compile(r"\(([0-9 ,]*)\)")
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse one-line notation, e.g. ``"2 5 1 7 3 6 4"``.  Strict: repeated
-    or non-positive entries are rejected.  The empty string is the empty
-    permutation."""
+    """Parse one-line notation, e.g. ``"2 5 1 7 3 6 4"``.  Strict: entries
+    not in the digits 0-9, and repeated or non-positive entries, are
+    rejected.  The empty string is the empty permutation."""
     text = text.strip()
     if not text:
         return Permutation(())
+    if not _WORD_RE.fullmatch(text):
+        raise MalformedInput(f"bad one-line notation {text!r}: entries are digits 0-9")
     try:
         word = tuple(int(tok) for tok in text.split())
     except ValueError as exc:
@@ -394,7 +399,7 @@ def parse_cycles(text: str) -> CycleDecomposition:
     if text.replace(" ", "") != "".join(
         f"({m.group(1)})".replace(" ", "") for m in _CYCLE_RE.finditer(text)
     ):
-        raise MalformedInput(f"bad cycle notation {text!r}")
+        raise MalformedInput(f"bad cycle notation {text!r}: (a,b,...) of digits 0-9")
     cycles = []
     for m in _CYCLE_RE.finditer(text):
         body = m.group(1).strip()

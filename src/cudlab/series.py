@@ -15,10 +15,10 @@ A polynomial is data, with no product but by a scalar.
 Each term of a convolution reads one cached row of Pascal's triangle for its
 binomial weights and sums with C-level ``map`` calls.  The table keeps
 binomial coefficients only, in rows up to the largest order used so far;
-no series or result outlives the call that built it.  On an even or odd
-series a product, ``reciprocal``, ``exp`` and ``log`` sum only the products
-that can be nonzero, over stride-2 slices, and write each term known to
-vanish as the zero, of the type, that the full sum gives.
+no series or result outlives the call that built it.  Each kernel is one
+loop over its output's own stride, every other index on an even or odd
+series, summing only the products that can be nonzero over stride-2 slices;
+each term starts as the zero, of the type, that the full sum gives.
 
 Also here: the boustrophedon recurrence for the zigzag (Euler) numbers and
 the recurrence for the signless Stirling numbers of the first kind, both of
@@ -153,17 +153,6 @@ def _dot(weights, xs, ys, zero=0):
     return sum(map(mul, map(mul, weights, xs), ys), zero)
 
 
-def _sweep(head, rows, stride, term) -> Series:
-    """Term 0 is ``head``.  Term n is ``term(n, out, zero)``, over the terms
-    ``out`` below n, with ``zero`` what ``_zeros(*rows)`` gives at n, or that
-    zero alone where the output's (first, step) ``stride`` passes n by."""
-    (first, step), out = stride, [head]
-    zeros = _zeros(*rows)
-    for n in range(1, len(zeros)):
-        out.append(term(n, out, zeros[n]) if (n - first) % step == 0 else zeros[n])
-    return Series.from_egf(out)
-
-
 def _orders(order: int) -> range:
     """The indices 0..order of a series' terms; a negative order is refused."""
     if order < 0:
@@ -230,12 +219,14 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         self._check_compatible(other)
         a, b = self.terms, other.terms
-        if _stride(a)[1] == 1:  # a factor with a parity, if either has one, goes first
-            a, b = b, a
-        (fa, sa), (fb, sb) = _stride(a), _stride(b)  # sb == 2 only if sa == 2
-        xs = a[fa::sa]
-        return _sweep(a[0] * b[0], (a, b), ((fa + fb) % 2, sb), lambda n, out, zero: (
-            _dot(_pascal_row(n)[fa::sa], xs, b[n - fa :: -sa], zero)))
+        (fa, sa), (fb, sb) = _stride(a), _stride(b)
+        if sa == 1:  # a factor with a parity, if either has one, goes first
+            a, b, (fa, sa), (fb, sb) = b, a, (fb, sb), (fa, sa)
+        out, xs = _zeros(a, b), a[fa::sa]  # sb == 2 only if sa == 2
+        out[0] = a[0] * b[0]
+        for n in range((fa + fb) % 2 or sb, len(out), sb):  # the output's stride, past 0
+            out[n] = _dot(_pascal_row(n)[fa::sa], xs, b[n - fa :: -sa], out[n])
+        return Series.from_egf(out)
 
     def scale(self, factor) -> "Series":
         """Multiply every term by the scalar ``factor``."""
@@ -268,9 +259,11 @@ class Series:
             raise DomainError("constant term must be nonzero")
         inv0 = _norm(1 / Fraction(b[0]))
         step = _stride(b)[1]  # b0 is nonzero: an even b has an even inverse
-        xs = b[step::step]
-        return _sweep(inv0, ((inv0, *b[1:]),), (0, step), lambda n, out, zero: (
-            -inv0 * _dot(_pascal_row(n)[step::step], xs, out[n - step :: -step], zero)))
+        out, xs = _zeros((inv0, *b[1:])), b[step::step]
+        out[0] = inv0
+        for n in range(step, len(out), step):
+            out[n] = -inv0 * _dot(_pascal_row(n)[step::step], xs, out[n - step :: -step], out[n])
+        return Series.from_egf(out)
 
     def differentiate(self) -> "Series":
         """Formal derivative; drops one order of truncation."""
@@ -290,9 +283,12 @@ class Series:
             raise DomainError("exp needs a zero constant term")
         first, step = _stride(a)
         first = first or step  # the least k >= 1 with a_k maybe nonzero
-        xs = a[first::step]  # an even a, with first = 2, has an even exp
-        return _sweep(1, ((0, *a[1:]),), (0, first), lambda n, out, zero: (
-            _dot(_pascal_row(n - 1)[first - 1 :: step], xs, out[n - first :: -step], zero)))
+        out, xs = _zeros((0, *a[1:])), a[first::step]
+        out[0] = 1
+        for n in range(first, len(out), first):  # an even a, with first = 2, has an even exp
+            weights = _pascal_row(n - 1)[first - 1 :: step]
+            out[n] = _dot(weights, xs, out[n - first :: -step], out[n])
+        return Series.from_egf(out)
 
     def log(self) -> "Series":
         """log of a series with constant term 1; exp(log(b)) == b."""
@@ -300,10 +296,12 @@ class Series:
         if b[0] != 1:
             raise DomainError("log needs constant term 1")
         step = _stride(b)[1]  # b0 = 1: an even b has an even log
+        out = _zeros((0, *b[1:]))  # term 0 is the int 0 already
         # term n is b_n - sum_{1<=k<n} C(n-1,k-1) out_k b_{n-k}, k in b's stride
-        rows, stride = ((0, *b[1:]),), (0, step)
-        return _sweep(0, rows, stride, lambda n, out, zero: b[n] - _dot(
-            _pascal_row(n - 1)[step - 1 :: step], out[step::step], b[n - step :: -step], zero))
+        for n in range(step, len(out), step):
+            weights = _pascal_row(n - 1)[step - 1 :: step]
+            out[n] = b[n] - _dot(weights, out[step:n:step], b[n - step :: -step], out[n])
+        return Series.from_egf(out)
 
 
 def one_series(order: int) -> Series:

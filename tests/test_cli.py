@@ -382,6 +382,17 @@ class TestMap:
         assert code == 0
         assert out.strip() == "5 3 6 7 2 1 8 4"  # reversal of the input word
 
+    # entries that int() takes but that are not written in the digits 0-9
+    @pytest.mark.parametrize(
+        "argv",
+        [["map", "g", "2 1_0"], ["map", "g", "1 \uff13"], ["map", "g-inv", "(1,2_0)"]],
+    )
+    def test_entry_not_in_ascii_digits_exits_2(self, capsys, argv):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_domain_error_exits_2(self, capsys):
         assert cli.main(["map", "jbij", "2 1 3"]) == 2
         assert cli.main(["map", "ell", "2 1"]) == 2  # missing --bits

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cudlab import bijections, oracle, perms, statistics
+from cudlab import bijections, catalog, oracle, perms, statistics
 from cudlab.catalog import CapExceeded, catalog_series
 from cudlab.oracle import (
     WORD_FAMILIES,
@@ -813,6 +813,19 @@ class TestVerifyAll:
         assert not all(entry["pass"] for entry in report)
         failing = [e["check"] for e in report if not e["pass"]]
         assert "euler-boustrophedon-vs-series" in failing
+
+    def test_a_round_builds_no_ud_cycles_once(self, monkeypatch):
+        # both r-count rows of every n read one build of the entry
+        built = Counter()
+
+        def counting(seq_id, *args, **kwargs):
+            built[seq_id] += 1
+            return catalog_series(seq_id, *args, **kwargs)
+
+        for module in (catalog, oracle):
+            monkeypatch.setattr(module, "catalog_series", counting)
+        assert all(entry["pass"] for entry in verify_all(7))
+        assert built["no-ud-cycles"] == 1
 
     def test_checks_reading_the_counters_catch_a_wrong_vector(self, monkeypatch):
         # at n = 5, one member of the family moves from the first tally entry

@@ -317,6 +317,27 @@ class TestTextForms:
     def test_cycle_text_normalizes(self):
         assert format_cycles(parse_cycles("(4,7)(2,6)(1,5,3,8)")) == "(1,5,3,8)(2,6)(4,7)"
 
+    # int() takes each of these entries; a written entry is the digits 0-9 alone
+    @pytest.mark.parametrize(
+        "word, cycles",
+        [
+            ("2 1_0", "(1,2_0)"),
+            ("1 \uff13", "(1, \uff13)"),
+            ("1 \u0663 2", "(1,\u0663)(2)"),
+            ("+3 1 2", "(+1)(2)"),
+        ],
+    )
+    def test_entries_are_ascii_digits(self, word, cycles):
+        with pytest.raises(MalformedInput, match="digits 0-9"):
+            parse_permutation(word)
+        with pytest.raises(MalformedInput, match="digits 0-9"):
+            parse_cycles(cycles)
+
+    def test_a_zero_entry_reaches_the_positivity_check(self):
+        for parse, text in ((parse_permutation, "2 0 1"), (parse_cycles, "(1,0)(2)")):
+            with pytest.raises(MalformedInput, match="positive integers, got 0"):
+                parse(text)
+
     @given(st.permutations(list(range(1, 9))))
     def test_text_roundtrip(self, word):
         p = Permutation(tuple(word))

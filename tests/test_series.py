@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from cudlab import series
 from cudlab.perms import DomainError
 from cudlab.series import (
     MPoly,
@@ -327,6 +328,30 @@ def test_fraction_zeros_among_int_terms(order):
     assert _same_terms(Series.from_egf(even).reciprocal(), _comb_reciprocal(even))
     assert _same_terms(Series.from_egf(even).log(), _comb_log(even))
     assert _same_terms(Series.from_egf(odd).exp(), _comb_exp(odd))
+
+
+# the kernel calls at order 24 and their _dot calls, one for each index n >= 1
+# that the output's stride reaches: value tests cannot see a skipped term
+@pytest.mark.parametrize(
+    "call, dots",
+    [
+        pytest.param(lambda cos, sin, u: cos * cos, 12, id="cos*cos"),
+        pytest.param(lambda cos, sin, u: sin * sin, 12, id="sin*sin"),
+        pytest.param(lambda cos, sin, u: sin * cos, 12, id="sin*cos"),
+        pytest.param(lambda cos, sin, u: u * cos, 24, id="(1-sin)*cos"),
+        pytest.param(lambda cos, sin, u: cos.reciprocal(), 12, id="1/cos"),
+        pytest.param(lambda cos, sin, u: u.reciprocal(), 24, id="1/(1-sin)"),
+        pytest.param(lambda cos, sin, u: sin.exp(), 24, id="exp(sin)"),
+        pytest.param(lambda cos, sin, u: cos.log(), 12, id="log(cos)"),
+        pytest.param(lambda cos, sin, u: u.log(), 24, id="log(1-sin)"),
+    ],
+)
+def test_one_dot_per_index_the_stride_reaches(monkeypatch, call, dots):
+    operands = cos_series(24), sin_series(24), _one_minus_sin(24)
+    dot, calls = series._dot, []
+    monkeypatch.setattr(series, "_dot", lambda *args: calls.append(1) or dot(*args))
+    call(*operands)
+    assert len(calls) == dots
 
 
 class TestCalculus:

@@ -1,6 +1,6 @@
-"""A tooling guard: every private module-level function or class and every
-method in ``src/cudlab`` is read somewhere in ``src/cudlab``.  A helper
-that nothing in the program reads is deleted, not kept for the tests."""
+"""A tooling guard: every private module-level function, class or constant
+and every method in ``src/cudlab`` is read somewhere in ``src/cudlab``.  A
+helper that nothing in the program reads is deleted, not kept for the tests."""
 
 import ast
 from pathlib import Path
@@ -12,12 +12,17 @@ ALLOWED = {"Parser.error"}
 
 
 def _defined(module: str, tree: ast.Module):
-    """(qualified name, name) of each module-level function or class whose
-    name starts with ``_``, and of each non-dunder method of a module-level
-    class."""
+    """(qualified name, name) of each module-level function, class or
+    constant whose name starts with ``_`` and is not a dunder, and of each
+    non-dunder method of a module-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
             yield f"{module}.{node.name}", node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    yield f"{module}.{name}", name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
@@ -63,5 +68,11 @@ class Box:
     def orphan(self): return 2
 class Parser:
     def error(self, message): pass
+_SEEN, _UNSEEN = 1, 2
+_TYPED: int = 3
+__all__ = ["public"]
+def reads(): return _SEEN
 '''
-    assert _unread({"m": source}) == ["m._unused", "m._Hidden", "Box.orphan"]
+    assert _unread({"m": source}) == [
+        "m._unused", "m._Hidden", "Box.orphan", "m._UNSEEN", "m._TYPED"
+    ]
