@@ -100,10 +100,11 @@ def _polynomials(columns, order: int) -> Series:
     monomial * terms[n] over the (monomial, EGF terms) ``columns``."""
     polys = [{} for _ in range(order + 1)]
     for mono, terms in columns:
+        mono = tuple(sorted(mono))
         for poly, coeff in zip(polys, terms):
             if coeff:
                 poly[mono] = coeff
-    return Series.from_egf(map(MPoly, polys))
+    return Series.from_egf(map(MPoly._trusted, polys))
 
 
 def _marked_exp(*parts: tuple[str, Series]) -> Series:

@@ -9,10 +9,9 @@ vertices.  The pair count on [2m] is therefore the secant number E_{2m}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
-from .perms import DomainError, Family, Permutation, is_member
+from .perms import DomainError, Family, Permutation, _Record, is_member
 
 Arc = tuple[int, int]
 
@@ -21,16 +20,16 @@ BLUE = "#0044cc"
 SPACING = 40
 
 
-@dataclass(frozen=True)
-class MatchingPair:
+class MatchingPair(_Record):
     """Two perfect matchings of [n] (arcs as (low, high) pairs, sorted by low
     endpoint) with identical opener sets."""
 
-    n: int
-    red: tuple[Arc, ...]
-    blue: tuple[Arc, ...]
+    __slots__ = __match_args__ = ("n", "red", "blue")
 
-    def __post_init__(self):
+    def __init__(self, n: int, red: tuple[Arc, ...], blue: tuple[Arc, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "red", red)
+        object.__setattr__(self, "blue", blue)
         if self.n % 2 != 0:
             raise DomainError("matchings need an even number of vertices")
         for arcs in (self.red, self.blue):

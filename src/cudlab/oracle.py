@@ -48,7 +48,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import itemgetter, mul
@@ -520,8 +519,7 @@ _COLUMNS = STAT_NAMES + tuple(map(str, _PATTERNS[1:]))
 _BIT = {family: 1 << i for i, family in enumerate(Family)}
 
 
-@dataclass
-class Census:
+class Census(perms._Record):
     """One walk of S_n, in lexicographic order.
 
     ``tally`` counts the permutations by (family mask, values), keyed in the
@@ -536,9 +534,12 @@ class Census:
     builds its ``Permutation`` there.
     """
 
-    n: int
-    tally: dict[tuple[int, tuple[int, ...]], int]
-    words: dict[Family, list[tuple[int, ...]]]
+    __slots__ = __match_args__ = ("n", "tally", "words")
+    # unlike the other records, a census may be changed, so it has no hash
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, n: int, tally: dict[tuple, int], words: dict[Family, list[tuple]]):
+        self.n, self.tally, self.words = n, tally, words
 
     def count(self, family: Family) -> int:
         flag = _BIT[family]
@@ -571,8 +572,11 @@ def census(n: int) -> Census:
     _check_cap(Family.ALL, n, None)
     # every word is in all, and a word of ud-last-gt-first is an up-down word
     # of even length >= 2 whose last entry exceeds its first, so its bit is
-    # read off the ud bit
+    # read off the ud bit.  A word's first step leaves one shape to test: a
+    # rising word can only be up-down and a falling one only down-up, while
+    # a word shorter than 2 is both.
     word_tests = [(_BIT[f], perms._WORD_TESTS[f]) for f in (Family.UD, Family.DOWNUP)]
+    short_bits = word_tests[0][0] | word_tests[1][0] if n < 2 else 0
     all_bit, ud_bit = _BIT[Family.ALL], _BIT[Family.UD]
     last_gt_first_bit = _BIT[Family.UD_LAST_GT_FIRST] if n >= 2 and n % 2 == 0 else 0
     # by length, the cycle families admitting an up-down cycle (it has both
@@ -622,8 +626,9 @@ def census(n: int) -> Census:
         if c != 1:
             mask &= ~single_bits
         # set only now: the cycles' admitting masks, ANDed in above, lack it
-        mask |= all_bit
-        for flag, test in word_tests:
+        mask |= all_bit | short_bits
+        if n >= 2:
+            flag, test = word_tests[word[0] > word[1]]
             if test(word):
                 mask |= flag
         if last_gt_first_bit and mask & ud_bit and word[-1] > word[0]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect
-from dataclasses import dataclass
 from enum import Enum
 from math import inf
 from operator import gt, itemgetter, lt
@@ -94,21 +93,59 @@ def _rotate_min_first(cycle: Sequence[int]) -> tuple[int, ...]:
     return tuple(cycle[(i + j) % k] for j in range(k))
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Record:
+    """A value made of the fields ``__match_args__`` names, as a frozen
+    dataclass is: values of one class are equal when their fields are,
+    ``hash`` and ``repr`` read the fields, and assignment raises
+    AttributeError, so constructors set fields with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = zip(self.__match_args__, self._fields())
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self):  # copy and pickle call the constructor
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Permutation(_Record):
     """A permutation in one-line notation over its own ground set.
 
     ``word[i]`` is the image of the ``i``-th smallest ground element, so a
     permutation of [n] maps ``i+1`` to ``word[i]``.  The empty permutation is
     legal.  Values are immutable and safe to share.  One built by
-    :func:`from_cycles` keeps its canonical cycles outside the fields, for
-    :func:`to_cycles` to return; ``==``, ``hash`` and ``repr`` read ``word``
-    alone.
+    :func:`from_cycles` keeps its canonical cycles in ``_cycles``, which is
+    no field, for :func:`to_cycles` to return; ``==``, ``hash`` and ``repr``
+    read ``word`` alone.
     """
 
-    word: tuple[int, ...]
-    _cycles = None  # not a field: set by from_cycles
+    __match_args__ = ("word",)
+    __slots__ = ("word", "_cycles")
 
+    def __init__(self, word: tuple[int, ...]):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "_cycles", None)
+        self.__post_init__()
+
+    # the checks, apart so that perfbench/tracer.py can count them
     def __post_init__(self):
         for x in self.word:
             if not isinstance(x, int) or x < 1:
@@ -117,11 +154,13 @@ class Permutation:
             raise MalformedInput(f"repeated entry in word {self.word}")
 
     @classmethod
-    def _trusted(cls, word: tuple[int, ...]) -> "Permutation":
-        """A word cudlab built itself, so known to be a permutation: no
-        checks.  Input from outside goes through the constructor."""
+    def _trusted(cls, word: tuple[int, ...], cycles=None) -> "Permutation":
+        """A word cudlab built itself, so known to be a permutation, with its
+        canonical cycles if known: no checks.  Input from outside goes
+        through the constructor."""
         p = object.__new__(cls)
         object.__setattr__(p, "word", word)
+        object.__setattr__(p, "_cycles", cycles)
         return p
 
     @property
@@ -143,14 +182,17 @@ class Permutation:
         return not w or (min(w) == 1 and max(w) == len(w))
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(_Record):
     """Cycles in canonical shape: each starts at its minimum, listed by
     increasing first entry, together partitioning the ground set."""
 
-    cycles: tuple[tuple[int, ...], ...]
+    __slots__ = __match_args__ = ("cycles",)
 
-    def __post_init__(self):
+    def __init__(self, cycles: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "cycles", cycles)
+        self.__post_init__()
+
+    def __post_init__(self):  # as for Permutation
         seen: set[int] = set()
         for cyc in self.cycles:
             if not cyc:
@@ -251,9 +293,7 @@ def from_cycles(c: CycleDecomposition) -> Permutation:
         for b in cyc:
             image[a] = b
             a = b
-    p = Permutation._trusted(tuple(map(image.__getitem__, sorted(image))))
-    object.__setattr__(p, "_cycles", c)
-    return p
+    return Permutation._trusted(tuple(map(image.__getitem__, sorted(image))), c)
 
 
 def switch(p: Permutation) -> Permutation:

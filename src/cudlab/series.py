@@ -58,6 +58,14 @@ class MPoly:
         self._terms = {tuple(sorted(m)): _norm(c) for m, c in items if c}
 
     @classmethod
+    def _trusted(cls, terms: dict[Monomial, Scalar]) -> "MPoly":
+        """Terms cudlab built itself, kept as given: sorted monomials and
+        nonzero coefficients, integral ones as ``int``."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
+
+    @classmethod
     def constant(cls, value: Scalar) -> "MPoly":
         return cls({(): value})
 

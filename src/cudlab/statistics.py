@@ -9,15 +9,15 @@ documentation and 0-based in the code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, cycle
 from operator import lt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .perms import (
     DomainError,
     MalformedInput,
     Permutation,
+    _Record,
     is_up_down_word,
     to_cycles,
 )
@@ -26,8 +26,7 @@ MIN = "min"
 MAX = "max"
 
 
-@dataclass(frozen=True)
-class StatVector:
+class StatVector(NamedTuple):
     """All statistics of one permutation.
 
     ``c`` cycles, split into ``c_o`` odd and ``c_e`` even ones; ``fp`` fixed
@@ -64,15 +63,15 @@ CYCLE_SHARES = {
 }
 
 
-@dataclass(frozen=True)
-class MinMaxPattern:
+class MinMaxPattern(_Record):
     """An eventually periodic word over {min, max}: ``prefix`` then ``tail``
     repeated forever.  CLI syntax repeats the whole word: ``min,max,...``."""
 
-    prefix: tuple[str, ...]
-    tail: tuple[str, ...]
+    __slots__ = __match_args__ = ("prefix", "tail")
 
-    def __post_init__(self):
+    def __init__(self, prefix: tuple[str, ...], tail: tuple[str, ...]):
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail", tail)
         if not self.tail:
             raise MalformedInput("pattern tail must be nonempty")
         for tok in self.prefix + self.tail:

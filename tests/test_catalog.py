@@ -105,6 +105,14 @@ class TestSequences:
             over = {mono: Fraction(c, factorial(n)) for mono, c in ser.egf_term(n).items()}
             assert ser.coeffs[n] == MPoly(over)
 
+    @pytest.mark.parametrize("seq_id", [i for i in SEQUENCE_IDS if catalog_markers(i)])
+    def test_marked_terms_are_what_the_constructor_builds(self, seq_id):
+        # the catalog builds its polynomials unchecked: sorted monomials and
+        # nonzero int coefficients, which repr alone would not show
+        for term in catalog_series(seq_id, 12).terms:
+            assert term._terms == MPoly(term._terms)._terms
+            assert {type(c) for c in term._terms.values()} <= {int}
+
     def test_unknown_id(self):
         with pytest.raises(MalformedInput):
             sequence_terms("nope", 5)
