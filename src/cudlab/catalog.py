@@ -9,11 +9,14 @@ the odd ones log(sec z + tan z) and the even ones -log(cos z); the GCUD cycles
 add sec z - 1 - (z/2) tan z to the even ones, and tan z for the odd.  Every
 marked entry is exp(m_1*S_1 + m_2*S_2) of integer cycle EGFs S_i, or is built
 from one; the m^k coefficient of exp(m*S) is the integer series S^k/k!, so each
-is built from tables of those, and its polynomial terms are made at the end.
+is built from tables of those, as columns of EGF terms keyed by the exponent
+tuple, in the entry's marker order, that m_1^i*m_2^j gives.  Its terms are
+made at the end: term n is the ``MPoly`` whose table, like a joint
+distribution of ``oracle``, maps each exponent tuple to its count.
 The unmarked entries cud, cud-even-only, cud-odd-only, exc-def-swap and
 cud-derangements keep their closed forms, cheaper than an exp of a log.  The
-brute-force oracle re-derives every coefficient (and every marked coefficient
-polynomial) at small sizes, so the two routes check each other.  A request
+brute-force oracle re-derives every coefficient (and every marked term's
+table) at small sizes, so the two routes check each other.  A request
 builds each block its parts share (sec, tan, cos, sin, 1 - sin z, each cycle
 EGF) once and drops them on return; a factor z is a shift and a factor
 1/(1 - z) one Horner pass, not a convolution.
@@ -33,7 +36,6 @@ from .series import (
     MPoly,
     Series,
     _euler_terms,
-    _mono_mul,
     _pascal_row,
     cos_series,
     exp_series,
@@ -95,30 +97,30 @@ def _support(terms) -> tuple[int, int]:
     return nonzero[0], nonzero[-1]
 
 
-def _polynomials(columns, order: int) -> Series:
-    """The series of order ``order`` whose term n is the sum of
-    monomial * terms[n] over the (monomial, EGF terms) ``columns``."""
-    polys = [{} for _ in range(order + 1)]
-    for mono, terms in columns:
-        mono = tuple(sorted(mono))
-        for poly, coeff in zip(polys, terms):
+def _polynomials(columns, markers: tuple[str, ...], order: int) -> Series:
+    """The series of order ``order`` whose term n has the coefficient
+    terms[n] at each exponent tuple of the (exponents, EGF terms) ``columns``."""
+    tables = [{} for _ in range(order + 1)]
+    for key, terms in columns:
+        for table, coeff in zip(tables, terms):
             if coeff:
-                poly[mono] = coeff
-    return Series.from_egf(map(MPoly._trusted, polys))
+                table[key] = coeff
+    return Series.from_egf(MPoly(markers, table) for table in tables)
 
 
-def _marked_exp(*parts: tuple[str, Series]) -> Series:
-    """exp(m_1*S_1 + m_2*S_2) for one or two parts (a product of markers m,
-    written "x*t", and an integer series S): the m_1^i*m_2^j coefficient of
-    term n is sum_m C(n, m)*P_i[m]*Q_j[n - m], P and Q the parts' power
-    tables, summed from the first to the last m where neither factor is zero."""
+def _marked_exp(*parts: tuple[tuple[int, ...], Series]) -> list:
+    """The columns of exp(m_1*S_1 + m_2*S_2) for one or two parts (the
+    exponents that a monomial m gives the entry's markers, and an integer
+    series S): the m_1^i*m_2^j coefficient of term n is
+    sum_m C(n, m)*P_i[m]*Q_j[n - m], P and Q the parts' power tables, summed
+    from the first to the last m where neither factor is zero."""
     order = parts[0][1].order
     tables = [
-        [(tuple((name, k) for name in m.split("*") if k), p) for k, p in enumerate(_power_table(s))]
-        for m, s in parts
+        [(tuple(k * e for e in exps), p) for k, p in enumerate(_power_table(s))]
+        for exps, s in parts
     ]
     if len(tables) == 1:
-        return _polynomials(tables[0], order)
+        return tables[0]
     columns, supports = [], [_support(q) for _, q in tables[1]]
     for x, p in tables[0]:
         pl, ph = _support(p)
@@ -128,8 +130,8 @@ def _marked_exp(*parts: tuple[str, Series]) -> Series:
                 lo, hi = max(pl, n - qh), min(ph, n - ql)
                 weighted = map(mul, _pascal_row(n)[lo : hi + 1], p[lo : hi + 1])
                 terms[n] = sum(map(mul, weighted, reversed(q[n - hi : n - lo + 1])))
-            columns.append((_mono_mul(x, y), terms))
-    return _polynomials(columns, order)
+            columns.append((tuple(map(add, x, y)), terms))
+    return columns
 
 
 def _over_one_minus_z(ser: Series) -> Series:
@@ -138,36 +140,36 @@ def _over_one_minus_z(ser: Series) -> Series:
     return Series.from_egf(accumulate(range(1, len(f)), lambda h, n: n * h + f[n], initial=f[0]))
 
 
-def _fp_cycles(cycles: Series) -> Series:
+def _fp_cycles(cycles: Series) -> list:
     # exp(x t z) exp(t (C(z) - z)): t marks every cycle and x the fixed points
     z = z_series(cycles.order)
-    return _marked_exp(("x*t", z), ("t", cycles - z))
+    return _marked_exp(((1, 1), z), ((0, 1), cycles - z))
 
 
-def _build_cud_cycles(b: _Blocks) -> Series:
-    return _marked_exp(("t", b.cud_cycles))
+def _build_cud_cycles(b: _Blocks) -> list:
+    return _marked_exp(((1,), b.cud_cycles))
 
 
-def _build_ud_lrm(b: _Blocks) -> Series:
+def _build_ud_lrm(b: _Blocks) -> list:
     # t times the integral of (sec z)^(t+1), plus (sec z)^t - 1: the t^k term
     # of (sec z)^t is P_k, and of (sec z)^(t+1) sec z * P_k
     table = _power_table(b.even_cycles) + [(0,) * (b.order + 1)]
-    columns = (
-        ((("t", k),), map(add, power, (b.sec * Series.from_egf(below)).integrate().terms))
+    return [
+        ((k,), map(add, power, (b.sec * Series.from_egf(below)).integrate().terms))
         for k, (below, power) in enumerate(zip(table, table[1:]), 1)
-    )
-    return _polynomials(columns, b.order)
+    ]
 
 
-def _build_perm_ud_nud(b: _Blocks) -> Series:
+def _build_perm_ud_nud(b: _Blocks) -> list:
     # every cycle weighted w, and each CUD one v instead
     every = -(one_series(b.order) - z_series(b.order)).log()
-    return _marked_exp(("v", b.cud_cycles), ("w", every - b.cud_cycles))
+    return _marked_exp(((1, 0), b.cud_cycles), ((0, 1), every - b.cud_cycles))
 
 
-# id -> (builder of the series from the blocks of a request at an order,
-# marker names, first n shown by the CLI)
-_CATALOG: dict[str, tuple[Callable[[_Blocks], Series], tuple[str, ...], int]] = {
+# id -> (builder, from the blocks of a request at an order, of the series or,
+# for a marked entry, of its (exponents, EGF terms) columns; marker names;
+# first n shown by the CLI)
+_CATALOG: dict[str, tuple[Callable[[_Blocks], Series | list], tuple[str, ...], int]] = {
     "euler": (lambda b: b.zigzag, (), 0),
     "cud": (lambda b: b.one_minus_sin.reciprocal(), (), 0),
     "cud-cyclic": (lambda b: b.cud_cycles, (), 1),
@@ -183,12 +185,14 @@ _CATALOG: dict[str, tuple[Callable[[_Blocks], Series], tuple[str, ...], int]] = 
     "cud-fp-cycles": (lambda b: _fp_cycles(b.cud_cycles), ("x", "t"), 0),
     "cud-cycles": (_build_cud_cycles, ("t",), 0),
     "cud-odd-even": (
-        lambda b: _marked_exp(("t_o", b.odd_cycles), ("t_e", b.even_cycles)), ("t_o", "t_e"), 0
+        lambda b: _marked_exp(((1, 0), b.odd_cycles), ((0, 1), b.even_cycles)), ("t_o", "t_e"), 0
     ),
-    "ud-st": (lambda b: _marked_exp(("t", b.odd_cycles)), ("t",), 0),
+    "ud-st": (lambda b: _marked_exp(((1,), b.odd_cycles)), ("t",), 0),
     "ud-lrm": (_build_ud_lrm, ("t",), 1),
     # the integral of (1 - sin z)^(-t), a shift of the cud-cycles terms
-    "ud-extr": (lambda b: Series.from_egf((MPoly(), *_build_cud_cycles(b).terms[:-1])), ("t",), 1),
+    "ud-extr": (
+        lambda b: [(key, (0, *terms[:-1])) for key, terms in _build_cud_cycles(b)], ("t",), 1
+    ),
     "gcud-fp-cycles": (lambda b: _fp_cycles(b.gcud_cycles), ("x", "t"), 0),
     "perm-ud-nud": (_build_perm_ud_nud, ("v", "w"), 0),
     "avg-ud-cycles": (lambda b: _over_one_minus_z(b.cud_cycles), (), 1),
@@ -198,7 +202,7 @@ _CATALOG: dict[str, tuple[Callable[[_Blocks], Series], tuple[str, ...], int]] = 
 SEQUENCE_IDS = tuple(_CATALOG)
 
 
-def _entry(seq_id: str) -> tuple[Callable[[_Blocks], Series], tuple[str, ...], int]:
+def _entry(seq_id: str) -> tuple[Callable[[_Blocks], Series | list], tuple[str, ...], int]:
     if seq_id not in _CATALOG:
         known = ", ".join(SEQUENCE_IDS)
         raise MalformedInput(f"unknown sequence id {seq_id!r} (known: {known})")
@@ -215,17 +219,18 @@ def catalog_offset(seq_id: str) -> int:
 
 def catalog_series(seq_id: str, n_max: int, cap: int = DEFAULT_ORDER_CAP) -> Series:
     """The named generating function, truncated at order ``n_max``."""
-    build = _entry(seq_id)[0]
+    build, markers, _ = _entry(seq_id)
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
     if n_max > cap:
         raise CapExceeded(f"order {n_max} exceeds the cap {cap}")
-    return build(_Blocks(n_max))
+    built = build(_Blocks(n_max))
+    return _polynomials(built, markers, n_max) if markers else built
 
 
 def sequence_terms(seq_id: str, n_max: int, cap: int = DEFAULT_ORDER_CAP) -> list:
     """EGF terms n!*[z^n] for n = offset..n_max: integers for plain entries,
-    polynomials for marked ones."""
+    ``MPoly`` tables for marked ones."""
     ser = catalog_series(seq_id, n_max, cap)
     markers = catalog_markers(seq_id)
     out = []
@@ -237,15 +242,13 @@ def sequence_terms(seq_id: str, n_max: int, cap: int = DEFAULT_ORDER_CAP) -> lis
 def exc_polynomial(n: int) -> MPoly:
     """Excedance distribution over CUD permutations of [n], read off the
     odd/even-cycle polynomial through c_o + 2*exc = n."""
-    counts: dict[tuple, int] = {}
-    for mono, coeff in catalog_series("cud-odd-even", n).egf_term(n).items():
-        c_o = dict(mono).get("t_o", 0)
+    counts: dict[tuple[int], int] = {}
+    for (c_o, _), coeff in catalog_series("cud-odd-even", n).egf_term(n).table.items():
         if (n - c_o) % 2 != 0:
             raise DomainError(f"odd-cycle count {c_o} breaks parity at n={n}")
-        exc = (n - c_o) // 2
-        key = (("t", exc),) if exc else ()
+        key = ((n - c_o) // 2,)
         counts[key] = counts.get(key, 0) + coeff
-    return MPoly(counts)
+    return MPoly(("t",), counts)
 
 
 def secant_cf_convergent(depth: int, n_max: int) -> Series:

@@ -60,7 +60,6 @@ from .perms import (
     parse_any,
     to_cycles,
 )
-from .series import MPoly, monomial_key
 from .statistics import MinMaxPattern
 
 
@@ -120,22 +119,13 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _poly_map(poly: MPoly) -> dict[str, int]:
-    out = {}
-    for mono, coeff in poly.items():
-        if coeff.denominator != 1:
-            raise DomainError(f"non-integer coefficient {coeff}")
-        out[monomial_key(mono)] = coeff.numerator
-    return out
-
-
 def cmd_seq(args: argparse.Namespace) -> int:
     cap = args.cap if args.cap is not None else DEFAULT_ORDER_CAP
     values = sequence_terms(args.id, args.n, cap=cap)
     offset = catalog_offset(args.id)
     marked = bool(catalog_markers(args.id))
     if marked:
-        values = [_poly_map(poly) for poly in values]
+        values = [poly.monomials() for poly in values]
     if args.format == "json":
         payload = {"id": args.id, "offset": offset, "n_max": args.n, "values": values}
         _emit(args, json.dumps(payload, sort_keys=True) + "\n")

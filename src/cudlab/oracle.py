@@ -20,7 +20,9 @@ the cycles close and the values left, each only where a name reads it.  The
 rest tally member words one by one (``_tally``), the plain words of
 ``_words`` or those ``_cycle_members`` lays cycle by cycle.  The route sets
 the default cap: ``COUNTED_CAP`` where no word is laid, else ``DEFAULT_CAPS``.
-A distribution is a plain dict from value tuples to counts.
+A distribution is a plain dict from value tuples to counts, the table that a
+marked catalog term (``series.MPoly``) holds, so a verify row compares them
+as they are.
 ``verify_entries`` walks each S_n once, through ``census``, and yields a
 machine-readable report entry by entry; ``verify_all`` lists them.  Any
 failing row is a bug somewhere, by design with no tolerance.
@@ -55,6 +57,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import bijections, matchings, perms
 from .catalog import (
+    catalog_markers,
     catalog_series,
     exc_polynomial,
     expected_ud_cycles,
@@ -490,16 +493,6 @@ def distribution_csv(stat_names: Sequence[str], rows: dict[tuple[int, ...], int]
     return "\n".join(lines) + "\n"
 
 
-def _to_poly(rows: dict[tuple[int, ...], int], markers: Sequence[str]) -> MPoly:
-    """A distribution as sum count * prod marker^value, a marker per statistic."""
-    return MPoly(
-        {
-            tuple(pair for pair in zip(markers, values, strict=True) if pair[1]): count
-            for values, count in rows.items()
-        }
-    )
-
-
 # families whose members a verify check visits one by one, not only as counts
 _MEMBER_FAMILIES = (
     Family.UD,
@@ -832,11 +825,6 @@ def _verify_series_identities(
         )
 
 
-def _coefficient_sum(poly: MPoly) -> int:
-    """The polynomial's value with every marker at 1: its coefficient sum."""
-    return sum(coeff for _, coeff in poly.items())
-
-
 def _verify_specializations(
     censuses: list[Census], eul: list[int], order: int
 ) -> Iterator[tuple]:
@@ -848,30 +836,33 @@ def _verify_specializations(
     ]
 
     def at_ones(seq_id: str) -> Series:
-        return Series.from_egf(map(_coefficient_sum, catalog_series(seq_id, order).terms))
+        # each term's value with every marker at 1: its coefficient sum
+        terms = catalog_series(seq_id, order).terms
+        return Series.from_egf(sum(poly.table.values()) for poly in terms)
 
     for name, marked, plain in pairs:
         yield name, order, catalog_series(plain, order), at_ones(marked)
     merged = []  # each t_o^i*t_e^j as t^(i+j)
     for poly in catalog_series("cud-odd-even", order).terms:
         rows = Counter()
-        for mono, coeff in poly.items():
-            rows[(sum(exp for _, exp in mono),)] += coeff
-        merged.append(_to_poly(rows, ("t",)))
+        for key, coeff in poly.table.items():
+            rows[(sum(key),)] += coeff
+        merged.append(MPoly(("t",), rows))
     yield "spec-cud-odd-even", order, catalog_series("cud-cycles", order), Series.from_egf(merged)
     yield "spec-perm-ud-nud", order, geometric_series(order), at_ones("perm-ud-nud")
 
 
 _MARKED_TABLES = (
-    # check name, sequence id, family, statistics, markers, first n
-    ("dist-cud-cycles", "cud-cycles", Family.CUD, ("c",), ("t",), 0),
-    ("dist-cud-fp-cycles", "cud-fp-cycles", Family.CUD, ("fp", "c"), ("x", "t"), 0),
-    ("dist-cud-odd-even", "cud-odd-even", Family.CUD, ("c_o", "c_e"), ("t_o", "t_e"), 0),
-    ("dist-gcud-fp-cycles", "gcud-fp-cycles", Family.GCUD, ("fp", "c"), ("x", "t"), 0),
-    ("dist-perm-ud-nud", "perm-ud-nud", Family.ALL, ("ud", "nud"), ("v", "w"), 0),
-    ("dist-ud-st", "ud-st", Family.UD, ("st",), ("t",), 0),
-    ("dist-ud-lrm", "ud-lrm", Family.UD, ("lrm",), ("t",), 1),
-    ("dist-ud-extr", "ud-extr", Family.UD, ("extr",), ("t",), 1),
+    # check name, sequence id, family, statistics, one per marker of the
+    # entry in order, first n
+    ("dist-cud-cycles", "cud-cycles", Family.CUD, ("c",), 0),
+    ("dist-cud-fp-cycles", "cud-fp-cycles", Family.CUD, ("fp", "c"), 0),
+    ("dist-cud-odd-even", "cud-odd-even", Family.CUD, ("c_o", "c_e"), 0),
+    ("dist-gcud-fp-cycles", "gcud-fp-cycles", Family.GCUD, ("fp", "c"), 0),
+    ("dist-perm-ud-nud", "perm-ud-nud", Family.ALL, ("ud", "nud"), 0),
+    ("dist-ud-st", "ud-st", Family.UD, ("st",), 0),
+    ("dist-ud-lrm", "ud-lrm", Family.UD, ("lrm",), 1),
+    ("dist-ud-extr", "ud-extr", Family.UD, ("extr",), 1),
 )
 
 
@@ -886,15 +877,11 @@ def _verify_distributions(
     censuses: list[Census], eul: list[int], order: int
 ) -> Iterator[tuple]:
     n_cap = len(censuses) - 1
-    for name, seq_id, family, stat_names, markers, start in _MARKED_TABLES:
-        series = catalog_series(seq_id, n_cap)
+    for name, seq_id, family, stat_names, start in _MARKED_TABLES:
+        series, markers = catalog_series(seq_id, n_cap), catalog_markers(seq_id)
         for cen in censuses[start:]:
-            yield (
-                name,
-                cen.n,
-                series.egf_term(cen.n),
-                _to_poly(cen.distribution(family, stat_names), markers),
-            )
+            table = cen.distribution(family, stat_names)
+            yield name, cen.n, series.egf_term(cen.n), MPoly(markers, table)
     for cen in censuses[1:]:
         n = cen.n
         stirling_row = {k: stirling_c(n, k) for k in range(1, n + 1) if stirling_c(n, k)}
@@ -928,10 +915,10 @@ def _verify_distributions(
         yield (
             "exc-poly-vs-oracle",
             n,
-            {dict(mono).get("t", 0): int(c) for mono, c in poly.items()},
+            {exc: c for (exc,), c in sorted(poly.table.items())},
             exc_counts,
         )
-        yield "exc-poly-total", n, eul[n + 1], _coefficient_sum(poly)
+        yield "exc-poly-total", n, eul[n + 1], sum(poly.table.values())
 
 
 # bijections from up-down words to cycles, by the cores of ``bijections``:

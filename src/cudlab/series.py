@@ -1,5 +1,5 @@
 """Exact truncated power series over the integers and the rationals, and
-the polynomials in named markers that marked series hold as terms.
+the marked terms, polynomials in named markers, that marked series hold.
 
 ``Series`` stores the EGF terms n!*[z^n], n = 0..N, as ``int`` or
 ``Fraction`` entries.  A product is then the binomial convolution, ``exp`` the
@@ -7,10 +7,13 @@ recurrence of the exponential formula and ``log`` its inverse, and
 ``integrate`` and ``differentiate`` are index shifts, so the terms stay
 integral unless an input brings a ``Fraction``.  :attr:`Series.coeffs` is the
 ordinary view.  Everything is exact: identities are checked with equality,
-never with tolerances.  A series of ``MPoly`` terms, as the catalog builds its
-marked entries, is a container: it can be read, compared, truncated, shifted
-and scaled by a scalar, but the convolution kernels take scalar terms only.
-A polynomial is data, with no product but by a scalar.
+never with tolerances.  A marked term, ``MPoly(markers, table)``, is the
+table of coefficients that ``oracle.distribution`` returns for a joint
+distribution: exponent tuples in ``markers`` order mapped to counts.  A series
+of them, as the catalog builds its marked entries, is a container: it can be
+read, compared, truncated, shifted and scaled by a scalar, but the
+convolution kernels take scalar terms only.  A term is data, with no product
+but by a scalar.
 
 Each term of a convolution reads one cached row of Pascal's triangle for its
 binomial weights and sums with C-level ``map`` calls.  The table keeps
@@ -31,12 +34,9 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from math import factorial
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Union
 
 from .perms import DomainError
-
-# a monomial is a sorted tuple of (marker name, positive exponent) pairs
-Monomial = tuple[tuple[str, int], ...]
 
 Scalar = Union[int, Fraction]
 
@@ -48,81 +48,57 @@ def _norm(value):
 
 
 class MPoly:
-    """Sparse multivariate polynomial with exact integer or rational
-    coefficients: built, compared, printed and scaled by a scalar."""
+    """A marked term: ``table`` maps exponent tuples, one exponent per name
+    of ``markers`` in that order, to nonzero coefficients, integral ones as
+    ``int``, as ``oracle.distribution`` maps the values of its statistics to
+    counts.  The table is kept as given; a term is compared, printed and
+    scaled by a scalar."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("markers", "table")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        items = (terms or {}).items()
-        self._terms = {tuple(sorted(m)): _norm(c) for m, c in items if c}
-
-    @classmethod
-    def _trusted(cls, terms: dict[Monomial, Scalar]) -> "MPoly":
-        """Terms cudlab built itself, kept as given: sorted monomials and
-        nonzero coefficients, integral ones as ``int``."""
-        poly = cls.__new__(cls)
-        poly._terms = terms
-        return poly
-
-    @classmethod
-    def constant(cls, value: Scalar) -> "MPoly":
-        return cls({(): value})
-
-    def items(self) -> list[tuple[Monomial, Scalar]]:
-        return sorted(self._terms.items())
+    def __init__(self, markers: tuple[str, ...], table: dict[tuple[int, ...], Scalar]):
+        self.markers = markers
+        self.table = table
 
     def __mul__(self, other):
-        """The polynomial scaled by an ``int`` or ``Fraction``; a polynomial
-        has no product with another polynomial."""
+        """The term scaled by an ``int`` or ``Fraction``; a term has no
+        product with another term."""
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return MPoly({mono: coeff * other for mono, coeff in self._terms.items()})
+        table = {key: _norm(coeff * other) for key, coeff in self.table.items()} if other else {}
+        return MPoly(self.markers, table)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self.markers == other.markers and self.table == other.table
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self.table)
 
     def __repr__(self):
         return f"MPoly({self!s})"
 
+    def monomials(self) -> dict[str, Scalar]:
+        """Each monomial's text, ``1``, ``t^2`` or ``t^2*x^1`` with the
+        markers in name order, mapped to its coefficient, in table order."""
+        names = sorted(zip(self.markers, range(len(self.markers))))
+        return {
+            "*".join([f"{name}^{key[i]}" for name, i in names if key[i]]) or "1": coeff
+            for key, coeff in self.table.items()
+        }
+
     def __str__(self):
-        if not self._terms:
-            return "0"
+        """The terms in the order of their sorted (name, exponent) pairs,
+        a coefficient of 1 left out but on the constant term."""
+        names = sorted(zip(self.markers, range(len(self.markers))))
+        pairs = (tuple((name, key[i]) for name, i in names if key[i]) for key in self.table)
         parts = []
-        for mono, coeff in self.items():
-            key = monomial_key(mono)
-            if key == "1":
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(key)
-            else:
-                parts.append(f"{coeff}*{key}")
-        return " + ".join(parts)
-
-
-def monomial_key(mono: Monomial) -> str:
-    """Canonical text for a monomial: ``1``, ``t^2``, ``t^2*x^1``."""
-    if not mono:
-        return "1"
-    return "*".join(f"{name}^{exp}" for name, exp in sorted(mono))
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a or not b:
-        return a or b
-    exps = dict(a)
-    for name, exp in b:
-        exps[name] = exps.get(name, 0) + exp
-    return tuple(sorted(exps.items()))
+        for _, (text, coeff) in sorted(zip(pairs, self.monomials().items())):
+            parts.append(str(coeff) if text == "1" else text if coeff == 1 else f"{coeff}*{text}")
+        return " + ".join(parts) or "0"
 
 
 # row n of Pascal's triangle under key n, for n up to the largest order asked

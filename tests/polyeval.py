@@ -1,4 +1,4 @@
-"""Evaluate the library's polynomials at a point.  An ``MPoly`` has no
+"""Evaluate the library's marked terms at a point.  An ``MPoly`` has no
 product but by a scalar and no substitution, so the tests that check a
 marked series against scalar series read its terms at points, here."""
 
@@ -8,12 +8,13 @@ from cudlab.series import MPoly, Series
 
 
 def evaluate(poly, point):
-    """The sum over monomials of coeff * prod value^exp, each marker's value
+    """The sum over the table of coeff * prod value^exp, each marker's value
     taken from the mapping ``point``; a scalar has no markers and stays."""
     if not isinstance(poly, MPoly):
         return poly
+    values = [point[name] for name in poly.markers]
     return sum(
-        coeff * prod(point[name] ** exp for name, exp in mono) for mono, coeff in poly.items()
+        coeff * prod(map(pow, values, key)) for key, coeff in poly.table.items()
     )
 
 

@@ -19,7 +19,7 @@ from cudlab.catalog import (
     no_ud_cycles_count,
     secant_cf_convergent,
 )
-from cudlab.oracle import _to_poly, count_family, distribution, enumerate_family
+from cudlab.oracle import count_family, distribution, enumerate_family
 from cudlab.perms import (
     Family,
     Permutation,
@@ -29,7 +29,7 @@ from cudlab.perms import (
     parse_cycles,
     parse_permutation,
 )
-from cudlab.series import euler_numbers, stirling_c, zigzag_egf_series
+from cudlab.series import MPoly, euler_numbers, stirling_c, zigzag_egf_series
 from polyeval import evaluate_series
 from cudlab.statistics import MAX, MIN, MinMaxPattern, m_s, stats
 
@@ -178,7 +178,7 @@ def test_criterion_08_multivariate_distributions():
         series = catalog_series(seq_id, 8)
         for n in range(start, 9):
             rows = distribution(family, n, stat_names)
-            assert _to_poly(rows, markers) == series.egf_term(n), (seq_id, n)
+            assert MPoly(markers, rows) == series.egf_term(n), (seq_id, n)
     _announce(8, "joint oracle distributions equal catalog coefficients for n <= 8")
 
 

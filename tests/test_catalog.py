@@ -31,7 +31,6 @@ from cudlab.series import (
     cos_series,
     euler_numbers,
     geometric_series,
-    monomial_key,
     one_series,
     sec_series,
     sin_series,
@@ -51,7 +50,7 @@ def _seq_json(seq_id: str, n: int) -> str:
     ``sequence_terms``."""
     values = sequence_terms(seq_id, n, cap=n)
     if catalog_markers(seq_id):
-        values = [{monomial_key(m): c for m, c in poly.items()} for poly in values]
+        values = [poly.monomials() for poly in values]
     payload = {"id": seq_id, "offset": catalog_offset(seq_id), "n_max": n, "values": values}
     return json.dumps(payload, sort_keys=True)
 
@@ -102,16 +101,29 @@ class TestSequences:
     def test_marked_coeffs_are_the_terms_over_n_factorial(self):
         ser = catalog_series("cud-cycles", 6)
         for n in range(7):
-            over = {mono: Fraction(c, factorial(n)) for mono, c in ser.egf_term(n).items()}
-            assert ser.coeffs[n] == MPoly(over)
+            over = {key: Fraction(c, factorial(n)) for key, c in ser.egf_term(n).table.items()}
+            assert ser.coeffs[n] == MPoly(("t",), over)
+
+    def test_marked_coeffs_repr(self):
+        # each coefficient is a term scaled by a Fraction, so this pins how
+        # a scaled term renders: sorted monomials, a coefficient of 1 left out
+        assert repr(catalog_series("cud-fp-cycles", 4)) == (
+            "Series(coeffs=(MPoly(1), MPoly(t^1*x^1), MPoly(1/2*t^1 + 1/2*t^2*x^2),"
+            " MPoly(1/6*t^1 + 1/2*t^2*x^1 + 1/6*t^3*x^3),"
+            " MPoly(1/12*t^1 + 1/8*t^2 + 1/6*t^2*x^1 + 1/4*t^3*x^2 + 1/24*t^4*x^4)))"
+        )
 
     @pytest.mark.parametrize("seq_id", [i for i in SEQUENCE_IDS if catalog_markers(i)])
     def test_marked_terms_are_what_the_constructor_builds(self, seq_id):
-        # the catalog builds its polynomials unchecked: sorted monomials and
-        # nonzero int coefficients, which repr alone would not show
+        # the catalog builds its tables as given: exponent tuples, one
+        # exponent per marker, and nonzero int coefficients, which repr
+        # alone would not show
+        markers = catalog_markers(seq_id)
         for term in catalog_series(seq_id, 12).terms:
-            assert term._terms == MPoly(term._terms)._terms
-            assert {type(c) for c in term._terms.values()} <= {int}
+            assert term.markers == markers
+            assert all(len(key) == len(markers) and min(key) >= 0 for key in term.table)
+            assert 0 not in term.table.values()
+            assert {type(c) for c in term.table.values()} <= {int}
 
     def test_unknown_id(self):
         with pytest.raises(MalformedInput):
@@ -322,7 +334,7 @@ class TestPastTheGoldens:
         ]:
             ser, counts = catalog_series(seq_id, order, cap=order), _FAMILY_COUNTS[family](order)
             for n in range(catalog_offset(seq_id), order + 1):
-                assert sum(c for _, c in ser.egf_term(n).items()) == counts[n], (seq_id, n)
+                assert sum(ser.egf_term(n).table.values()) == counts[n], (seq_id, n)
 
 
 class TestBijectiveTheorems:
@@ -376,8 +388,8 @@ class TestEvenCyclicLemma:
 
 class TestExcedancePolynomial:
     def test_small(self):
-        assert exc_polynomial(0) == MPoly.constant(1)
-        assert exc_polynomial(2) == MPoly({(): 1, (("t", 1),): 1})
+        assert exc_polynomial(0) == MPoly(("t",), {(0,): 1})
+        assert exc_polynomial(2) == MPoly(("t",), {(0,): 1, (1,): 1})
 
     def test_total_is_euler(self):
         for n in range(9):

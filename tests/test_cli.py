@@ -48,8 +48,21 @@ ENUMERATE_SIZE = _digests("enumerate_size.sha256")
 # digest and argv of seeded Monte Carlo expectations, text and JSON
 EXPECT_MONTECARLO = _digests("expect_montecarlo.sha256")
 
-# digest and argv of every catalog sequence at order 40, past its cap
+# digest and argv of every catalog sequence at order 40, past its cap, as
+# JSON, and of the marked ones as text at 40 and in both formats at 60
 SEQ_PAST_CAP = _digests("seq_past_cap.sha256")
+
+
+def _seq_ids(pairs):
+    """A test id per golden request: its sequence id, and its order and
+    format too where an earlier request has that id."""
+    ids, seen = [], set()
+    for _, argv in pairs:
+        words = argv.split()
+        seq_id, n, fmt = words[1], words[3], words[7]
+        ids.append(f"{seq_id}-{n}-{fmt}" if seq_id in seen else seq_id)
+        seen.add(seq_id)
+    return ids
 
 
 def _family_ids(pairs):
@@ -129,7 +142,7 @@ class TestSeq:
         ) + "\n"
 
     @pytest.mark.parametrize(
-        "digest, argv", SEQ_PAST_CAP, ids=[argv.split()[1] for _, argv in SEQ_PAST_CAP]
+        "digest, argv", SEQ_PAST_CAP, ids=_seq_ids(SEQ_PAST_CAP)
     )
     def test_past_cap_matches_golden_digest(self, capsys, digest, argv):
         code, out = run(capsys, *argv.split())
@@ -194,10 +207,10 @@ class TestEnumerate:
 
         lrm_terms, st_terms = Counter(), Counter()
         for row in payload["rows"]:
-            lrm_terms[(("t", row["lrm"]),)] += row["count"]
-            st_terms[(("t", row["st"]),)] += row["count"]
-        assert MPoly(lrm_terms) == catalog_series("ud-lrm", 4).egf_term(4)
-        assert MPoly(st_terms) == catalog_series("ud-st", 4).egf_term(4)
+            lrm_terms[row["lrm"],] += row["count"]
+            st_terms[row["st"],] += row["count"]
+        assert MPoly(("t",), lrm_terms) == catalog_series("ud-lrm", 4).egf_term(4)
+        assert MPoly(("t",), st_terms) == catalog_series("ud-st", 4).egf_term(4)
 
     @pytest.mark.parametrize(
         "digest, argv", ENUMERATE_BENCH, ids=[argv.split()[1] for _, argv in ENUMERATE_BENCH]

@@ -144,9 +144,10 @@ class TestDistribution:
                 (k,): stirling_c(n, k) for k in range(1, n + 1) if stirling_c(n, k)
             }
 
-    def test_to_poly(self):
-        want = MPoly({(("t", 1),): 1, (("t", 2),): 1})
-        assert oracle._to_poly(distribution(Family.CUD, 2, ("c",)), ("t",)) == want
+    def test_a_table_is_a_marked_term(self):
+        want = MPoly(("t",), {(1,): 1, (2,): 1})
+        table = distribution(Family.CUD, 2, ("c",))
+        assert MPoly(("t",), table) == want == catalog_series("cud-cycles", 2).egf_term(2)
 
     def test_csv_golden(self):
         names = ("c_o", "c_e")
@@ -310,7 +311,7 @@ class TestBySize:
     def test_past_the_census_matches_the_catalog(self, family, n, names, seq_id, markers):
         table = distribution(family, n, names, cap=n)
         expected = catalog_series(seq_id, n).egf_term(n)
-        assert oracle._to_poly(table, markers) == expected
+        assert MPoly(markers, table) == expected
 
     def test_up_down_counts_are_the_euler_numbers(self):
         assert oracle._up_down_counts(0) == [1]
@@ -365,11 +366,11 @@ class TestBySize:
         for family, seq_id in [(Family.CUD, "cud-fp-cycles"), (Family.GCUD, "gcud-fp-cycles")]:
             table = oracle._by_size(family, n, ("fp", "c"))
             expected = catalog_series(seq_id, 24).egf_term(n)
-            assert oracle._to_poly(table, ("x", "t")) == expected, family
+            assert MPoly(("x", "t"), table) == expected, family
         table = oracle._by_size(Family.ALL, n, ("ud", "nud"))
         assert sum(table.values()) == factorial(n)
         expected = catalog_series("perm-ud-nud", 24).egf_term(n)
-        assert oracle._to_poly(table, ("v", "w")) == expected
+        assert MPoly(("v", "w"), table) == expected
         assert oracle._by_size(Family.ALL, n, ("c",)) == {
             (k,): stirling_c(n, k) for k in range(1, n + 1)
         }
@@ -406,7 +407,7 @@ class TestByRank:
     @pytest.mark.parametrize("name", ["lrm", "st", "extr"])
     def test_past_the_backtracker_matches_the_catalog(self, n, name):
         table = distribution(Family.UD, n, (name,), cap=n)
-        assert oracle._to_poly(table, ("t",)) == catalog_series(f"ud-{name}", n).egf_term(n)
+        assert MPoly(("t",), table) == catalog_series(f"ud-{name}", n).egf_term(n)
 
     @pytest.mark.parametrize("family", [Family.UD, Family.DOWNUP, Family.ALL])
     def test_a_word_statistic_request_lays_no_word(self, family, monkeypatch):
@@ -459,7 +460,7 @@ class TestByRank:
             for values, count in table.items():
                 marginal[values[j],] += count
             expected = catalog_series(f"ud-{name}", 24).egf_term(24)
-            assert oracle._to_poly(marginal, ("t",)) == expected, name
+            assert MPoly(("t",), marginal) == expected, name
 
     def test_a_mixed_request_past_the_backtracker(self):
         # c beside lrm follows the open paths at n = 13, past every S_n laid
@@ -468,7 +469,7 @@ class TestByRank:
         for (_, lrm), count in table.items():
             marginal[lrm,] += count
         expected = catalog_series("ud-lrm", 13).egf_term(13)
-        assert oracle._to_poly(marginal, ("t",)) == expected
+        assert MPoly(("t",), marginal) == expected
 
     @pytest.mark.parametrize(
         "n, names",

@@ -15,7 +15,6 @@ from cudlab.series import (
     _pascal_row,
     cos_series,
     euler_numbers,
-    monomial_key,
     one_series,
     sec_series,
     sin_series,
@@ -26,7 +25,7 @@ from cudlab.series import (
 )
 from polyeval import evaluate
 
-t = MPoly({(("t", 1),): 1})
+t = MPoly(("t",), {(1,): 1})
 
 
 # an ordinary-coefficient reference for the EGF engine: each function takes and
@@ -97,30 +96,40 @@ _REFERENCE_OPS = {
 
 class TestMPoly:
     def test_constant_and_markers(self):
-        assert MPoly.constant(0) == MPoly()
-        assert MPoly.constant(Fraction(4, 2)) == 2
-        assert MPoly.constant(Fraction(3, 7)) == Fraction(3, 7)
-        assert (2 * t).items() == [((("t", 1),), 2)]
+        one = MPoly(("t",), {(0,): 1})
+        assert one * 0 == MPoly(("t",), {})
+        assert (one * Fraction(4, 2)).table == {(0,): 2}
+        assert type((one * Fraction(4, 2)).table[(0,)]) is int
+        assert (one * Fraction(3, 7)).table == {(0,): Fraction(3, 7)}
+        assert (2 * t).markers == ("t",) and (2 * t).table == {(1,): 2}
+        # a table is read against its markers: the same table under other
+        # markers is another term
+        assert MPoly(("x",), {(1,): 1}) != t
 
     def test_monomial_keys(self):
-        poly = MPoly({(("t", 2), ("x", 1)): 1, (): 5})
-        keys = [monomial_key(m) for m, _ in poly.items()]
-        assert keys == ["1", "t^2*x^1"]
+        poly = MPoly(("x", "t"), {(1, 2): 1, (0, 0): 5})
+        assert poly.monomials() == {"t^2*x^1": 1, "1": 5}
+        assert str(poly) == "5 + t^2*x^1"
+        # the terms print in the order of their (name, exponent) pairs, not
+        # of their text
+        assert str(MPoly(("t",), {(10,): 1, (2,): 3})) == "3*t^2 + t^10"
+        assert str(MPoly(("t",), {})) == "0"
 
     def test_scalar_product(self):
-        p = MPoly({(("x", 1), ("t", 2)): 2, (): Fraction(1, 3), (("t", 1),): -4})
-        assert (p * 3).items() == [((), 1), ((("t", 1),), -12), ((("t", 2), ("x", 1)), 6)]
+        p = MPoly(("t", "x"), {(2, 1): 2, (0, 0): Fraction(1, 3), (1, 0): -4})
+        assert (p * 3).table == {(0, 0): 1, (1, 0): -12, (2, 1): 6}
         halved = Fraction(1, 2) * p
-        want = [((), Fraction(1, 6)), ((("t", 1),), -2), ((("t", 2), ("x", 1)), 1)]
-        assert halved.items() == want
-        assert [type(c) for _, c in halved.items()] == [Fraction, int, int]
-        assert p * 0 == MPoly() and not p * 0
+        assert halved.table == {(0, 0): Fraction(1, 6), (1, 0): -2, (2, 1): 1}
+        types = {key: type(c) for key, c in halved.table.items()}
+        assert types == {(0, 0): Fraction, (1, 0): int, (2, 1): int}
+        assert str(halved) == "1/6 + -2*t^1 + t^2*x^1"
+        assert p * 0 == MPoly(("t", "x"), {}) and not p * 0
 
     def test_no_polynomial_product(self):
         with pytest.raises(TypeError):
             t * t
         with pytest.raises(TypeError):
-            t * MPoly.constant(2)
+            t * MPoly(("t",), {(0,): 2})
 
 
 class TestArithmetic:
@@ -217,11 +226,17 @@ def _comb_reciprocal(b):
     return tuple(out)
 
 
+def _random_poly(rng):
+    """c_0 + c_1*t with small random coefficients, the zeros left out."""
+    coeffs = {(0,): rng.randint(-3, 3), (1,): rng.randint(-3, 3)}
+    return MPoly(("t",), {key: c for key, c in coeffs.items() if c})
+
+
 _RINGS = {
     # ring name -> a random term of that ring
     "int": lambda rng: rng.randint(-5, 5),
     "Fraction": lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
-    "MPoly": lambda rng: MPoly({(): rng.randint(-3, 3), (("t", 1),): rng.randint(-3, 3)}),
+    "MPoly": _random_poly,
 }
 
 
@@ -231,7 +246,7 @@ def _terms(ring, order, head, seed):
     rng = random.Random(f"{ring}-{order}-{seed}")
     terms = [_RINGS[ring](rng) for _ in range(order + 1)]
     if head is not None:
-        terms[0] = MPoly.constant(head) if ring == "MPoly" else head
+        terms[0] = MPoly(("t",), {(0,): head} if head else {}) if ring == "MPoly" else head
     return tuple(terms)
 
 
@@ -411,7 +426,7 @@ class TestMarkedPowers:
     n + 1 values of each marker fix it."""
 
     def test_cycle_marked_reciprocal_of_one_minus_sin(self):
-        want = MPoly({(("t", 1),): 1, (("t", 2),): 1})
+        want = MPoly(("t",), {(1,): 1, (2,): 1})
         for value in range(3):
             ser = _pow(_one_minus_sin(4), -value)
             assert ser.egf_term(2) == evaluate(want, {"t": value})
@@ -420,7 +435,7 @@ class TestMarkedPowers:
         assert _pow(_one_minus_sin(5), 0) == one_series(5)
 
     def test_odd_even_split_at_two(self):
-        want = MPoly({(("t_o", 2),): 1, (("t_e", 1),): 1})
+        want = MPoly(("t_o", "t_e"), {(2, 0): 1, (0, 1): 1})
         for point in ({"t_o": a, "t_e": b} for a in range(3) for b in range(3)):
             ser = _pow(zigzag_egf_series(3), point["t_o"]) * _pow(sec_series(3), point["t_e"])
             assert ser.egf_term(2) == evaluate(want, point)
