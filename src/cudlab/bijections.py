@@ -48,7 +48,7 @@ from .perms import (
     switched_word,
 )
 from .statistics import (
-    MIN,
+    MAX,
     MinMaxPattern,
     extreme_positions,
     lr_min_positions,
@@ -295,7 +295,7 @@ def h_map(p: Permutation, pattern: MinMaxPattern | None = None) -> Permutation:
     pattern = pattern or MinMaxPattern.alternating()
     positions = selection_positions(p.word, pattern)
     letters = list(islice(pattern.letters(), len(positions)))
-    tau = p.word if pattern.at(1) == MIN else switched_word(p.word)
+    tau = switched_word(p.word) if letters[:1] == [MAX] else p.word
     for letter, after, i in zip(letters, letters[1:], positions):
         if letter != after:
             tau = tau[: i + 1] + switched_word(tau[i + 1 :])

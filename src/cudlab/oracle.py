@@ -29,11 +29,11 @@ failing row is a bug somewhere, by design with no tolerance.
 The checks are a registry: each phase of ``_PHASES`` is a generator of
 (check, n, expected, actual) rows, and ``verify_entries`` is the one place
 that turns rows into report entries.  The counts phase is the ``_COUNT_CHECKS``
-table.  The bijection checks run the trusted cores of ``bijections``, not
-the checking faces: ``_map_words`` runs those of one of ``g_even``,
-``f_odd``, ``phi`` and ``jbij`` and its inverse over any stream of up-down
-words, and the ell check those of ``ell_map`` and ``ell_inverse``.  No
-enumeration reads ``series`` or ``catalog``.
+table.  The g, f, phi, jbij and ell checks run the trusted cores of
+``bijections``, ``_map_words`` those of g, f, phi or jbij over any stream of
+up-down words.  The rotation, h and matching checks run the checking faces
+``rotate_ud``, ``h_map`` and ``matchings.to_matching_pair`` and
+``from_matching_pair``.  No enumeration reads ``series`` or ``catalog``.
 
 ``census`` is a flat kernel over plain words: it decomposes each word, reads
 each distinct cycle once for the two cycle shapes and its excedances, and
@@ -84,7 +84,7 @@ from .statistics import (
     lr_min_positions,
 )
 
-WORD_FAMILIES = (Family.UD, Family.DOWNUP, Family.UD_LAST_GT_FIRST)
+WORD_FAMILIES = tuple(family for family in perms._WORD_TESTS if family is not Family.ALL)
 
 # the default caps of a request that tallies member words (``_tally``), and
 # of one counted without laying words (``_by_size``, ``_by_rank``); that of
@@ -147,12 +147,6 @@ def iter_ud_by_filter(n: int) -> Iterator[Permutation]:
     return _filter_s_n(Family.UD, n)
 
 
-def iter_cycle_family(family: Family, n: int) -> Iterator[Permutation]:
-    """Every member of the cycle family in S_n exactly once, from
-    ``_cycle_members`` and not in lexicographic order."""
-    return map(Permutation._trusted, _cycle_members(family, n))
-
-
 def _cycle_members(family: Family, n: int) -> Iterator[tuple[int, ...]]:
     """The member words of the cycle family in S_n, by plain recursion: the
     cycle through the smallest remaining element is an admissible pattern on
@@ -190,8 +184,8 @@ def _cycle_members(family: Family, n: int) -> Iterator[tuple[int, ...]]:
 
 
 def iter_cud_direct(n: int) -> Iterator[Permutation]:
-    """Second route to CUD_n, built cycle by cycle: see ``iter_cycle_family``."""
-    return iter_cycle_family(Family.CUD, n)
+    """Second route to CUD_n, built cycle by cycle by ``_cycle_members``."""
+    return map(Permutation._trusted, _cycle_members(Family.CUD, n))
 
 
 def distribution(
@@ -762,20 +756,10 @@ def _verify_counts(censuses: list[Census], eul: list[int], order: int) -> Iterat
             if sizes(n):
                 yield check, n, value(expected, n), value(actual, n)
     # up to n = 8: the census filters S_n, while the backtracker and
-    # iter_cud_direct build the members directly
+    # _cycle_members build the members directly
     for n, cen in enumerate(censuses[:9]):
-        yield (
-            "ud-dual-generation",
-            n,
-            cen.words[Family.UD],
-            [p.word for p in enumerate_family(Family.UD, n)],
-        )
-        yield (
-            "cud-dual-generation",
-            n,
-            cen.words[Family.CUD],
-            sorted(p.word for p in iter_cud_direct(n)),
-        )
+        yield "ud-dual-generation", n, cen.words[Family.UD], list(_words(Family.UD, n))
+        yield "cud-dual-generation", n, cen.words[Family.CUD], sorted(_cycle_members(Family.CUD, n))
 
 
 def _verify_series_identities(

@@ -14,7 +14,6 @@ from operator import lt
 from typing import Iterator, NamedTuple, Sequence
 
 from .perms import (
-    DomainError,
     MalformedInput,
     Permutation,
     _Record,
@@ -48,7 +47,7 @@ class StatVector(NamedTuple):
     nud: int
 
 
-STAT_NAMES = ("c", "c_o", "c_e", "fp", "lrm", "st", "extr", "exc", "ud", "nud")
+STAT_NAMES = StatVector._fields
 
 # The statistics that sum over the canonical cycles, by a cycle's share, which
 # reads only relative order (excedances are cyclic ascents); the rest read words.
@@ -78,16 +77,8 @@ class MinMaxPattern(_Record):
             if tok not in (MIN, MAX):
                 raise MalformedInput(f"pattern tokens must be min/max, got {tok!r}")
 
-    def at(self, j: int) -> str:
-        """The j-th letter, 1-based."""
-        if j < 1:
-            raise DomainError("pattern positions are 1-based")
-        if j <= len(self.prefix):
-            return self.prefix[j - 1]
-        return self.tail[(j - 1 - len(self.prefix)) % len(self.tail)]
-
     def letters(self) -> Iterator[str]:
-        """The letters in order, without end: ``at(1)``, ``at(2)``, ..."""
+        """The letters in order, without end."""
         return chain(self.prefix, cycle(self.tail))
 
     @classmethod

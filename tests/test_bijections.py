@@ -31,6 +31,7 @@ from cudlab.statistics import (
     extreme_positions,
     lr_min_positions,
     m_s,
+    selection_positions,
     stats,
 )
 
@@ -264,6 +265,9 @@ class TestHMap:
             MinMaxPattern.repeat(MIN),
             MinMaxPattern.repeat(MAX),
             MinMaxPattern((), (MAX, MIN)),
+            # with a prefix, the first letter is not the tail's
+            MinMaxPattern((MAX,), (MIN,)),
+            MinMaxPattern((MIN, MIN), (MAX,)),
         )
         for n in range(1, 7):
             perms = [Permutation(w) for w in itertools.permutations(range(1, n + 1))]
@@ -271,7 +275,12 @@ class TestHMap:
                 images = {bij.h_map(p, pattern).word for p in perms}
                 assert len(images) == len(perms)
                 for p in perms:
-                    assert stats(bij.h_map(p, pattern)).lrm == m_s(p, pattern)
+                    image = bij.h_map(p, pattern)
+                    assert stats(image).lrm == m_s(p, pattern)
+                    # the word is reversed at the end, so selected position i
+                    # of p is position n - 1 - i of the image, an LR minimum
+                    selected = sorted(n - 1 - i for i in selection_positions(p.word, pattern))
+                    assert lr_min_positions(image.word) == selected, (p, pattern)
 
 
 class TestEll:

@@ -26,7 +26,6 @@ from cudlab.oracle import (
     distribution_csv,
     enumerate_family,
     iter_cud_direct,
-    iter_cycle_family,
     iter_ud_by_filter,
     verify_all,
     verify_entries,
@@ -101,7 +100,7 @@ class TestCycleFamilies:
     @pytest.mark.parametrize("family", CYCLE_FAMILIES)
     def test_direct_route_matches_the_s_n_filter(self, family):
         for n in range(8):
-            assert sorted(p.word for p in iter_cycle_family(family, n)) == [
+            assert sorted(oracle._cycle_members(family, n)) == [
                 p.word for p in oracle._filter_s_n(family, n)
             ], n
 
@@ -115,7 +114,7 @@ class TestCycleFamilies:
         "family", [f for f in CYCLE_FAMILIES if perms._CYCLE_FAMILIES[f][2]]
     )
     def test_single_cycle_family_is_empty_at_0(self, family):
-        assert list(iter_cycle_family(family, 0)) == []
+        assert list(oracle._cycle_members(family, 0)) == []
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=9, unique=True))
     def test_predicates_read_only_relative_order(self, values):
@@ -638,7 +637,6 @@ _ENUMERATION_SIDE = (
     "_cycles",
     "_filter_s_n",
     "enumerate_family",
-    "iter_cycle_family",
     "_check_cap",
     "count_family",
     "iter_ud_by_filter",
@@ -877,6 +875,29 @@ class TestVerifyAll:
         for tag in ("f", "phi", "jbij", "ell"):
             assert {f"bij-{tag}-roundtrip", f"bij-{tag}-image"} <= failing
         assert "bij-h-transport[min,max,...]" in failing
+
+    @pytest.mark.parametrize(
+        "route, family, check",
+        [
+            ("_words", Family.UD, "ud-dual-generation"),
+            ("_cycle_members", Family.CUD, "cud-dual-generation"),
+        ],
+    )
+    def test_dual_generation_rows_watch_the_direct_routes(
+        self, route, family, check, monkeypatch
+    ):
+        # the direct route drops the first member at n = 5 and nothing else
+        direct = getattr(oracle, route)
+
+        def dropping(family_asked, n):
+            words = direct(family_asked, n)
+            if (family_asked, n) == (family, 5):
+                next(words)
+            return words
+
+        monkeypatch.setattr(oracle, route, dropping)
+        failing = [(e["check"], e["n"]) for e in verify_entries(5) if not e["pass"]]
+        assert failing == [(check, 5)]
 
     def test_cap_guard(self, monkeypatch):
         # refused when the generator is made, before any census is built

@@ -162,11 +162,11 @@ class TestPattern:
         pattern = MinMaxPattern.parse("min,max,...")
         assert pattern == MinMaxPattern.alternating()
         assert str(MinMaxPattern.parse("min,...")) == "min,..."
-        assert [pattern.at(j) for j in range(1, 5)] == [MIN, MAX, MIN, MAX]
+        assert list(itertools.islice(pattern.letters(), 4)) == [MIN, MAX, MIN, MAX]
 
     def test_prefix_then_tail(self):
         pattern = MinMaxPattern((MIN, MIN), (MAX,))
-        assert [pattern.at(j) for j in range(1, 6)] == [MIN, MIN, MAX, MAX, MAX]
+        assert list(itertools.islice(pattern.letters(), 5)) == [MIN, MIN, MAX, MAX, MAX]
 
     def test_parse_rejects_bad_text(self):
         for text in ("min,max", "", "...", "mid,...", "min;max,..."):
